@@ -15,13 +15,13 @@ from .semigroup import (
     admissible,
     evolve_state,
     generator_action,
+    noise_matrix,
     weyl_action,
 )
 from .synthesis import (
     DilationSpec,
     decompose,
     dilation_report,
-    noise_matrix,
     pair_from_coupling,
 )
 

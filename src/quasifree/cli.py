@@ -160,13 +160,8 @@ def _cmd_evolve(scenario, ctx):
     csv_name = scenario.get("csv")
     if csv_name:
         path = os.path.join(ctx["out"], csv_name)
-        fock.write_moment_csv(path, times, moments)
+        results["csv_columns"] = fock.write_moment_csv(path, times, moments)
         artifacts["csv"] = csv_name
-        n = state.n
-        results["csv_columns"] = (["t"] + [f"l{j+1}" for j in range(n)]
-                                  + [f"m{j+1}" for j in range(n)]
-                                  + [f"S{i+1}{j+1}" for i in range(2 * n)
-                                     for j in range(2 * n)])
     return results, all_valid, artifacts
 
 

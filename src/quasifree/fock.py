@@ -361,8 +361,8 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
                         weyl_error=float(weyl_err))
 
 
-def write_moment_csv(path, times, moments) -> None:
-    """Dump a moment trajectory as CSV with columns t, l..., m..., vec(S)...."""
+def write_moment_csv(path, times, moments) -> list[str]:
+    """Write a moment trajectory as CSV (t, l..., m..., vec(S)...); returns the header."""
     times = list(times)
     moments = list(moments)
     if not moments:
@@ -381,3 +381,4 @@ def write_moment_csv(path, times, moments) -> None:
             row += [repr(float(x)) for x in m]
             row += [repr(float(x)) for x in np.asarray(S).ravel()]
             writer.writerow(row)
+    return header

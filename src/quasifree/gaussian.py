@@ -57,6 +57,8 @@ class GaussianState:
         if self.S.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"covariance must be {2 * self.n} x {2 * self.n}, "
                              f"got {self.S.shape}")
+        if not all(np.isfinite(a).all() for a in (self.l, self.m, self.S)):
+            raise ValueError("means and covariance must be finite")
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, validate
-from .symplectic import expm, gram_integral, psd_check, real_embed, real_extract, symplectic_form
+from .symplectic import propagator, psd_check, real_embed, real_extract, symplectic_form
 
 __all__ = [
     "QuasifreePair",
     "WeylActionResult",
     "GeneratorCoefficients",
+    "noise_matrix",
     "admissible",
     "weyl_action",
     "evolve_state",
@@ -34,12 +35,8 @@ __all__ = [
 ]
 
 
-def admissible(K, C, tol: float = 1e-9):
-    """Test the generator inequality C + i(K^T J + J K) >= 0.
-
-    Returns (ok, min_eigenvalue) with the smallest eigenvalue of the noise
-    matrix.  C must be symmetric (asymmetric input is rejected).
-    """
+def noise_matrix(K, C) -> np.ndarray:
+    """Hermitian noise matrix D = C + i(K^T J + J K); asymmetric C is rejected."""
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
@@ -48,10 +45,19 @@ def admissible(K, C, tol: float = 1e-9):
         raise ValueError(f"C must match K, got {C.shape} vs {K.shape}")
     if np.abs(C - C.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(C).max(initial=0.0)):
         raise ValueError("C must be symmetric")
-    n = K.shape[0] // 2
-    J = symplectic_form(n)
+    J = symplectic_form(K.shape[0] // 2)
     D = C + 1j * (K.T @ J + J @ K)
-    return psd_check(D, tol)
+    return (D + D.conj().T) / 2.0
+
+
+def admissible(K, C, tol: float = 1e-9):
+    """Test the generator inequality C + i(K^T J + J K) >= 0.
+
+    Returns (ok, min_eigenvalue) with the smallest eigenvalue of the noise
+    matrix.  C >= 0 follows: the imaginary part of the noise matrix is
+    antisymmetric, so x^T D x = x^T C x for every real x.
+    """
+    return psd_check(noise_matrix(K, C), tol)
 
 
 @dataclass(frozen=True)
@@ -74,9 +80,6 @@ class QuasifreePair:
         if not ok:
             raise ValueError(f"pair is not admissible: noise matrix has "
                              f"min eigenvalue {min_eig:.3e}")
-        psd, ceig = psd_check((C + C.T) / 2.0 + 0j)
-        if not psd:
-            raise ValueError(f"C must be PSD, min eigenvalue {ceig:.3e}")
         object.__setattr__(self, "min_noise_eigenvalue", min_eig)
 
 
@@ -90,29 +93,25 @@ class WeylActionResult:
 
 def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     """Image of the Weyl operator under the semigroup at time t >= 0."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != pair.n:
         raise ValueError(f"expected a length-{pair.n} argument, got {z.size}")
     xi = real_embed(z)
-    z_out = real_extract(expm(t * pair.K) @ xi)
-    B = gram_integral(pair.K, pair.C, t)
+    E, B = propagator(pair.K, pair.C, t)
+    z_out = real_extract(E @ xi)
     return WeylActionResult(z_out=z_out, damping_exponent=float(0.5 * xi @ B @ xi))
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """Predual action on Gaussian states; preserves validity for all t >= 0."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
     diag = validate(state)
     if not diag.is_valid:
         raise ValueError(f"invalid input state: min eig {diag.min_eigenvalue:.3e}")
-    E = expm(t * pair.K.T)
-    w = E @ np.concatenate([state.l, -state.m])
-    S_t = E @ state.S @ E.T + 0.5 * gram_integral(pair.K, pair.C, t)
+    E, B = propagator(pair.K, pair.C, t)
+    w = E.T @ np.concatenate([state.l, -state.m])
+    S_t = E.T @ state.S @ E + 0.5 * B
     return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:],
                          S=(S_t + S_t.T) / 2.0)
 

@@ -3,8 +3,9 @@
 A complex displacement z in C^n is identified with the stacked real vector
 (Re z, Im z) in R^2n.  The canonical symplectic form carries the -I block in
 the upper-right corner, so that multiplication by i on C^n corresponds to
-multiplication by J on R^2n.  Everything here is dense numpy; the matrices
-in play are at most a few hundred rows.
+multiplication by J on R^2n.  :func:`propagator` alone propagates a pair in
+time: e^{tK} and B_t from one block exponential, squared up.  Everything here
+is dense numpy; the matrices in play are at most a few hundred rows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "psd_check",
     "hermitian_eigh",
     "expm",
+    "propagator",
     "gram_integral",
 ]
 
@@ -91,13 +93,13 @@ def expm(A) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-def gram_integral(K, C, t: float) -> np.ndarray:
-    """Accumulated noise matrix B_t = integral_0^t e^{sK^T} C e^{sK} ds.
+def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds.
 
-    Evaluated by the block-exponential trick: the upper-right block of
-    expm(t [[-K^T, C], [0, K]]) equals e^{-tK^T} B_t, so no quadrature and no
-    step-size tuning are involved.  C must be symmetric; the result is
-    symmetrized to remove roundoff and is PSD whenever C is.
+    expm(h [[-K^T, C], [0, K]]) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978),
+    taken at h = t / 2^k for the smallest k with ||h block||_1 <= 1 and squared
+    up k times; e^{-tK^T} is never formed, so dissipative K stays finite at any
+    t.  C must be symmetric; B_t is symmetric, and PSD whenever C is.
     """
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -105,13 +107,24 @@ def gram_integral(K, C, t: float) -> np.ndarray:
         raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
     if np.abs(C - C.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(C).max(initial=0.0)):
         raise ValueError("C must be symmetric")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     m = K.shape[0]
     block = np.zeros((2 * m, 2 * m))
     block[:m, :m] = -K.T
     block[:m, m:] = C
     block[m:, m:] = K
-    F = expm(t * block)
-    B = expm(t * K.T) @ F[:m, m:]
-    return (B + B.T) / 2.0
+    norm = t * np.abs(block).sum(axis=0).max(initial=0.0)
+    k = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    F = expm((t / 2.0**k) * block)
+    E = F[m:, m:]
+    B = E.T @ F[:m, m:]
+    for _ in range(k):
+        B = B + E.T @ B @ E
+        E = E @ E
+    return E, (B + B.T) / 2.0
+
+
+def gram_integral(K, C, t: float) -> np.ndarray:
+    """Accumulated noise matrix B_t, the second half of :func:`propagator`."""
+    return propagator(K, C, t)[1]

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .semigroup import GeneratorCoefficients, admissible
+from .semigroup import GeneratorCoefficients, admissible, noise_matrix
 from .symplectic import hermitian_eigh, real_embed, real_extract, symplectic_form
 
 __all__ = [
@@ -88,18 +88,6 @@ def pair_from_coupling(u, v):
     wi = np.concatenate([v.imag - u.imag, u.real - v.real])
     C = np.outer(wr, wr) + np.outer(wi, wi)
     return K, C
-
-
-def noise_matrix(K, C) -> np.ndarray:
-    """Hermitian noise matrix D = C + i(K^T J + J K)."""
-    K = np.asarray(K, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2:
-        raise ValueError(f"K and C must be equal square matrices of even order, "
-                         f"got {K.shape} and {C.shape}")
-    J = symplectic_form(K.shape[0] // 2)
-    D = C + 1j * (K.T @ J + J @ K)
-    return (D + D.conj().T) / 2.0
 
 
 def _fix_phase(vec, tol=1e-12):

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,18 @@ from util import rng, random_unitary
 
 def attenuation_pair_dict():
     return {"n": 1, "K": [[-0.5, 0.0], [0.0, -0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+DEMO_SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "demos" / "scenarios")
+                        .glob("*.json"))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in report")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def run(tmp_path, scenario, name="scenario.json", extra_args=()):
@@ -58,6 +71,26 @@ def test_evolve_writes_trajectory_csv(tmp_path):
         assert abs(float(row["m1"]) - expected.m[0]) < 1e-12
         assert abs(float(row["S11"]) - expected.S[0, 0]) < 1e-12
     assert report["results"]["csv_columns"][0] == "t"
+
+
+def test_evolve_long_horizon_report_is_finite(tmp_path):
+    scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
+                "state": state_to_dict(coherent([1.0])), "times": [1.0, 1e4]}
+    code, _ = run(tmp_path, scenario)
+    assert code == 0
+    report = strict_json((tmp_path / "report.json").read_text())
+    assert report["results"]["all_valid"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_evolve_overflowing_amplifier_exits_1_without_report(tmp_path, capsys):
+    scenario = {"command": "evolve",
+                "pair": {"n": 1, "K": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]},
+                "state": state_to_dict(coherent([1.0])), "times": [1.0, 3000.0]}
+    code, report = run(tmp_path, scenario)
+    assert code == 1
+    assert report is None
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_weyl_command(tmp_path):
@@ -186,6 +219,25 @@ def test_missing_scenario_file_exits_3(tmp_path):
 def test_unknown_command_exits_1(tmp_path):
     code, _ = run(tmp_path, {"command": "frobnicate"})
     assert code == 1
+
+
+def test_non_finite_state_exits_1(tmp_path, capsys):
+    scenario = {"command": "validate-state",
+                "state": {"n": 1, "l": [0.0], "m": [float("nan")],
+                          "S": [[0.5, 0.0], [0.0, 0.5]]}}
+    code, report = run(tmp_path, scenario)
+    assert code == 1
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)
+def test_demo_scenario_runs_clean(tmp_path, path):
+    scenario = json.loads(path.read_text())
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = strict_json((tmp_path / scenario.get("report", "report.json")).read_text())
+    assert report["passed"] is True
 
 
 def test_missing_field_exits_1(tmp_path):

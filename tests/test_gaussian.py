@@ -53,6 +53,15 @@ def test_shape_mismatch_rejected():
         GaussianState(n=2, l=[0.0], m=[0.0, 0.0], S=np.eye(4))
 
 
+@pytest.mark.parametrize("field", ["l", "m", "S"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_moments_rejected(field, bad):
+    data = {"l": [0.0], "m": [0.0], "S": 0.5 * np.eye(2)}
+    data[field] = np.full_like(np.asarray(data[field], dtype=float), bad)
+    with pytest.raises(ValueError):
+        GaussianState(n=1, **data)
+
+
 def test_coherent_zero_is_vacuum():
     st = coherent([0.0])
     assert np.array_equal(st.l, vacuum(1).l)

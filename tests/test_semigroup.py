@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quasifree import fock
 from quasifree.gaussian import coherent, vacuum, validate, weyl_transform
@@ -124,6 +125,21 @@ def test_evolve_state_rotation_closed_form():
         assert np.abs(out.S - 0.5 * np.eye(2)).max() < 1e-12
         expected = expm(omega * t * symplectic_form(1).T) @ np.array([0.0, -np.sqrt(2)])
         assert np.allclose(np.concatenate([out.l, -out.m]), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("rate", [1.0, 2.0])
+@pytest.mark.parametrize("t", [2e3, 1e4])
+def test_pure_loss_reaches_steady_state_at_long_times(rate, t):
+    n = 2
+    K = -0.5 * rate * np.eye(2 * n)
+    C = rate * np.eye(2 * n)
+    pair = QuasifreePair(n=n, K=K, C=C)
+    out = evolve_state(random_valid_state(rng(45), n), pair, t)
+    assert np.isfinite(out.S).all()
+    B_inf = scipy.linalg.solve_continuous_lyapunov(K.T, -C)
+    assert np.abs(out.S - B_inf / 2.0).max() < 1e-12
+    assert max(np.abs(out.l).max(), np.abs(out.m).max()) <= 1e-12
+    assert np.isfinite(weyl_action(pair, t, [0.3 - 0.4j, 1.0]).damping_exponent)
 
 
 def test_semigroup_composition_law():
