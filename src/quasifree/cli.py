@@ -412,6 +412,10 @@ def main(argv=None) -> int:
     except fock.LeakageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        # a numerical check inside the library refused, e.g. oracle trace drift
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,12 @@ RK4 integrator for Lindblad master equations.  The representation is exact
 below the top occupation level of each mode; the population of the top
 level ("leakage") is the trust metric for every oracle result.
 
+The integrator symmetrizes the initial density matrix, runs each RK4 step
+as the Horner form of the step polynomial (exact for a constant linear
+generator), and applies the Lindbladian as two stacked sparse products per
+stage; see lindblad_evolve.  scipy.sparse is imported there, so code that
+never integrates does not load it.
+
 Tensor ordering is mode-major: the first mode is the most significant index.
 """
 
@@ -231,34 +237,62 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     The +i[H, rho] sign is pinned by the dissipation-free cross-checks
     against evolve_state (see tests); with the quadratic H synthesized by
     decompose, the standard -i sign would run the symplectic drift backwards.
+
     Fixed-step RK4 with a trace-drift watchdog; raises on instability.
+
+    The input is symmetrized to (rho0 + rho0^dag)/2 and every iterate y is
+    taken as Hermitian, so with A = iH - (1/2) sum_j L_j^dag L_j and M = A y
+    the right-hand side is M + M^dag + sum_j L_j (L_j y)^dag.  The generator
+    is linear and constant, so one RK4 step is exactly the Horner form
+    rho + h L(rho + h/2 L(rho + h/3 L(rho + h/4 L rho))): four stages
+    y <- rho + c L(y) with c = h/4, h/3, h/2, h.  Each stage is two sparse
+    products, G = vstack(c A, sqrt(c) L_1, ..., sqrt(c) L_m) @ y and then
+    hstack(sqrt(c) L_1, ..., sqrt(c) L_m) applied to the blockwise conjugate
+    transpose of the rows of G below the first d.  The operators have at most
+    (2n+1)^2 nonzeros per row; no d^2 x d^2 superoperator is formed.
     """
+    import scipy.sparse as sparse
+
     if t < 0:
         raise ValueError("time must be nonnegative")
     if steps < 1:
         raise ValueError("need at least one step")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    validate_density(rho)
-    H = hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    rho0 = np.asarray(rho0, dtype=complex)
+    validate_density(rho0)
+    rho = 0.5 * (rho0 + rho0.conj().T)
+    d = rep.dim
     Ls = lindblad_matrices(rep, spec)
-    LdL = [L.conj().T @ L for L in Ls]
-    # A collects the commutator and the anticommutator halves: rhs = A rho + rho A^dag + jumps
-    A = 1j * H - 0.5 * sum(LdL) if Ls else 1j * H
-    Lds = [L.conj().T for L in Ls]
-
-    def rhs(r):
-        out = A @ r + r @ A.conj().T
-        for L, Ld in zip(Ls, Lds):
-            out += L @ r @ Ld
-        return out
+    m = len(Ls)
+    A = 1j * hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    for L in Ls:
+        A -= 0.5 * (L.conj().T @ L)
+    stacked = sparse.csr_array(np.vstack([A, *Ls]))
+    # the empty block keeps the shape (d, 0) when there are no couplings
+    side_by_side = sparse.csr_array(np.hstack([np.zeros((d, 0)), *Ls]))
+    nnz_A = stacked.indptr[d]
 
     h = t / steps
+    stages = []
+    for c in (h / 4, h / 3, h / 2, h):
+        # the A rows carry c, the L_j rows sqrt(c)
+        data = math.sqrt(c) * stacked.data
+        data[:nnz_A] = c * stacked.data[:nnz_A]
+        left = sparse.csr_array((data, stacked.indices, stacked.indptr), shape=stacked.shape)
+        stages.append((left, math.sqrt(c) * side_by_side))
+
+    # B[0] = M^dag and B[j] = (sqrt(c) L_j y)^dag, one transposing pass per stage
+    B = np.empty((m + 1, d, d), dtype=complex)
+    jumps = B[1:].reshape(m * d, d)
     for k in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        y = rho
+        for left, right in stages:
+            G = left @ y
+            np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
+            y = right @ jumps
+            y += rho
+            y += G[:d]
+            y += B[0]
+        rho = y
         if (k + 1) % 100 == 0 or k + 1 == steps:
             drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
             if not np.isfinite(drift) or drift > 1e-6:
@@ -272,19 +306,18 @@ def state_moments(rep: FockRep, rho):
 
     Returns (l, m, S) with l_j = Tr(p_j rho), m_j = Tr(q_j rho) and S the
     symmetrized second-moment matrix minus the outer product of the means.
+    With Z_j = X_j rho, Tr(X_i X_j rho) is the sum of the elementwise product
+    of X_i and Z_j^T, so only the 2n matrix products Z_j are formed.
     """
     rho = np.asarray(rho, dtype=complex)
     n = rep.n
-    l = np.array([np.trace(pj @ rho).real for pj in rep.p])
-    m = np.array([np.trace(qj @ rho).real for qj in rep.q])
-    X = list(rep.p) + [-qj for qj in rep.q]
-    means = np.concatenate([l, -m])
-    S = np.empty((2 * n, 2 * n))
-    for i in range(2 * n):
-        for j in range(i, 2 * n):
-            sym = 0.5 * (X[i] @ X[j] + X[j] @ X[i])
-            S[i, j] = S[j, i] = np.trace(sym @ rho).real - means[i] * means[j]
-    return l, m, S
+    X = np.stack(list(rep.p) + [-qj for qj in rep.q])
+    Z = X @ rho
+    means = np.trace(Z, axis1=1, axis2=2).real
+    # T[i, j] = Tr(X_i X_j rho)
+    T = X.reshape(2 * n, -1) @ Z.transpose(0, 2, 1).reshape(2 * n, -1).T
+    S = 0.5 * (T + T.T).real - np.outer(means, means)
+    return means[:n], -means[n:], S
 
 
 @dataclass(frozen=True)
@@ -352,7 +385,7 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             W = weyl_matrix(rep, z)
-        numeric = np.trace(rho_t @ W)
+        numeric = np.sum(rho_t.T * W)
         closed = weyl_transform(ref, z)
         weyl_err = max(weyl_err, abs(numeric - closed))
 

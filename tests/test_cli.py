@@ -131,6 +131,21 @@ def test_verify_oracle_command(tmp_path):
     assert comp["weyl_error"] < 1e-5
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_oracle_trace_drift_exits_2_without_report(tmp_path, capsys):
+    # one RK4 step per unit time cannot resolve damping at rate 9, so the
+    # integrator's trace watchdog refuses
+    scenario = {"command": "verify-oracle",
+                "pair": {"n": 1, "K": [[-4.5, 0.0], [0.0, -4.5]], "C": [[9.0, 0.0], [0.0, 9.0]]},
+                "state": state_to_dict(coherent([1.0])),
+                "times": [400], "cutoff": 25, "steps": 1}
+    code, report = run(tmp_path, scenario)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trace drift" in err and "Traceback" not in err
+
+
 def test_verify_oracle_dimension_cap(tmp_path):
     scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
                 "state": state_to_dict(coherent([1.0])),

@@ -7,7 +7,7 @@ from quasifree.semigroup import QuasifreePair
 from quasifree.symplectic import symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
-from util import rng
+from util import random_admissible_pair, rng
 
 
 def attenuation_pair():
@@ -229,6 +229,63 @@ def test_lindblad_trace_watchdog_catches_instability():
         fock.lindblad_evolve(rep, rho0, spec, 400.0, 100)
 
 
+def dense_rk4(rep, rho, spec, t, steps):
+    """Textbook RK4 (k1..k4) on the dense master-equation right-hand side."""
+    H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    Ls = fock.lindblad_matrices(rep, spec)
+
+    def rhs(r):
+        out = 1j * (H @ r - r @ H)
+        for L in Ls:
+            LdL = L.conj().T @ L
+            out += L @ r @ L.conj().T - 0.5 * (LdL @ r + r @ LdL)
+        return out
+
+    h = t / steps
+    for _ in range(steps):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return rho
+
+
+def random_density(gen, dim):
+    W = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    rho = W @ W.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
+@pytest.mark.parametrize("couplings", [1, 2])
+def test_lindblad_evolve_matches_textbook_rk4(n, cutoff, couplings):
+    gen = rng(26 + 10 * n + couplings)
+    pair = random_admissible_pair(gen, n, couplings=couplings)
+    spec = decompose(pair.K, pair.C)
+    rep = fock.build(n, cutoff)
+    rho0 = random_density(gen, rep.dim)
+    got = fock.lindblad_evolve(rep, rho0, spec, 0.5, 20)
+    ref = dense_rk4(rep, rho0, spec, 0.5, 20)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_lindblad_evolve_symmetrizes_nearly_hermitian_input():
+    gen = rng(27)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    spec = decompose(pair.K, pair.C)
+    rep = fock.build(2, 5)
+    rho0 = random_density(gen, rep.dim)
+    E = gen.normal(size=rho0.shape) + 1j * gen.normal(size=rho0.shape)
+    E = E - E.conj().T
+    rho0 = rho0 + 1e-11 * E / np.abs(E).max()
+    fock.validate_density(rho0)
+    got = fock.lindblad_evolve(rep, rho0, spec, 0.5, 20)
+    assert np.abs(got - got.conj().T).max() <= 1e-14
+    ref = dense_rk4(rep, 0.5 * (rho0 + rho0.conj().T), spec, 0.5, 20)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # --- moments ----------------------------------------------------------------
 
 def test_vacuum_moments():
@@ -269,6 +326,25 @@ def test_oracle_compare_rotation_quarter_period():
     pair = QuasifreePair(n=1, K=omega * J, C=np.zeros((2, 2)))
     t = np.pi / (2 * omega)
     rep = fock.oracle_compare(coherent([1.0]), pair, t, cutoff=30, steps=3000)
+    assert rep.max_error < 1e-5
+
+
+# quadratic forms on (p_1, p_2, -q_1, -q_2): p_1 p_2 + q_1 q_2 and q_1 q_2 - p_1 p_2
+BEAM_SPLITTER = np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
+TWO_MODE_SQUEEZER = np.kron(np.diag([-1.0, 1.0]), [[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("lossy", [False, True], ids=["closed", "lossy"])
+@pytest.mark.parametrize("G, rate", [(BEAM_SPLITTER, 1.0), (TWO_MODE_SQUEEZER, 0.3)],
+                         ids=["beam_splitter", "two_mode_squeezing"])
+def test_oracle_compare_two_mode_couplings(G, rate, lossy):
+    K = rate * symplectic_form(2) @ G
+    C = np.zeros((4, 4))
+    if lossy:
+        K_loss, C = pair_from_coupling([0.5, 0.0], [0.0, 0.0])
+        K = K + K_loss
+    pair = QuasifreePair(n=2, K=K, C=C)
+    rep = fock.oracle_compare(coherent([0.3, 0.2j]), pair, 0.5, cutoff=8, steps=200)
     assert rep.max_error < 1e-5
 
 
