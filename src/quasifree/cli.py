@@ -1,8 +1,9 @@
 """Batch scenario runner.
 
 Reads a JSON scenario file, dispatches to the library, and writes a JSON
-report (plus optional CSV artifacts) into the output directory.  There is no
-interactive mode: users are expected to script batch verifications.
+report (plus optional CSV artifacts) into the output directory; the report
+and CSV names must be plain file names.  There is no interactive mode:
+users are expected to script batch verifications.
 
 Exit codes: 0 success, 1 input/validation failure, 2 numerical-check
 failure, 3 malformed JSON, 4 dimension cap exceeded.
@@ -109,6 +110,17 @@ def _atomic_write(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _check_artifact_names(scenario):
+    """Refuse report and csv names that could leave the output directory."""
+    for key in ("report", "csv"):
+        if key not in scenario or (key == "csv" and not scenario[key]):
+            continue        # the default report name, or no CSV
+        name = scenario[key]
+        # a separator also rules out absolute paths
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise SchemaError(f"{key} must be a plain file name, got {name!r}")
 
 
 def _load_state(scenario):
@@ -225,6 +237,8 @@ def _cmd_ito_table(scenario, ctx):
         i = int(scenario.get("i", 1))
         j = int(scenario.get("j", i))
         lam = scenario.get("intensities", [1.0, 1.0])
+        if not isinstance(lam, list) or not lam:
+            raise SchemaError("intensities must be a non-empty list of numbers")
         check = ito.poisson_table(i, j, float(lam[0]), float(lam[-1]))
     else:
         raise SchemaError(f"unknown table kind {kind!r}")
@@ -253,6 +267,8 @@ def _cmd_unitarity(scenario, ctx):
 
 def _field_law(scenario):
     law = _require(scenario, "law")
+    if not isinstance(law, dict):
+        raise SchemaError("law must be a JSON object with a 'kind' field")
     kind = law.get("kind")
     if kind == "gaussian":
         return fields.FieldLaw(mean=np.asarray(law["mean"], dtype=float),
@@ -326,6 +342,7 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
     command = _require(scenario, "command")
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
+    _check_artifact_names(scenario)
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in scenario.get("tolerances", {}).items():
         if float(value) <= 0:

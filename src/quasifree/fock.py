@@ -7,11 +7,17 @@ RK4 integrator for Lindblad master equations.  The representation is exact
 below the top occupation level of each mode; the population of the top
 level ("leakage") is the trust metric for every oracle result.
 
-The integrator symmetrizes the initial density matrix, runs each RK4 step
-as the Horner form of the step polynomial (exact for a constant linear
-generator), and applies the Lindbladian as two stacked sparse products per
-stage; see lindblad_evolve.  scipy.sparse is imported there, so code that
-never integrates does not load it.
+The integrator returns the fixed-step RK4 result P(hL)^steps rho0, P the
+RK4 step polynomial, but applies it by Krylov projection in chunks: Arnoldi
+on Hermitian matrices (real Gram-Schmidt coefficients, at most 30 basis
+vectors) and P(hH_k)^s on the small Hessenberg matrix.  A chunk of s steps
+is exact when 4s <= k - 1 for k basis vectors; beyond that it is bounded
+by the estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| <= 1e-15.  The trace
+drift is checked once per chunk, and the basis costs 31 d^2 complex
+numbers.  The Lindbladian is applied as two stacked sparse products; see
+lindblad_evolve.  scipy.sparse is imported there, so code that never
+integrates does not load it.  Weyl matrices are Kronecker products of
+single-mode exponentials.
 
 Tensor ordering is mode-major: the first mode is the most significant index.
 """
@@ -57,6 +63,12 @@ DIM_CAP = 4096
 
 #: top-level population above which oracle results are not trusted
 LEAKAGE_TRUST = 1e-8
+
+#: Krylov basis cap (as in Expokit), bound on the step-error estimate, and
+#: how many basis vectors lie between two tests of that estimate
+_KRYLOV_MAX = 30
+_KRYLOV_TOL = 1e-15
+_KRYLOV_CHECK = 4
 
 
 class DimensionCapError(ValueError):
@@ -190,11 +202,19 @@ def coherent_density(rep: FockRep, alpha) -> np.ndarray:
 def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     """Displacement matrix expm(a^dag(z) - a(z)).
 
-    Unitary up to truncation effects near the top level; a warning is issued
-    when the displaced vacuum leaks above the trust threshold.
+    The modes act on separate tensor factors, so this is the Kronecker
+    product of the single-mode expm(z_j a^dag - conj(z_j) a) on cutoff x
+    cutoff matrices.  Unitary up to truncation effects near the top level;
+    a warning is issued when the displaced vacuum leaks above the trust
+    threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
-    W = expm(creator(rep, z) - annihilator(rep, z))
+    if z.size != rep.n:
+        raise ValueError(f"expected a length-{rep.n} vector, got {z.size}")
+    lower = np.diag(np.sqrt(np.arange(1, rep.cutoff)), 1)
+    W = np.ones((1, 1))
+    for zj in z:
+        W = np.kron(W, expm(zj * lower.T - np.conj(zj) * lower))
     leak = top_level_population(rep, W[:, 0])
     if leak > LEAKAGE_TRUST:
         warnings.warn(f"Weyl matrix for |z| = {np.linalg.norm(z):.3g} leaks "
@@ -238,18 +258,28 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     against evolve_state (see tests); with the quadratic H synthesized by
     decompose, the standard -i sign would run the symplectic drift backwards.
 
-    Fixed-step RK4 with a trace-drift watchdog; raises on instability.
+    The result is that of fixed-step RK4 with h = t/steps: P(hL)^steps rho0
+    with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the exact RK4 step of a
+    constant linear generator.  It is applied by Krylov projection in chunks.
+    From the current rho (symmetrized to (rho0 + rho0^dag)/2 at the start),
+    Arnoldi builds at most 30 basis vectors V_k with beta = ||rho||_F.  L
+    maps Hermitian matrices to Hermitian matrices and Tr(XY) is real for
+    Hermitian X, Y, so the Gram-Schmidt coefficients are taken real and the
+    Hessenberg matrix H_k is real.  P(hH_k)^s e_1 gives P(hL)^s rho exactly
+    whenever 4s <= k - 1; beyond that a chunk advances by the largest s whose
+    estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| stays at most 1e-15.  The
+    basis stops growing (tested every 4 vectors) once the estimate covers
+    all remaining steps, or when L V_k lies in the span (L = 0, a dark
+    state), where the result is exact.  Then rho <- beta V_k P(hH_k)^s e_1 is
+    symmetrized and its trace drift checked; raises RuntimeError on drift,
+    i.e. on an unstable step size, after the first chunk that shows it.
 
-    The input is symmetrized to (rho0 + rho0^dag)/2 and every iterate y is
-    taken as Hermitian, so with A = iH - (1/2) sum_j L_j^dag L_j and M = A y
-    the right-hand side is M + M^dag + sum_j L_j (L_j y)^dag.  The generator
-    is linear and constant, so one RK4 step is exactly the Horner form
-    rho + h L(rho + h/2 L(rho + h/3 L(rho + h/4 L rho))): four stages
-    y <- rho + c L(y) with c = h/4, h/3, h/2, h.  Each stage is two sparse
-    products, G = vstack(c A, sqrt(c) L_1, ..., sqrt(c) L_m) @ y and then
-    hstack(sqrt(c) L_1, ..., sqrt(c) L_m) applied to the blockwise conjugate
-    transpose of the rows of G below the first d.  The operators have at most
-    (2n+1)^2 nonzeros per row; no d^2 x d^2 superoperator is formed.
+    L y for Hermitian y is two sparse products: with A = iH - (1/2) sum_j
+    L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
+    G = vstack(A, L_1, ..., L_m) @ y and then hstack(L_1, ..., L_m) applied
+    to the blockwise conjugate transpose of the rows of G below the first d.
+    The operators have at most (2n+1)^2 nonzeros per row; no d^2 x d^2
+    superoperator is formed.  Memory is the basis, 31 d^2 complex numbers.
     """
     import scipy.sparse as sparse
 
@@ -269,36 +299,93 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     stacked = sparse.csr_array(np.vstack([A, *Ls]))
     # the empty block keeps the shape (d, 0) when there are no couplings
     side_by_side = sparse.csr_array(np.hstack([np.zeros((d, 0)), *Ls]))
-    nnz_A = stacked.indptr[d]
-
-    h = t / steps
-    stages = []
-    for c in (h / 4, h / 3, h / 2, h):
-        # the A rows carry c, the L_j rows sqrt(c)
-        data = math.sqrt(c) * stacked.data
-        data[:nnz_A] = c * stacked.data[:nnz_A]
-        left = sparse.csr_array((data, stacked.indices, stacked.indptr), shape=stacked.shape)
-        stages.append((left, math.sqrt(c) * side_by_side))
-
-    # B[0] = M^dag and B[j] = (sqrt(c) L_j y)^dag, one transposing pass per stage
+    # B[0] = M^dag and B[j] = (L_j y)^dag, one transposing pass per product
     B = np.empty((m + 1, d, d), dtype=complex)
     jumps = B[1:].reshape(m * d, d)
-    for k in range(steps):
-        y = rho
-        for left, right in stages:
-            G = left @ y
-            np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
-            y = right @ jumps
-            y += rho
-            y += G[:d]
-            y += B[0]
-        rho = y
-        if (k + 1) % 100 == 0 or k + 1 == steps:
-            drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
-            if not np.isfinite(drift) or drift > 1e-6:
-                raise RuntimeError(f"trace drift {drift:.3e} after {k + 1} steps; "
-                                   "reduce the step size")
+
+    def apply(y, out):
+        G = stacked @ y
+        np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
+        np.add(side_by_side @ jumps, G[:d], out=out)
+        out += B[0]
+
+    # complex basis vectors and their real views: <X, Y> = Re Tr(X^dag Y)
+    V = np.empty((_KRYLOV_MAX + 1, d, d), dtype=complex)
+    Vr = V.reshape(_KRYLOV_MAX + 1, d * d).view(float)
+    h = t / steps
+    done = 0
+    while done < steps:
+        left = steps - done
+        beta = np.linalg.norm(rho)
+        V[0] = rho / beta
+        H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+        for j in range(_KRYLOV_MAX):
+            k = j + 1
+            apply(V[j], V[k])
+            w = Vr[k]
+            scale = np.linalg.norm(w)
+            for _ in range(2):      # classical Gram-Schmidt, reorthogonalized once
+                c = Vr[:k] @ w
+                w -= c @ Vr[:k]
+                H[:k, j] += c
+            H[k, j] = np.linalg.norm(w)
+            if H[k, j] <= np.finfo(float).eps * scale:
+                H[k, j] = 0.0       # breakdown: L V_k lies in the span
+                break
+            w /= H[k, j]
+            if 4 * left <= k - 1:
+                break
+            if (k % _KRYLOV_CHECK == 0 and beta * H[k, j]
+                    * abs(_rk4_power(h * H[:k, :k], left)[-1]) <= _KRYLOV_TOL):
+                break
+        s, power = _rk4_chunk(h * H[:k, :k], beta * H[k, k - 1], left)
+        rho = (beta * (power @ Vr[:k])).view(complex).reshape(d, d)
+        rho = 0.5 * (rho + rho.conj().T)
+        done += s
+        drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+        if not np.isfinite(drift) or drift > 1e-6:
+            raise RuntimeError(f"trace drift {drift:.3e} after {done} steps; "
+                               "reduce the step size")
     return rho
+
+
+def _rk4_step_matrix(X):
+    """P(X) = I + X + X^2/2 + X^3/6 + X^4/24 in Horner form."""
+    eye = np.eye(len(X))
+    P = eye + X / 4
+    for c in (3, 2, 1):
+        P = eye + (X / c) @ P
+    return P
+
+
+def _rk4_power(X, s):
+    """P(X)^s e_1; non-finite when the power overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.matrix_power(_rk4_step_matrix(X), s)[:, 0]
+
+
+def _rk4_chunk(X, residual, left):
+    """Steps s <= left for one chunk of k = len(X) basis vectors, and P(X)^s e_1.
+
+    All left steps when they are exact (4 left <= k - 1, or residual = 0
+    after a breakdown) or their estimate residual |e_k^T P(X)^left e_1| is
+    at most _KRYLOV_TOL; otherwise the exact steps and then every step up to
+    the first that fails the estimate.
+    """
+    k = len(X)
+    u = _rk4_power(X, left)
+    if residual == 0 or 4 * left <= k - 1 or residual * abs(u[-1]) <= _KRYLOV_TOL:
+        return left, u
+    P = _rk4_step_matrix(X)
+    u = np.eye(k)[0]
+    s = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < left:
+            nxt = P @ u
+            if 4 * (s + 1) > k - 1 and not residual * abs(nxt[-1]) <= _KRYLOV_TOL:
+                break
+            u, s = nxt, s + 1
+    return s, u
 
 
 def state_moments(rep: FockRep, rho):

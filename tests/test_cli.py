@@ -268,6 +268,37 @@ def test_inadmissible_pair_exits_1(tmp_path):
     assert code == 1
 
 
+def test_poisson_table_without_intensities_exits_1(tmp_path, capsys):
+    code, report = run(tmp_path, {"command": "ito-table", "table": "poisson",
+                                  "intensities": []})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sample_field_with_non_object_law_exits_1(tmp_path, capsys):
+    code, report = run(tmp_path, {"command": "sample-field", "law": "gaussian"})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("key, name", [("report", "../x.json"), ("report", "sub/x.json"),
+                                       ("report", ".."), ("csv", "../x.csv"),
+                                       ("csv", "{tmp}/x.csv")])
+def test_artifact_names_outside_out_dir_exit_1(tmp_path, capsys, key, name):
+    out = tmp_path / "out"
+    name = name.format(tmp=tmp_path)
+    scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
+                "state": state_to_dict(coherent([0.5])), "times": [0.0, 0.5],
+                "csv": "traj.csv", key: name}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = cli.main(["--scenario", str(path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.json"]
+    assert list(out.iterdir()) == []
+
+
 def test_env_variable_fallback(tmp_path, monkeypatch):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"command": "validate-state",

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from quasifree import fock
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair
-from quasifree.symplectic import symplectic_form
+from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
 from util import random_admissible_pair, rng
@@ -164,6 +166,20 @@ def test_weyl_unitarity_defect_on_low_levels():
     assert np.abs((W.conj().T @ W - np.eye(40)) @ P_low).max() < 1e-6
 
 
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4)])
+def test_weyl_matrix_matches_full_expm(n, cutoff):
+    # the per-mode Kronecker form against the exponential of the full generator
+    rep = fock.build(n, cutoff)
+    gen = rng(28 + n)
+    for _ in range(3):
+        z = 0.8 * (gen.normal(size=n) + 1j * gen.normal(size=n)) / np.sqrt(n)
+        full = expm(fock.creator(rep, z) - fock.annihilator(rep, z))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            W = fock.weyl_matrix(rep, z)
+        assert np.abs(W - full).max() <= 1e-14
+
+
 def test_weyl_matrix_warns_on_leakage():
     rep = fock.build(1, 4)
     with pytest.warns(UserWarning):
@@ -284,6 +300,29 @@ def test_lindblad_evolve_symmetrizes_nearly_hermitian_input():
     assert np.abs(got - got.conj().T).max() <= 1e-14
     ref = dense_rk4(rep, 0.5 * (rho0 + rho0.conj().T), spec, 0.5, 20)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+# each case runs the Krylov propagator over two or three chunks
+@pytest.mark.parametrize("n, cutoff, t, steps, seed", [(1, 30, 0.5, 400, 31),
+                                                       (2, 6, 1.0, 200, 32)])
+def test_lindblad_evolve_matches_textbook_rk4_over_several_chunks(n, cutoff, t, steps, seed):
+    gen = rng(seed)
+    pair = random_admissible_pair(gen, n, couplings=n)
+    spec = decompose(pair.K, pair.C)
+    rep = fock.build(n, cutoff)
+    rho0 = random_density(gen, rep.dim)
+    got = fock.lindblad_evolve(rep, rho0, spec, t, steps)
+    ref = dense_rk4(rep, rho0, spec, t, steps)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lindblad_evolve_matches_textbook_rk4_for_long_pure_loss():
+    rep = fock.build(1, 20)
+    spec = decompose(*pair_from_coupling([1.0], [0.0]))
+    rho0 = fock.coherent_density(rep, [1.0])
+    got = fock.lindblad_evolve(rep, rho0, spec, 5.0, 2000)
+    ref = dense_rk4(rep, rho0, spec, 5.0, 2000)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # --- moments ----------------------------------------------------------------
