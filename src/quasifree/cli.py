@@ -5,6 +5,12 @@ report (plus optional CSV artifacts) into the output directory; the report
 and CSV names must be plain file names.  There is no interactive mode:
 users are expected to script batch verifications.
 
+JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
+scenario file is an input failure (exit 1); a report is one line of strict
+JSON, and a result that is not finite exits 2 with no report written.
+Tolerances, from the scenario or the --tol override, must be finite
+numbers > 0.
+
 Exit codes: 0 success, 1 input/validation failure, 2 numerical-check
 failure, 3 malformed JSON, 4 dimension cap exceeded.
 
@@ -55,15 +61,27 @@ PRIMARY_TOL = {
     "sample-field": "psd",
 }
 
+# rows per formatting pass of a sample CSV: one pass per block keeps the
+# formatted text small next to the samples
+_CSV_BLOCK_ROWS = 1024
+
 
 class SchemaError(ValueError):
     """Scenario file does not match the expected schema."""
 
 
-def _require(scenario, key):
+def _require(scenario, key, where="scenario"):
     if key not in scenario:
-        raise SchemaError(f"scenario is missing required field {key!r}")
+        raise SchemaError(f"{where} is missing required field {key!r}")
     return scenario[key]
+
+
+def _tolerance(key, value):
+    """A tolerance is a finite number > 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise SchemaError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def _complex_vector(data):
@@ -78,25 +96,38 @@ def _complex_matrix(data):
     return np.asarray(rows)
 
 
-def _jsonable(obj):
-    """Recursively convert to JSON-serializable values (complex -> [re, im])."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
+def _json_default(obj):
+    """Encode what the C JSON encoder cannot: arrays, dataclasses, complex, numpy scalars."""
     if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+        if np.iscomplexobj(obj):
+            return np.stack([obj.real, obj.imag], -1).tolist()
+        return obj.tolist()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.bool_,)):
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    raise TypeError(f"cannot encode {type(obj).__name__} in a report")
+
+
+def _reject_constant(name):
+    raise SchemaError(f"non-finite number {name} in scenario file")
+
+
+def _write_sample_csv(path, data, header):
+    """Write what np.savetxt(path, data, delimiter=",", header=header, comments="")
+    writes, formatting one block of rows per pass."""
+    row_fmt = ",".join(["%.18e"] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(data), _CSV_BLOCK_ROWS):
+            block = data[start:start + _CSV_BLOCK_ROWS]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _atomic_write(path, text):
@@ -270,21 +301,25 @@ def _field_law(scenario):
     if not isinstance(law, dict):
         raise SchemaError("law must be a JSON object with a 'kind' field")
     kind = law.get("kind")
+
+    def field(key):
+        return _require(law, key, where=f"{kind} law")
+
     if kind == "gaussian":
-        return fields.FieldLaw(mean=np.asarray(law["mean"], dtype=float),
-                               covariance=np.asarray(law["covariance"], dtype=float))
+        return fields.FieldLaw(mean=np.asarray(field("mean"), dtype=float),
+                               covariance=np.asarray(field("covariance"), dtype=float))
     if kind == "coherent":
-        u0 = _complex_vector(law["u0"])
-        us = [_complex_vector(u) for u in law["us"]]
+        u0 = _complex_vector(field("u0"))
+        us = [_complex_vector(u) for u in field("us")]
         return fields.coherent_gaussian_field(u0, us, family=law.get("family", "p"))
     if kind == "kernel":
-        model = fields.kernel_model_from_dict(law["kernel"])
-        z = _complex_vector(law["z"])
+        model = fields.kernel_model_from_dict(field("kernel"))
+        z = _complex_vector(field("z"))
         var = fields.vacuum_field_variance(z, model)
         return fields.FieldLaw(mean=np.zeros(1), covariance=np.array([[var]]))
     if kind == "levy":
-        H = _complex_matrix(law["H"])
-        u = _complex_vector(law["u"])
+        H = _complex_matrix(field("H"))
+        u = _complex_vector(field("u"))
         return fields.levy_law(H, u)
     raise SchemaError(f"unknown law kind {kind!r}")
 
@@ -299,7 +334,7 @@ def _cmd_sample_field(scenario, ctx):
         path = os.path.join(ctx["out"], csv_name)
         data = draws if draws.ndim == 2 else draws[:, None]
         header = ",".join(f"x{j+1}" for j in range(data.shape[1]))
-        np.savetxt(path, data, delimiter=",", header=header, comments="")
+        _write_sample_csv(path, data, header)
         artifacts["csv"] = csv_name
     results = {"count": count}
     if isinstance(law, fields.FieldLaw):
@@ -343,13 +378,13 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
     _check_artifact_names(scenario)
+    overrides = scenario.get("tolerances", {})
+    if not isinstance(overrides, dict):
+        raise SchemaError("tolerances must be a JSON object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in scenario.get("tolerances", {}).items():
-        if float(value) <= 0:
-            raise SchemaError(f"tolerance {key!r} must be positive")
-        tolerances[key] = float(value)
+    tolerances.update((key, _tolerance(key, value)) for key, value in overrides.items())
     if tol is not None:
-        tolerances[PRIMARY_TOL[command]] = float(tol)
+        tolerances[PRIMARY_TOL[command]] = _tolerance(PRIMARY_TOL[command], tol)
     ctx = {
         "out": out_dir,
         "seed": int(seed if seed is not None else scenario.get("seed", 0)),
@@ -409,7 +444,10 @@ def main(argv=None) -> int:
 
     try:
         with open(scenario_path) as fh:
-            scenario = json.load(fh)
+            scenario = json.load(fh, parse_constant=_reject_constant)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 3
@@ -437,9 +475,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report_name = scenario.get("report", "report.json")
-    path = os.path.join(out_dir, report_name)
-    _atomic_write(path, json.dumps(_jsonable(report), indent=2) + "\n")
+    try:
+        text = json.dumps(report, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        # a NaN or Infinity reached the results: strict JSON has no spelling for it
+        print(f"error: report is not finite: {exc}", file=sys.stderr)
+        return 2
+    path = os.path.join(out_dir, scenario.get("report", "report.json"))
+    _atomic_write(path, text + "\n")
     status = "ok" if code == 0 else "FAILED"
     print(f"{report['command']}: {status} (report: {path})")
     return code

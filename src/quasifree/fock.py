@@ -24,7 +24,6 @@ Tensor ordering is mode-major: the first mode is the most significant index.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -492,13 +491,11 @@ def write_moment_csv(path, times, moments) -> list[str]:
               + [f"l{j + 1}" for j in range(n)]
               + [f"m{j + 1}" for j in range(n)]
               + [f"S{i + 1}{j + 1}" for i in range(2 * n) for j in range(2 * n)])
+    rows = np.array([np.concatenate(([t], l, m, np.ravel(S)))
+                     for t, (l, m, S) in zip(times, moments)], dtype=float)
+    # csv.writer's "\r\n" line ends; repr-formatted floats need no quoting
+    row_fmt = ",".join(["%r"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t, (l, m, S) in zip(times, moments):
-            row = [repr(float(t))]
-            row += [repr(float(x)) for x in l]
-            row += [repr(float(x)) for x in m]
-            row += [repr(float(x)) for x in np.asarray(S).ravel()]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        fh.write(row_fmt * len(rows) % tuple(rows.ravel().tolist()))
     return header

@@ -1,11 +1,13 @@
 import csv
+import dataclasses
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasifree import cli
+from quasifree import cli, fock
 from quasifree.gaussian import coherent, state_to_dict
 from quasifree.semigroup import QuasifreePair, evolve_state, pair_to_dict
 
@@ -325,3 +327,117 @@ def test_reports_are_deterministic_modulo_timestamp(tmp_path):
     first.pop("timestamp")
     second.pop("timestamp")
     assert first == second
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    values: np.ndarray
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    label: str
+    inner: _Inner
+
+
+def test_json_default_encodes_numpy_complex_and_dataclasses():
+    obj = {"z": np.array([1 + 2j, -0.5j]), "c": 3 - 4j, "x": np.float32(0.25),
+           "k": np.int64(7), "b": np.bool_(True),
+           "d": _Outer("a", _Inner(np.array([[1.0, 2.0], [3.0, 4.0]])))}
+    text = json.dumps(obj, default=cli._json_default, allow_nan=False)
+    assert "\n" not in text
+    assert strict_json(text) == {"z": [[1.0, 2.0], [0.0, -0.5]], "c": [3.0, -4.0],
+                                 "x": 0.25, "k": 7, "b": True,
+                                 "d": {"label": "a", "inner": {"values": [[1.0, 2.0],
+                                                                          [3.0, 4.0]]}}}
+    with pytest.raises(TypeError):
+        cli._json_default(object())
+
+
+@pytest.mark.parametrize("cols", [1, 3])
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 5000])
+def test_sample_csv_matches_savetxt(tmp_path, rows, cols):
+    data = rng(rows + cols).normal(size=(rows, cols)) * 10.0 ** rng(7).integers(-300, 300, cols)
+    header = ",".join(f"x{j + 1}" for j in range(cols))
+    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header, comments="")
+    cli._write_sample_csv(tmp_path / "out.csv", data, header)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_moment_csv_matches_csv_writer(tmp_path):
+    gen = rng(12)
+    n = 2
+    times = [0, 0.5, 1.25]
+    moments = [(gen.normal(size=n), gen.normal(size=n), gen.normal(size=(2 * n, 2 * n)))
+               for _ in times]
+    moments[1][1][0] = -0.0
+    header = fock.write_moment_csv(tmp_path / "out.csv", times, moments)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for t, (l, m, S) in zip(times, moments):
+        writer.writerow([repr(float(x)) for x in (t, *l, *m, *np.ravel(S))])
+    assert (tmp_path / "out.csv").read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("change, args", [
+    ({"tolerances": []}, ()),
+    ({"tolerances": {"psd": "1e-6"}}, ()),
+    ({"tolerances": {"psd": 0}}, ()),
+    ({"tolerances": {"psd": float("inf")}}, ()),
+    ({"tolerances": {"psd": float("-inf")}}, ()),
+    ({"tolerances": {"psd": float("nan")}}, ()),
+    ({}, ("--tol", "nan")),
+    ({}, ("--tol", "inf")),
+], ids=["list", "string", "zero", "Infinity", "-Infinity", "NaN", "tol-nan", "tol-inf"])
+def test_bad_tolerances_exit_1_without_report(tmp_path, capsys, change, args):
+    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0])), **change}
+    code, report = run(tmp_path, scenario, extra_args=args)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_literal_in_scenario_exits_1(tmp_path, capsys, literal):
+    # an unused field is echoed into the report, so only strict loading refuses it
+    path = tmp_path / "scenario.json"
+    path.write_text('{"command": "validate-state", "note": %s, "state": %s}'
+                    % (literal, json.dumps(state_to_dict(coherent([1.0])))))
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+@pytest.mark.parametrize("law", [
+    {"kind": "gaussian", "covariance": [[1.0]]},
+    {"kind": "gaussian", "mean": [0.0]},
+    {"kind": "coherent", "u0": [[1.0, 0.0]]},
+    {"kind": "kernel", "z": [[1.0, 0.0]]},
+    {"kind": "levy", "H": [[[1.0, 0.0]]]},
+], ids=["mean", "covariance", "us", "kernel", "u"])
+def test_law_missing_field_exits_1(tmp_path, capsys, law):
+    code, report = run(tmp_path, {"command": "sample-field", "law": law, "count": 10})
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing required field" in err
+
+
+def test_non_finite_result_exits_2_without_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(cli.HANDLERS, "validate-state",
+                        lambda scenario, ctx: ({"value": float("nan")}, True, {}))
+    code, report = run(tmp_path, {"command": "validate-state"})
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_report_is_one_line_of_strict_json(tmp_path):
+    scenario = {"command": "weyl", "state": state_to_dict(coherent([0.5])),
+                "z": [[[0.3, 0.4]]]}
+    code, _ = run(tmp_path, scenario)
+    assert code == 0
+    text = (tmp_path / "report.json").read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert strict_json(text)["results"]["values"][0]["z"] == [[0.3, 0.4]]
