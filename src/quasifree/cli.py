@@ -9,15 +9,21 @@ JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
 scenario file is an input failure (exit 1); a report is one line of strict
 JSON, and a result that is not finite exits 2 with no report written.
 Tolerances, from the scenario or the --tol override, must be finite
-numbers > 0.
+numbers > 0, and the keys of "tolerances" must be those of
+DEFAULT_TOLERANCES.
 
-Exit codes: 0 success, 1 input/validation failure, 2 numerical-check
-failure, 3 malformed JSON, 4 dimension cap exceeded.
+Exit codes, one table (EXIT_CODES; the most derived class listed for an
+exception decides): 0 success; 1 input or validation failure (SchemaError,
+ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
+numerical check failed (the scenario's own check, another RuntimeError, a
+non-finite report); 3 the scenario is unreadable, not JSON or not an object;
+4 DimensionCapError.  An exception prints one "error:" line and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
 file, then to a built-in default.  Complex scalars are encoded as [re, im]
-pairs everywhere in scenario files and reports.
+pairs everywhere in scenario files and reports, by the codec of
+quasifree.symplectic.
 """
 
 from __future__ import annotations
@@ -33,19 +39,21 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
+from .symplectic import (PSD_TOL, RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, UNITARITY_TOL,
+                         complex_from_pairs, complex_to_pairs)
 
-__all__ = ["main", "run_scenario", "SchemaError"]
+__all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
 COMMANDS = ("validate-state", "evolve", "weyl", "decompose", "dilate",
             "verify-oracle", "ito-table", "unitarity", "sample-field")
 
 DEFAULT_TOLERANCES = {
-    "psd": 1e-9,
+    "psd": PSD_TOL,
     "oracle": 1e-5,
-    "unitarity": 1e-12,
-    "rank": 1e-10,
-    "reconstruction": 1e-8,
-    "symplectic": 1e-10,
+    "unitarity": UNITARITY_TOL,
+    "rank": RANK_TOL,
+    "reconstruction": RECONSTRUCTION_TOL,
+    "symplectic": SYMPLECTIC_TOL,
 }
 
 # which tolerance the --tol flag overrides, per command
@@ -70,6 +78,23 @@ class SchemaError(ValueError):
     """Scenario file does not match the expected schema."""
 
 
+class UnreadableScenario(Exception):
+    """Scenario file cannot be read or decoded, is not JSON, or is not a JSON object."""
+
+
+#: exception class -> exit code; the first class of an exception's MRO found
+#: here decides, so a subclass may map elsewhere than its base
+EXIT_CODES = {
+    ValueError: 1,              # SchemaError among them
+    TypeError: 1,
+    fock.LeakageError: 1,
+    OSError: 1,                 # writing the report or a CSV
+    RuntimeError: 2,            # a check inside the library refused
+    UnreadableScenario: 3,
+    fock.DimensionCapError: 4,
+}
+
+
 def _require(scenario, key, where="scenario"):
     if key not in scenario:
         raise SchemaError(f"{where} is missing required field {key!r}")
@@ -84,28 +109,29 @@ def _tolerance(key, value):
     return float(value)
 
 
-def _complex_vector(data):
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise SchemaError("complex vectors are encoded as [[re, im], ...]")
-    return arr[:, 0] + 1j * arr[:, 1]
+def _list(obj, key, where="scenario"):
+    value = _require(obj, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{key!r} must be a list, got {type(value).__name__}")
+    return value
 
 
-def _complex_matrix(data):
-    rows = [_complex_vector(row) for row in data]
-    return np.asarray(rows)
+def _complex(data, key, ndim=1):
+    """Decode the [re, im] pairs of field key into a rank-ndim complex array."""
+    try:
+        return complex_from_pairs(data, ndim)
+    except ValueError as exc:
+        raise SchemaError(f"{key!r}: {exc}") from exc
 
 
 def _json_default(obj):
     """Encode what the C JSON encoder cannot: arrays, dataclasses, complex, numpy scalars."""
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return np.stack([obj.real, obj.imag], -1).tolist()
+    if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
         return obj.tolist()
+    if isinstance(obj, (np.ndarray, complex, np.complexfloating)):
+        return complex_to_pairs(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -154,20 +180,12 @@ def _check_artifact_names(scenario):
             raise SchemaError(f"{key} must be a plain file name, got {name!r}")
 
 
-def _load_state(scenario):
-    data = _require(scenario, "state")
+def _load(scenario, key, from_dict, where="scenario"):
+    data = _require(scenario, key, where)
     try:
-        return gaussian.state_from_dict(data)
+        return from_dict(data)
     except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad state payload: {exc}") from exc
-
-
-def _load_pair(scenario):
-    data = _require(scenario, "pair")
-    try:
-        return semigroup.pair_from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad pair payload: {exc}") from exc
+        raise SchemaError(f"bad {key} payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +193,7 @@ def _load_pair(scenario):
 
 
 def _cmd_validate_state(scenario, ctx):
-    state = _load_state(scenario)
+    state = _load(scenario, "state", gaussian.state_from_dict)
     diag = gaussian.validate(state, tol=ctx["tolerances"]["psd"])
     results = {"is_valid": diag.is_valid,
                "min_eigenvalue": diag.min_eigenvalue,
@@ -184,9 +202,9 @@ def _cmd_validate_state(scenario, ctx):
 
 
 def _cmd_evolve(scenario, ctx):
-    pair = _load_pair(scenario)
-    state = _load_state(scenario)
-    times = [float(t) for t in _require(scenario, "times")]
+    pair = _load(scenario, "pair", semigroup.pair_from_dict)
+    state = _load(scenario, "state", gaussian.state_from_dict)
+    times = [float(t) for t in _list(scenario, "times")]
     trajectory = []
     moments = []
     all_valid = True
@@ -209,8 +227,8 @@ def _cmd_evolve(scenario, ctx):
 
 
 def _cmd_weyl(scenario, ctx):
-    state = _load_state(scenario)
-    zs = [_complex_vector(z) for z in _require(scenario, "z")]
+    state = _load(scenario, "state", gaussian.state_from_dict)
+    zs = [_complex(z, "z") for z in _list(scenario, "z")]
     values = []
     passed = True
     for z in zs:
@@ -229,22 +247,22 @@ def _decompose_results(pair, ctx):
 
 
 def _cmd_decompose(scenario, ctx):
-    pair = _load_pair(scenario)
+    pair = _load(scenario, "pair", semigroup.pair_from_dict)
     spec, res, passed = _decompose_results(pair, ctx)
     results = {"spec": synthesis.spec_to_dict(spec), "residuals": res}
     return results, passed, {}
 
 
 def _cmd_dilate(scenario, ctx):
-    pair = _load_pair(scenario)
+    pair = _load(scenario, "pair", semigroup.pair_from_dict)
     spec, res, passed = _decompose_results(pair, ctx)
     return {"report": synthesis.dilation_report(spec)}, passed, {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
-    pair = _load_pair(scenario)
-    state = _load_state(scenario)
-    times = [float(t) for t in _require(scenario, "times")]
+    pair = _load(scenario, "pair", semigroup.pair_from_dict)
+    state = _load(scenario, "state", gaussian.state_from_dict)
+    times = [float(t) for t in _list(scenario, "times")]
     cutoff = ctx["cutoff"]
     steps_per_unit = int(scenario.get("steps", 2000))
     tol = ctx["tolerances"]["oracle"]
@@ -277,10 +295,10 @@ def _cmd_ito_table(scenario, ctx):
 
 
 def _cmd_unitarity(scenario, ctx):
-    H = _complex_matrix(_require(scenario, "H"))
-    L = [_complex_matrix(m) for m in scenario.get("L", [])]
+    H = _complex(_require(scenario, "H"), "H", 2)
+    L = [_complex(m, "L", 2) for m in _list(scenario, "L")] if "L" in scenario else []
     if L:
-        S = _complex_matrix(_require(scenario, "S"))
+        S = _complex(_require(scenario, "S"), "S", 2)
     else:
         S = np.zeros((0, 0), dtype=complex)
     coeffs = ito.hp_coefficients(S, L, H)
@@ -290,7 +308,7 @@ def _cmd_unitarity(scenario, ctx):
     results = {"unitary": ok, "residual": residual, "tolerance": tol,
                "noise_channels": coeffs.d, "system_dimension": coeffs.dim}
     if "X" in scenario:
-        X = _complex_matrix(scenario["X"])
+        X = _complex(scenario["X"], "X", 2)
         theta = ito.flow_generator(S, L, H, X)
         results["flow"] = {f"theta[{a}][{b}]": mat for (a, b), mat in sorted(theta.items())}
     return results, ok, {}
@@ -309,17 +327,17 @@ def _field_law(scenario):
         return fields.FieldLaw(mean=np.asarray(field("mean"), dtype=float),
                                covariance=np.asarray(field("covariance"), dtype=float))
     if kind == "coherent":
-        u0 = _complex_vector(field("u0"))
-        us = [_complex_vector(u) for u in field("us")]
+        u0 = _complex(field("u0"), "u0")
+        us = [_complex(u, "us") for u in _list(law, "us", where=f"{kind} law")]
         return fields.coherent_gaussian_field(u0, us, family=law.get("family", "p"))
     if kind == "kernel":
-        model = fields.kernel_model_from_dict(field("kernel"))
-        z = _complex_vector(field("z"))
+        model = _load(law, "kernel", fields.kernel_model_from_dict, where=f"{kind} law")
+        z = _complex(field("z"), "z")
         var = fields.vacuum_field_variance(z, model)
         return fields.FieldLaw(mean=np.zeros(1), covariance=np.array([[var]]))
     if kind == "levy":
-        H = _complex_matrix(field("H"))
-        u = _complex_vector(field("u"))
+        H = _complex(field("H"), "H", 2)
+        u = _complex(field("u"), "u")
         return fields.levy_law(H, u)
     raise SchemaError(f"unknown law kind {kind!r}")
 
@@ -381,6 +399,10 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
     overrides = scenario.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise SchemaError("tolerances must be a JSON object")
+    unknown = [key for key in overrides if key not in DEFAULT_TOLERANCES]
+    if unknown:
+        raise SchemaError(f"unknown tolerance key {', '.join(map(repr, unknown))}; "
+                          f"the keys are {', '.join(DEFAULT_TOLERANCES)}")
     tolerances = dict(DEFAULT_TOLERANCES)
     tolerances.update((key, _tolerance(key, value)) for key, value in overrides.items())
     if tol is not None:
@@ -417,6 +439,40 @@ def _env(name, cast, default=None):
         raise SchemaError(f"environment variable {name} has bad value {raw!r}")
 
 
+def _load_scenario(path):
+    try:
+        with open(path) as fh:
+            scenario = json.load(fh, parse_constant=_reject_constant)
+    except (OSError, UnicodeError, json.JSONDecodeError) as exc:
+        raise UnreadableScenario(f"cannot read scenario: {exc}") from exc
+    if not isinstance(scenario, dict):
+        raise UnreadableScenario("scenario must be a JSON object")
+    return scenario
+
+
+def _run(args) -> int:
+    scenario_path = args.scenario or _env("QFL_SCENARIO", str)
+    if not scenario_path:
+        raise SchemaError("no scenario file given (use --scenario or QFL_SCENARIO)")
+    out_dir = args.out or _env("QFL_OUT", str) or "."
+    seed = args.seed if args.seed is not None else _env("QFL_SEED", int)
+    cutoff = args.cutoff if args.cutoff is not None else _env("QFL_CUTOFF", int)
+    tol = args.tol if args.tol is not None else _env("QFL_TOL", float)
+    scenario = _load_scenario(scenario_path)
+    os.makedirs(out_dir, exist_ok=True)
+    report, code = run_scenario(scenario, out_dir, seed=seed, cutoff=cutoff, tol=tol)
+    try:
+        text = json.dumps(report, default=_json_default, allow_nan=False)
+    except ValueError as exc:
+        # a NaN or Infinity reached the results: strict JSON has no spelling for it
+        raise RuntimeError(f"report is not finite: {exc}") from exc
+    path = os.path.join(out_dir, scenario.get("report", "report.json"))
+    _atomic_write(path, text + "\n")
+    status = "ok" if code == 0 else "FAILED"
+    print(f"{report['command']}: {status} (report: {path})")
+    return code
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="qfl",
@@ -427,65 +483,11 @@ def main(argv=None) -> int:
     parser.add_argument("--cutoff", type=int, help="Fock cutoff override")
     parser.add_argument("--tol", type=float, help="primary tolerance override")
     args = parser.parse_args(argv)
-
     try:
-        scenario_path = args.scenario or _env("QFL_SCENARIO", str)
-        if not scenario_path:
-            print("error: no scenario file given (use --scenario or QFL_SCENARIO)",
-                  file=sys.stderr)
-            return 1
-        out_dir = args.out or _env("QFL_OUT", str) or "."
-        seed = args.seed if args.seed is not None else _env("QFL_SEED", int)
-        cutoff = args.cutoff if args.cutoff is not None else _env("QFL_CUTOFF", int)
-        tol = args.tol if args.tol is not None else _env("QFL_TOL", float)
-    except SchemaError as exc:
+        return _run(args)
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        with open(scenario_path) as fh:
-            scenario = json.load(fh, parse_constant=_reject_constant)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 3
-    if not isinstance(scenario, dict):
-        print("error: scenario must be a JSON object", file=sys.stderr)
-        return 3
-
-    os.makedirs(out_dir, exist_ok=True)
-    try:
-        report, code = run_scenario(scenario, out_dir, seed=seed, cutoff=cutoff, tol=tol)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except fock.DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except fock.LeakageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
-        # a numerical check inside the library refused, e.g. oracle trace drift
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        text = json.dumps(report, default=_json_default, allow_nan=False)
-    except ValueError as exc:
-        # a NaN or Infinity reached the results: strict JSON has no spelling for it
-        print(f"error: report is not finite: {exc}", file=sys.stderr)
-        return 2
-    path = os.path.join(out_dir, scenario.get("report", "report.json"))
-    _atomic_write(path, text + "\n")
-    status = "ok" if code == 0 else "FAILED"
-    print(f"{report['command']}: {status} (report: {path})")
-    return code
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
 
 
 if __name__ == "__main__":

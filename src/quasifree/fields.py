@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import hermitian_eigh
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, complex_from_pairs, hermitian_check,
+                         hermitian_eigh)
 
 __all__ = [
     "KernelModel",
@@ -57,11 +58,11 @@ class KernelModel:
         N = len(self.points)
         if K.shape != (N, N):
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
-        scale = 1.0 + np.abs(K).max(initial=0.0)
-        if np.abs(K - K.conj().T).max(initial=0.0) > 1e-12 * scale:
+        if not hermitian_check(K, 1e-12)[0]:
             raise ValueError("kernel must be Hermitian")
+        scale = 1.0 + np.abs(K).max(initial=0.0)
         w = np.linalg.eigvalsh((K + K.conj().T) / 2.0)
-        if w[0] < -1e-9 * scale:
+        if w[0] < -PSD_TOL * scale:
             raise ValueError(f"kernel is not PSD: min eigenvalue {w[0]:.3e}")
         for g in self.group:
             if sorted(g) != list(range(N)):
@@ -116,7 +117,7 @@ class FieldLaw:
         object.__setattr__(self, "covariance", cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance must be {mean.size} x {mean.size}")
-        if np.abs(cov - cov.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(cov).max(initial=0.0)):
+        if not hermitian_check(cov, SYMMETRY_TOL)[0]:
             raise ValueError("covariance must be symmetric")
 
 
@@ -189,11 +190,9 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
     mass at zero (constant characteristic function).
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be square")
-    scale = 1.0 + np.abs(H).max(initial=0.0)
-    if np.abs(H - H.conj().T).max(initial=0.0) > 1e-10 * scale:
+    if not hermitian_check(H, SYMMETRY_TOL)[0]:
         raise ValueError("H must be Hermitian")
+    scale = 1.0 + np.abs(H).max(initial=0.0)
     u = np.asarray(u, dtype=complex).ravel()
     if u.size != H.shape[0]:
         raise ValueError(f"expected a length-{H.shape[0]} amplitude, got {u.size}")
@@ -248,14 +247,20 @@ def sample(law, count: int, seed: int) -> np.ndarray:
 def kernel_model_from_dict(data: dict) -> KernelModel:
     """Ingest {"points": [...], "K": [[...]], "group": [[...], ...]}.
 
-    Kernel entries may be plain numbers or [re, im] pairs.
+    The kernel entries are all plain numbers or all [re, im] pairs.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"kernel must be a JSON object, got {type(data).__name__}")
     try:
         points = data["points"]
         raw = data["K"]
     except KeyError as exc:
         raise ValueError(f"kernel JSON is missing field {exc}") from exc
-    K = np.array([[complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-                   for e in row] for row in raw])
+    try:
+        K = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        K = None
+    if K is None or K.ndim != 2:
+        K = complex_from_pairs(raw, ndim=2)
     return KernelModel(points=tuple(points), K=K,
                        group=tuple(tuple(g) for g in data.get("group", [])))

@@ -32,7 +32,7 @@ import numpy as np
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import expm
+from .symplectic import PSD_TOL, expm, hermitian_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -221,11 +221,10 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     return W
 
 
-def validate_density(rho, tol: float = 1e-9) -> None:
+def validate_density(rho, tol: float = PSD_TOL) -> None:
     """Raise unless rho is Hermitian, unit trace and PSD within tol."""
     rho = np.asarray(rho)
-    scale = 1.0 + np.abs(rho).max(initial=0.0)
-    if np.abs(rho - rho.conj().T).max(initial=0.0) > tol * scale:
+    if not hermitian_check(rho, tol)[0]:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")

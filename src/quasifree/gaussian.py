@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import psd_check, real_embed, symplectic_form
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, psd_check, real_embed,
+                         symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -32,10 +33,6 @@ __all__ = [
     "state_to_dict",
     "state_from_dict",
 ]
-
-#: relative symmetry tolerance for covariance matrices
-SYMMETRY_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class GaussianState:
@@ -68,11 +65,10 @@ class StateDiagnostic:
     symmetry_defect: float  # max |S - S^T|
 
 
-def validate(state: GaussianState, tol: float = 1e-9) -> StateDiagnostic:
+def validate(state: GaussianState, tol: float = PSD_TOL) -> StateDiagnostic:
     """Check the two state invariants: S symmetric and 2S + iJ >= 0."""
     S = state.S
-    defect = float(np.abs(S - S.T).max(initial=0.0))
-    symmetric = defect <= SYMMETRY_TOL * (1.0 + np.abs(S).max(initial=0.0))
+    symmetric, defect = hermitian_check(S, SYMMETRY_TOL)
     J = symplectic_form(state.n)
     Ssym = (S + S.T) / 2.0
     is_psd, min_eig = psd_check(2.0 * Ssym + 1j * J, tol)
@@ -98,7 +94,7 @@ def coherent(alpha) -> GaussianState:
                          S=0.5 * np.eye(2 * n))
 
 
-def weyl_transform(state: GaussianState, z, tol: float = 1e-9) -> complex:
+def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
     """Expectation of the Weyl operator W(z) in the state.
 
     Returns exp{-i sqrt(2) (l.x - m.y) - (x, y) S (x, y)^T} with (x, y) the

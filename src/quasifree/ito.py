@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .symplectic import SYMMETRY_TOL, UNITARITY_TOL, hermitian_check
+
 __all__ = [
     "ItoDifferential",
     "differential",
@@ -272,6 +274,17 @@ def _render_entry(entry, candidates, tol=1e-12):
     return format_differential(entry)
 
 
+def _table_check(labels, basis, expected, candidates, tol) -> TableCheck:
+    """Multiply every ordered pair of basis differentials, compare each product
+    with expected(a, b) and render the table, naming the candidates."""
+    entries = tuple(tuple(ito_product(left, right) for right in basis) for left in basis)
+    ok = all(ito_equal(prod, expected(a, b), tol)
+             for a, row in enumerate(entries) for b, prod in enumerate(row))
+    rendered = [[_render_entry(prod, candidates, tol) for prod in row] for row in entries]
+    return TableCheck(ok=ok, labels=tuple(labels), entries=entries,
+                      text=format_table(labels, rendered))
+
+
 def quadrature_table(d: int, tol: float = 1e-12) -> TableCheck:
     """Verify dQ_i dQ_j = delta_ij dt and render the classical Brownian table.
 
@@ -281,26 +294,10 @@ def quadrature_table(d: int, tol: float = 1e-12) -> TableCheck:
     if d < 1:
         raise ValueError("need at least one colour")
     dt = time_differential(d)
-    basis = [(f"dB{i}", quadrature(d, i)) for i in range(1, d + 1)] + [("dt", dt)]
-    candidates = [("dt", dt), ("0", _zero(d))]
-    ok = True
-    entries = []
-    rendered = []
-    for i, (_, left) in enumerate(basis):
-        row = []
-        text_row = []
-        for j, (_, right) in enumerate(basis):
-            prod = ito_product(left, right)
-            quad = i < d and j < d
-            expected = dt if (quad and i == j) else _zero(d)
-            ok = ok and ito_equal(prod, expected, tol)
-            row.append(prod)
-            text_row.append(_render_entry(prod, candidates, tol))
-        entries.append(tuple(row))
-        rendered.append(text_row)
-    labels = tuple(name for name, _ in basis)
-    return TableCheck(ok=ok, labels=labels, entries=tuple(entries),
-                      text=format_table(labels, rendered))
+    labels = [f"dB{i}" for i in range(1, d + 1)] + ["dt"]
+    basis = [quadrature(d, i) for i in range(1, d + 1)] + [dt]
+    return _table_check(labels, basis, lambda a, b: dt if a == b < d else _zero(d),
+                        [("dt", dt), ("0", _zero(d))], tol)
 
 
 def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
@@ -317,25 +314,10 @@ def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
     labels = (f"dN{i}", f"dN{j}", "dt") if i != j else (f"dN{i}", "dt")
     basis = [dNi, dNj, dt] if i != j else [dNi, dt]
     candidates = [(f"dN{i}", dNi), (f"dN{j}", dNj), ("dt", dt), ("0", _zero(d))]
-    ok = True
-    entries = []
-    rendered = []
-    for a, left in enumerate(basis):
-        row = []
-        text_row = []
-        for b, right in enumerate(basis):
-            prod = ito_product(left, right)
-            if labels[a].startswith("dN") and labels[b].startswith("dN"):
-                expected = right if labels[a] == labels[b] else _zero(d)
-            else:
-                expected = _zero(d)
-            ok = ok and ito_equal(prod, expected, tol)
-            row.append(prod)
-            text_row.append(_render_entry(prod, candidates, tol))
-        entries.append(tuple(row))
-        rendered.append(text_row)
-    return TableCheck(ok=ok, labels=labels, entries=tuple(entries),
-                      text=format_table(labels, rendered))
+    # dN_i dN_j = delta_ij dN_j, and every product with dt vanishes
+    return _table_check(labels, basis,
+                        lambda a, b: basis[b] if a == b < len(basis) - 1 else _zero(d),
+                        candidates, tol)
 
 
 @dataclass(frozen=True)
@@ -355,7 +337,7 @@ class HPCoefficients:
         return self.blocks[a][b]
 
 
-def hp_coefficients(S, L, H, tol: float = 1e-10) -> HPCoefficients:
+def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> HPCoefficients:
     """Coefficient grid of a unitary noise equation from standard data (S, L, H).
 
     S is a unitary matrix on system (x) C^d given as a (d*dim) x (d*dim)
@@ -370,11 +352,9 @@ def hp_coefficients(S, L, H, tol: float = 1e-10) -> HPCoefficients:
     which satisfies both unitarity conditions by construction.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError("H must be a square matrix")
-    dim = H.shape[0]
-    if np.abs(H - H.conj().T).max(initial=0.0) > tol * (1.0 + np.abs(H).max(initial=0.0)):
+    if not hermitian_check(H, tol)[0]:
         raise ValueError("H must be Hermitian")
+    dim = H.shape[0]
     L = [np.asarray(Lk, dtype=complex) for Lk in L]
     d = len(L)
     for Lk in L:
@@ -425,7 +405,7 @@ def unitarity_residual(coeffs: HPCoefficients) -> float:
     return float(worst)
 
 
-def unitarity_check(coeffs: HPCoefficients, tol: float = 1e-12) -> bool:
+def unitarity_check(coeffs: HPCoefficients, tol: float = UNITARITY_TOL) -> bool:
     """Whether the coefficient grid generates a unitary adapted evolution."""
     return unitarity_residual(coeffs) <= tol
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, validate
-from .symplectic import propagator, psd_check, real_embed, real_extract, symplectic_form
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, propagator, psd_check,
+                         real_embed, real_extract, symplectic_form)
 
 __all__ = [
     "QuasifreePair",
@@ -43,14 +44,14 @@ def noise_matrix(K, C) -> np.ndarray:
         raise ValueError(f"K must be square of even order, got {K.shape}")
     if C.shape != K.shape:
         raise ValueError(f"C must match K, got {C.shape} vs {K.shape}")
-    if np.abs(C - C.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(C).max(initial=0.0)):
+    if not hermitian_check(C, SYMMETRY_TOL)[0]:
         raise ValueError("C must be symmetric")
     J = symplectic_form(K.shape[0] // 2)
     D = C + 1j * (K.T @ J + J @ K)
     return (D + D.conj().T) / 2.0
 
 
-def admissible(K, C, tol: float = 1e-9):
+def admissible(K, C, tol: float = PSD_TOL):
     """Test the generator inequality C + i(K^T J + J K) >= 0.
 
     Returns (ok, min_eigenvalue) with the smallest eigenvalue of the noise

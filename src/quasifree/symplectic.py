@@ -6,6 +6,12 @@ the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :func:`propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  Everything here
 is dense numpy; the matrices in play are at most a few hundred rows.
+
+The package's shared pieces live here too: the default tolerances, the one
+Hermitian test (:func:`hermitian_check`), and the one [re, im] codec, in
+which :func:`complex_to_pairs` writes a complex scalar or array as [re, im]
+pairs nested like it and :func:`complex_from_pairs` reads back a regular
+nesting of the expected rank.
 """
 
 from __future__ import annotations
@@ -17,6 +23,9 @@ __all__ = [
     "symplectic_form",
     "real_embed",
     "real_extract",
+    "complex_to_pairs",
+    "complex_from_pairs",
+    "hermitian_check",
     "psd_check",
     "hermitian_eigh",
     "expm",
@@ -24,8 +33,13 @@ __all__ = [
     "gram_integral",
 ]
 
-#: default relative tolerance for positive-semidefiniteness decisions
-PSD_TOL = 1e-9
+#: default relative tolerances of the library's checks
+PSD_TOL = 1e-9              # positive semidefiniteness
+SYMMETRY_TOL = 1e-10        # Hermitian (symmetric) defect
+RANK_TOL = 1e-10            # rank cuts on the noise matrix
+RECONSTRUCTION_TOL = 1e-8   # K and C rebuilt from a decomposition
+SYMPLECTIC_TOL = 1e-10      # K' of a decomposition staying in sp(2n)
+UNITARITY_TOL = 1e-12       # unitarity of a noise equation's coefficients
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -53,6 +67,37 @@ def real_extract(xi) -> np.ndarray:
     return xi[:n] + 1j * xi[n:]
 
 
+def complex_to_pairs(z) -> list:
+    """A complex scalar or array as [re, im] pairs, nested like the array."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
+
+
+def complex_from_pairs(data, ndim: int = 1) -> np.ndarray:
+    """Inverse of :func:`complex_to_pairs` for a rank-ndim complex array."""
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        arr = None      # ragged, or not numbers
+    if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        nested = "[" * ndim + "[re, im], ..." + "], ..." * (ndim - 1) + "]"
+        raise ValueError(f"complex values are encoded as {nested}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def hermitian_check(A, tol: float):
+    """The Hermitian test: max|A - A^dag| <= tol * (1 + max|A|).
+
+    Returns (ok, defect) with the absolute defect max|A - A^dag|.  A NaN
+    defect fails; a matrix that is not square is refused.
+    """
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    defect = float(np.abs(A - A.conj().T).max(initial=0.0))
+    return bool(defect <= tol * (1.0 + np.abs(A).max(initial=0.0))), defect
+
+
 def hermitian_eigh(H):
     """Eigendecomposition of a Hermitian matrix, eigenvalues sorted descending.
 
@@ -71,13 +116,10 @@ def psd_check(H, tol: float = PSD_TOL):
     whose Hermitian defect exceeds the same relative tolerance are rejected.
     """
     H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    scale = 1.0 + np.abs(H).max(initial=0.0)
-    defect = np.abs(H - H.conj().T).max(initial=0.0)
-    if defect > max(tol, 1e-12) * scale:
+    hermitian, defect = hermitian_check(H, max(tol, 1e-12))
+    if not hermitian:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
     w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
     min_eig = float(w[0])
@@ -105,7 +147,7 @@ def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     C = np.asarray(C, dtype=float)
     if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
-    if np.abs(C - C.T).max(initial=0.0) > 1e-10 * (1.0 + np.abs(C).max(initial=0.0)):
+    if not hermitian_check(C, SYMMETRY_TOL)[0]:
         raise ValueError("C must be symmetric")
     if not 0.0 <= t < np.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .semigroup import GeneratorCoefficients, admissible, noise_matrix
-from .symplectic import hermitian_eigh, real_embed, real_extract, symplectic_form
+from .semigroup import admissible, noise_matrix
+from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, complex_from_pairs,
+                         complex_to_pairs, hermitian_eigh, real_embed, symplectic_form)
 
 __all__ = [
     "LindbladTerm",
@@ -37,14 +38,10 @@ __all__ = [
     "noise_matrix",
     "decompose",
     "reconstruction_residuals",
-    "hamiltonian_action",
     "dilation_report",
     "spec_to_dict",
     "spec_from_dict",
 ]
-
-#: default relative threshold for rank decisions on the noise matrix
-RANK_TOL = 1e-10
 
 
 def coupling_form(u, v, z) -> complex:
@@ -222,8 +219,8 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
                         K_prime=K_prime, K=K, C=C)
     res = reconstruction_residuals(spec)
     scale = 1.0 + max(np.abs(K).max(initial=0.0), np.abs(C).max(initial=0.0))
-    if max(res.k_residual, res.c_residual) > 1e-8 * scale or \
-            res.symplectic_residual > 1e-10 * scale:
+    if max(res.k_residual, res.c_residual) > RECONSTRUCTION_TOL * scale or \
+            res.symplectic_residual > SYMPLECTIC_TOL * scale:
         raise RuntimeError(f"decomposition failed to reconstruct the pair: {res}")
     return spec
 
@@ -251,25 +248,6 @@ def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
                                    symplectic_residual=float(dJ))
 
 
-def hamiltonian_action(hamiltonian_terms, K_prime, z) -> GeneratorCoefficients:
-    """Generator coefficients of -i[H, W(z)] for the synthesized Hamiltonian.
-
-    The commutator acts as {a^dag(g) - a(g) + (1/2)(<g|z> - <z|g>)} W(z) with
-    g the complex form of K' applied to z; the scalar is purely imaginary, so
-    the unitary part contributes no damping.  The Hamiltonian terms themselves
-    enter only through K' = -J N; they are accepted here so callers can keep
-    the pieces of a decomposition together.
-    """
-    K_prime = np.asarray(K_prime, dtype=float)
-    z = np.asarray(z, dtype=complex).ravel()
-    if K_prime.shape != (2 * z.size, 2 * z.size):
-        raise ValueError(f"K' must be {2 * z.size} x {2 * z.size}, got {K_prime.shape}")
-    g = real_extract(K_prime @ real_embed(z))
-    inner = np.vdot(g, z)
-    return GeneratorCoefficients(gain_vector=g,
-                                 scalar_part=complex(0.5 * (inner - np.conj(inner))))
-
-
 def dilation_report(spec: DilationSpec) -> dict:
     """Structured summary of the noisy evolution the spec describes."""
     res = reconstruction_residuals(spec)
@@ -277,12 +255,12 @@ def dilation_report(spec: DilationSpec) -> dict:
         "modes": spec.n,
         "noise_dimension": spec.noise_dimension,
         "lindblad_terms": [
-            {"b": _complex_list(t.b), "c": _complex_list(t.c),
-             "u": _complex_list(t.u), "v": _complex_list(t.v)}
+            {"b": complex_to_pairs(t.b), "c": complex_to_pairs(t.c),
+             "u": complex_to_pairs(t.u), "v": complex_to_pairs(t.v)}
             for t in spec.lindblad_terms
         ],
         "hamiltonian_terms": [
-            {"lambda": t.lam, "w": _complex_list(t.w)} for t in spec.hamiltonian_terms
+            {"lambda": t.lam, "w": complex_to_pairs(t.w)} for t in spec.hamiltonian_terms
         ],
         "K_prime": [[float(v) for v in row] for row in spec.K_prime],
         "reconstruction": {
@@ -298,24 +276,13 @@ def dilation_report(spec: DilationSpec) -> dict:
     return report
 
 
-def _complex_list(vec):
-    return [[float(x.real), float(x.imag)] for x in np.asarray(vec, dtype=complex).ravel()]
-
-
-def _complex_from_list(pairs):
-    arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("complex vectors are encoded as [[re, im], ...]")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
 def spec_to_dict(spec: DilationSpec) -> dict:
     """JSON form of a dilation spec (complex entries as [re, im] pairs)."""
     return {
         "n": spec.n,
-        "lindblad": [{"b": _complex_list(t.b), "c": _complex_list(t.c)}
+        "lindblad": [{"b": complex_to_pairs(t.b), "c": complex_to_pairs(t.c)}
                      for t in spec.lindblad_terms],
-        "hamiltonian": [{"lambda": float(t.lam), "w": _complex_list(t.w)}
+        "hamiltonian": [{"lambda": float(t.lam), "w": complex_to_pairs(t.w)}
                         for t in spec.hamiltonian_terms],
         "Kprime": [[float(v) for v in row] for row in spec.K_prime],
         "K": [[float(v) for v in row] for row in spec.K],
@@ -326,11 +293,11 @@ def spec_to_dict(spec: DilationSpec) -> dict:
 def spec_from_dict(data: dict) -> DilationSpec:
     try:
         n = int(data["n"])
-        terms = tuple(LindbladTerm(b=_complex_from_list(t["b"]),
-                                   c=_complex_from_list(t["c"]))
+        terms = tuple(LindbladTerm(b=complex_from_pairs(t["b"]),
+                                   c=complex_from_pairs(t["c"]))
                       for t in data["lindblad"])
         hterms = tuple(HamiltonianTerm(lam=float(t["lambda"]),
-                                       w=_complex_from_list(t["w"]))
+                                       w=complex_from_pairs(t["w"]))
                        for t in data["hamiltonian"])
         return DilationSpec(n=n, lindblad_terms=terms, hamiltonian_terms=hterms,
                             K_prime=np.asarray(data["Kprime"], dtype=float),

@@ -30,7 +30,6 @@ from quasifree.semigroup import QuasifreePair, evolve_state, generator_action
 from quasifree.symplectic import expm, gram_integral
 from quasifree.synthesis import (
     decompose,
-    hamiltonian_action,
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
@@ -152,7 +151,8 @@ def test_05_decomposition_round_trip():
                 z = random_complex(gen, 1, 0.8)
                 W = fock.weyl_matrix(rep40, z)
                 commutator = -1j * (H @ W - W @ H)
-                coeff = hamiltonian_action(spec.hamiltonian_terms, spec.K_prime, z)
+                coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime,
+                                                       C=np.zeros((2, 2))), z)
                 gain = (fock.creator(rep40, coeff.gain_vector)
                         - fock.annihilator(rep40, coeff.gain_vector))
                 closed = (gain + coeff.scalar_part * eye) @ W

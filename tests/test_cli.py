@@ -399,6 +399,16 @@ def test_bad_tolerances_exit_1_without_report(tmp_path, capsys, change, args):
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
+def test_unknown_tolerance_key_exits_1_naming_it(tmp_path, capsys):
+    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0])),
+                "tolerances": {"psd": 1e-6, "pssd": 1e-3}}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'pssd'" in err
+    assert all(key in err for key in cli.DEFAULT_TOLERANCES)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_literal_in_scenario_exits_1(tmp_path, capsys, literal):
     # an unused field is echoed into the report, so only strict loading refuses it
@@ -441,3 +451,67 @@ def test_report_is_one_line_of_strict_json(tmp_path):
     text = (tmp_path / "report.json").read_text()
     assert text.endswith("}\n") and text.count("\n") == 1
     assert strict_json(text)["results"]["values"][0]["z"] == [[0.3, 0.4]]
+
+
+@pytest.mark.parametrize("blocker, out", [
+    ("out", "out"), ("file", "file/out"), ("out/traj.csv/", "out"), ("out/report.json/", "out"),
+], ids=["out-is-file", "out-below-file", "csv-is-dir", "report-is-dir"])
+def test_output_errors_exit_1_without_report(tmp_path, capsys, blocker, out):
+    if blocker.endswith("/"):
+        (tmp_path / blocker).mkdir(parents=True)
+    else:
+        (tmp_path / blocker).write_text("x")
+    scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
+                "state": state_to_dict(coherent([0.5])), "times": [0.0, 0.5],
+                "csv": "traj.csv"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path / out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any(p.is_file() and (p.name == "report.json" or p.suffix == ".tmp")
+                   for p in tmp_path.rglob("*"))
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"command": "evolve", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": 1}, "'times'"),
+    ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": 0.5}, "'times'"),
+    ({"command": "weyl", "state": state_to_dict(coherent([0.5])), "z": 1}, "'z'"),
+    ({"command": "sample-field", "count": 10,
+      "law": {"kind": "kernel", "kernel": 1, "z": [[1.0, 0.0]]}}, "kernel"),
+    ({"command": "sample-field", "count": 10,
+      "law": {"kind": "coherent", "u0": [[1.0, 0.0], [1.0]], "us": [[[1.0, 0.0], [0.0, 0.0]]]}},
+     "'u0'"),
+    ({"command": "sample-field", "count": 10,
+      "law": {"kind": "levy", "H": [[[1.0, 0.0]]], "u": [[1.0, 0.0, 2.0]]}}, "'u'"),
+], ids=["evolve-times", "oracle-times", "weyl-z", "kernel", "ragged-u0", "triple-u"])
+def test_bad_field_error_names_the_field(tmp_path, capsys, scenario, field):
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "not iterable" not in err and "not subscriptable" not in err
+    assert "inhomogeneous" not in err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (cli.SchemaError("bad"), 1), (ValueError("bad"), 1), (TypeError("bad"), 1),
+    (fock.LeakageError("leaks"), 1), (FileExistsError("exists"), 1),
+    (RuntimeError("drift"), 2), (fock.DimensionCapError("too big"), 4),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exit_code_is_set_by_the_most_derived_listed_class(tmp_path, capsys, monkeypatch,
+                                                           exc, code):
+    def handler(scenario, ctx):
+        raise exc
+    monkeypatch.setitem(cli.HANDLERS, "validate-state", handler)
+    assert run(tmp_path, {"command": "validate-state"}) == (code, None)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_undecodable_scenario_exits_3(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot read scenario")

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
+from quasifree import fock
+from quasifree.fields import FieldLaw, KernelModel, levy_law
+from quasifree.gaussian import GaussianState, validate
+from quasifree.ito import hp_coefficients
+from quasifree.semigroup import noise_matrix
 from quasifree.symplectic import (
+    complex_from_pairs,
+    complex_to_pairs,
     expm,
     gram_integral,
     hermitian_eigh,
+    propagator,
     psd_check,
     real_embed,
     real_extract,
@@ -171,3 +179,51 @@ def test_gram_integral_rejects_asymmetric_noise():
 def test_gram_integral_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         gram_integral(np.zeros((2, 2)), np.zeros((4, 4)), 1.0)
+
+
+def test_complex_pairs_round_trip():
+    z = rng(31).normal(size=(3, 2, 4, 2)) @ np.array([1.0, 1j])
+    assert complex_to_pairs(2 - 0.5j) == [2.0, -0.5]
+    for ndim, value in [(1, z[0, 0]), (2, z[0]), (3, z)]:
+        assert np.array_equal(complex_from_pairs(complex_to_pairs(value), ndim), value)
+
+
+@pytest.mark.parametrize("data", [5, [1.0, 2.0], [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]],
+                                  [["a", "b"]], [[[1.0, 2.0]]], [{"re": 1.0}]],
+                         ids=["scalar", "flat", "ragged", "triple", "text", "too-deep", "object"])
+def test_complex_from_pairs_refuses_what_is_not_a_vector_of_pairs(data):
+    with pytest.raises(ValueError, match=r"\[\[re, im\], \.\.\.\]"):
+        complex_from_pairs(data)
+
+
+# every site of the shared Hermitian test: (its tolerance, a Hermitian matrix
+# it accepts, a call that is true when the site accepts the matrix)
+HERMITIAN_SITES = {
+    "semigroup.noise_matrix": (1e-10, np.eye(2),
+                               lambda A: noise_matrix(np.zeros((2, 2)), A) is not None),
+    "symplectic.propagator": (1e-10, np.eye(2),
+                              lambda A: propagator(np.zeros((2, 2)), A, 1.0) is not None),
+    "symplectic.psd_check": (1e-9, np.eye(2), lambda A: psd_check(A)[0]),
+    "gaussian.validate": (1e-10, np.eye(2),
+                          lambda A: validate(GaussianState(1, [0.0], [0.0], A)).is_valid),
+    "fock.validate_density": (1e-9, 0.5 * np.eye(2),
+                              lambda A: fock.validate_density(A) is None),
+    "ito.hp_coefficients": (1e-10, np.eye(2),
+                            lambda A: hp_coefficients(np.zeros((0, 0)), [], A) is not None),
+    "fields.KernelModel": (1e-12, np.eye(2), lambda A: KernelModel((0, 1), A) is not None),
+    "fields.FieldLaw": (1e-10, np.eye(2), lambda A: FieldLaw(np.zeros(2), A) is not None),
+    "fields.levy_law": (1e-10, np.eye(2), lambda A: levy_law(A, [1.0, 0.0]) is not None),
+}
+
+
+@pytest.mark.parametrize("factor, accepted", [(10.0, False), (0.1, True)], ids=["10x", "0.1x"])
+@pytest.mark.parametrize("site", sorted(HERMITIAN_SITES))
+def test_hermitian_sites_apply_their_bound(site, factor, accepted):
+    tol, base, accepts = HERMITIAN_SITES[site]
+    A = base.copy()
+    A[0, 1] = factor * tol * (1.0 + np.abs(base).max())    # defect = factor x bound
+    try:
+        result = bool(accepts(A))
+    except ValueError:
+        result = False
+    assert result == accepted

@@ -10,7 +10,6 @@ from quasifree.synthesis import (
     coupling_form,
     decompose,
     dilation_report,
-    hamiltonian_action,
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
@@ -224,7 +223,8 @@ def test_single_coupling_round_trip_up_to_phase():
 # --- Hamiltonian action -----------------------------------------------------
 
 def test_hamiltonian_action_empty():
-    res = hamiltonian_action((), np.zeros((2, 2)), [0.4 + 0.2j])
+    res = generator_action(QuasifreePair(n=1, K=np.zeros((2, 2)), C=np.zeros((2, 2))),
+                           [0.4 + 0.2j])
     assert np.abs(res.gain_vector).max() == 0.0
     assert res.scalar_part == 0.0
 
@@ -234,20 +234,8 @@ def test_hamiltonian_action_scalar_is_imaginary():
     for _ in range(10):
         Kp = random_symplectic_generator(gen, 2)
         z = random_complex(gen, 2)
-        res = hamiltonian_action((), Kp, z)
+        res = generator_action(QuasifreePair(n=2, K=Kp, C=np.zeros((4, 4))), z)
         assert abs(res.scalar_part.real) < 1e-14
-
-
-def test_hamiltonian_action_equals_generator_of_noiseless_pair():
-    gen = rng(59)
-    for _ in range(10):
-        Kp = random_symplectic_generator(gen, 1)
-        pair = QuasifreePair(n=1, K=Kp, C=np.zeros((2, 2)))
-        z = random_complex(gen, 1)
-        ham = hamiltonian_action((), Kp, z)
-        full = generator_action(pair, z)
-        assert np.abs(ham.gain_vector - full.gain_vector).max() < 1e-14
-        assert abs(ham.scalar_part - full.scalar_part) < 1e-14
 
 
 def test_hamiltonian_commutator_matches_oracle():
@@ -264,7 +252,7 @@ def test_hamiltonian_commutator_matches_oracle():
         z = 0.7 * (gen.normal(size=1) + 1j * gen.normal(size=1))
         W = fock.weyl_matrix(rep, z)
         commutator = -1j * (H @ W - W @ H)
-        coeff = hamiltonian_action(spec.hamiltonian_terms, spec.K_prime, z)
+        coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime, C=np.zeros((2, 2))), z)
         gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
         lhs = np.vdot(left, commutator @ right)
