@@ -6,7 +6,8 @@ and CSV names must be plain file names.  There is no interactive mode:
 users are expected to script batch verifications.
 
 JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
-scenario file is an input failure (exit 1); a report is one line of strict
+scenario file, or a number beyond float range such as 1e999, is an input
+failure (exit 1); a report is one line of strict
 JSON, and a result that is not finite exits 2 with no report written.
 Tolerances, from the scenario or the --tol override, must be finite
 numbers > 0, and the keys of "tolerances" must be those of
@@ -17,7 +18,8 @@ exception decides): 0 success; 1 input or validation failure (SchemaError,
 ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
 non-finite report); 3 the scenario is unreadable, not JSON or not an object;
-4 DimensionCapError.  An exception prints one "error:" line and no report.
+4 a size cap (DimensionCapError, SampleCapError).  An exception prints one
+"error:" line and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
@@ -92,6 +94,7 @@ EXIT_CODES = {
     RuntimeError: 2,            # a check inside the library refused
     UnreadableScenario: 3,
     fock.DimensionCapError: 4,
+    fields.SampleCapError: 4,
 }
 
 
@@ -141,8 +144,17 @@ def _json_default(obj):
     raise TypeError(f"cannot encode {type(obj).__name__} in a report")
 
 
-def _reject_constant(name):
-    raise SchemaError(f"non-finite number {name} in scenario file")
+def _finite(cast):
+    """JSON number hook: cast the literal, refusing NaN, Infinity and anything
+    beyond float range (1e999 would read as inf, a 400-digit integer overflow
+    later)."""
+    def parse(literal):
+        value = cast(literal)
+        if not abs(value) <= sys.float_info.max:
+            shown = literal if len(literal) <= 24 else literal[:20] + "..."
+            raise SchemaError(f"number {shown} in scenario file is not a finite float")
+        return value
+    return parse
 
 
 def _write_sample_csv(path, data, header):
@@ -279,16 +291,17 @@ def _cmd_verify_oracle(scenario, ctx):
 
 def _cmd_ito_table(scenario, ctx):
     kind = scenario.get("table", "quadrature")
+    tol = ctx["tolerances"]["unitarity"]
     if kind in ("quadrature", "brownian"):
         d = int(scenario.get("d", 1))
-        check = ito.quadrature_table(d)
+        check = ito.quadrature_table(d, tol=tol)
     elif kind == "poisson":
         i = int(scenario.get("i", 1))
         j = int(scenario.get("j", i))
         lam = scenario.get("intensities", [1.0, 1.0])
         if not isinstance(lam, list) or not lam:
             raise SchemaError("intensities must be a non-empty list of numbers")
-        check = ito.poisson_table(i, j, float(lam[0]), float(lam[-1]))
+        check = ito.poisson_table(i, j, float(lam[0]), float(lam[-1]), tol=tol)
     else:
         raise SchemaError(f"unknown table kind {kind!r}")
     return {"kind": kind, "ok": check.ok, "text": check.text}, check.ok, {}
@@ -442,7 +455,8 @@ def _env(name, cast, default=None):
 def _load_scenario(path):
     try:
         with open(path) as fh:
-            scenario = json.load(fh, parse_constant=_reject_constant)
+            scenario = json.load(fh, parse_constant=_finite(float),
+                                 parse_float=_finite(float), parse_int=_finite(int))
     except (OSError, UnicodeError, json.JSONDecodeError) as exc:
         raise UnreadableScenario(f"cannot read scenario: {exc}") from exc
     if not isinstance(scenario, dict):

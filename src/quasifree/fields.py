@@ -35,10 +35,18 @@ __all__ = [
     "levy_law",
     "sample",
     "kernel_model_from_dict",
+    "SampleCapError",
 ]
 
 #: eigenvalues in [-PSD_REPAIR, 0) are clipped to zero before factorization
 PSD_REPAIR = 1e-12
+
+#: most values (count x dimension) that one call of sample() may draw
+SAMPLE_CAP = 10**7
+
+
+class SampleCapError(ValueError):
+    """Requested sample exceeds SAMPLE_CAP values."""
 
 
 @dataclass(frozen=True)
@@ -115,6 +123,9 @@ class FieldLaw:
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
+        for name, values in (("mean", mean), ("covariance", cov)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"law {name} must be finite")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance must be {mean.size} x {mean.size}")
         if not hermitian_check(cov, SYMMETRY_TOL)[0]:
@@ -211,10 +222,6 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
     return LevyLaw(atoms=tuple(atoms))
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def sample(law, count: int, seed: int) -> np.ndarray:
     """Draw reproducible samples from a FieldLaw or a LevyLaw.
 
@@ -222,11 +229,16 @@ def sample(law, count: int, seed: int) -> np.ndarray:
     covariance; eigenvalues in [-1e-12, 0) are repaired to zero and anything
     below is rejected.  Jump laws are sampled as sums x_k * Poisson(mass_k)
     over independent counts.  Returns shape (count, dim) for fields and
-    (count,) for jump laws.
+    (count,) for jump laws.  More than SAMPLE_CAP values in all are refused
+    before anything is allocated.
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    rng = _rng(seed)
+    dim = law.mean.size if isinstance(law, FieldLaw) else 1
+    if count * dim > SAMPLE_CAP:
+        raise SampleCapError(f"{count} samples of dimension {dim} exceed the cap of "
+                             f"{SAMPLE_CAP} values")
+    rng = np.random.Generator(np.random.Philox(seed))
     if isinstance(law, FieldLaw):
         w, V = np.linalg.eigh((law.covariance + law.covariance.T) / 2.0)
         if w[0] < -PSD_REPAIR:

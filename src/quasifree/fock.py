@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -102,13 +103,7 @@ def build(n: int, cutoff: int, dim_cap: int = DIM_CAP) -> FockRep:
         raise DimensionCapError(f"dimension {cutoff}^{n} = {dim} exceeds cap {dim_cap}")
     lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
     eye = np.eye(cutoff, dtype=complex)
-    a = []
-    for j in range(n):
-        factors = [lower if k == j else eye for k in range(n)]
-        mat = factors[0]
-        for f in factors[1:]:
-            mat = np.kron(mat, f)
-        a.append(mat)
+    a = [reduce(np.kron, [lower if k == j else eye for k in range(n)]) for j in range(n)]
     adag = [m.conj().T for m in a]
     q = [(x + xd) / math.sqrt(2) for x, xd in zip(a, adag)]
     p = [(x - xd) / (1j * math.sqrt(2)) for x, xd in zip(a, adag)]
@@ -250,11 +245,7 @@ def lindblad_matrices(rep: FockRep, spec: DilationSpec):
 def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int) -> np.ndarray:
     """Integrate the master equation for the dilation data over [0, t].
 
-    drho/dt = +i[H, rho] + sum_j ( L_j rho L_j^dag - (1/2){L_j^dag L_j, rho} )
-
-    The +i[H, rho] sign is pinned by the dissipation-free cross-checks
-    against evolve_state (see tests); with the quadratic H synthesized by
-    decompose, the standard -i sign would run the symplectic drift backwards.
+    drho/dt = -i[H, rho] + sum_j ( L_j rho L_j^dag - (1/2){L_j^dag L_j, rho} )
 
     The result is that of fixed-step RK4 with h = t/steps: P(hL)^steps rho0
     with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the exact RK4 step of a
@@ -272,7 +263,7 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     symmetrized and its trace drift checked; raises RuntimeError on drift,
     i.e. on an unstable step size, after the first chunk that shows it.
 
-    L y for Hermitian y is two sparse products: with A = iH - (1/2) sum_j
+    L y for Hermitian y is two sparse products: with A = -iH - (1/2) sum_j
     L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
     G = vstack(A, L_1, ..., L_m) @ y and then hstack(L_1, ..., L_m) applied
     to the blockwise conjugate transpose of the rows of G below the first d.
@@ -291,7 +282,7 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     d = rep.dim
     Ls = lindblad_matrices(rep, spec)
     m = len(Ls)
-    A = 1j * hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    A = -1j * hamiltonian_matrix(rep, spec.hamiltonian_terms)
     for L in Ls:
         A -= 0.5 * (L.conj().T @ L)
     stacked = sparse.csr_array(np.vstack([A, *Ls]))

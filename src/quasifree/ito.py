@@ -60,10 +60,9 @@ def _is_zero(coeff) -> bool:
 
 
 def _coeff_mul(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-            return a @ b
-        return a * b
+    """Matrix product of two matrix coefficients, else the plain product."""
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a @ b
     return a * b
 
 
@@ -395,8 +394,7 @@ def unitarity_residual(coeffs: HPCoefficients) -> float:
         for b in range(d + 1):
             Lab = coeffs.block(a, b)
             Lba_dag = coeffs.block(b, a).conj().T
-            first = Lab + Lba_dag
-            second = Lab + Lba_dag
+            first = second = Lab + Lba_dag
             for i in range(1, d + 1):
                 first = first + coeffs.block(i, a).conj().T @ coeffs.block(i, b)
                 second = second + coeffs.block(a, i) @ coeffs.block(b, i).conj().T

@@ -27,6 +27,7 @@ __all__ = [
     "complex_from_pairs",
     "hermitian_check",
     "psd_check",
+    "psd_verdict",
     "hermitian_eigh",
     "expm",
     "propagator",
@@ -82,6 +83,8 @@ def complex_from_pairs(data, ndim: int = 1) -> np.ndarray:
     if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         nested = "[" * ndim + "[re, im], ..." + "], ..." * (ndim - 1) + "]"
         raise ValueError(f"complex values are encoded as {nested}")
+    if not np.isfinite(arr).all():
+        raise ValueError("complex values must be finite")     # a null reads as NaN
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -121,10 +124,15 @@ def psd_check(H, tol: float = PSD_TOL):
     hermitian, defect = hermitian_check(H, max(tol, 1e-12))
     if not hermitian:
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
-    min_eig = float(w[0])
-    norm = float(max(abs(w[0]), abs(w[-1])))
-    return min_eig >= -tol * (1.0 + norm), min_eig
+    return psd_verdict(np.linalg.eigvalsh((H + H.conj().T) / 2.0), tol)
+
+
+def psd_verdict(w, tol: float = PSD_TOL):
+    """The PSD rule on the eigenvalues w of a Hermitian matrix, in any order:
+    (is_psd, min_eigenvalue) with is_psd = min(w) >= -tol * (1 + max|w|)."""
+    w = np.asarray(w, dtype=float)
+    min_eig = float(w.min())
+    return min_eig >= -tol * (1.0 + float(np.abs(w).max())), min_eig
 
 
 def expm(A) -> np.ndarray:

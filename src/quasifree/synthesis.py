@@ -9,14 +9,17 @@ Inverse direction: decompose() splits any admissible (K, C) into a sum of
 rank-one couplings (the Lindblad operators), a quadratic Hamiltonian read off
 the symmetric part of JK, and a residual generator K' in sp(2n).  Together
 these reproduce the semigroup generator exactly; the tests check this against
-the truncated-Fock oracle.
+the truncated-Fock oracle.  The data is that of the Hudson-Parthasarathy
+equation dU = {sum_j (L_j dA_j^dag - L_j^dag dA_j) - (iH + (1/2) sum_j
+L_j^dag L_j) dt} U with the standard sign of H, as in quasifree.ito.
 
 K(u,v) is defined by the generator-matching relation (the complex form of K
 must send z to (conj(lam(z)) v - lam(z) u)/2 with lam(z) = <u|z> + <z|v>), and
-C(u,v) by the quadratic form (Rz)^T C Rz = |lam(z)|^2.  The closed-form block
-matrix often quoted for K is exactly twice the matrix demanded by generator
-matching and fails the rank-one noise identity; the halved version is used
-here and the discrepancy is covered by an explicit regression test.
+C(u,v) by the quadratic form (Rz)^T C Rz = |lam(z)|^2; pair_from_coupling
+writes both in closed form.  The block matrix often quoted for K is exactly
+twice the matrix demanded by generator matching and fails the rank-one
+noise identity; the halved version is used here and the discrepancy is
+covered by an explicit regression test.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .semigroup import admissible, noise_matrix
-from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, complex_from_pairs,
-                         complex_to_pairs, hermitian_eigh, real_embed, symplectic_form)
+from .semigroup import noise_matrix
+from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, complex_to_pairs,
+                         hermitian_eigh, psd_verdict, real_embed, symplectic_form)
 
 __all__ = [
     "LindbladTerm",
@@ -40,7 +43,6 @@ __all__ = [
     "reconstruction_residuals",
     "dilation_report",
     "spec_to_dict",
-    "spec_from_dict",
 ]
 
 
@@ -57,32 +59,21 @@ def coupling_form(u, v, z) -> complex:
     return complex(np.vdot(u, z) + np.vdot(z, v))
 
 
-def _drift_image(u, v, z):
-    """(conj(lam(z)) v - lam(z) u) / 2: the drift K applies to z in complex form."""
-    lam = coupling_form(u, v, z)
-    return (np.conj(lam) * v - lam * u) / 2.0
-
-
 def pair_from_coupling(u, v):
     """Generating pair (K, C) of the semigroup driven by L = a(u) + a^dag(v).
 
-    K is assembled column-by-column from the drift map on the real embedding;
-    C is the Gram form of the real and imaginary parts of lam.  The result is
-    always admissible, with noise matrix of rank <= 1.
+    With lam(z) = (wr + i wi) . Rz the drift (conj(lam) v - lam u)/2 is
+    (wr . Rz)(v - u)/2 - (wi . Rz) i(u + v)/2, so K = [R(v - u) wr^T -
+    R(i(u + v)) wi^T] / 2, and |lam|^2 gives C = wr wr^T + wi wi^T.  The pair
+    is always admissible, with noise matrix of rank <= 1.
     """
     u = np.asarray(u, dtype=complex).ravel()
     v = np.asarray(v, dtype=complex).ravel()
     if u.size != v.size:
         raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    n = u.size
-    K = np.empty((2 * n, 2 * n))
-    basis = np.eye(n)
-    for k in range(n):
-        K[:, k] = real_embed(_drift_image(u, v, basis[k]))
-        K[:, n + k] = real_embed(_drift_image(u, v, 1j * basis[k]))
-    # lam(z) = (wr + i wi) . (Rz), so |lam|^2 = (wr.Rz)^2 + (wi.Rz)^2
     wr = np.concatenate([u.real + v.real, u.imag + v.imag])
     wi = np.concatenate([v.imag - u.imag, u.real - v.real])
+    K = 0.5 * (np.outer(real_embed(v - u), wr) - np.outer(real_embed(1j * (u + v)), wi))
     C = np.outer(wr, wr) + np.outer(wi, wi)
     return K, C
 
@@ -130,7 +121,8 @@ class LindbladTerm:
 
 @dataclass(frozen=True)
 class HamiltonianTerm:
-    """One quadratic Hamiltonian term (lam/4) (a(w) + a^dag(w))^2."""
+    """One quadratic Hamiltonian term (lam/4) (a(w) + a^dag(w))^2; their sum H
+    enters with the standard sign, drho/dt = -i[H, rho] + (dissipator)."""
 
     lam: float
     w: np.ndarray
@@ -165,28 +157,29 @@ class DilationSpec:
 def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     """Split an admissible pair into Lindblad, Hamiltonian and symplectic data.
 
-    Steps: eigendecompose the noise matrix D keeping eigenvalues above
+    Steps: eigendecompose the noise matrix D once, refuse the pair if its
+    eigenvalues fail the PSD rule of admissible(), and keep those above
     rank_tol relative to the largest; scale eigenvectors by sqrt(eigenvalue)
     and read off the couplings; subtract their drift contributions to expose
-    the residual K' in sp(2n); diagonalize the symmetric part of JK for the
-    quadratic Hamiltonian.  Raises on inadmissible input and verifies the
-    reconstruction identities before returning.
+    the residual K' in sp(2n); diagonalize the symmetric part of JK, each
+    eigenpair (nu, x) giving a Hamiltonian term of strength lam = -nu.
+    Verifies the reconstruction identities before returning.
     """
     if rank_tol <= 0:
         raise ValueError("rank tolerance must be positive")
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
-    ok, min_eig = admissible(K, C)
+    D = noise_matrix(K, C)
+    evals, evecs = hermitian_eigh(D)
+    ok, min_eig = psd_verdict(evals)
     if not ok:
         raise ValueError(f"pair is not admissible: noise matrix has "
                          f"min eigenvalue {min_eig:.3e}")
     n = K.shape[0] // 2
-    D = noise_matrix(K, C)
-    evals, evecs = hermitian_eigh(D)
     terms = []
     # the absolute floor keeps machine-zero matrices from acquiring rank
     floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))
-    if evals.size and evals[0] > floor:
+    if evals[0] > floor:
         cutoff = max(rank_tol * evals[0], floor)
         for lam_d, vec in zip(evals, evecs.T):
             if lam_d <= cutoff:
@@ -203,16 +196,14 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     N = (J @ K + (J @ K).T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
     hterms = []
-    if nvals.size:
-        scale = np.abs(nvals).max()
-        nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
-        for lam_h, vec in zip(nvals, nvecs.T):
-            if scale > nfloor and abs(lam_h) > max(rank_tol * scale, nfloor):
-                # only a real sign flip preserves the quadratic term, so the
-                # convention is applied to the real eigenvector, not to w
-                rvec = _fix_phase(np.real(vec)).real
-                hterms.append(HamiltonianTerm(lam=float(lam_h),
-                                              w=rvec[:n] + 1j * rvec[n:]))
+    scale = np.abs(nvals).max()
+    nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
+    for lam_h, vec in zip(nvals, nvecs.T):
+        if scale > nfloor and abs(lam_h) > max(rank_tol * scale, nfloor):
+            # only a real sign flip preserves the quadratic term, so the
+            # convention is applied to the real eigenvector, not to w
+            rvec = _fix_phase(np.real(vec)).real
+            hterms.append(HamiltonianTerm(lam=-float(lam_h), w=rvec[:n] + 1j * rvec[n:]))
 
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),
@@ -288,20 +279,3 @@ def spec_to_dict(spec: DilationSpec) -> dict:
         "K": [[float(v) for v in row] for row in spec.K],
         "C": [[float(v) for v in row] for row in spec.C],
     }
-
-
-def spec_from_dict(data: dict) -> DilationSpec:
-    try:
-        n = int(data["n"])
-        terms = tuple(LindbladTerm(b=complex_from_pairs(t["b"]),
-                                   c=complex_from_pairs(t["c"]))
-                      for t in data["lindblad"])
-        hterms = tuple(HamiltonianTerm(lam=float(t["lambda"]),
-                                       w=complex_from_pairs(t["w"]))
-                       for t in data["hamiltonian"])
-        return DilationSpec(n=n, lindblad_terms=terms, hamiltonian_terms=hterms,
-                            K_prime=np.asarray(data["Kprime"], dtype=float),
-                            K=np.asarray(data["K"], dtype=float),
-                            C=np.asarray(data["C"], dtype=float))
-    except KeyError as exc:
-        raise ValueError(f"dilation JSON is missing field {exc}") from exc

@@ -150,7 +150,7 @@ def test_05_decomposition_round_trip():
             for _ in range(2):
                 z = random_complex(gen, 1, 0.8)
                 W = fock.weyl_matrix(rep40, z)
-                commutator = -1j * (H @ W - W @ H)
+                commutator = 1j * (H @ W - W @ H)
                 coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime,
                                                        C=np.zeros((2, 2))), z)
                 gain = (fock.creator(rep40, coeff.gain_vector)

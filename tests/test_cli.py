@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quasifree import cli, fock
+from quasifree import cli, fields, fock
 from quasifree.gaussian import coherent, state_to_dict
 from quasifree.semigroup import QuasifreePair, evolve_state, pair_to_dict
 
@@ -154,6 +154,23 @@ def test_verify_oracle_dimension_cap(tmp_path):
                 "times": [0.1], "cutoff": 5000}
     code, _ = run(tmp_path, scenario)
     assert code == 4
+
+
+@pytest.mark.parametrize("table", [{"table": "quadrature", "d": 2},
+                                   {"table": "poisson", "i": 1, "j": 2}])
+def test_ito_table_tolerance_reaches_the_check(tmp_path, monkeypatch, table):
+    seen = []
+    kind = "quadrature_table" if table["table"] == "quadrature" else "poisson_table"
+    original = getattr(cli.ito, kind)
+
+    def spy(*args, tol):
+        seen.append(tol)
+        return original(*args, tol=tol)
+    monkeypatch.setattr(cli.ito, kind, spy)
+    code, report = run(tmp_path, {"command": "ito-table", **table}, extra_args=["--tol", "0.25"])
+    assert code == 0 and seen == [0.25] == [report["tolerances"]["unitarity"]]
+    code, report = run(tmp_path, {"command": "ito-table", **table})
+    assert code == 0 and seen[1:] == [1e-12] == [report["tolerances"]["unitarity"]]
 
 
 def test_ito_table_command(tmp_path):
@@ -500,6 +517,7 @@ def test_bad_field_error_names_the_field(tmp_path, capsys, scenario, field):
     (cli.SchemaError("bad"), 1), (ValueError("bad"), 1), (TypeError("bad"), 1),
     (fock.LeakageError("leaks"), 1), (FileExistsError("exists"), 1),
     (RuntimeError("drift"), 2), (fock.DimensionCapError("too big"), 4),
+    (fields.SampleCapError("too many"), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_is_set_by_the_most_derived_listed_class(tmp_path, capsys, monkeypatch,
                                                            exc, code):
@@ -515,3 +533,54 @@ def test_undecodable_scenario_exits_3(tmp_path, capsys):
     path.write_bytes(b"\xff\xfe{")
     assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("error: cannot read scenario")
+
+
+OVERFLOWING = ["1e999", "-1e999", "1" + "0" * 400]
+
+
+def _sample_gaussian(mean):
+    return '{"command": "sample-field", "count": 10, "law": {"kind": "gaussian", ' \
+           '"mean": [%s], "covariance": [[1.0]]}}' % mean
+
+
+def _validate_state(m):
+    return '{"command": "validate-state", "state": {"n": 1, "l": [0.0], "m": [%s], ' \
+           '"S": [[0.5, 0.0], [0.0, 0.5]]}}' % m
+
+
+@pytest.mark.parametrize("literal", OVERFLOWING, ids=["1e999", "-1e999", "400-digit-int"])
+@pytest.mark.parametrize("template", [_sample_gaussian, _validate_state],
+                         ids=["law-mean", "state-m"])
+def test_number_beyond_float_range_exits_1(tmp_path, capsys, literal, template):
+    path = tmp_path / "scenario.json"
+    path.write_text(template(literal))
+    assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: number ") and "not a finite float" in err
+    assert len(err) < 200
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
+
+
+def test_null_in_weyl_argument_exits_1_naming_z(tmp_path, capsys):
+    scenario = {"command": "weyl", "state": state_to_dict(coherent([0.5])),
+                "z": [[[None, 0.0]]]}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'z'") and "finite" in err
+
+
+def test_null_in_law_mean_exits_1_naming_mean(tmp_path, capsys):
+    code, report = run(tmp_path, {"command": "sample-field", "count": 10,
+                                  "law": {"kind": "gaussian", "mean": [None],
+                                          "covariance": [[1.0]]}})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("error: law mean must be finite")
+
+
+def test_sample_count_above_the_cap_exits_4(tmp_path, capsys):
+    scenario = {"command": "sample-field", "count": 10**15,
+                "law": {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}}
+    code, report = run(tmp_path, scenario)
+    assert code == 4 and report is None
+    assert capsys.readouterr().err.startswith("error: ")

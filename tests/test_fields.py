@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quasifree.fields import (
+    SAMPLE_CAP,
     FieldLaw,
+    SampleCapError,
     KernelModel,
     LevyLaw,
     coherent_gaussian_field,
@@ -249,3 +253,27 @@ def test_kernel_ingestion_complex_entries():
                                           [[0.0, 0.5], [1.0, 0.0]]]})
     assert abs(model.K[0, 1] - (-0.5j)) < 1e-15
     assert abs(model.K[1, 0] - 0.5j) < 1e-15
+
+
+@pytest.mark.parametrize("mean, cov", [([np.nan], [[1.0]]), ([0.0], [[np.inf]])],
+                         ids=["mean", "covariance"])
+def test_field_law_refuses_non_finite_moments(mean, cov):
+    name = "mean" if np.isnan(mean).any() else "covariance"
+    with pytest.raises(ValueError, match=f"law {name} must be finite"):
+        FieldLaw(mean=mean, covariance=cov)
+
+
+def test_sample_refuses_above_the_cap_before_allocating():
+    law = FieldLaw(mean=np.zeros(2), covariance=np.eye(2))
+    jump = LevyLaw(atoms=((1.0, 0.5),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SampleCapError):
+            sample(law, SAMPLE_CAP // 2 + 1, seed=1)
+        with pytest.raises(SampleCapError):
+            sample(jump, SAMPLE_CAP + 1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sample(law, 3, seed=1).shape == (3, 2)

@@ -251,7 +251,7 @@ def dense_rk4(rep, rho, spec, t, steps):
     Ls = fock.lindblad_matrices(rep, spec)
 
     def rhs(r):
-        out = 1j * (H @ r - r @ H)
+        out = -1j * (H @ r - r @ H)
         for L in Ls:
             LdL = L.conj().T @ L
             out += L @ r @ L.conj().T - 0.5 * (LdL @ r + r @ LdL)

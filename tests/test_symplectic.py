@@ -14,6 +14,7 @@ from quasifree.symplectic import (
     hermitian_eigh,
     propagator,
     psd_check,
+    psd_verdict,
     real_embed,
     real_extract,
     symplectic_form,
@@ -194,6 +195,27 @@ def test_complex_pairs_round_trip():
 def test_complex_from_pairs_refuses_what_is_not_a_vector_of_pairs(data):
     with pytest.raises(ValueError, match=r"\[\[re, im\], \.\.\.\]"):
         complex_from_pairs(data)
+
+
+@pytest.mark.parametrize("pair", [[None, 0.0], [0.0, float("nan")], [float("inf"), 0.0]],
+                         ids=["null", "nan", "inf"])
+def test_complex_from_pairs_refuses_non_finite_values(pair):
+    with pytest.raises(ValueError, match="finite"):
+        complex_from_pairs([[1.0, 0.0], pair])
+
+
+def test_psd_verdict_is_the_rule_of_psd_check():
+    gen = rng(32)
+    for shift in (-1e-7, -1e-10, 0.0, 1e-3):
+        A = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+        H = A @ A.conj().T
+        H = H - (np.linalg.eigvalsh(H)[0] - shift) * np.eye(4)
+        w = np.linalg.eigvalsh(H)
+        assert psd_verdict(w[::-1]) == psd_verdict(w) == psd_check(H)
+    # the bound is -tol * (1 + max|w|) = -2e-9 here
+    assert psd_verdict([1.0, -2.1e-9]) == (False, -2.1e-9)
+    assert psd_verdict([1.0, -1.9e-9]) == (True, -1.9e-9)
+    assert psd_verdict([1.0, float("nan")])[0] is False
 
 
 # every site of the shared Hermitian test: (its tolerance, a Hermitian matrix

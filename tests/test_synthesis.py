@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from quasifree import fock
+from quasifree import fock, ito
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
-from quasifree.symplectic import psd_check, symplectic_form
+from quasifree.symplectic import complex_from_pairs, psd_check, real_embed, symplectic_form
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
@@ -13,7 +15,6 @@ from quasifree.synthesis import (
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
-    spec_from_dict,
     spec_to_dict,
 )
 
@@ -92,6 +93,31 @@ def test_pair_from_coupling_always_admissible():
             assert ok
 
 
+def column_by_column_pair(u, v):
+    """Reference (K, C) built from coupling_form alone: column k of K is the
+    real embedding of the drift (conj(lam) v - lam u)/2 at the k-th real
+    basis vector, and C_jk = Re(lam_j conj(lam_k)) is the Gram form of lam."""
+    u = np.asarray(u, dtype=complex)
+    v = np.asarray(v, dtype=complex)
+    n = u.size
+    basis = [np.eye(n)[k] for k in range(n)] + [1j * np.eye(n)[k] for k in range(n)]
+    lams = np.array([coupling_form(u, v, z) for z in basis])
+    K = np.column_stack([real_embed((np.conj(lam) * v - lam * u) / 2.0) for lam in lams])
+    C = np.real(np.outer(lams, np.conj(lams)))
+    return K, C
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_pair_from_coupling_matches_column_by_column(n):
+    gen = rng(70 + n)
+    for _ in range(5):
+        u, v = random_complex(gen, n), random_complex(gen, n)
+        K, C = pair_from_coupling(u, v)
+        K_ref, C_ref = column_by_column_pair(u, v)
+        assert np.abs(K - K_ref).max() <= 1e-14 * np.abs(K_ref).max()
+        assert np.abs(C - C_ref).max() <= 1e-14 * np.abs(C_ref).max()
+
+
 def test_textbook_drift_is_twice_the_matched_one():
     gen = rng(53)
     for n in (1, 2):
@@ -153,13 +179,14 @@ def test_decompose_rotation_pair():
     assert spec.noise_dimension == 0
     assert np.abs(spec.K_prime - omega * J).max() < 1e-14
     assert len(spec.hamiltonian_terms) == 2
-    assert all(abs(t.lam - (-omega)) < 1e-12 for t in spec.hamiltonian_terms)
-    # synthesized H equals -omega (a^dag a + 1/2) on the oracle, away from
-    # the truncation boundary where aa^dag loses its top entry
+    assert all(abs(t.lam - omega) < 1e-12 for t in spec.hamiltonian_terms)
+    # e^{tK} turns Weyl arguments by e^{i omega t}, which H = omega (a^dag a + 1/2)
+    # does under the standard sign; checked on the oracle away from the
+    # truncation boundary where aa^dag loses its top entry
     rep = fock.build(1, 12)
     H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
     N = rep.adag[0] @ rep.a[0]
-    target = (-omega) * (N + 0.5 * np.eye(12))
+    target = omega * (N + 0.5 * np.eye(12))
     assert np.abs(H[:-1, :-1] - target[:-1, :-1]).max() < 1e-12
 
 
@@ -239,8 +266,8 @@ def test_hamiltonian_action_scalar_is_imaginary():
 
 
 def test_hamiltonian_commutator_matches_oracle():
-    # matrix elements of -i[H, W(z)] between coherent vectors against the
-    # synthesized coefficients, at cutoff 40
+    # matrix elements of the Heisenberg generator i[H, W(z)] between coherent
+    # vectors against the synthesized coefficients, at cutoff 40
     gen = rng(60)
     rep = fock.build(1, 40)
     left = fock.coherent_vector(rep, [0.4 + 0.1j])
@@ -251,13 +278,39 @@ def test_hamiltonian_commutator_matches_oracle():
         H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
         z = 0.7 * (gen.normal(size=1) + 1j * gen.normal(size=1))
         W = fock.weyl_matrix(rep, z)
-        commutator = -1j * (H @ W - W @ H)
+        commutator = 1j * (H @ W - W @ H)
         coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime, C=np.zeros((2, 2))), z)
         gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
         lhs = np.vdot(left, commutator @ right)
         rhs = np.vdot(left, closed @ right)
         assert abs(lhs - rhs) < 1e-5
+
+
+@pytest.mark.parametrize("n, cutoff, seed", [(1, 24, 63), (2, 10, 64)])
+def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
+    # the (0, 0) structure map of the noise equation built from decompose's
+    # (L, H) is the semigroup generator on W(z), in coherent matrix elements
+    gen = rng(seed)
+    pair = random_admissible_pair(gen, n, couplings=n)
+    spec = decompose(pair.K, pair.C)
+    assert spec.noise_dimension >= 1 and spec.hamiltonian_terms
+    rep = fock.build(n, cutoff)
+    Ls = fock.lindblad_matrices(rep, spec)
+    H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    S = np.eye(len(Ls) * rep.dim)
+    left = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
+    right = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
+    for _ in range(3):
+        z = random_complex(gen, n, 0.5)
+        W = fock.weyl_matrix(rep, z)
+        assert max(fock.top_level_population(rep, vec)
+                   for vec in (left, right, W @ right)) < fock.LEAKAGE_TRUST
+        flow = ito.flow_generator(S, Ls, H, W)[(0, 0)]
+        coeff = generator_action(pair, z)
+        gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
+        closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
+        assert abs(np.vdot(left, (flow - closed) @ right)) < 1e-9
 
 
 # --- reports and serialization ----------------------------------------------
@@ -288,16 +341,20 @@ def test_spec_json_round_trip():
     gen = rng(61)
     pair = random_admissible_pair(gen, 2, couplings=2)
     spec = decompose(pair.K, pair.C)
-    back = spec_from_dict(spec_to_dict(spec))
-    assert back.n == spec.n
-    assert back.noise_dimension == spec.noise_dimension
-    for t1, t2 in zip(spec.lindblad_terms, back.lindblad_terms):
-        assert np.abs(t1.u - t2.u).max() < 1e-15
-        assert np.abs(t1.v - t2.v).max() < 1e-15
-    for h1, h2 in zip(spec.hamiltonian_terms, back.hamiltonian_terms):
-        assert h1.lam == h2.lam
-        assert np.abs(h1.w - h2.w).max() < 1e-15
-    assert np.array_equal(back.K_prime, spec.K_prime)
+    data = json.loads(json.dumps(spec_to_dict(spec)))
+    assert data["n"] == spec.n
+    assert len(data["lindblad"]) == spec.noise_dimension
+    for term, entry in zip(spec.lindblad_terms, data["lindblad"]):
+        back = LindbladTerm(b=complex_from_pairs(entry["b"]), c=complex_from_pairs(entry["c"]))
+        assert np.array_equal(back.b, term.b) and np.array_equal(back.c, term.c)
+        assert np.abs(back.u - term.u).max() < 1e-15
+        assert np.abs(back.v - term.v).max() < 1e-15
+    assert len(data["hamiltonian"]) == len(spec.hamiltonian_terms)
+    for term, entry in zip(spec.hamiltonian_terms, data["hamiltonian"]):
+        assert entry["lambda"] == term.lam
+        assert np.array_equal(complex_from_pairs(entry["w"]), term.w)
+    for key, matrix in (("Kprime", spec.K_prime), ("K", spec.K), ("C", spec.C)):
+        assert np.array_equal(np.asarray(data[key]), matrix)
 
 
 def test_lindblad_term_coupling_constructor():
