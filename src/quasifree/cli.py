@@ -11,7 +11,10 @@ failure (exit 1); a report is one line of strict
 JSON, and a result that is not finite exits 2 with no report written.
 Tolerances, from the scenario or the --tol override, must be finite
 numbers > 0, and the keys of "tolerances" must be those of
-DEFAULT_TOLERANCES.
+DEFAULT_TOLERANCES.  The scalar fields (times, d, i, j, steps, count, seed,
+cutoff, intensities) must hold numbers, and the integer ones integers; a
+null, a string or a fraction such as "count": 2.9 is an input failure
+naming the field.
 
 Exit codes, one table (EXIT_CODES; the most derived class listed for an
 exception decides): 0 success; 1 input or validation failure (SchemaError,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -117,6 +121,18 @@ def _list(obj, key, where="scenario"):
     if not isinstance(value, list):
         raise SchemaError(f"{key!r} must be a list, got {type(value).__name__}")
     return value
+
+
+def _number(value, key, cast=float):
+    """One value of the scalar or list-of-scalar field key, read as cast
+    (float or int).  null, a non-number and, for an int field, a number with
+    a fractional part are schema errors that name the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        shown = "null" if value is None else type(value).__name__
+        raise SchemaError(f"{key!r} must hold numbers, got {shown}")
+    if cast is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise SchemaError(f"{key!r} must hold integers, got {value!r}")
+    return cast(value)
 
 
 def _complex(data, key, ndim=1):
@@ -216,7 +232,7 @@ def _cmd_validate_state(scenario, ctx):
 def _cmd_evolve(scenario, ctx):
     pair = _load(scenario, "pair", semigroup.pair_from_dict)
     state = _load(scenario, "state", gaussian.state_from_dict)
-    times = [float(t) for t in _list(scenario, "times")]
+    times = [_number(t, "times") for t in _list(scenario, "times")]
     trajectory = []
     moments = []
     all_valid = True
@@ -252,7 +268,7 @@ def _cmd_weyl(scenario, ctx):
 
 def _decompose_results(pair, ctx):
     spec = synthesis.decompose(pair.K, pair.C, rank_tol=ctx["tolerances"]["rank"])
-    res = synthesis.reconstruction_residuals(spec)
+    res = spec.residuals
     passed = (max(res.k_residual, res.c_residual) <= ctx["tolerances"]["reconstruction"]
               and res.symplectic_residual <= ctx["tolerances"]["symplectic"])
     return spec, res, passed
@@ -274,9 +290,9 @@ def _cmd_dilate(scenario, ctx):
 def _cmd_verify_oracle(scenario, ctx):
     pair = _load(scenario, "pair", semigroup.pair_from_dict)
     state = _load(scenario, "state", gaussian.state_from_dict)
-    times = [float(t) for t in _list(scenario, "times")]
+    times = [_number(t, "times") for t in _list(scenario, "times")]
     cutoff = ctx["cutoff"]
-    steps_per_unit = int(scenario.get("steps", 2000))
+    steps_per_unit = _number(scenario.get("steps", 2000), "steps", int)
     tol = ctx["tolerances"]["oracle"]
     reports = []
     passed = True
@@ -293,15 +309,16 @@ def _cmd_ito_table(scenario, ctx):
     kind = scenario.get("table", "quadrature")
     tol = ctx["tolerances"]["unitarity"]
     if kind in ("quadrature", "brownian"):
-        d = int(scenario.get("d", 1))
+        d = _number(scenario.get("d", 1), "d", int)
         check = ito.quadrature_table(d, tol=tol)
     elif kind == "poisson":
-        i = int(scenario.get("i", 1))
-        j = int(scenario.get("j", i))
+        i = _number(scenario.get("i", 1), "i", int)
+        j = _number(scenario.get("j", i), "j", int)
         lam = scenario.get("intensities", [1.0, 1.0])
         if not isinstance(lam, list) or not lam:
             raise SchemaError("intensities must be a non-empty list of numbers")
-        check = ito.poisson_table(i, j, float(lam[0]), float(lam[-1]), tol=tol)
+        lam = [_number(x, "intensities") for x in lam]
+        check = ito.poisson_table(i, j, lam[0], lam[-1], tol=tol)
     else:
         raise SchemaError(f"unknown table kind {kind!r}")
     return {"kind": kind, "ok": check.ok, "text": check.text}, check.ok, {}
@@ -357,7 +374,7 @@ def _field_law(scenario):
 
 def _cmd_sample_field(scenario, ctx):
     law = _field_law(scenario)
-    count = int(scenario.get("count", 10000))
+    count = _number(scenario.get("count", 10000), "count", int)
     draws = fields.sample(law, count, seed=ctx["seed"])
     artifacts = {}
     csv_name = scenario.get("csv")
@@ -422,8 +439,9 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
         tolerances[PRIMARY_TOL[command]] = _tolerance(PRIMARY_TOL[command], tol)
     ctx = {
         "out": out_dir,
-        "seed": int(seed if seed is not None else scenario.get("seed", 0)),
-        "cutoff": int(cutoff if cutoff is not None else scenario.get("cutoff", 30)),
+        "seed": _number(seed if seed is not None else scenario.get("seed", 0), "seed", int),
+        "cutoff": _number(cutoff if cutoff is not None else scenario.get("cutoff", 30),
+                          "cutoff", int),
         "tolerances": tolerances,
     }
     results, passed, artifacts = HANDLERS[command](scenario, ctx)

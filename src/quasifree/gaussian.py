@@ -6,6 +6,12 @@ observables (p_1..p_n, -q_1..-q_n), subject to 2S + iJ >= 0.  No density
 matrix is ever stored at this layer; the truncated-Fock oracle provides the
 matrix-level counterpart.
 
+States are immutable: the constructor keeps read-only copies of l, m and S,
+so a write to the caller's arrays or to the state's own raises or has no
+effect.  That lets a state cache its verdict: :meth:`GaussianState.diagnostic`
+runs :func:`validate` once per tolerance, and the library's own checks
+(state evolution, Weyl transforms) go through it.
+
 Normalization conventions, pinned once and verified against the oracle:
 q = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)), W(z) = expm(a^dag(z) - a(z)).
 Under these, a coherent state of amplitude alpha has m = sqrt(2) Re alpha and
@@ -20,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, psd_check, real_embed,
-                         symplectic_form)
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, psd_check, read_only,
+                         real_embed, symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -36,7 +42,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Immutable value object (n, l, m, S); validity is checked explicitly."""
+    """Immutable value object (n, l, m, S) over read-only copies of its arrays;
+    validity is checked explicitly, by :meth:`diagnostic`."""
 
     n: int
     l: np.ndarray   # momentum means Tr(p_j rho)
@@ -44,9 +51,10 @@ class GaussianState:
     S: np.ndarray   # covariance of (p_1..p_n, -q_1..-q_n)
 
     def __post_init__(self):
-        object.__setattr__(self, "l", np.asarray(self.l, dtype=float).ravel())
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=float).ravel())
-        object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
+        object.__setattr__(self, "l", read_only(np.ravel(self.l)))
+        object.__setattr__(self, "m", read_only(np.ravel(self.m)))
+        object.__setattr__(self, "S", read_only(self.S))
+        object.__setattr__(self, "_diagnostics", {})
         if self.n < 1:
             raise ValueError("mode count must be >= 1")
         if self.l.size != self.n or self.m.size != self.n:
@@ -56,6 +64,19 @@ class GaussianState:
                              f"got {self.S.shape}")
         if not all(np.isfinite(a).all() for a in (self.l, self.m, self.S)):
             raise ValueError("means and covariance must be finite")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor: read-only arrays
+        # and no verdict carried over
+        return type(self), (self.n, self.l, self.m, self.S)
+
+    def diagnostic(self, tol: float = PSD_TOL) -> StateDiagnostic:
+        """``validate(self, tol)``, computed on the first call for each tol and
+        then reused; the arrays are read-only, so the verdict cannot go stale."""
+        diag = self._diagnostics.get(tol)
+        if diag is None:
+            diag = self._diagnostics[tol] = validate(self, tol)
+        return diag
 
 
 @dataclass(frozen=True)
@@ -101,7 +122,7 @@ def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
     real embedding of z.  Invalid states are rejected; the magnitude never
     exceeds 1 for a valid state.
     """
-    diag = validate(state, tol)
+    diag = state.diagnostic(tol)
     if not diag.is_valid:
         raise ValueError(f"invalid Gaussian state: min eig {diag.min_eigenvalue:.3e}, "
                          f"symmetry defect {diag.symmetry_defect:.3e}")

@@ -10,19 +10,29 @@ damped Weyl operator, and dually maps Gaussian states to Gaussian states:
 
 Both directions are implemented and linked by the duality identity
 Tr(rho_t W(z)) = Tr(rho W(z_out)) exp(-damping), which the tests exercise.
+
+Pairs are immutable: the constructor checks admissibility on read-only copies
+of K and C, so no later write can slip past the check.  Both directions need
+the same (e^{tK}, B_t) at a given t, and each pair memoizes it:
+:meth:`QuasifreePair.propagator` calls :func:`quasifree.symplectic.propagator`
+once per t, keeps the PROPAGATOR_MEMO most recently used times, and returns
+read-only arrays.  Input states are checked through the state's own cached
+:meth:`~quasifree.gaussian.GaussianState.diagnostic`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, validate
+from .gaussian import GaussianState
 from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, propagator, psd_check,
-                         real_embed, real_extract, symplectic_form)
+                         read_only, real_embed, real_extract, symplectic_form)
 
 __all__ = [
+    "PROPAGATOR_MEMO",
     "QuasifreePair",
     "WeylActionResult",
     "GeneratorCoefficients",
@@ -61,9 +71,21 @@ def admissible(K, C, tol: float = PSD_TOL):
     return psd_check(noise_matrix(K, C), tol)
 
 
+#: propagators (e^{tK}, B_t) a pair keeps, the least recently used dropped first
+PROPAGATOR_MEMO = 32
+
+
+def _read_only_propagator(K, C, t):
+    E, B = propagator(K, C, t)
+    E.flags.writeable = False
+    B.flags.writeable = False
+    return E, B
+
+
 @dataclass(frozen=True)
 class QuasifreePair:
-    """Admissible generating pair; the inequality is checked on construction."""
+    """Admissible generating pair over read-only copies of K and C; the
+    inequality is checked on construction."""
 
     n: int
     K: np.ndarray
@@ -71,8 +93,8 @@ class QuasifreePair:
     min_noise_eigenvalue: float = 0.0
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        K = read_only(self.K)
+        C = read_only(self.C)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "C", C)
         if K.shape != (2 * self.n, 2 * self.n):
@@ -82,6 +104,18 @@ class QuasifreePair:
             raise ValueError(f"pair is not admissible: noise matrix has "
                              f"min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "min_noise_eigenvalue", min_eig)
+        object.__setattr__(self, "_propagators", functools.lru_cache(PROPAGATOR_MEMO)(
+            functools.partial(_read_only_propagator, K, C)))
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor: read-only arrays,
+        # the admissibility check and an empty memo of their own
+        return type(self), (self.n, self.K, self.C)
+
+    def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``symplectic.propagator(K, C, t)`` as read-only arrays, computed once
+        per t while t stays among the PROPAGATOR_MEMO most recently used."""
+        return self._propagators(float(t))
 
 
 @dataclass(frozen=True)
@@ -98,7 +132,7 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     if z.size != pair.n:
         raise ValueError(f"expected a length-{pair.n} argument, got {z.size}")
     xi = real_embed(z)
-    E, B = propagator(pair.K, pair.C, t)
+    E, B = pair.propagator(t)
     z_out = real_extract(E @ xi)
     return WeylActionResult(z_out=z_out, damping_exponent=float(0.5 * xi @ B @ xi))
 
@@ -107,10 +141,10 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
     """Predual action on Gaussian states; preserves validity for all t >= 0."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
-    diag = validate(state)
+    diag = state.diagnostic()
     if not diag.is_valid:
         raise ValueError(f"invalid input state: min eig {diag.min_eigenvalue:.3e}")
-    E, B = propagator(pair.K, pair.C, t)
+    E, B = pair.propagator(t)
     w = E.T @ np.concatenate([state.l, -state.m])
     S_t = E.T @ state.S @ E + 0.5 * B
     return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:],

@@ -8,7 +8,8 @@ time: e^{tK} and B_t from one block exponential, squared up.  Everything here
 is dense numpy; the matrices in play are at most a few hundred rows.
 
 The package's shared pieces live here too: the default tolerances, the one
-Hermitian test (:func:`hermitian_check`), and the one [re, im] codec, in
+Hermitian test (:func:`hermitian_check`), the read-only copies that make
+pairs and states immutable (:func:`read_only`), and the one [re, im] codec, in
 which :func:`complex_to_pairs` writes a complex scalar or array as [re, im]
 pairs nested like it and :func:`complex_from_pairs` reads back a regular
 nesting of the expected rank.
@@ -23,6 +24,7 @@ __all__ = [
     "symplectic_form",
     "real_embed",
     "real_extract",
+    "read_only",
     "complex_to_pairs",
     "complex_from_pairs",
     "hermitian_check",
@@ -66,6 +68,14 @@ def real_extract(xi) -> np.ndarray:
         raise ValueError(f"real embedding must have even length, got {xi.size}")
     n = xi.size // 2
     return xi[:n] + 1j * xi[n:]
+
+
+def read_only(a) -> np.ndarray:
+    """A float copy of a that cannot be written in place; a later write to a
+    itself leaves the copy unchanged."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
 
 
 def complex_to_pairs(z) -> list:

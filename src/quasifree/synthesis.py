@@ -139,7 +139,8 @@ class DilationSpec:
 
     The noisy evolution it describes couples the system to one bath channel
     per Lindblad term; with no terms it degenerates to a closed evolution
-    generated by the quadratic Hamiltonian alone.
+    generated by the quadratic Hamiltonian alone.  The residuals of its
+    reconstruction identities are computed once, on construction.
     """
 
     n: int
@@ -148,6 +149,10 @@ class DilationSpec:
     K_prime: np.ndarray
     K: np.ndarray
     C: np.ndarray
+    residuals: ReconstructionResiduals = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", reconstruction_residuals(self))
 
     @property
     def noise_dimension(self) -> int:
@@ -208,7 +213,7 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),
                         K_prime=K_prime, K=K, C=C)
-    res = reconstruction_residuals(spec)
+    res = spec.residuals
     scale = 1.0 + max(np.abs(K).max(initial=0.0), np.abs(C).max(initial=0.0))
     if max(res.k_residual, res.c_residual) > RECONSTRUCTION_TOL * scale or \
             res.symplectic_residual > SYMPLECTIC_TOL * scale:
@@ -241,7 +246,7 @@ def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
 
 def dilation_report(spec: DilationSpec) -> dict:
     """Structured summary of the noisy evolution the spec describes."""
-    res = reconstruction_residuals(spec)
+    res = spec.residuals
     report = {
         "modes": spec.n,
         "noise_dimension": spec.noise_dimension,

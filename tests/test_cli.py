@@ -578,6 +578,59 @@ def test_null_in_law_mean_exits_1_naming_mean(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: law mean must be finite")
 
 
+_GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"command": "evolve", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": [0.1, None]}, "'times'"),
+    ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": ["0.1"]}, "'times'"),
+    ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": [0.1], "steps": None}, "'steps'"),
+    ({"command": "ito-table", "table": "quadrature", "d": None}, "'d'"),
+    ({"command": "ito-table", "table": "poisson", "i": None}, "'i'"),
+    ({"command": "ito-table", "table": "poisson", "i": 1, "j": [1]}, "'j'"),
+    ({"command": "ito-table", "table": "poisson", "intensities": [1.0, None, 2.0]},
+     "'intensities'"),
+    ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": None}, "'count'"),
+    ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 10, "seed": None}, "'seed'"),
+    ({"command": "validate-state", "state": state_to_dict(coherent([0.5])),
+      "cutoff": True}, "'cutoff'"),
+], ids=["times-null", "oracle-times-string", "steps", "d", "i", "j", "intensities", "count",
+        "seed", "cutoff-bool"])
+def test_null_or_non_number_in_a_scalar_field_exits_1_naming_it(tmp_path, capsys,
+                                                                scenario, field):
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must hold numbers")
+    assert "float()" not in err and "int()" not in err
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 2.9}, "'count'"),
+    ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 10, "seed": 1.5}, "'seed'"),
+    ({"command": "ito-table", "table": "quadrature", "d": 2.5}, "'d'"),
+    ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": [0.1], "cutoff": 12.5}, "'cutoff'"),
+    ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
+      "state": state_to_dict(coherent([0.5])), "times": [0.1], "steps": 100.5}, "'steps'"),
+], ids=["count", "seed", "d", "cutoff", "steps"])
+def test_fraction_in_an_integer_field_exits_1_naming_it(tmp_path, capsys, scenario, field):
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"error: {field} must hold integers")
+
+
+def test_integral_float_in_an_integer_field_is_read_as_int(tmp_path):
+    code, report = run(tmp_path, {"command": "sample-field", "law": _GAUSSIAN_LAW,
+                                  "count": 3.0, "seed": 4.0})
+    assert code in (0, 2)
+    assert report["results"]["count"] == 3 and report["seed"] == 4
+    assert isinstance(report["results"]["count"], int)
+
+
 def test_sample_count_above_the_cap_exits_4(tmp_path, capsys):
     scenario = {"command": "sample-field", "count": 10**15,
                 "law": {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}}

@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from quasifree import fock
+from quasifree import fock, gaussian
 from quasifree.gaussian import (
     GaussianState,
     coherent,
@@ -11,7 +14,8 @@ from quasifree.gaussian import (
     validate,
     weyl_transform,
 )
-from quasifree.symplectic import expm, symplectic_form
+from quasifree.semigroup import QuasifreePair, evolve_state
+from quasifree.symplectic import PSD_TOL, expm, symplectic_form
 
 from util import rng, random_valid_state
 
@@ -165,3 +169,69 @@ def test_json_round_trip():
 def test_json_missing_field():
     with pytest.raises(ValueError):
         state_from_dict({"n": 1, "l": [0.0], "m": [0.0]})
+
+
+# --- immutability and the cached verdict ------------------------------------
+
+@pytest.mark.parametrize("name", ["l", "m", "S"])
+def test_state_arrays_refuse_in_place_writes(name):
+    st = random_valid_state(rng(38), 2)
+    with pytest.raises(ValueError):
+        getattr(st, name)[:] = -5.0
+    with pytest.raises(ValueError):
+        getattr(st, name)[0] = -5.0
+
+
+def test_state_keeps_its_own_copy_of_the_callers_arrays():
+    l, m, S = np.array([0.1]), np.array([0.2]), 0.5 * np.eye(2)
+    st = GaussianState(n=1, l=l, m=m, S=S)
+    assert st.diagnostic().is_valid
+    l[:] = 7.0
+    m[:] = 7.0
+    S[:] = -1.0
+    assert np.array_equal(st.l, [0.1]) and np.array_equal(st.m, [0.2])
+    assert np.array_equal(st.S, 0.5 * np.eye(2))
+    assert st.diagnostic().is_valid and validate(st).is_valid
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_state_are_immutable_states(clone):
+    st = random_valid_state(rng(40), 2)
+    st.diagnostic()
+    twin = clone(st)
+    assert all(not getattr(twin, k).flags.writeable for k in "lmS")
+    assert all(np.array_equal(getattr(twin, k), getattr(st, k)) for k in "lmS")
+    assert twin.diagnostic() == st.diagnostic()
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The (state, tol) arguments of every call that reaches validate."""
+    calls = []
+
+    def counted(state, tol=PSD_TOL):
+        calls.append((state, tol))
+        return validate(state, tol)
+
+    monkeypatch.setattr(gaussian, "validate", counted)
+    return calls
+
+
+def test_diagnostic_is_validate_computed_once_per_tolerance(validate_calls):
+    st = random_valid_state(rng(39), 2)
+    first = st.diagnostic()
+    assert st.diagnostic() is first and first == validate(st)
+    assert st.diagnostic(1e-6) == validate(st, 1e-6)
+    st.diagnostic(1e-6)
+    assert validate_calls == [(st, PSD_TOL), (st, 1e-6)]
+
+
+def test_evolution_and_weyl_transforms_validate_the_input_once(validate_calls):
+    pair = QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
+    st = coherent([0.4 - 0.1j])
+    for t in (0.1, 0.2, 0.3):
+        evolve_state(st, pair, t)
+        weyl_transform(st, [0.3j])
+    assert validate_calls == [(st, PSD_TOL)]

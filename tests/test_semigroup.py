@@ -1,10 +1,17 @@
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from quasifree import fock
 from quasifree.gaussian import coherent, vacuum, validate, weyl_transform
+from quasifree import semigroup
 from quasifree.semigroup import (
+    PROPAGATOR_MEMO,
     QuasifreePair,
     admissible,
     evolve_state,
@@ -13,7 +20,7 @@ from quasifree.semigroup import (
     pair_to_dict,
     weyl_action,
 )
-from quasifree.symplectic import expm, gram_integral, real_embed, symplectic_form
+from quasifree.symplectic import expm, gram_integral, propagator, real_embed, symplectic_form
 from quasifree.synthesis import pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state
@@ -184,6 +191,112 @@ def test_evolve_state_rejects_invalid_inputs():
         evolve_state(bad, attenuation_pair(), 1.0)
     with pytest.raises(ValueError):
         evolve_state(vacuum(1), attenuation_pair(), -1.0)
+
+
+# --- immutability and the propagator memo -----------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", ["K", "C"])
+def test_pair_arrays_refuse_in_place_writes(name):
+    pair = attenuation_pair()
+    with pytest.raises(ValueError):
+        getattr(pair, name)[:] = 5.0
+    with pytest.raises(ValueError):
+        getattr(pair, name)[0, 1] = 5.0
+    assert admissible(pair.K, pair.C)[0]
+
+
+def test_pair_keeps_its_own_copy_of_the_callers_arrays():
+    K, C = -0.5 * np.eye(2), np.eye(2)
+    pair = QuasifreePair(n=1, K=K, C=C)
+    K[:] = 5.0
+    C[:] = -1.0
+    assert np.array_equal(pair.K, -0.5 * np.eye(2))
+    assert np.array_equal(pair.C, np.eye(2))
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_of_a_pair_are_immutable_pairs_with_their_own_memo(clone):
+    pair = random_admissible_pair(rng(70), 2)
+    E, _ = pair.propagator(0.5)
+    twin = clone(pair)
+    assert not twin.K.flags.writeable and not twin.C.flags.writeable
+    assert same_bits(twin.K, pair.K) and same_bits(twin.C, pair.C)
+    assert twin.min_noise_eigenvalue == pair.min_noise_eigenvalue
+    E_twin, _ = twin.propagator(0.5)
+    assert E_twin is not E and same_bits(E_twin, E)
+
+
+def test_memoized_propagator_is_read_only_and_bitwise_the_kernel():
+    pair = random_admissible_pair(rng(71), 3, couplings=2)
+    for t in (0.0, 0.3, 7.5, 400.0):
+        E, B = pair.propagator(t)
+        assert not E.flags.writeable and not B.flags.writeable
+        E_ref, B_ref = propagator(pair.K, pair.C, t)
+        assert same_bits(E, E_ref) and same_bits(B, B_ref)
+        with pytest.raises(ValueError):
+            E[0, 0] = 1.0
+        again = pair.propagator(t)
+        assert again[0] is E and again[1] is B
+
+
+def test_evolve_and_weyl_action_repeat_bitwise():
+    gen = rng(72)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    state = random_valid_state(gen, 2)
+    z = gen.normal(size=2) + 1j * gen.normal(size=2)
+    for t in (0.4, 2.0):
+        first = evolve_state(state, pair, t)
+        image = weyl_action(pair, t, z)
+        for _ in range(2):
+            again = evolve_state(state, pair, t)
+            assert all(same_bits(getattr(first, k), getattr(again, k)) for k in "lmS")
+            repeat = weyl_action(pair, t, z)
+            assert same_bits(image.z_out, repeat.z_out)
+            assert same_bits(image.damping_exponent, repeat.damping_exponent)
+
+
+@pytest.fixture
+def propagator_calls(monkeypatch):
+    """The times at which the memo reaches symplectic.propagator."""
+    calls = []
+
+    def counted(K, C, t):
+        calls.append(t)
+        return propagator(K, C, t)
+
+    monkeypatch.setattr(semigroup, "propagator", counted)
+    return calls
+
+
+def test_propagator_memo_is_bounded(propagator_calls):
+    calls = propagator_calls
+    pair = attenuation_pair()
+    times = [0.01 * k for k in range(PROPAGATOR_MEMO + 8)]
+    held = [weakref.ref(pair.propagator(t)[1]) for t in times]
+    gc.collect()
+    assert sum(ref() is not None for ref in held) == PROPAGATOR_MEMO
+    assert all(ref() is not None for ref in held[-PROPAGATOR_MEMO:])
+    assert len(calls) == len(times)
+    pair.propagator(times[-1])          # still held: no new call
+    assert len(calls) == len(times)
+    pair.propagator(times[0])           # dropped: computed again
+    assert len(calls) == len(times) + 1
+
+
+def test_each_distinct_time_is_propagated_once(propagator_calls):
+    pair = attenuation_pair()
+    state = coherent([0.3 + 0.2j])
+    for t in (0.1, 0.5, 0.1, 0.5):
+        evolve_state(state, pair, t)
+        weyl_action(pair, t, [0.2])
+    assert propagator_calls == [0.1, 0.5]
 
 
 # --- generator --------------------------------------------------------------

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from quasifree import fock, ito
+from quasifree import fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
 from quasifree.symplectic import complex_from_pairs, psd_check, real_embed, symplectic_form
 from quasifree.synthesis import (
@@ -217,6 +218,23 @@ def test_reconstruction_identities_random_pairs():
             assert res.k_residual < 1e-8
             assert res.c_residual < 1e-8
             assert res.symplectic_residual < 1e-10
+
+
+def test_residuals_are_computed_once_per_spec(monkeypatch):
+    calls = []
+    original = synthesis.reconstruction_residuals
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(synthesis, "reconstruction_residuals", counted)
+    pair = random_admissible_pair(rng(57), 2, couplings=2)
+    spec = decompose(pair.K, pair.C)
+    report = dilation_report(spec)
+    assert calls == [spec]
+    assert spec.residuals == original(spec)
+    assert report["reconstruction"] == dataclasses.asdict(spec.residuals)
 
 
 def test_decompose_noise_rank():
