@@ -46,9 +46,9 @@ def main():
     S = np.kron(S, np.eye(2))           # scattering block on system (x) C^1
     L = [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)]   # qubit decay
     H = np.array([[0.5, 0.0], [0.0, -0.5]])
-    coeffs = hp_coefficients(S, L, H)
-    print("  unitarity residual of the coefficient grid:",
-          f"{unitarity_residual(coeffs):.2e}")
+    dU = hp_coefficients(S, L, H)
+    print("  unitarity residual of the noise equation dU:",
+          f"{unitarity_residual(dU):.2e}")
 
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     theta_maps = flow_generator(S, L, H, X)

@@ -331,12 +331,12 @@ def _cmd_unitarity(scenario, ctx):
         S = _complex(_require(scenario, "S"), "S", 2)
     else:
         S = np.zeros((0, 0), dtype=complex)
-    coeffs = ito.hp_coefficients(S, L, H)
-    residual = ito.unitarity_residual(coeffs)
+    dU = ito.hp_coefficients(S, L, H)
+    residual = ito.unitarity_residual(dU)
     tol = ctx["tolerances"]["unitarity"]
     ok = residual <= tol
     results = {"unitary": ok, "residual": residual, "tolerance": tol,
-               "noise_channels": coeffs.d, "system_dimension": coeffs.dim}
+               "noise_channels": dU.d, "system_dimension": H.shape[0]}
     if "X" in scenario:
         X = _complex(scenario["X"], "X", 2)
         theta = ito.flow_generator(S, L, H, X)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, complex_from_pairs, hermitian_check,
-                         hermitian_eigh)
+from .symplectic import (SYMMETRY_TOL, complex_from_pairs, hermitian_check, hermitian_eigh,
+                         psd_verdict)
 
 __all__ = [
     "KernelModel",
@@ -38,7 +38,7 @@ __all__ = [
     "SampleCapError",
 ]
 
-#: eigenvalues in [-PSD_REPAIR, 0) are clipped to zero before factorization
+#: covariance eigenvalues in [-PSD_REPAIR, 0) are clipped to zero before sampling
 PSD_REPAIR = 1e-12
 
 #: most values (count x dimension) that one call of sample() may draw
@@ -49,7 +49,7 @@ class SampleCapError(ValueError):
     """Requested sample exceeds SAMPLE_CAP values."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelModel:
     """Positive definite kernel on finitely many points, optionally invariant
     under a list of permutations (each permutation g maps point i to g[i])."""
@@ -68,10 +68,8 @@ class KernelModel:
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
         if not hermitian_check(K, 1e-12)[0]:
             raise ValueError("kernel must be Hermitian")
+        _kernel_eigh(K)
         scale = 1.0 + np.abs(K).max(initial=0.0)
-        w = np.linalg.eigvalsh((K + K.conj().T) / 2.0)
-        if w[0] < -PSD_TOL * scale:
-            raise ValueError(f"kernel is not PSD: min eigenvalue {w[0]:.3e}")
         for g in self.group:
             if sorted(g) != list(range(N)):
                 raise ValueError(f"not a permutation of 0..{N - 1}: {g}")
@@ -80,18 +78,28 @@ class KernelModel:
                 raise ValueError(f"kernel is not invariant under permutation {g}")
 
 
+def _kernel_eigh(K):
+    """hermitian_eigh of the Hermitian part of a kernel, refused unless its
+    eigenvalues pass the PSD rule psd_verdict at PSD_TOL."""
+    w, V = hermitian_eigh((K + K.conj().T) / 2.0)
+    ok, min_eig = psd_verdict(w)
+    if not ok:
+        raise ValueError(f"kernel is not PSD: min eigenvalue {min_eig:.3e}")
+    return w, V
+
+
 def gns_factor(model: KernelModel) -> np.ndarray:
     """Factor vectors of the kernel: columns lam_j with <lam_i|lam_j> = K_ij.
 
     Rank-deficient kernels are allowed; the vectors then span a lower
-    dimensional subspace.  Eigenvalues below the repair window are rejected.
+    dimensional subspace.  The kernel must pass the PSD rule that
+    KernelModel applies; the small negative eigenvalues it accepts are
+    clipped to zero.
     """
-    w, V = hermitian_eigh((model.K + model.K.conj().T) / 2.0)
-    scale = 1.0 + abs(w[0]) if w.size else 1.0
-    if w.size and w[-1] < -PSD_REPAIR * scale:
-        raise ValueError(f"kernel is not PSD: min eigenvalue {w[-1]:.3e}")
-    # zero out machine-noise eigenvalues so rank-deficient kernels factor
-    # through a genuinely lower-dimensional span (sqrt would amplify them)
+    w, V = _kernel_eigh(model.K)
+    scale = 1.0 + abs(w[0])
+    # zero out negative and machine-noise eigenvalues so rank-deficient kernels
+    # factor through a genuinely lower-dimensional span (sqrt would amplify them)
     w = np.where(w > 1e-14 * scale, w, 0.0)
     return np.sqrt(w)[:, None] * V.conj().T
 
@@ -111,7 +119,7 @@ def vacuum_field_variance(z, model: KernelModel) -> float:
     return max(float(var.real), 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldLaw:
     """Multivariate normal law (mean, covariance) of a commuting field family."""
 

@@ -40,7 +40,7 @@ __all__ = [
     "state_from_dict",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """Immutable value object (n, l, m, S) over read-only copies of its arrays;
     validity is checked explicitly, by :meth:`diagnostic`."""

@@ -16,8 +16,15 @@ zero whenever either index is 0:
 
 On the coefficient grid this is just a matrix product with the 0 row/column
 excluded from the summation.  Coefficients may be scalars or square complex
-matrices (system operators); no CAS is involved, only linearity and
-contraction.
+matrices (system operators), a scalar c beside a matrix meaning c I; no CAS is
+involved, only linearity and contraction.
+
+The rule is written once, in ito_product, and the rest is built on it.  The
+unitary noise equation of Hudson and Parthasarathy is itself a differential,
+dU = sum G[a][b] dL[a, b] (times U), returned by hp_coefficients; its
+unitarity is read off dU + dU^dag + dU^dag dU and dU + dU^dag + dU dU^dag,
+and the structure maps of its Heisenberg flow off d(U^dag X U), expanded by
+product_differential.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ __all__ = [
     "poisson_table",
     "format_differential",
     "format_table",
-    "HPCoefficients",
     "hp_coefficients",
     "unitarity_residual",
     "unitarity_check",
@@ -55,7 +61,7 @@ __all__ = [
 
 def _is_zero(coeff) -> bool:
     if isinstance(coeff, np.ndarray):
-        return not np.any(coeff)
+        return not np.count_nonzero(coeff)
     return coeff == 0
 
 
@@ -64,6 +70,16 @@ def _coeff_mul(a, b):
     if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
         return a @ b
     return a * b
+
+
+def _coeff_add(a, b):
+    """Sum of two coefficients; beside a matrix, a scalar c stands for c I, as
+    it does in _coeff_mul."""
+    if isinstance(a, np.ndarray) and not isinstance(b, np.ndarray):
+        b = b * np.eye(len(a))
+    elif isinstance(b, np.ndarray) and not isinstance(a, np.ndarray):
+        a = a * np.eye(len(b))
+    return a + b
 
 
 def _coeff_adjoint(a):
@@ -76,11 +92,13 @@ class ItoDifferential:
     """Formal sum of noise differentials with scalar or matrix coefficients.
 
     terms maps an index pair (a, b) to the coefficient of dL[a, b]; absent
-    pairs are zero.  Supports +, -, and scalar multiplication; use
+    pairs are zero.  Supports +, - and multiplication by a scalar or matrix on
+    either side; a scalar c beside a matrix coefficient means c I.  Use
     ito_product for the contraction product.
     """
 
     __slots__ = ("d", "terms")
+    __array_ufunc__ = None      # ndarray * differential defers to __rmul__
 
     def __init__(self, d: int, terms=None):
         if d < 0:
@@ -101,7 +119,7 @@ class ItoDifferential:
             raise ValueError(f"noise dimensions differ: {self.d} vs {other.d}")
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out[key] + coeff if key in out else coeff
+            out[key] = _coeff_add(out[key], coeff) if key in out else coeff
         return ItoDifferential(self.d, out)
 
     def __neg__(self):
@@ -184,7 +202,7 @@ def ito_product(X: ItoDifferential, Y: ItoDifferential) -> ItoDifferential:
                 continue
             key = (a, e)
             prod = _coeff_mul(E, F)
-            out[key] = out[key] + prod if key in out else prod
+            out[key] = _coeff_add(out[key], prod) if key in out else prod
     return ItoDifferential(X.d, out)
 
 
@@ -205,15 +223,8 @@ def product_differential(X0, dX: ItoDifferential, Y0, dY: ItoDifferential) -> It
 
 
 def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = 1e-12) -> bool:
-    """Coefficient-wise equality within tol."""
-    if X.d != Y.d:
-        return False
-    for key in set(X.terms) | set(Y.terms):
-        diff = X.coefficient(*key) - Y.coefficient(*key)
-        err = np.abs(diff).max() if isinstance(diff, np.ndarray) else abs(diff)
-        if err > tol:
-            return False
-    return True
+    """Whether every coefficient of X - Y is within tol of zero."""
+    return X.d == Y.d and all(np.abs(c).max() <= tol for c in (X - Y).terms.values())
 
 
 def _zero(d):
@@ -319,36 +330,20 @@ def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
                         candidates, tol)
 
 
-@dataclass(frozen=True)
-class HPCoefficients:
-    """Coefficient grid of an exponential noise equation dU = (L[a][b] dL[a,b]) U.
-
-    blocks[a][b] is the system operator multiplying dL[a, b]; a is the
-    superscript of the coefficient, i.e. the subscript of the differential it
-    multiplies.
-    """
-
-    d: int
-    dim: int
-    blocks: tuple   # (d+1) x (d+1) nested tuples of complex matrices
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        return self.blocks[a][b]
-
-
-def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> HPCoefficients:
-    """Coefficient grid of a unitary noise equation from standard data (S, L, H).
+def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
+    """Noise-equation differential dU = sum G[a][b] dL[a, b] (times U on the
+    right) from standard data (S, L, H).
 
     S is a unitary matrix on system (x) C^d given as a (d*dim) x (d*dim)
     array of dim x dim blocks S[i][j] (colour-major), L a list of d system
-    operators and H a Hermitian system operator.  The grid is
+    operators and H a Hermitian system operator.  The coefficients are
 
-        block[i][j] = S[i][j] - delta_ij I
-        block[i][0] = L_i
-        block[0][j] = - sum_k L_k^dag S[k][j]
-        block[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
+        G[i][j] = S[i][j] - delta_ij I
+        G[i][0] = L_i
+        G[0][j] = - sum_k L_k^dag S[k][j]
+        G[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
 
-    which satisfies both unitarity conditions by construction.
+    which satisfy both unitarity conditions by construction.
     """
     H = np.asarray(H, dtype=complex)
     if not hermitian_check(H, tol)[0]:
@@ -373,64 +368,50 @@ def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> HPCoefficients:
                 for a in range(d)]
 
     eye = np.eye(dim, dtype=complex)
-    grid = [[None] * (d + 1) for _ in range(d + 1)]
-    grid[0][0] = -(1j * H + 0.5 * sum((Lk.conj().T @ Lk for Lk in L), np.zeros_like(eye)))
-    for i in range(1, d + 1):
-        grid[i][0] = L[i - 1]
-        for j in range(1, d + 1):
-            grid[i][j] = Sblk[i - 1][j - 1] - (eye if i == j else 0.0)
+    G = {(0, 0): -(1j * H + 0.5 * sum((Lk.conj().T @ Lk for Lk in L), np.zeros_like(eye)))}
     for j in range(1, d + 1):
-        grid[0][j] = -sum((L[k].conj().T @ Sblk[k][j - 1] for k in range(d)),
-                          np.zeros_like(eye))
-    return HPCoefficients(d=d, dim=dim,
-                          blocks=tuple(tuple(row) for row in grid))
+        G[(0, j)] = -sum((L[k].conj().T @ Sblk[k][j - 1] for k in range(d)),
+                         np.zeros_like(eye))
+    for i in range(1, d + 1):
+        G[(i, 0)] = L[i - 1]
+        for j in range(1, d + 1):
+            G[(i, j)] = Sblk[i - 1][j - 1] - (eye if i == j else 0.0)
+    return ItoDifferential(d, G)
 
 
-def unitarity_residual(coeffs: HPCoefficients) -> float:
-    """Largest violation of the two isometry conditions over all index pairs."""
-    d, dim = coeffs.d, coeffs.dim
-    worst = 0.0
-    for a in range(d + 1):
-        for b in range(d + 1):
-            Lab = coeffs.block(a, b)
-            Lba_dag = coeffs.block(b, a).conj().T
-            first = second = Lab + Lba_dag
-            for i in range(1, d + 1):
-                first = first + coeffs.block(i, a).conj().T @ coeffs.block(i, b)
-                second = second + coeffs.block(a, i) @ coeffs.block(b, i).conj().T
-            worst = max(worst, np.abs(first).max(initial=0.0),
-                        np.abs(second).max(initial=0.0))
-    return float(worst)
+def unitarity_residual(dU: ItoDifferential) -> float:
+    """Largest coefficient of d(U^dag U) = dU + dU^dag + dU^dag dU and of
+    d(U U^dag) = dU + dU^dag + dU dU^dag, both zero for a unitary evolution."""
+    dU_dag = adjoint(dU)
+    drift = dU + dU_dag
+    return float(max((np.abs(c).max()
+                      for dV in (drift + ito_product(dU_dag, dU), drift + ito_product(dU, dU_dag))
+                      for c in dV.terms.values()), default=0.0))
 
 
-def unitarity_check(coeffs: HPCoefficients, tol: float = UNITARITY_TOL) -> bool:
-    """Whether the coefficient grid generates a unitary adapted evolution."""
-    return unitarity_residual(coeffs) <= tol
+def unitarity_check(dU: ItoDifferential, tol: float = UNITARITY_TOL) -> bool:
+    """Whether the differential generates a unitary adapted evolution."""
+    return unitarity_residual(dU) <= tol
 
 
 def flow_generator(S, L, H, X) -> dict:
     """Structure maps of the Heisenberg flow on a system operator X.
 
-    Returns the map (a, b) -> theta[a][b](X) with
+    Returns the map (a, b) -> theta[a][b](X), the coefficient of dL[a, b] in
+    d(U^dag X U) = dU^dag X U + U^dag X dU + dU^dag X dU at U = I, with dU from
+    hp_coefficients; every (a, b) is present, zero ones as zero matrices.  So
 
-        theta[a][b](X) = X G[a][b] + G[b][a]^dag X + sum_k G[k][a]^dag X G[k][b]
+        theta[a][b](X) = X G[a][b] + G[b][a]^dag X + sum_k G[k][a]^dag X G[k][b],
 
-    where G is the coefficient grid of the unitary noise equation.  Entry
-    (a, b) is the coefficient of dL[a, b] in the differential of U^dag X U,
-    obtained by the contraction product from dU^dag XU + U^dag X dU + dU^dag X dU.
-    The (0, 0) entry is the familiar completely positive generator
+    and the (0, 0) entry is the familiar completely positive generator
     i[H, X] - (1/2) sum_k (L_k^dag L_k X + X L_k^dag L_k - 2 L_k^dag X L_k).
     """
-    coeffs = hp_coefficients(S, L, H)
+    dU = hp_coefficients(S, L, H)
+    dim = np.shape(H)[0]
     X = np.asarray(X, dtype=complex)
-    if X.shape != (coeffs.dim, coeffs.dim):
-        raise ValueError(f"X must be {coeffs.dim} x {coeffs.dim}, got {X.shape}")
-    d = coeffs.d
-    theta = {}
-    for a in range(d + 1):
-        for b in range(d + 1):
-            acc = X @ coeffs.block(a, b) + coeffs.block(b, a).conj().T @ X
-            for k in range(1, d + 1):
-                acc = acc + coeffs.block(k, a).conj().T @ X @ coeffs.block(k, b)
-            theta[(a, b)] = acc
-    return theta
+    if X.shape != (dim, dim):
+        raise ValueError(f"X must be {dim} x {dim}, got {X.shape}")
+    # U^dag X has value X and differential dU^dag X; U starts at the identity
+    theta = product_differential(X, adjoint(dU) * X, 1.0, dU)
+    return {(a, b): theta.terms.get((a, b), np.zeros((dim, dim), dtype=complex))
+            for a in range(dU.d + 1) for b in range(dU.d + 1)}

@@ -23,7 +23,7 @@ read-only arrays.  Input states are checked through the state's own cached
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,15 +82,16 @@ def _read_only_propagator(K, C, t):
     return E, B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasifreePair:
     """Admissible generating pair over read-only copies of K and C; the
-    inequality is checked on construction."""
+    inequality is checked on construction, which also sets
+    min_noise_eigenvalue.  Compared and hashed by identity."""
 
     n: int
     K: np.ndarray
     C: np.ndarray
-    min_noise_eigenvalue: float = 0.0
+    min_noise_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
         K = read_only(self.K)
@@ -118,7 +119,7 @@ class QuasifreePair:
         return self._propagators(float(t))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeylActionResult:
     """Damped Weyl image: T_t(W(z)) = W(z_out) exp(-damping_exponent)."""
 
@@ -151,7 +152,7 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
                          S=(S_t + S_t.T) / 2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorCoefficients:
     """Coefficients g, s of L(W(z)) = {a^dag(g) - a(g) + s} W(z)."""
 

@@ -24,6 +24,7 @@ covered by an explicit regression test.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,7 +88,7 @@ def _fix_phase(vec, tol=1e-12):
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LindbladTerm:
     """One noise channel L = a(u) + a^dag(v).
 
@@ -112,6 +113,11 @@ class LindbladTerm:
         object.__setattr__(self, "u", (b + 1j * c) / 2.0)
         object.__setattr__(self, "v", np.conj(b - 1j * c) / 2.0)
 
+    @functools.cached_property
+    def pair(self):
+        """The generating pair (K, C) of this channel, built on first use."""
+        return pair_from_coupling(self.u, self.v)
+
     @classmethod
     def from_coupling(cls, u, v) -> "LindbladTerm":
         u = np.asarray(u, dtype=complex).ravel()
@@ -119,7 +125,7 @@ class LindbladTerm:
         return cls(b=u + np.conj(v), c=-1j * (u - np.conj(v)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianTerm:
     """One quadratic Hamiltonian term (lam/4) (a(w) + a^dag(w))^2; their sum H
     enters with the standard sign, drho/dt = -i[H, rho] + (dissipator)."""
@@ -133,7 +139,7 @@ class HamiltonianTerm:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=complex).ravel())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilationSpec:
     """Complete dilation data for an admissible pair (K, C).
 
@@ -194,8 +200,7 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
 
     K_prime = K.copy()
     for term in terms:
-        K_uv, _ = pair_from_coupling(term.u, term.v)
-        K_prime = K_prime - K_uv
+        K_prime = K_prime - term.pair[0]
 
     J = symplectic_form(n)
     N = (J @ K + (J @ K).T) / 2.0
@@ -233,7 +238,7 @@ def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
     K_sum = np.zeros_like(spec.K)
     C_sum = np.zeros_like(spec.C)
     for term in spec.lindblad_terms:
-        K_uv, C_uv = pair_from_coupling(term.u, term.v)
+        K_uv, C_uv = term.pair
         K_sum += K_uv
         C_sum += C_uv
     J = symplectic_form(spec.n)

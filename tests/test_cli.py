@@ -149,11 +149,16 @@ def test_verify_oracle_trace_drift_exits_2_without_report(tmp_path, capsys):
 
 
 def test_verify_oracle_dimension_cap(tmp_path):
-    scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([1.0])),
-                "times": [0.1], "cutoff": 5000}
-    code, _ = run(tmp_path, scenario)
-    assert code == 4
+    for n, cutoff in [(1, 5000), (2, 33)]:
+        out = tmp_path / f"n{n}"
+        out.mkdir()
+        pair = QuasifreePair(n=n, K=-0.5 * np.eye(2 * n), C=np.eye(2 * n))
+        scenario = {"command": "verify-oracle", "pair": pair_to_dict(pair),
+                    "state": state_to_dict(coherent([1.0] * n)),
+                    "times": [0.1], "cutoff": cutoff}
+        code, report = run(out, scenario)
+        assert code == 4
+        assert report is None
 
 
 @pytest.mark.parametrize("table", [{"table": "quadrature", "d": 2},

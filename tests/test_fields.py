@@ -46,6 +46,15 @@ def test_kernel_model_rejects_non_hermitian():
         KernelModel(points=(0, 1), K=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+def test_gns_factor_accepts_every_kernel_the_model_accepts():
+    # min eigenvalue -5e-10: inside the PSD rule, clipped to zero by the factor
+    K = np.ones((2, 2)) - 5e-10 * np.eye(2)
+    F = gns_factor(KernelModel(points=(0, 1), K=K))
+    assert np.abs(F.conj().T @ F - K).max() < 1e-9
+    with pytest.raises(ValueError, match="not PSD"):
+        KernelModel(points=(0, 1), K=np.ones((2, 2)) - 5e-9 * np.eye(2))
+
+
 def test_gns_factor_identity_kernel():
     model = KernelModel(points=(0, 1, 2), K=np.eye(3))
     F = gns_factor(model)

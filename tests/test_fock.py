@@ -66,7 +66,15 @@ def test_quadratures_hermitian():
 
 def test_dimension_cap():
     with pytest.raises(fock.DimensionCapError):
-        fock.build(4, 10, dim_cap=4096)
+        fock.build(4, 10)
+
+
+def test_dimension_cap_bounds_the_krylov_basis():
+    # n = 3 at cutoff 10 and n = 2 at cutoff 32 stay within reach
+    assert 10**3 <= fock.DIM_CAP and 32**2 <= fock.DIM_CAP
+    assert 31 * fock.DIM_CAP**2 * np.dtype(complex).itemsize <= 0.53e9
+    with pytest.raises(fock.DimensionCapError):
+        fock.build(2, 33)
 
 
 def test_build_rejects_tiny_cutoff():

@@ -5,7 +5,6 @@ import pytest
 
 from quasifree import fock
 from quasifree.ito import (
-    HPCoefficients,
     ItoDifferential,
     adjoint,
     annihilation,
@@ -127,6 +126,29 @@ def test_product_rule_associativity_with_values():
         assert ito_equal(lhs, rhs, 1e-10)
 
 
+def test_a_scalar_beside_a_matrix_means_scalar_times_identity():
+    eye = np.eye(2)
+    M = np.array([[1.0, 2.0], [3.0, 4.0]])
+    total = differential(1, 0, 0, eye) + differential(1, 0, 0, 1.0)
+    assert np.array_equal(total.coefficient(0, 0), 2.0 * eye)
+    # sums, products and equality read the scalar the same way
+    prod = ito_product(differential(1, 0, 1, M), differential(1, 1, 0, 3.0))
+    assert np.array_equal(prod.coefficient(0, 0), 3.0 * M)
+    assert ito_equal(differential(1, 0, 0, eye), differential(1, 0, 0, 1.0))
+    assert not ito_equal(differential(1, 0, 0, np.ones((2, 2))), differential(1, 0, 0, 1.0))
+
+
+def test_an_array_multiplies_a_differential_from_either_side():
+    gen = rng(81)
+    X, G = gen.normal(size=(2, 2)), gen.normal(size=(2, 2))
+    dU = differential(1, 0, 1, G) + differential(1, 1, 0, 2.0)
+    left, right = X * dU, dU * X
+    assert isinstance(left, ItoDifferential) and isinstance(right, ItoDifferential)
+    assert np.array_equal(left.coefficient(0, 1), X @ G)
+    assert np.array_equal(left.coefficient(1, 0), 2.0 * X)
+    assert np.array_equal(right.coefficient(0, 1), G @ X)
+
+
 # --- classical corollaries --------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -186,10 +208,10 @@ def test_format_differential():
 
 def test_hp_coefficients_schroedinger_case():
     H = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
-    coeffs = hp_coefficients(np.zeros((0, 0)), [], H)
-    assert coeffs.d == 0
-    assert np.abs(coeffs.block(0, 0) + 1j * H).max() < 1e-15
-    assert unitarity_check(coeffs, tol=1e-12)
+    dU = hp_coefficients(np.zeros((0, 0)), [], H)
+    assert dU.d == 0
+    assert np.abs(dU.coefficient(0, 0) + 1j * H).max() < 1e-15
+    assert unitarity_check(dU, tol=1e-12)
 
 
 def test_hp_coefficients_identity_scattering():
@@ -198,11 +220,11 @@ def test_hp_coefficients_identity_scattering():
     H = gen.normal(size=(dim, dim))
     H = (H + H.T) / 2.0
     L = [np.zeros((dim, dim), dtype=complex)]
-    coeffs = hp_coefficients(np.eye(dim, dtype=complex), L, H)
-    assert np.abs(coeffs.block(0, 0) + 1j * H).max() < 1e-14
-    assert np.abs(coeffs.block(1, 1)).max() < 1e-14
-    assert np.abs(coeffs.block(1, 0)).max() == 0.0
-    assert unitarity_check(coeffs)
+    dU = hp_coefficients(np.eye(dim, dtype=complex), L, H)
+    assert np.abs(dU.coefficient(0, 0) + 1j * H).max() < 1e-14
+    assert np.abs(dU.coefficient(1, 1)).max() < 1e-14
+    assert np.abs(dU.coefficient(1, 0)).max() == 0.0
+    assert unitarity_check(dU)
 
 
 @pytest.mark.parametrize("d,dim", [(1, 2), (2, 2), (3, 3)])
@@ -218,9 +240,69 @@ def test_hp_coefficients_satisfy_unitarity(d, dim):
         assert unitarity_residual(coeffs) < 1e-12
 
 
+def loop_residual(G, d):
+    """The isometry conditions summed block by block over a full grid G."""
+    worst = 0.0
+    for a in range(d + 1):
+        for b in range(d + 1):
+            first = second = G[a, b] + G[b, a].conj().T
+            for i in range(1, d + 1):
+                first = first + G[i, a].conj().T @ G[i, b]
+                second = second + G[a, i] @ G[b, i].conj().T
+            worst = max(worst, np.abs(first).max(), np.abs(second).max())
+    return worst
+
+
+def loop_flow(G, d, X):
+    """theta[a][b](X) = X G[a][b] + G[b][a]^dag X + sum_k G[k][a]^dag X G[k][b]."""
+    theta = {}
+    for a in range(d + 1):
+        for b in range(d + 1):
+            acc = X @ G[a, b] + G[b, a].conj().T @ X
+            for k in range(1, d + 1):
+                acc = acc + G[k, a].conj().T @ X @ G[k, b]
+            theta[(a, b)] = acc
+    return theta
+
+
+def full_grid(dU, dim):
+    return {(a, b): dU.terms.get((a, b), np.zeros((dim, dim), dtype=complex))
+            for a in range(dU.d + 1) for b in range(dU.d + 1)}
+
+
+def agree(x, y, exact):
+    """Bitwise at d <= 1, where the sums have one term; else to rounding."""
+    if exact:
+        return np.array_equal(x, y)
+    return np.abs(x - y).max() <= 1e-14 * (1.0 + np.abs(y).max())
+
+
+@pytest.mark.parametrize("d,dim", [(0, 3), (1, 4), (2, 6), (3, 2)])
+def test_residual_and_flow_match_the_block_loops(d, dim):
+    gen = rng(200 + 10 * d + dim)
+    def cmat():
+        return gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    S = random_unitary(gen, d * dim) if d else np.zeros((0, 0))
+    L = [cmat() for _ in range(d)]
+    H = cmat()
+    H = (H + H.conj().T) / 2.0
+    X = cmat()
+    dU = hp_coefficients(S, L, H)
+    G = full_grid(dU, dim)
+    assert agree(unitarity_residual(dU), loop_residual(G, d), d <= 1)
+    theta = flow_generator(S, L, H, X)
+    reference = loop_flow(G, d, X)
+    assert list(theta) == list(reference)
+    for key, mat in reference.items():
+        assert agree(theta[key], mat, d <= 1)
+    # a grid that is far from unitary
+    rough = ItoDifferential(d, {key: cmat() for key in G})
+    assert agree(unitarity_residual(rough), loop_residual(full_grid(rough, dim), d), d <= 1)
+
+
 def test_unitarity_check_rejects_identity_drift():
     eye = np.eye(2, dtype=complex)
-    bad = HPCoefficients(d=0, dim=2, blocks=((eye,),))
+    bad = differential(0, 0, 0, eye)
     assert not unitarity_check(bad)
 
 
@@ -258,6 +340,7 @@ def test_flow_generator_heisenberg_case():
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     theta = flow_generator(np.eye(dim, dtype=complex),
                            [np.zeros((dim, dim), dtype=complex)], H, X)
+    assert len(theta) == 4      # zero maps are present too
     assert np.abs(theta[(0, 0)] - 1j * (H @ X - X @ H)).max() < 1e-13
     for key, mat in theta.items():
         if key != (0, 0):

@@ -1,11 +1,14 @@
 """The public surface: every exported name, and every name the benchmark's
-tracer wraps, exists."""
+tracer wraps, exists; the value classes that hold arrays compare and hash."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from quasifree import fields, fock, gaussian, semigroup, synthesis
 
 MODULES = ["quasifree", "quasifree.symplectic", "quasifree.gaussian", "quasifree.semigroup",
            "quasifree.synthesis", "quasifree.fock", "quasifree.ito", "quasifree.fields",
@@ -32,3 +35,30 @@ def test_every_traced_name_resolves():
     missing = [f"{layer}.{name}" for layer, names in _traced().items() for name in names
                if not hasattr(importlib.import_module(f"quasifree.{layer}"), name)]
     assert missing == []
+
+
+def _attenuation():
+    return semigroup.QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
+
+
+#: one instance of each frozen dataclass with an array field
+VALUE_OBJECTS = {
+    "GaussianState": lambda: gaussian.vacuum(1),
+    "QuasifreePair": _attenuation,
+    "WeylActionResult": lambda: semigroup.weyl_action(_attenuation(), 0.1, [0.2]),
+    "GeneratorCoefficients": lambda: semigroup.generator_action(_attenuation(), [0.2]),
+    "LindbladTerm": lambda: synthesis.LindbladTerm.from_coupling([1.0], [0.0]),
+    "HamiltonianTerm": lambda: synthesis.HamiltonianTerm(lam=1.0, w=[1.0]),
+    "DilationSpec": lambda: synthesis.decompose(-0.5 * np.eye(2), np.eye(2)),
+    "KernelModel": lambda: fields.KernelModel(points=(0, 1), K=np.eye(2)),
+    "FieldLaw": lambda: fields.FieldLaw(mean=[0.0, 1.0], covariance=np.eye(2)),
+    "FockRep": lambda: fock.build(1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_OBJECTS))
+def test_value_objects_compare_by_identity_and_hash(name):
+    a, b = VALUE_OBJECTS[name](), VALUE_OBJECTS[name]()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

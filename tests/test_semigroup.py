@@ -219,6 +219,13 @@ def test_pair_keeps_its_own_copy_of_the_callers_arrays():
     assert np.array_equal(pair.C, np.eye(2))
 
 
+def test_min_noise_eigenvalue_is_computed_not_passed():
+    K, C = -0.5 * np.eye(2), np.eye(2)
+    with pytest.raises(TypeError):
+        QuasifreePair(n=1, K=K, C=C, min_noise_eigenvalue=123.0)
+    assert QuasifreePair(n=1, K=K, C=C).min_noise_eigenvalue == admissible(K, C)[1]
+
+
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
                                    lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["copy", "deepcopy", "pickle"])

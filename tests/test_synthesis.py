@@ -237,6 +237,26 @@ def test_residuals_are_computed_once_per_spec(monkeypatch):
     assert report["reconstruction"] == dataclasses.asdict(spec.residuals)
 
 
+def test_decompose_builds_each_coupling_pair_once(monkeypatch):
+    pair = random_admissible_pair(rng(58), 2, couplings=2)
+    calls = []
+    original = synthesis.pair_from_coupling
+
+    def counted(u, v):
+        calls.append((u, v))
+        return original(u, v)
+
+    monkeypatch.setattr(synthesis, "pair_from_coupling", counted)
+    spec = decompose(pair.K, pair.C)
+    dilation_report(spec)
+    assert len(calls) == spec.noise_dimension == 2
+    # K' is K minus each term's drift, subtracted in order
+    K_prime = pair.K.copy()
+    for term in spec.lindblad_terms:
+        K_prime = K_prime - original(term.u, term.v)[0]
+    assert np.array_equal(spec.K_prime, K_prime)
+
+
 def test_decompose_noise_rank():
     gen = rng(56)
     # two generic couplings at n = 2 give a rank-2 noise matrix
