@@ -51,10 +51,10 @@ def main():
           f"{unitarity_residual(dU):.2e}")
 
     X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    theta_maps = flow_generator(S, L, H, X)
+    theta_maps = flow_generator(dU, X)
     print("  theta[0][0](sigma_x) =\n", np.round(theta_maps[(0, 0)], 6))
     print("  theta[a][b](I) all vanish:",
-          max(np.abs(m).max() for m in flow_generator(S, L, H, np.eye(2)).values()) < 1e-12)
+          max(np.abs(m).max() for m in flow_generator(dU, np.eye(2)).values()) < 1e-12)
 
 
 if __name__ == "__main__":

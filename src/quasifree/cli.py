@@ -1,9 +1,18 @@
-"""Batch scenario runner.
+"""Batch scenario runner, and the package's one codec for files.
 
 Reads a JSON scenario file, dispatches to the library, and writes a JSON
 report (plus optional CSV artifacts) into the output directory; the report
 and CSV names must be plain file names.  There is no interactive mode:
 users are expected to script batch verifications.
+
+The library modules hold only numerics; every file form lives here.
+Payloads are decoded by the field readers (_require, _number, _real,
+_complex): a state is {"n", "l", "m", "S"}, a pair {"n", "K", "C"}, a kernel
+{"points", "K", "group"} with K all numbers or all [re, im] pairs.  Reports
+are encoded by one JSON default (_json_default: arrays, dataclasses such as
+GaussianState, complex values as [re, im] pairs), and both CSV artifacts,
+evolve's moment trajectory and sample-field's draws, by one writer
+(_write_csv).
 
 JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
 scenario file, or a number beyond float range such as 1e999, is an input
@@ -11,10 +20,12 @@ failure (exit 1); a report is one line of strict
 JSON, and a result that is not finite exits 2 with no report written.
 Tolerances, from the scenario or the --tol override, must be finite
 numbers > 0, and the keys of "tolerances" must be those of
-DEFAULT_TOLERANCES.  The scalar fields (times, d, i, j, steps, count, seed,
-cutoff, intensities) must hold numbers, and the integer ones integers; a
-null, a string or a fraction such as "count": 2.9 is an input failure
-naming the field.
+DEFAULT_TOLERANCES.  The scalar fields (times, d, i, j, n, steps, count,
+seed, cutoff, intensities) must hold numbers, and the integer ones
+integers; the real array fields (l, m, S, K, C, a Gaussian law's mean and
+covariance) must be nested lists of numbers, rows of one length.  A null, a
+bool, a string or a fraction such as "count": 2.9 or "n": 1.9 is an input
+failure naming the field.
 
 Exit codes, one table (EXIT_CODES; the most derived class listed for an
 exception decides): 0 success; 1 input or validation failure (SchemaError,
@@ -75,8 +86,8 @@ PRIMARY_TOL = {
     "sample-field": "psd",
 }
 
-# rows per formatting pass of a sample CSV: one pass per block keeps the
-# formatted text small next to the samples
+# rows per formatting pass of a CSV: one pass per block keeps the formatted
+# text small next to the data
 _CSV_BLOCK_ROWS = 1024
 
 
@@ -135,12 +146,79 @@ def _number(value, key, cast=float):
     return cast(value)
 
 
+def _real(data, key, ndim=1):
+    """Decode field key, ndim levels of nested lists of numbers, into a float
+    array.  A null, a bool, a string, a ragged nesting or a non-finite value
+    is a schema error naming the field."""
+    def read(value, depth):
+        if depth == 0:
+            return _number(value, key)
+        if not isinstance(value, list):
+            shown = "null" if value is None else type(value).__name__
+            raise SchemaError(f"{key!r} must be {'[' * ndim}numbers{']' * ndim}, got {shown}")
+        return [read(v, depth - 1) for v in value]
+
+    rows = read(data, ndim)
+    try:
+        arr = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise SchemaError(f"{key!r} must have rows of one length") from exc
+    if not np.isfinite(arr).all():
+        raise SchemaError(f"{key!r} must hold finite numbers")
+    return arr
+
+
 def _complex(data, key, ndim=1):
     """Decode the [re, im] pairs of field key into a rank-ndim complex array."""
     try:
         return complex_from_pairs(data, ndim)
     except ValueError as exc:
         raise SchemaError(f"{key!r}: {exc}") from exc
+
+
+def _object(obj, key, where="scenario"):
+    value = _require(obj, key, where)
+    if not isinstance(value, dict):
+        raise SchemaError(f"{key} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+#: payload -> (constructor, rank of each real array field); the constructor
+#: takes the integer field "n" and then those arrays
+_PAYLOADS = {
+    "state": (gaussian.GaussianState, {"l": 1, "m": 1, "S": 2}),
+    "pair": (semigroup.QuasifreePair, {"K": 2, "C": 2}),
+}
+
+
+def _payload(scenario, key):
+    """The state or pair in the JSON object scenario[key]; an error of its
+    constructor is reported as a bad key payload."""
+    build, ranks = _PAYLOADS[key]
+    data = _object(scenario, key)
+    n = _number(_require(data, "n", key), "n", int)
+    arrays = [_real(_require(data, name, key), name, ndim) for name, ndim in ranks.items()]
+    try:
+        return build(n, *arrays)
+    except ValueError as exc:
+        raise SchemaError(f"bad {key} payload: {exc}") from exc
+
+
+def _kernel(law):
+    """The kernel {"points": [...], "K": [[...]], "group": [[...], ...]}; the
+    entries of K are all plain numbers or all [re, im] pairs."""
+    data = _object(law, "kernel", "kernel law")
+    points = _list(data, "points", "kernel")
+    raw = _require(data, "K", "kernel")
+    try:
+        K = _real(raw, "K", 2)
+    except SchemaError:
+        K = _complex(raw, "K", 2)
+    group = [[_number(i, "group", int) for i in g] for g in data.get("group", [])]
+    try:
+        return fields.KernelModel(points, K, group)
+    except ValueError as exc:
+        raise SchemaError(f"bad kernel payload: {exc}") from exc
 
 
 def _json_default(obj):
@@ -173,15 +251,17 @@ def _finite(cast):
     return parse
 
 
-def _write_sample_csv(path, data, header):
-    """Write what np.savetxt(path, data, delimiter=",", header=header, comments="")
-    writes, formatting one block of rows per pass."""
-    row_fmt = ",".join(["%.18e"] * data.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for start in range(0, len(data), _CSV_BLOCK_ROWS):
-            block = data[start:start + _CSV_BLOCK_ROWS]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+def _write_csv(path, columns, rows, fmt, line_end):
+    """Write the header and the rows of a 2-D float array, fields formatted
+    by fmt and lines ended by line_end, one pass per block of _CSV_BLOCK_ROWS
+    rows.  ("%r", "\r\n") gives csv.writer's bytes for repr'd floats,
+    ("%.18e", "\n") np.savetxt's with delimiter "," and comments ""."""
+    row_fmt = ",".join([fmt] * len(columns)) + line_end
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(columns) + line_end)
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = rows[start:start + _CSV_BLOCK_ROWS]
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
 
 def _atomic_write(path, text):
@@ -208,20 +288,12 @@ def _check_artifact_names(scenario):
             raise SchemaError(f"{key} must be a plain file name, got {name!r}")
 
 
-def _load(scenario, key, from_dict, where="scenario"):
-    data = _require(scenario, key, where)
-    try:
-        return from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"bad {key} payload: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (results dict, passed flag, artifacts dict)
 
 
 def _cmd_validate_state(scenario, ctx):
-    state = _load(scenario, "state", gaussian.state_from_dict)
+    state = _payload(scenario, "state")
     diag = gaussian.validate(state, tol=ctx["tolerances"]["psd"])
     results = {"is_valid": diag.is_valid,
                "min_eigenvalue": diag.min_eigenvalue,
@@ -230,32 +302,35 @@ def _cmd_validate_state(scenario, ctx):
 
 
 def _cmd_evolve(scenario, ctx):
-    pair = _load(scenario, "pair", semigroup.pair_from_dict)
-    state = _load(scenario, "state", gaussian.state_from_dict)
+    pair = _payload(scenario, "pair")
+    state = _payload(scenario, "state")
     times = [_number(t, "times") for t in _list(scenario, "times")]
     trajectory = []
-    moments = []
+    rows = []
     all_valid = True
     for t in times:
         out = semigroup.evolve_state(state, pair, t)
         diag = gaussian.validate(out, tol=ctx["tolerances"]["psd"])
         all_valid = all_valid and diag.is_valid
-        trajectory.append({"t": t, "state": gaussian.state_to_dict(out),
-                           "is_valid": diag.is_valid,
+        trajectory.append({"t": t, "state": out, "is_valid": diag.is_valid,
                            "min_eigenvalue": diag.min_eigenvalue})
-        moments.append((out.l, out.m, out.S))
+        rows.append(np.concatenate(([t], out.l, out.m, out.S.ravel())))
     artifacts = {}
     results = {"trajectory": trajectory, "all_valid": all_valid}
     csv_name = scenario.get("csv")
     if csv_name:
-        path = os.path.join(ctx["out"], csv_name)
-        results["csv_columns"] = fock.write_moment_csv(path, times, moments)
+        n = state.n
+        columns = (["t"] + [f"l{j + 1}" for j in range(n)] + [f"m{j + 1}" for j in range(n)]
+                   + [f"S{i + 1}{j + 1}" for i in range(2 * n) for j in range(2 * n)])
+        _write_csv(os.path.join(ctx["out"], csv_name), columns, np.array(rows),
+                   "%r", "\r\n")
+        results["csv_columns"] = columns
         artifacts["csv"] = csv_name
     return results, all_valid, artifacts
 
 
 def _cmd_weyl(scenario, ctx):
-    state = _load(scenario, "state", gaussian.state_from_dict)
+    state = _payload(scenario, "state")
     zs = [_complex(z, "z") for z in _list(scenario, "z")]
     values = []
     passed = True
@@ -275,21 +350,26 @@ def _decompose_results(pair, ctx):
 
 
 def _cmd_decompose(scenario, ctx):
-    pair = _load(scenario, "pair", semigroup.pair_from_dict)
+    pair = _payload(scenario, "pair")
     spec, res, passed = _decompose_results(pair, ctx)
-    results = {"spec": synthesis.spec_to_dict(spec), "residuals": res}
+    results = {"spec": {"n": spec.n,
+                        "lindblad": [{"b": t.b, "c": t.c} for t in spec.lindblad_terms],
+                        "hamiltonian": [{"lambda": t.lam, "w": t.w}
+                                        for t in spec.hamiltonian_terms],
+                        "Kprime": spec.K_prime, "K": spec.K, "C": spec.C},
+               "residuals": res}
     return results, passed, {}
 
 
 def _cmd_dilate(scenario, ctx):
-    pair = _load(scenario, "pair", semigroup.pair_from_dict)
+    pair = _payload(scenario, "pair")
     spec, res, passed = _decompose_results(pair, ctx)
     return {"report": synthesis.dilation_report(spec)}, passed, {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
-    pair = _load(scenario, "pair", semigroup.pair_from_dict)
-    state = _load(scenario, "state", gaussian.state_from_dict)
+    pair = _payload(scenario, "pair")
+    state = _payload(scenario, "state")
     times = [_number(t, "times") for t in _list(scenario, "times")]
     cutoff = ctx["cutoff"]
     steps_per_unit = _number(scenario.get("steps", 2000), "steps", int)
@@ -339,29 +419,27 @@ def _cmd_unitarity(scenario, ctx):
                "noise_channels": dU.d, "system_dimension": H.shape[0]}
     if "X" in scenario:
         X = _complex(scenario["X"], "X", 2)
-        theta = ito.flow_generator(S, L, H, X)
+        theta = ito.flow_generator(dU, X)
         results["flow"] = {f"theta[{a}][{b}]": mat for (a, b), mat in sorted(theta.items())}
     return results, ok, {}
 
 
 def _field_law(scenario):
-    law = _require(scenario, "law")
-    if not isinstance(law, dict):
-        raise SchemaError("law must be a JSON object with a 'kind' field")
+    law = _object(scenario, "law")
     kind = law.get("kind")
 
     def field(key):
         return _require(law, key, where=f"{kind} law")
 
     if kind == "gaussian":
-        return fields.FieldLaw(mean=np.asarray(field("mean"), dtype=float),
-                               covariance=np.asarray(field("covariance"), dtype=float))
+        return fields.FieldLaw(mean=_real(field("mean"), "mean"),
+                               covariance=_real(field("covariance"), "covariance", 2))
     if kind == "coherent":
         u0 = _complex(field("u0"), "u0")
         us = [_complex(u, "us") for u in _list(law, "us", where=f"{kind} law")]
         return fields.coherent_gaussian_field(u0, us, family=law.get("family", "p"))
     if kind == "kernel":
-        model = _load(law, "kernel", fields.kernel_model_from_dict, where=f"{kind} law")
+        model = _kernel(law)
         z = _complex(field("z"), "z")
         var = fields.vacuum_field_variance(z, model)
         return fields.FieldLaw(mean=np.zeros(1), covariance=np.array([[var]]))
@@ -376,13 +454,12 @@ def _cmd_sample_field(scenario, ctx):
     law = _field_law(scenario)
     count = _number(scenario.get("count", 10000), "count", int)
     draws = fields.sample(law, count, seed=ctx["seed"])
+    data = draws if draws.ndim == 2 else draws[:, None]
+    columns = [f"x{j + 1}" for j in range(data.shape[1])]
     artifacts = {}
     csv_name = scenario.get("csv")
     if csv_name:
-        path = os.path.join(ctx["out"], csv_name)
-        data = draws if draws.ndim == 2 else draws[:, None]
-        header = ",".join(f"x{j+1}" for j in range(data.shape[1]))
-        _write_sample_csv(path, data, header)
+        _write_csv(os.path.join(ctx["out"], csv_name), columns, data, "%.18e", "\n")
         artifacts["csv"] = csv_name
     results = {"count": count}
     if isinstance(law, fields.FieldLaw):
@@ -394,7 +471,6 @@ def _cmd_sample_field(scenario, ctx):
         results.update({"law_mean": law.mean, "law_covariance": law.covariance,
                         "empirical_mean": emp_mean, "empirical_covariance": emp_cov,
                         "mean_band_5sigma": band, "within_bands": within})
-        results["csv_columns"] = [f"x{j+1}" for j in range(law.mean.size)]
     else:
         within = (abs(draws.mean() - law.mean) <=
                   5.0 * np.sqrt(max(law.variance, 1e-300) / count))
@@ -403,7 +479,7 @@ def _cmd_sample_field(scenario, ctx):
                         "empirical_mean": float(draws.mean()),
                         "empirical_variance": float(draws.var(ddof=1)),
                         "within_bands": bool(within)})
-        results["csv_columns"] = ["x1"]
+    results["csv_columns"] = columns
     return results, bool(within), artifacts
 
 

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, complex_from_pairs, hermitian_check, hermitian_eigh,
-                         psd_verdict)
+from .symplectic import SYMMETRY_TOL, hermitian_check, hermitian_eigh, psd_verdict
 
 __all__ = [
     "KernelModel",
@@ -34,7 +33,6 @@ __all__ = [
     "coherent_gaussian_field",
     "levy_law",
     "sample",
-    "kernel_model_from_dict",
     "SampleCapError",
 ]
 
@@ -51,8 +49,9 @@ class SampleCapError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KernelModel:
-    """Positive definite kernel on finitely many points, optionally invariant
-    under a list of permutations (each permutation g maps point i to g[i])."""
+    """Positive definite kernel on finitely many points, at least one,
+    optionally invariant under a list of permutations (each permutation g
+    maps point i to g[i])."""
 
     points: tuple
     K: np.ndarray
@@ -64,6 +63,8 @@ class KernelModel:
         object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "group", tuple(tuple(g) for g in self.group))
         N = len(self.points)
+        if N == 0:
+            raise ValueError("kernel needs at least one point")
         if K.shape != (N, N):
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
         if not hermitian_check(K, 1e-12)[0]:
@@ -263,24 +264,3 @@ def sample(law, count: int, seed: int) -> np.ndarray:
         return out
     raise TypeError(f"cannot sample from {type(law).__name__}")
 
-
-def kernel_model_from_dict(data: dict) -> KernelModel:
-    """Ingest {"points": [...], "K": [[...]], "group": [[...], ...]}.
-
-    The kernel entries are all plain numbers or all [re, im] pairs.
-    """
-    if not isinstance(data, dict):
-        raise ValueError(f"kernel must be a JSON object, got {type(data).__name__}")
-    try:
-        points = data["points"]
-        raw = data["K"]
-    except KeyError as exc:
-        raise ValueError(f"kernel JSON is missing field {exc}") from exc
-    try:
-        K = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        K = None
-    if K is None or K.ndim != 2:
-        K = complex_from_pairs(raw, ndim=2)
-    return KernelModel(points=tuple(points), K=K,
-                       group=tuple(tuple(g) for g in data.get("group", [])))

@@ -55,7 +55,6 @@ __all__ = [
     "lindblad_evolve",
     "state_moments",
     "oracle_compare",
-    "write_moment_csv",
 ]
 
 #: hard cap on the total Hilbert-space dimension cutoff**n; it bounds the
@@ -471,23 +470,3 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
                         mean_error=mean_err, cov_error=cov_err,
                         weyl_error=float(weyl_err))
 
-
-def write_moment_csv(path, times, moments) -> list[str]:
-    """Write a moment trajectory as CSV (t, l..., m..., vec(S)...); returns the header."""
-    times = list(times)
-    moments = list(moments)
-    if not moments:
-        raise ValueError("empty trajectory")
-    n = len(moments[0][0])
-    header = (["t"]
-              + [f"l{j + 1}" for j in range(n)]
-              + [f"m{j + 1}" for j in range(n)]
-              + [f"S{i + 1}{j + 1}" for i in range(2 * n) for j in range(2 * n)])
-    rows = np.array([np.concatenate(([t], l, m, np.ravel(S)))
-                     for t, (l, m, S) in zip(times, moments)], dtype=float)
-    # csv.writer's "\r\n" line ends; repr-formatted floats need no quoting
-    row_fmt = ",".join(["%r"] * len(header)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.write(row_fmt * len(rows) % tuple(rows.ravel().tolist()))
-    return header

@@ -36,8 +36,6 @@ __all__ = [
     "vacuum",
     "coherent",
     "weyl_transform",
-    "state_to_dict",
-    "state_from_dict",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +132,3 @@ def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
     phase = -1j * math.sqrt(2) * (state.l @ x - state.m @ y)
     return complex(np.exp(phase - xi @ state.S @ xi))
 
-
-def state_to_dict(state: GaussianState) -> dict:
-    """JSON form {"n": int, "l": [...], "m": [...], "S": [[...]]} (row-major S)."""
-    return {"n": state.n,
-            "l": [float(v) for v in state.l],
-            "m": [float(v) for v in state.m],
-            "S": [[float(v) for v in row] for row in state.S]}
-
-
-def state_from_dict(data: dict) -> GaussianState:
-    try:
-        return GaussianState(n=int(data["n"]), l=data["l"], m=data["m"], S=data["S"])
-    except KeyError as exc:
-        raise ValueError(f"state JSON is missing field {exc}") from exc

@@ -82,6 +82,11 @@ def _coeff_add(a, b):
     return a + b
 
 
+def _coeff_norm(a) -> float:
+    """Largest modulus among the entries of a coefficient."""
+    return np.abs(a).max() if isinstance(a, np.ndarray) else abs(a)
+
+
 def _coeff_adjoint(a):
     if isinstance(a, np.ndarray):
         return a.conj().T
@@ -223,8 +228,11 @@ def product_differential(X0, dX: ItoDifferential, Y0, dY: ItoDifferential) -> It
 
 
 def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = 1e-12) -> bool:
-    """Whether every coefficient of X - Y is within tol of zero."""
-    return X.d == Y.d and all(np.abs(c).max() <= tol for c in (X - Y).terms.values())
+    """Whether every coefficient of X - Y is within tol of zero, compared pair
+    by pair without building X - Y."""
+    return X.d == Y.d and all(
+        _coeff_norm(_coeff_add(X.terms.get(key, 0.0), -Y.terms.get(key, 0.0))) <= tol
+        for key in X.terms.keys() | Y.terms.keys())
 
 
 def _zero(d):
@@ -384,7 +392,7 @@ def unitarity_residual(dU: ItoDifferential) -> float:
     d(U U^dag) = dU + dU^dag + dU dU^dag, both zero for a unitary evolution."""
     dU_dag = adjoint(dU)
     drift = dU + dU_dag
-    return float(max((np.abs(c).max()
+    return float(max((_coeff_norm(c)
                       for dV in (drift + ito_product(dU_dag, dU), drift + ito_product(dU, dU_dag))
                       for c in dV.terms.values()), default=0.0))
 
@@ -394,23 +402,24 @@ def unitarity_check(dU: ItoDifferential, tol: float = UNITARITY_TOL) -> bool:
     return unitarity_residual(dU) <= tol
 
 
-def flow_generator(S, L, H, X) -> dict:
+def flow_generator(dU: ItoDifferential, X) -> dict:
     """Structure maps of the Heisenberg flow on a system operator X.
 
     Returns the map (a, b) -> theta[a][b](X), the coefficient of dL[a, b] in
-    d(U^dag X U) = dU^dag X U + U^dag X dU + dU^dag X dU at U = I, with dU from
-    hp_coefficients; every (a, b) is present, zero ones as zero matrices.  So
+    d(U^dag X U) = dU^dag X U + U^dag X dU + dU^dag X dU at U = I, for a noise
+    equation dU such as hp_coefficients returns; every (a, b) is present, zero
+    ones as zero matrices.  So
 
         theta[a][b](X) = X G[a][b] + G[b][a]^dag X + sum_k G[k][a]^dag X G[k][b],
 
     and the (0, 0) entry is the familiar completely positive generator
     i[H, X] - (1/2) sum_k (L_k^dag L_k X + X L_k^dag L_k - 2 L_k^dag X L_k).
     """
-    dU = hp_coefficients(S, L, H)
-    dim = np.shape(H)[0]
     X = np.asarray(X, dtype=complex)
-    if X.shape != (dim, dim):
-        raise ValueError(f"X must be {dim} x {dim}, got {X.shape}")
+    shapes = {c.shape for c in dU.terms.values() if isinstance(c, np.ndarray)}
+    if X.ndim != 2 or X.shape[0] != X.shape[1] or shapes - {X.shape}:
+        raise ValueError(f"X must be square, of the order of dU's coefficients, got {X.shape}")
+    dim = X.shape[0]
     # U^dag X has value X and differential dU^dag X; U starts at the identity
     theta = product_differential(X, adjoint(dU) * X, 1.0, dU)
     return {(a, b): theta.terms.get((a, b), np.zeros((dim, dim), dtype=complex))

@@ -41,8 +41,6 @@ __all__ = [
     "weyl_action",
     "evolve_state",
     "generator_action",
-    "pair_to_dict",
-    "pair_from_dict",
 ]
 
 
@@ -176,17 +174,3 @@ def generator_action(pair: QuasifreePair, z) -> GeneratorCoefficients:
     scalar = 0.5 * (inner - np.conj(inner) - xi @ pair.C @ xi)
     return GeneratorCoefficients(gain_vector=g, scalar_part=complex(scalar))
 
-
-def pair_to_dict(pair: QuasifreePair) -> dict:
-    """JSON form {"n": int, "K": [[...]], "C": [[...]]}."""
-    return {"n": pair.n,
-            "K": [[float(v) for v in row] for row in pair.K],
-            "C": [[float(v) for v in row] for row in pair.C]}
-
-
-def pair_from_dict(data: dict) -> QuasifreePair:
-    try:
-        return QuasifreePair(n=int(data["n"]), K=np.asarray(data["K"], dtype=float),
-                             C=np.asarray(data["C"], dtype=float))
-    except KeyError as exc:
-        raise ValueError(f"pair JSON is missing field {exc}") from exc

@@ -43,7 +43,6 @@ __all__ = [
     "decompose",
     "reconstruction_residuals",
     "dilation_report",
-    "spec_to_dict",
 ]
 
 
@@ -276,16 +275,3 @@ def dilation_report(spec: DilationSpec) -> dict:
                           "generated by the quadratic Hamiltonian alone")
     return report
 
-
-def spec_to_dict(spec: DilationSpec) -> dict:
-    """JSON form of a dilation spec (complex entries as [re, im] pairs)."""
-    return {
-        "n": spec.n,
-        "lindblad": [{"b": complex_to_pairs(t.b), "c": complex_to_pairs(t.c)}
-                     for t in spec.lindblad_terms],
-        "hamiltonian": [{"lambda": float(t.lam), "w": complex_to_pairs(t.w)}
-                        for t in spec.hamiltonian_terms],
-        "Kprime": [[float(v) for v in row] for row in spec.K_prime],
-        "K": [[float(v) for v in row] for row in spec.K],
-        "C": [[float(v) for v in row] for row in spec.C],
-    }

@@ -218,9 +218,9 @@ def test_07_ito_engine():
              for _ in range(d)]
         H = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
         H = (H + H.conj().T) / 2.0
-        worst_unitarity = max(worst_unitarity,
-                              unitarity_residual(hp_coefficients(S, L, H)))
-        theta00 = flow_generator(S, L, H, np.eye(dim, dtype=complex))[(0, 0)]
+        dU = hp_coefficients(S, L, H)
+        worst_unitarity = max(worst_unitarity, unitarity_residual(dU))
+        theta00 = flow_generator(dU, np.eye(dim, dtype=complex))[(0, 0)]
         worst_identity = max(worst_identity, np.abs(theta00).max())
     report(7, "ito-engine",
            tables_ok and worst_unitarity <= 1e-12 and worst_identity <= 1e-12,
@@ -243,7 +243,7 @@ def test_08_cross_module_generator_agreement():
         z = random_complex(gen, 1, 0.8)
         L1 = fock.annihilator(rep, u) + fock.creator(rep, v)
         W = fock.weyl_matrix(rep, z)
-        theta00 = flow_generator(eye, [L1], zero, W)[(0, 0)]
+        theta00 = flow_generator(hp_coefficients(eye, [L1], zero), W)[(0, 0)]
         K, C = pair_from_coupling(u, v)
         coeff = generator_action(QuasifreePair(n=1, K=K, C=C), z)
         gain = (fock.creator(rep, coeff.gain_vector)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from quasifree import cli, fields, fock
-from quasifree.gaussian import coherent, state_to_dict
-from quasifree.semigroup import QuasifreePair, evolve_state, pair_to_dict
+from quasifree.gaussian import coherent
+from quasifree.semigroup import QuasifreePair, evolve_state
 
-from util import rng, random_unitary
+from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
 
 def attenuation_pair_dict():
@@ -32,7 +32,7 @@ def strict_json(text):
 
 def run(tmp_path, scenario, name="scenario.json", extra_args=()):
     path = tmp_path / name
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(scenario, default=cli._json_default))
     code = cli.main(["--scenario", str(path), "--out", str(tmp_path), *extra_args])
     report_path = tmp_path / scenario.get("report", "report.json")
     report = json.loads(report_path.read_text()) if report_path.exists() else None
@@ -40,7 +40,7 @@ def run(tmp_path, scenario, name="scenario.json", extra_args=()):
 
 
 def test_validate_state_ok(tmp_path):
-    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0]))}
+    scenario = {"command": "validate-state", "state": coherent([1.0])}
     code, report = run(tmp_path, scenario)
     assert code == 0
     assert report["passed"] is True
@@ -61,7 +61,7 @@ def test_validate_state_invalid_exits_2(tmp_path):
 def test_evolve_writes_trajectory_csv(tmp_path):
     times = [0.0, 0.25, 0.5, 1.0]
     scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([1.0])),
+                "state": coherent([1.0 - 0.3j]),
                 "times": times, "csv": "traj.csv"}
     code, report = run(tmp_path, scenario)
     assert code == 0
@@ -69,15 +69,33 @@ def test_evolve_writes_trajectory_csv(tmp_path):
     assert len(rows) == len(times)
     pair = QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
     for row, t in zip(rows, times):
-        expected = evolve_state(coherent([1.0]), pair, t)
+        expected = evolve_state(coherent([1.0 - 0.3j]), pair, t)
         assert abs(float(row["m1"]) - expected.m[0]) < 1e-12
         assert abs(float(row["S11"]) - expected.S[0, 0]) < 1e-12
-    assert report["results"]["csv_columns"][0] == "t"
+    columns = report["results"]["csv_columns"]
+    assert ",".join(columns) == "t,l1,m1,S11,S12,S21,S22"
+    # the CSV holds the report's own numbers, in csv.writer's bytes
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    for t, step in zip(times, report["results"]["trajectory"]):
+        state = step["state"]
+        writer.writerow([repr(float(x)) for x in (t, *state["l"], *state["m"],
+                                                  *np.ravel(state["S"]))])
+    assert (tmp_path / "traj.csv").read_bytes() == buf.getvalue().encode()
+
+
+def test_evolve_without_times_writes_a_header_only_csv(tmp_path):
+    scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
+                "state": coherent([1.0]), "times": [], "csv": "traj.csv"}
+    code, report = run(tmp_path, scenario)
+    assert code == 0 and report["results"]["trajectory"] == []
+    assert (tmp_path / "traj.csv").read_bytes() == b"t,l1,m1,S11,S12,S21,S22\r\n"
 
 
 def test_evolve_long_horizon_report_is_finite(tmp_path):
     scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([1.0])), "times": [1.0, 1e4]}
+                "state": coherent([1.0]), "times": [1.0, 1e4]}
     code, _ = run(tmp_path, scenario)
     assert code == 0
     report = strict_json((tmp_path / "report.json").read_text())
@@ -88,7 +106,7 @@ def test_evolve_long_horizon_report_is_finite(tmp_path):
 def test_evolve_overflowing_amplifier_exits_1_without_report(tmp_path, capsys):
     scenario = {"command": "evolve",
                 "pair": {"n": 1, "K": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]},
-                "state": state_to_dict(coherent([1.0])), "times": [1.0, 3000.0]}
+                "state": coherent([1.0]), "times": [1.0, 3000.0]}
     code, report = run(tmp_path, scenario)
     assert code == 1
     assert report is None
@@ -96,7 +114,7 @@ def test_evolve_overflowing_amplifier_exits_1_without_report(tmp_path, capsys):
 
 
 def test_weyl_command(tmp_path):
-    scenario = {"command": "weyl", "state": state_to_dict(coherent([0.5])),
+    scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.0, 0.0]], [[0.3, 0.4]]]}
     code, report = run(tmp_path, scenario)
     assert code == 0
@@ -123,7 +141,7 @@ def test_dilate_command(tmp_path):
 
 def test_verify_oracle_command(tmp_path):
     scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([1.0])),
+                "state": coherent([1.0]),
                 "times": [0.25], "cutoff": 25, "steps": 500}
     code, report = run(tmp_path, scenario)
     assert code == 0
@@ -139,7 +157,7 @@ def test_verify_oracle_trace_drift_exits_2_without_report(tmp_path, capsys):
     # integrator's trace watchdog refuses
     scenario = {"command": "verify-oracle",
                 "pair": {"n": 1, "K": [[-4.5, 0.0], [0.0, -4.5]], "C": [[9.0, 0.0], [0.0, 9.0]]},
-                "state": state_to_dict(coherent([1.0])),
+                "state": coherent([1.0]),
                 "times": [400], "cutoff": 25, "steps": 1}
     code, report = run(tmp_path, scenario)
     assert code == 2
@@ -153,8 +171,8 @@ def test_verify_oracle_dimension_cap(tmp_path):
         out = tmp_path / f"n{n}"
         out.mkdir()
         pair = QuasifreePair(n=n, K=-0.5 * np.eye(2 * n), C=np.eye(2 * n))
-        scenario = {"command": "verify-oracle", "pair": pair_to_dict(pair),
-                    "state": state_to_dict(coherent([1.0] * n)),
+        scenario = {"command": "verify-oracle", "pair": pair,
+                    "state": coherent([1.0] * n),
                     "times": [0.1], "cutoff": cutoff}
         code, report = run(out, scenario)
         assert code == 4
@@ -221,6 +239,11 @@ def test_sample_field_gaussian_csv(tmp_path):
     assert report["results"]["within_bands"] is True
     data = np.loadtxt(tmp_path / "draws.csv", delimiter=",", skiprows=1)
     assert data.shape == (20000, 2)
+    law = scenario["law"]
+    draws = fields.sample(fields.FieldLaw(mean=law["mean"], covariance=law["covariance"]),
+                          20000, seed=3)
+    np.savetxt(tmp_path / "ref.csv", draws, delimiter=",", header="x1,x2", comments="")
+    assert (tmp_path / "draws.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_sample_field_levy(tmp_path):
@@ -312,10 +335,10 @@ def test_artifact_names_outside_out_dir_exit_1(tmp_path, capsys, key, name):
     out = tmp_path / "out"
     name = name.format(tmp=tmp_path)
     scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([0.5])), "times": [0.0, 0.5],
+                "state": coherent([0.5]), "times": [0.0, 0.5],
                 "csv": "traj.csv", key: name}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(scenario, default=cli._json_default))
     code = cli.main(["--scenario", str(path), "--out", str(out)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
@@ -325,8 +348,8 @@ def test_artifact_names_outside_out_dir_exit_1(tmp_path, capsys, key, name):
 
 def test_env_variable_fallback(tmp_path, monkeypatch):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"command": "validate-state",
-                                "state": state_to_dict(coherent([0.0]))}))
+    path.write_text(json.dumps({"command": "validate-state", "state": coherent([0.0])},
+                               default=cli._json_default))
     monkeypatch.setenv("QFL_SCENARIO", str(path))
     monkeypatch.setenv("QFL_OUT", str(tmp_path))
     assert cli.main([]) == 0
@@ -334,7 +357,7 @@ def test_env_variable_fallback(tmp_path, monkeypatch):
 
 
 def test_tol_flag_overrides_primary_tolerance(tmp_path):
-    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0]))}
+    scenario = {"command": "validate-state", "state": coherent([1.0])}
     code, report = run(tmp_path, scenario, extra_args=["--tol", "1e-6"])
     assert code == 0
     assert report["tolerances"]["psd"] == 1e-6
@@ -380,9 +403,9 @@ def test_json_default_encodes_numpy_complex_and_dataclasses():
 @pytest.mark.parametrize("rows", [1023, 1024, 1025, 5000])
 def test_sample_csv_matches_savetxt(tmp_path, rows, cols):
     data = rng(rows + cols).normal(size=(rows, cols)) * 10.0 ** rng(7).integers(-300, 300, cols)
-    header = ",".join(f"x{j + 1}" for j in range(cols))
-    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=header, comments="")
-    cli._write_sample_csv(tmp_path / "out.csv", data, header)
+    columns = [f"x{j + 1}" for j in range(cols)]
+    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=",".join(columns), comments="")
+    cli._write_csv(tmp_path / "out.csv", columns, data, "%.18e", "\n")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -393,13 +416,74 @@ def test_moment_csv_matches_csv_writer(tmp_path):
     moments = [(gen.normal(size=n), gen.normal(size=n), gen.normal(size=(2 * n, 2 * n)))
                for _ in times]
     moments[1][1][0] = -0.0
-    header = fock.write_moment_csv(tmp_path / "out.csv", times, moments)
+    columns = ["t", "l1", "l2", "m1", "m2"] + [f"S{i}{j}" for i in range(1, 5) for j in range(1, 5)]
+    rows = np.array([np.concatenate(([t], l, m, S.ravel())) for t, (l, m, S) in zip(times, moments)])
+    cli._write_csv(tmp_path / "out.csv", columns, rows, "%r", "\r\n")
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
-    writer.writerow(header)
+    writer.writerow(columns)
     for t, (l, m, S) in zip(times, moments):
         writer.writerow([repr(float(x)) for x in (t, *l, *m, *np.ravel(S))])
     assert (tmp_path / "out.csv").read_bytes() == buf.getvalue().encode()
+
+
+# --- the payload codec: what a report writes, a scenario reads back ----------
+
+def test_evolved_state_reads_back_bit_identical(tmp_path):
+    gen = rng(37)
+    state, pair = random_valid_state(gen, 2), random_admissible_pair(gen, 2, couplings=2)
+    times = [0.0, 0.7, 2.5]
+    code, report = run(tmp_path, {"command": "evolve", "pair": pair, "state": state,
+                                  "times": times})
+    assert code == 0
+    for t, step in zip(times, report["results"]["trajectory"]):
+        expected = evolve_state(state, pair, t)
+        back = cli._payload({"state": step["state"]}, "state")
+        assert back.n == 2
+        for key in ("l", "m", "S"):
+            assert np.array_equal(getattr(back, key), getattr(expected, key))
+        out = tmp_path / f"t{t}"
+        out.mkdir()
+        assert run(out, {"command": "validate-state", "state": step["state"]})[0] == 0
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"state": {"n": 1, "l": [0.0], "m": [0.0]}}, "state-S"),
+    ({"state": {"l": [0.0], "m": [0.0], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "state-n"),
+    ({"state": {"n": 1, "m": [0.0], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "state-l"),
+    ({"pair": {"n": 1, "K": [[0.0, 0.0], [0.0, 0.0]]}}, "pair-C"),
+    ({"pair": {"n": 1, "C": [[0.0, 0.0], [0.0, 0.0]]}}, "pair-K"),
+], ids=["state-S", "state-n", "state-l", "pair-C", "pair-K"])
+def test_missing_payload_field_exits_1_naming_it(tmp_path, capsys, payload, field):
+    scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
+                "state": coherent([0.5]), "times": [0.1], **payload}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    where, key = field.split("-")
+    assert capsys.readouterr().err == f"error: {where} is missing required field {key!r}\n"
+
+
+_KERNELS = {
+    "real": ([[1.0, 0.5], [0.5, 1.0]], np.array([[1.0, 0.5], [0.5, 1.0]])),
+    "pairs": ([[[1.0, 0.0], [0.0, -0.5]], [[0.0, 0.5], [1.0, 0.0]]],
+              np.array([[1.0, -0.5j], [0.5j, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("encoding", sorted(_KERNELS))
+def test_kernel_law_reads_both_encodings(tmp_path, encoding):
+    raw, K = _KERNELS[encoding]
+    z = np.array([1.0, 1.0j])
+    scenario = {"command": "sample-field", "count": 100, "seed": 5,
+                "law": {"kind": "kernel", "z": z,
+                        "kernel": {"points": ["a", "b"], "K": raw, "group": [[0, 1.0]]}}}
+    code, report = run(tmp_path, scenario)
+    assert code == 0
+    assert report["results"]["law_covariance"] == [[0.5 * np.vdot(z, K @ z).real]]
+    # the group is read too: a permutation that breaks the kernel is refused
+    scenario["law"]["kernel"]["group"] = [[1, 0]]
+    code, report = run(tmp_path, scenario, name="broken.json")
+    assert code == (0 if encoding == "real" else 1)
 
 
 @pytest.mark.parametrize("change, args", [
@@ -413,7 +497,7 @@ def test_moment_csv_matches_csv_writer(tmp_path):
     ({}, ("--tol", "inf")),
 ], ids=["list", "string", "zero", "Infinity", "-Infinity", "NaN", "tol-nan", "tol-inf"])
 def test_bad_tolerances_exit_1_without_report(tmp_path, capsys, change, args):
-    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0])), **change}
+    scenario = {"command": "validate-state", "state": coherent([1.0]), **change}
     code, report = run(tmp_path, scenario, extra_args=args)
     assert code == 1 and report is None
     err = capsys.readouterr().err
@@ -422,7 +506,7 @@ def test_bad_tolerances_exit_1_without_report(tmp_path, capsys, change, args):
 
 
 def test_unknown_tolerance_key_exits_1_naming_it(tmp_path, capsys):
-    scenario = {"command": "validate-state", "state": state_to_dict(coherent([1.0])),
+    scenario = {"command": "validate-state", "state": coherent([1.0]),
                 "tolerances": {"psd": 1e-6, "pssd": 1e-3}}
     code, report = run(tmp_path, scenario)
     assert code == 1 and report is None
@@ -436,7 +520,7 @@ def test_non_finite_literal_in_scenario_exits_1(tmp_path, capsys, literal):
     # an unused field is echoed into the report, so only strict loading refuses it
     path = tmp_path / "scenario.json"
     path.write_text('{"command": "validate-state", "note": %s, "state": %s}'
-                    % (literal, json.dumps(state_to_dict(coherent([1.0])))))
+                    % (literal, json.dumps(coherent([1.0]), default=cli._json_default)))
     assert cli.main(["--scenario", str(path), "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
@@ -466,7 +550,7 @@ def test_non_finite_result_exits_2_without_report(tmp_path, capsys, monkeypatch)
 
 
 def test_report_is_one_line_of_strict_json(tmp_path):
-    scenario = {"command": "weyl", "state": state_to_dict(coherent([0.5])),
+    scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.3, 0.4]]]}
     code, _ = run(tmp_path, scenario)
     assert code == 0
@@ -484,10 +568,10 @@ def test_output_errors_exit_1_without_report(tmp_path, capsys, blocker, out):
     else:
         (tmp_path / blocker).write_text("x")
     scenario = {"command": "evolve", "pair": attenuation_pair_dict(),
-                "state": state_to_dict(coherent([0.5])), "times": [0.0, 0.5],
+                "state": coherent([0.5]), "times": [0.0, 0.5],
                 "csv": "traj.csv"}
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(scenario))
+    path.write_text(json.dumps(scenario, default=cli._json_default))
     assert cli.main(["--scenario", str(path), "--out", str(tmp_path / out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -497,10 +581,10 @@ def test_output_errors_exit_1_without_report(tmp_path, capsys, blocker, out):
 
 @pytest.mark.parametrize("scenario, field", [
     ({"command": "evolve", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": 1}, "'times'"),
+      "state": coherent([0.5]), "times": 1}, "'times'"),
     ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": 0.5}, "'times'"),
-    ({"command": "weyl", "state": state_to_dict(coherent([0.5])), "z": 1}, "'z'"),
+      "state": coherent([0.5]), "times": 0.5}, "'times'"),
+    ({"command": "weyl", "state": coherent([0.5]), "z": 1}, "'z'"),
     ({"command": "sample-field", "count": 10,
       "law": {"kind": "kernel", "kernel": 1, "z": [[1.0, 0.0]]}}, "kernel"),
     ({"command": "sample-field", "count": 10,
@@ -508,7 +592,16 @@ def test_output_errors_exit_1_without_report(tmp_path, capsys, blocker, out):
      "'u0'"),
     ({"command": "sample-field", "count": 10,
       "law": {"kind": "levy", "H": [[[1.0, 0.0]]], "u": [[1.0, 0.0, 2.0]]}}, "'u'"),
-], ids=["evolve-times", "oracle-times", "weyl-z", "kernel", "ragged-u0", "triple-u"])
+    ({"command": "validate-state",
+      "state": {"n": 1, "l": [0.0], "m": [0.0], "S": [[0.5, 0.0], [0.0]]}}, "'S'"),
+    ({"command": "sample-field", "count": 10,
+      "law": {"kind": "gaussian", "mean": [0.0], "covariance": [1.0]}}, "'covariance'"),
+    ({"command": "sample-field", "count": 10,
+      "law": {"kind": "kernel", "z": [[1.0, 0.0], [0.0, 0.0]],
+              "kernel": {"points": [0, 1], "K": [[1.0, 0.5], [0.5, 1.0]], "group": [[1, 0.5]]}}},
+     "'group'"),
+], ids=["evolve-times", "oracle-times", "weyl-z", "kernel", "ragged-u0", "triple-u",
+        "ragged-S", "flat-covariance", "fractional-group"])
 def test_bad_field_error_names_the_field(tmp_path, capsys, scenario, field):
     code, report = run(tmp_path, scenario)
     assert code == 1 and report is None
@@ -567,7 +660,7 @@ def test_number_beyond_float_range_exits_1(tmp_path, capsys, literal, template):
 
 
 def test_null_in_weyl_argument_exits_1_naming_z(tmp_path, capsys):
-    scenario = {"command": "weyl", "state": state_to_dict(coherent([0.5])),
+    scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[None, 0.0]]]}
     code, report = run(tmp_path, scenario)
     assert code == 1 and report is None
@@ -580,7 +673,7 @@ def test_null_in_law_mean_exits_1_naming_mean(tmp_path, capsys):
                                   "law": {"kind": "gaussian", "mean": [None],
                                           "covariance": [[1.0]]}})
     assert code == 1 and report is None
-    assert capsys.readouterr().err.startswith("error: law mean must be finite")
+    assert capsys.readouterr().err.startswith("error: 'mean' must hold numbers, got null")
 
 
 _GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
@@ -588,11 +681,11 @@ _GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
 
 @pytest.mark.parametrize("scenario, field", [
     ({"command": "evolve", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": [0.1, None]}, "'times'"),
+      "state": coherent([0.5]), "times": [0.1, None]}, "'times'"),
     ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": ["0.1"]}, "'times'"),
+      "state": coherent([0.5]), "times": ["0.1"]}, "'times'"),
     ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": [0.1], "steps": None}, "'steps'"),
+      "state": coherent([0.5]), "times": [0.1], "steps": None}, "'steps'"),
     ({"command": "ito-table", "table": "quadrature", "d": None}, "'d'"),
     ({"command": "ito-table", "table": "poisson", "i": None}, "'i'"),
     ({"command": "ito-table", "table": "poisson", "i": 1, "j": [1]}, "'j'"),
@@ -600,10 +693,21 @@ _GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
      "'intensities'"),
     ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": None}, "'count'"),
     ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 10, "seed": None}, "'seed'"),
-    ({"command": "validate-state", "state": state_to_dict(coherent([0.5])),
+    ({"command": "validate-state", "state": coherent([0.5]),
       "cutoff": True}, "'cutoff'"),
+    ({"command": "decompose",
+      "pair": {"n": True, "K": [[-0.5, 0.0], [0.0, -0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]}},
+     "'n'"),
+    ({"command": "decompose",
+      "pair": {"n": 1, "K": [[-0.5, None], [0.0, -0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]}},
+     "'K'"),
+    ({"command": "validate-state",
+      "state": {"n": 1, "l": ["0.0"], "m": [0.0], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "'l'"),
+    ({"command": "validate-state",
+      "state": {"n": 1, "l": [0.0], "m": [True], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "'m'"),
 ], ids=["times-null", "oracle-times-string", "steps", "d", "i", "j", "intensities", "count",
-        "seed", "cutoff-bool"])
+        "seed", "cutoff-bool", "pair-n-bool", "pair-K-null", "state-l-string",
+        "state-m-bool"])
 def test_null_or_non_number_in_a_scalar_field_exits_1_naming_it(tmp_path, capsys,
                                                                 scenario, field):
     code, report = run(tmp_path, scenario)
@@ -618,10 +722,12 @@ def test_null_or_non_number_in_a_scalar_field_exits_1_naming_it(tmp_path, capsys
     ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 10, "seed": 1.5}, "'seed'"),
     ({"command": "ito-table", "table": "quadrature", "d": 2.5}, "'d'"),
     ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": [0.1], "cutoff": 12.5}, "'cutoff'"),
+      "state": coherent([0.5]), "times": [0.1], "cutoff": 12.5}, "'cutoff'"),
     ({"command": "verify-oracle", "pair": attenuation_pair_dict(),
-      "state": state_to_dict(coherent([0.5])), "times": [0.1], "steps": 100.5}, "'steps'"),
-], ids=["count", "seed", "d", "cutoff", "steps"])
+      "state": coherent([0.5]), "times": [0.1], "steps": 100.5}, "'steps'"),
+    ({"command": "validate-state",
+      "state": {"n": 1.9, "l": [0.0], "m": [0.0], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "'n'"),
+], ids=["count", "seed", "d", "cutoff", "steps", "state-n"])
 def test_fraction_in_an_integer_field_exits_1_naming_it(tmp_path, capsys, scenario, field):
     code, report = run(tmp_path, scenario)
     assert code == 1 and report is None

@@ -11,7 +11,6 @@ from quasifree.fields import (
     LevyLaw,
     coherent_gaussian_field,
     gns_factor,
-    kernel_model_from_dict,
     levy_law,
     sample,
     vacuum_field_variance,
@@ -39,6 +38,11 @@ def test_kernel_model_rejects_broken_invariance():
     K = np.diag([1.0, 2.0])
     with pytest.raises(ValueError):
         KernelModel(points=(0, 1), K=K, group=((1, 0),))
+
+
+def test_kernel_model_refuses_no_points():
+    with pytest.raises(ValueError, match="at least one point"):
+        KernelModel(points=(), K=np.zeros((0, 0)))
 
 
 def test_kernel_model_rejects_non_hermitian():
@@ -244,24 +248,6 @@ def test_levy_empirical_characteristic_function():
 def test_sample_rejects_bad_count():
     with pytest.raises(ValueError):
         sample(FieldLaw(mean=np.zeros(1), covariance=np.eye(1)), 0, seed=0)
-
-
-# --- ingestion ----------------------------------------------------------------
-
-def test_kernel_ingestion_real_entries():
-    model = kernel_model_from_dict({"points": ["a", "b"],
-                                    "K": [[1.0, 0.5], [0.5, 1.0]],
-                                    "group": [[1, 0]]})
-    assert model.K.shape == (2, 2)
-    assert model.group == ((1, 0),)
-
-
-def test_kernel_ingestion_complex_entries():
-    model = kernel_model_from_dict({"points": [0, 1],
-                                    "K": [[[1.0, 0.0], [0.0, -0.5]],
-                                          [[0.0, 0.5], [1.0, 0.0]]]})
-    assert abs(model.K[0, 1] - (-0.5j)) < 1e-15
-    assert abs(model.K[1, 0] - 0.5j) < 1e-15
 
 
 @pytest.mark.parametrize("mean, cov", [([np.nan], [[1.0]]), ([0.0], [[np.inf]])],

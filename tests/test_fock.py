@@ -1,9 +1,10 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from quasifree import fock
+from quasifree import cli, fock
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair
 from quasifree.symplectic import expm, symplectic_form
@@ -420,11 +421,14 @@ def test_oracle_refuses_non_coherent_state():
 
 
 def test_write_moment_csv(tmp_path):
-    path = tmp_path / "traj.csv"
-    moments = [(np.zeros(1), np.zeros(1), 0.5 * np.eye(2)),
-               (np.ones(1), np.ones(1), np.eye(2))]
-    fock.write_moment_csv(path, [0.0, 1.0], moments)
-    lines = path.read_text().strip().splitlines()
+    # the trivial semigroup (K = C = 0) keeps the state, so the rows are known
+    scenario = {"command": "evolve", "pair": {"n": 1, "K": np.zeros((2, 2)), "C": np.zeros((2, 2))},
+                "state": {"n": 1, "l": [1.0], "m": [1.0], "S": np.eye(2)},
+                "times": [0.0, 1.0], "csv": "traj.csv"}
+    scenario = json.loads(json.dumps(scenario, default=cli._json_default))
+    _, code = cli.run_scenario(scenario, str(tmp_path))
+    assert code == 0
+    lines = (tmp_path / "traj.csv").read_text().strip().splitlines()
     assert lines[0] == "t,l1,m1,S11,S12,S21,S22"
     assert len(lines) == 3
     assert [float(x) for x in lines[2].split(",")] == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0]

@@ -8,8 +8,6 @@ from quasifree import fock, gaussian
 from quasifree.gaussian import (
     GaussianState,
     coherent,
-    state_from_dict,
-    state_to_dict,
     vacuum,
     validate,
     weyl_transform,
@@ -153,22 +151,6 @@ def test_phase_space_rotation_preserves_validity():
         O = expm(gen.uniform(-np.pi, np.pi) * J)
         rotated = GaussianState(n=1, l=st.l, m=st.m, S=O.T @ st.S @ O)
         assert validate(rotated).is_valid
-
-
-def test_json_round_trip():
-    gen = rng(37)
-    st = random_valid_state(gen, 2)
-    data = state_to_dict(st)
-    back = state_from_dict(data)
-    assert back.n == st.n
-    assert np.array_equal(back.l, st.l)
-    assert np.array_equal(back.m, st.m)
-    assert np.array_equal(back.S, st.S)
-
-
-def test_json_missing_field():
-    with pytest.raises(ValueError):
-        state_from_dict({"n": 1, "l": [0.0], "m": [0.0]})
 
 
 # --- immutability and the cached verdict ------------------------------------

@@ -290,7 +290,7 @@ def test_residual_and_flow_match_the_block_loops(d, dim):
     dU = hp_coefficients(S, L, H)
     G = full_grid(dU, dim)
     assert agree(unitarity_residual(dU), loop_residual(G, d), d <= 1)
-    theta = flow_generator(S, L, H, X)
+    theta = flow_generator(dU, X)
     reference = loop_flow(G, d, X)
     assert list(theta) == list(reference)
     for key, mat in reference.items():
@@ -327,7 +327,7 @@ def test_flow_generator_preserves_identity():
              for _ in range(d)]
         H = gen.normal(size=(dim, dim))
         H = (H + H.T) / 2.0
-        theta = flow_generator(S, L, H, np.eye(dim, dtype=complex))
+        theta = flow_generator(hp_coefficients(S, L, H), np.eye(dim, dtype=complex))
         for mat in theta.values():
             assert np.abs(mat).max() < 1e-12
 
@@ -338,8 +338,8 @@ def test_flow_generator_heisenberg_case():
     H = gen.normal(size=(dim, dim))
     H = (H + H.T) / 2.0
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    theta = flow_generator(np.eye(dim, dtype=complex),
-                           [np.zeros((dim, dim), dtype=complex)], H, X)
+    theta = flow_generator(hp_coefficients(np.eye(dim, dtype=complex),
+                                           [np.zeros((dim, dim), dtype=complex)], H), X)
     assert len(theta) == 4      # zero maps are present too
     assert np.abs(theta[(0, 0)] - 1j * (H @ X - X @ H)).max() < 1e-13
     for key, mat in theta.items():
@@ -354,7 +354,7 @@ def test_flow_generator_lindblad_form():
     H = gen.normal(size=(dim, dim))
     H = (H + H.T) / 2.0
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    theta = flow_generator(np.eye(dim, dtype=complex), [L1], H, X)
+    theta = flow_generator(hp_coefficients(np.eye(dim, dtype=complex), [L1], H), X)
     Ld = L1.conj().T
     expected = 1j * (H @ X - X @ H) - 0.5 * (Ld @ L1 @ X + X @ Ld @ L1 - 2 * Ld @ X @ L1)
     assert np.abs(theta[(0, 0)] - expected).max() < 1e-12
@@ -368,8 +368,9 @@ def test_flow_generator_respects_adjoints():
     H = gen.normal(size=(dim, dim))
     H = (H + H.T) / 2.0
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    t1 = flow_generator(S, L, H, X.conj().T)[(0, 0)]
-    t2 = flow_generator(S, L, H, X)[(0, 0)].conj().T
+    dU = hp_coefficients(S, L, H)
+    t1 = flow_generator(dU, X.conj().T)[(0, 0)]
+    t2 = flow_generator(dU, X)[(0, 0)].conj().T
     assert np.abs(t1 - t2).max() < 1e-12
 
 
@@ -385,7 +386,7 @@ def test_flow_generator_branch_structure():
     H = gen.normal(size=(dim, dim))
     H = (H + H.T) / 2.0
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    theta = flow_generator(S, L, H, X)
+    theta = flow_generator(hp_coefficients(S, L, H), X)
     for i in range(1, d + 1):
         expected = sum(Sb[k][i - 1].conj().T @ (X @ L[k] - L[k] @ X) for k in range(d))
         assert np.abs(theta[(i, 0)] - expected).max() < 1e-12
@@ -415,8 +416,9 @@ def test_flow_generator_matches_quasifree_generator():
         z = random_complex(gen, 1, 0.8)
         L1 = fock.annihilator(rep, u) + fock.creator(rep, v)
         W = fock.weyl_matrix(rep, z)
-        theta = flow_generator(np.eye(rep.dim, dtype=complex), [L1],
-                               np.zeros((rep.dim, rep.dim)), W)[(0, 0)]
+        dU = hp_coefficients(np.eye(rep.dim, dtype=complex), [L1],
+                             np.zeros((rep.dim, rep.dim)))
+        theta = flow_generator(dU, W)[(0, 0)]
         K, C = pair_from_coupling(u, v)
         coeff = generator_action(QuasifreePair(n=1, K=K, C=C), z)
         gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quasifree import fock, ito, synthesis
+from quasifree import cli, fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
 from quasifree.symplectic import complex_from_pairs, psd_check, real_embed, symplectic_form
 from quasifree.synthesis import (
@@ -16,7 +16,6 @@ from quasifree.synthesis import (
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
-    spec_to_dict,
 )
 
 from util import rng, random_admissible_pair, random_complex, random_symplectic_generator
@@ -336,7 +335,7 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
     rep = fock.build(n, cutoff)
     Ls = fock.lindblad_matrices(rep, spec)
     H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
-    S = np.eye(len(Ls) * rep.dim)
+    dU = ito.hp_coefficients(np.eye(len(Ls) * rep.dim), Ls, H)
     left = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
     right = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
     for _ in range(3):
@@ -344,7 +343,7 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
         W = fock.weyl_matrix(rep, z)
         assert max(fock.top_level_population(rep, vec)
                    for vec in (left, right, W @ right)) < fock.LEAKAGE_TRUST
-        flow = ito.flow_generator(S, Ls, H, W)[(0, 0)]
+        flow = ito.flow_generator(dU, W)[(0, 0)]
         coeff = generator_action(pair, z)
         gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
@@ -375,11 +374,17 @@ def test_dilation_report_zero():
     assert report["hamiltonian_terms"] == []
 
 
-def test_spec_json_round_trip():
+def test_spec_json_round_trip(tmp_path):
+    # the spec as the decompose handler writes it, through the report encoder
     gen = rng(61)
     pair = random_admissible_pair(gen, 2, couplings=2)
     spec = decompose(pair.K, pair.C)
-    data = json.loads(json.dumps(spec_to_dict(spec)))
+    scenario = json.loads(json.dumps({"command": "decompose", "pair": pair},
+                                     default=cli._json_default))
+    report, code = cli.run_scenario(scenario, str(tmp_path))
+    assert code == 0
+    data = json.loads(json.dumps(report, default=cli._json_default,
+                                 allow_nan=False))["results"]["spec"]
     assert data["n"] == spec.n
     assert len(data["lindblad"]) == spec.noise_dimension
     for term, entry in zip(spec.lindblad_terms, data["lindblad"]):
@@ -393,6 +398,8 @@ def test_spec_json_round_trip():
         assert np.array_equal(complex_from_pairs(entry["w"]), term.w)
     for key, matrix in (("Kprime", spec.K_prime), ("K", spec.K), ("C", spec.C)):
         assert np.array_equal(np.asarray(data[key]), matrix)
+    assert np.array_equal(np.asarray(data["K"]), pair.K)
+    assert np.array_equal(np.asarray(data["C"]), pair.C)
 
 
 def test_lindblad_term_coupling_constructor():
