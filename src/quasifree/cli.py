@@ -23,17 +23,19 @@ numbers > 0, and the keys of "tolerances" must be those of
 DEFAULT_TOLERANCES.  The scalar fields (times, d, i, j, n, steps, count,
 seed, cutoff, intensities) must hold numbers, and the integer ones
 integers; the real array fields (l, m, S, K, C, a Gaussian law's mean and
-covariance) must be nested lists of numbers, rows of one length.  A null, a
-bool, a string or a fraction such as "count": 2.9 or "n": 1.9 is an input
-failure naming the field.
+covariance) and the [re, im] components of the complex fields must be nested
+lists of numbers, rows of one length.  A null, a bool, a string or a
+fraction such as "count": 2.9 or "n": 1.9 is an input failure naming the
+field.
 
 Exit codes, one table (EXIT_CODES; the most derived class listed for an
 exception decides): 0 success; 1 input or validation failure (SchemaError,
 ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
-non-finite report); 3 the scenario is unreadable, not JSON or not an object;
-4 a size cap (DimensionCapError, SampleCapError).  An exception prints one
-"error:" line and no report.
+propagation that overflows (PropagatorOverflowError), a non-finite report);
+3 the scenario is unreadable, not JSON or not an object; 4 a size cap
+(DimensionCapError, SampleCapError).  An exception prints one "error:" line
+and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
@@ -57,7 +59,7 @@ import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
 from .symplectic import (PSD_TOL, RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, UNITARITY_TOL,
-                         complex_from_pairs, complex_to_pairs)
+                         PropagatorOverflowError, complex_from_pairs, complex_to_pairs)
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
@@ -107,6 +109,7 @@ EXIT_CODES = {
     fock.LeakageError: 1,
     OSError: 1,                 # writing the report or a CSV
     RuntimeError: 2,            # a check inside the library refused
+    PropagatorOverflowError: 2,  # growing dynamics overflow by the requested time
     UnreadableScenario: 3,
     fock.DimensionCapError: 4,
     fields.SampleCapError: 4,
@@ -169,9 +172,12 @@ def _real(data, key, ndim=1):
 
 
 def _complex(data, key, ndim=1):
-    """Decode the [re, im] pairs of field key into a rank-ndim complex array."""
+    """Decode the [re, im] pairs of field key into a rank-ndim complex array;
+    the components are read like a real array field, so a null, a bool or a
+    string is a schema error naming the field."""
+    arr = _real(data, key, ndim + 1)
     try:
-        return complex_from_pairs(data, ndim)
+        return complex_from_pairs(arr, ndim)
     except ValueError as exc:
         raise SchemaError(f"{key!r}: {exc}") from exc
 

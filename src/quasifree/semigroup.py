@@ -137,7 +137,9 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
-    """Predual action on Gaussian states; preserves validity for all t >= 0."""
+    """Predual action on Gaussian states; preserves validity for all t >= 0.
+    A propagator (e^{tK}, B_t) that overflows by time t raises
+    :class:`~quasifree.symplectic.PropagatorOverflowError`."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
     diag = state.diagnostic()

@@ -7,6 +7,20 @@ multiplication by J on R^2n.  :func:`propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  Everything here
 is dense numpy; the matrices in play are at most a few hundred rows.
 
+The block exponential is a scaling-and-squaring Pade [13/13] approximant
+(Higham 2005) of M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled to
+||hM||_1 <= _THETA_13.  M is block upper triangular with top-left block -K^T,
+so every even power is M^2j = [[(K^2j)^T, X_2j], [0, K^2j]] with
+
+    X_2 = C K - K^T C,  X_4 = (K^2)^T X_2 + X_2 K^2,  X_6 = (K^4)^T X_2 + X_4 K^2,
+
+and the approximant follows from 2n x 2n products and one 2n x 2n inverse
+(:func:`_pade13_blocks`).  scipy's compiled expm of the assembled 4n x 4n
+block is faster on small blocks, where call overhead dominates; the 2n x 2n
+kernel wins from order 2n = _BLOCK_KERNEL_MIN_ORDER up, as each of its
+products costs an eighth of a 4n x 4n one.  A propagation that overflows
+raises :class:`PropagatorOverflowError`.
+
 The package's shared pieces live here too: the default tolerances, the one
 Hermitian test (:func:`hermitian_check`), the read-only copies that make
 pairs and states immutable (:func:`read_only`), and the one [re, im] codec, in
@@ -16,6 +30,8 @@ nesting of the expected rank.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -32,6 +48,7 @@ __all__ = [
     "psd_verdict",
     "hermitian_eigh",
     "expm",
+    "PropagatorOverflowError",
     "propagator",
     "gram_integral",
 ]
@@ -153,13 +170,81 @@ def expm(A) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
+class PropagatorOverflowError(ArithmeticError):
+    """e^{tK} or B_t is not finite in double precision: the dynamics grow too
+    far by time t.  The message states t and the spectral abscissa of K."""
+
+
+def _overflow(K, t: float) -> PropagatorOverflowError:
+    alpha = float(np.linalg.eigvals(K).real.max())
+    return PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
+                                   f"abscissa {alpha:.6g}")
+
+
+#: Pade [13/13] coefficients b_j / b_0 (Higham 2005); with b_0 scaled to 1 the
+#: approximant at K = 0 is the identity exactly
+_PADE13 = [b / 64764752532480000 for b in (
+    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
+    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
+    40840800, 960960, 16380, 182, 1)]
+#: the approximant is (V - U)^-1 (V + U), U = M W odd and V even in M, with
+#: W = M^6 (inner W) + outer W and V = M^6 (inner V) + outer V; the rows hold
+#: inner W, outer W, inner V and outer V in the powers I, M^2, M^4, M^6
+_PADE13_TABLE = np.array([[0.0] + _PADE13[9::2], _PADE13[1:9:2],
+                          [0.0] + _PADE13[8::2], _PADE13[0:8:2]])
+#: largest ||hM||_1 at which the [13/13] approximant's backward error stays
+#: within double-precision unit roundoff (Higham 2005)
+_THETA_13 = 5.371920351148152
+#: order 2n from which _pade13_blocks beats scipy's expm of the 4n x 4n block
+_BLOCK_KERNEL_MIN_ORDER = 24
+
+
+def _pade13_blocks(K, C):
+    """(E, B), the bottom-right block of the Pade [13/13] approximant R of
+    exp([[-K^T, C], [0, K]]) and E^T times its top-right block, from 2n x 2n
+    products and one 2n x 2n inverse.
+
+    Every polynomial p in M^2 is [[p_B^T, p_X], [0, p_B]] with p_B a
+    polynomial in K, so U = M W and V follow from their B and X blocks.
+    With P = V + U and Q = V - U, Q R = P reads E = Q_B^-1 P_B and
+    P_B^T G = P_X - Q_X E for the top-right block G, as the top-left block
+    of Q is P_B^T.  P_B and Q_B commute, so E^T P_B^-T = Q_B^-T and
+    B = E^T G = Q_B^-T (P_X - Q_X E).
+    """
+    K2 = K @ K
+    K4 = K2 @ K2
+    K6 = K4 @ K2
+    X2 = C @ K - K.T @ C
+    X4 = K2.T @ X2 + X2 @ K2
+    X6 = K4.T @ X2 + X4 @ K2
+    m = K.shape[0]
+    powers = np.array([(np.eye(m), np.zeros((m, m))), (K2, X2), (K4, X4), (K6, X6)])
+    inner_W, outer_W, inner_V, outer_V = np.tensordot(_PADE13_TABLE, powers, axes=1)
+    W_B = K6 @ inner_W[0] + outer_W[0]
+    W_X = K6.T @ inner_W[1] + X6 @ inner_W[0] + outer_W[1]
+    V_B = K6 @ inner_V[0] + outer_V[0]
+    V_X = K6.T @ inner_V[1] + X6 @ inner_V[0] + outer_V[1]
+    U_B = K @ W_B
+    U_X = C @ W_B - K.T @ W_X
+    Q_B_inv = np.linalg.inv(V_B - U_B)
+    E = Q_B_inv @ (V_B + U_B)
+    return E, Q_B_inv.T @ (V_X + U_X - (V_X - U_X) @ E)
+
+
 def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds.
 
-    expm(h [[-K^T, C], [0, K]]) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978),
-    taken at h = t / 2^k for the smallest k with ||h block||_1 <= 1 and squared
-    up k times; e^{-tK^T} is never formed, so dissipative K stays finite at any
-    t.  C must be symmetric; B_t is symmetric, and PSD whenever C is.
+    exp(h [[-K^T, C], [0, K]]) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978),
+    taken at h = t / 2^k for the smallest k with ||h block||_1 <= _THETA_13 and
+    squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed,
+    so dissipative K stays finite at any t.  The 1-norm of the block is the
+    larger of the largest row sum of |K| and the largest column sum of
+    |C| + |K|, read off K and C.  Below order 2n = _BLOCK_KERNEL_MIN_ORDER the
+    exponential is scipy's expm of the assembled block; from it up, the Pade
+    [13/13] approximant in 2n x 2n blocks (:func:`_pade13_blocks`), which costs
+    an eighth of the flops per product.  C must be symmetric; B_t is
+    symmetric, and PSD whenever C is.  Raises PropagatorOverflowError when
+    e^{tK} or B_t is not finite.
     """
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -170,19 +255,32 @@ def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 <= t < np.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     m = K.shape[0]
-    block = np.zeros((2 * m, 2 * m))
-    block[:m, :m] = -K.T
-    block[:m, m:] = C
-    block[m:, m:] = K
-    norm = t * np.abs(block).sum(axis=0).max(initial=0.0)
-    k = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
-    F = expm((t / 2.0**k) * block)
-    E = F[m:, m:]
-    B = E.T @ F[:m, m:]
-    for _ in range(k):
-        B = B + E.T @ B @ E
-        E = E @ E
-    return E, (B + B.T) / 2.0
+    abs_K = np.abs(K)
+    norm = float(np.maximum(abs_K.sum(axis=1), (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
+    if norm == math.inf:
+        raise _overflow(K, t)
+    # log2 of each factor, as t * norm may exceed the float range
+    k = math.ceil(math.log2(t) + math.log2(norm / _THETA_13)) if t * norm > _THETA_13 else 0
+    h = math.ldexp(t, -k)
+    if m >= _BLOCK_KERNEL_MIN_ORDER:
+        E, B = _pade13_blocks(h * K, h * C)
+    else:
+        block = np.zeros((2 * m, 2 * m))
+        block[:m, :m] = -K.T
+        block[:m, m:] = C
+        block[m:, m:] = K
+        F = expm(h * block)
+        E = F[m:, m:]
+        B = E.T @ F[:m, m:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(k):
+            B = B + E.T @ B @ E
+            E = E @ E
+        B = (B + B.T) / 2.0
+    # unsquared, E and B come from the approximant at ||hM||_1 <= theta_13: finite
+    if k and not (np.isfinite(E).all() and np.isfinite(B).all()):
+        raise _overflow(K, t)
+    return E, B
 
 
 def gram_integral(K, C, t: float) -> np.ndarray:

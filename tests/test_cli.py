@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from quasifree import cli, fields, fock
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
+from quasifree.symplectic import PropagatorOverflowError
 
 from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
@@ -102,15 +104,18 @@ def test_evolve_long_horizon_report_is_finite(tmp_path):
     assert report["results"]["all_valid"] is True
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_evolve_overflowing_amplifier_exits_1_without_report(tmp_path, capsys):
+def test_evolve_overflowing_amplifier_exits_2_without_report(tmp_path, capsys):
     scenario = {"command": "evolve",
                 "pair": {"n": 1, "K": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]},
-                "state": coherent([1.0]), "times": [1.0, 3000.0]}
-    code, report = run(tmp_path, scenario)
-    assert code == 1
+                "state": coherent([1.0]), "times": [1.0, 1e4]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(tmp_path, scenario)
+    assert code == 2
     assert report is None
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert "t = 10000" in err and "spectral abscissa 0.5" in err
 
 
 def test_weyl_command(tmp_path):
@@ -614,7 +619,8 @@ def test_bad_field_error_names_the_field(tmp_path, capsys, scenario, field):
 @pytest.mark.parametrize("exc, code", [
     (cli.SchemaError("bad"), 1), (ValueError("bad"), 1), (TypeError("bad"), 1),
     (fock.LeakageError("leaks"), 1), (FileExistsError("exists"), 1),
-    (RuntimeError("drift"), 2), (fock.DimensionCapError("too big"), 4),
+    (RuntimeError("drift"), 2), (PropagatorOverflowError("overflows"), 2),
+    (fock.DimensionCapError("too big"), 4),
     (fields.SampleCapError("too many"), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_is_set_by_the_most_derived_listed_class(tmp_path, capsys, monkeypatch,
@@ -659,13 +665,14 @@ def test_number_beyond_float_range_exits_1(tmp_path, capsys, literal, template):
     assert [p.name for p in tmp_path.iterdir()] == ["scenario.json"]
 
 
-def test_null_in_weyl_argument_exits_1_naming_z(tmp_path, capsys):
+@pytest.mark.parametrize("component, shown", [(None, "null"), ("0.3", "str"), (True, "bool")],
+                         ids=["null", "string", "bool"])
+def test_non_number_in_a_complex_field_exits_1_naming_it(tmp_path, capsys, component, shown):
     scenario = {"command": "weyl", "state": coherent([0.5]),
-                "z": [[[None, 0.0]]]}
+                "z": [[[0.3, component]]]}
     code, report = run(tmp_path, scenario)
     assert code == 1 and report is None
-    err = capsys.readouterr().err
-    assert err.startswith("error: 'z'") and "finite" in err
+    assert capsys.readouterr().err == f"error: 'z' must hold numbers, got {shown}\n"
 
 
 def test_null_in_law_mean_exits_1_naming_mean(tmp_path, capsys):

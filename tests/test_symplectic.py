@@ -1,12 +1,17 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from quasifree import fock
+from quasifree import fock, symplectic
 from quasifree.fields import FieldLaw, KernelModel, levy_law
 from quasifree.gaussian import GaussianState, validate
 from quasifree.ito import hp_coefficients
 from quasifree.semigroup import noise_matrix
 from quasifree.symplectic import (
+    PropagatorOverflowError,
     complex_from_pairs,
     complex_to_pairs,
     expm,
@@ -20,7 +25,7 @@ from quasifree.symplectic import (
     symplectic_form,
 )
 
-from util import rng
+from util import random_admissible_pair, rng
 
 
 def test_symplectic_form_n1():
@@ -180,6 +185,69 @@ def test_gram_integral_rejects_asymmetric_noise():
 def test_gram_integral_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         gram_integral(np.zeros((2, 2)), np.zeros((4, 4)), 1.0)
+
+
+def _full_block_propagator(K, C, t):
+    """Reference: scipy's expm of the whole 4n x 4n block h [[-K^T, C], [0, K]]
+    at ||h block||_1 <= 1, squared up as propagator squares."""
+    m = K.shape[0]
+    block = np.block([[-K.T, C], [np.zeros_like(K), K]])
+    norm = t * np.abs(block).sum(axis=0).max()
+    k = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    F = scipy.linalg.expm((t / 2.0**k) * block)
+    E = F[m:, m:]
+    B = E.T @ F[:m, m:]
+    for _ in range(k):
+        B = B + E.T @ B @ E
+        E = E @ E
+    return E, (B + B.T) / 2.0
+
+
+def test_kernel_sizes_lie_on_both_sides_of_the_crossover():
+    assert 2 * 4 < symplectic._BLOCK_KERNEL_MIN_ORDER <= 2 * 16
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_propagator_matches_the_full_block_reference(n):
+    pair = random_admissible_pair(rng(600 + n), n, couplings=max(1, n // 4))
+    for t in (0.0, 1e-6, 0.1, 1.0, 5.0, 20.0):
+        E, B = propagator(pair.K, pair.C, t)
+        E_ref, B_ref = _full_block_propagator(pair.K, pair.C, t)
+        for got, ref in ((E, E_ref), (B, B_ref)):
+            assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_zero_drift_above_the_crossover_gives_exactly_the_identity():
+    m = symplectic._BLOCK_KERNEL_MIN_ORDER
+    G = rng(610).normal(size=(m, m))
+    C = G @ G.T
+    E, B = propagator(np.zeros((m, m)), C, 3.0)
+    assert np.array_equal(E, np.eye(m))
+    assert np.abs(B - 3.0 * C).max() <= 1e-14 * np.abs(C).max()
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_stable_propagation_reaches_the_lyapunov_steady_state(n):
+    # shifted to spectral abscissa -0.2, B_t tends to the solution of K^T B + B K = -C
+    pair = random_admissible_pair(rng(620 + n), n, couplings=max(1, n // 4))
+    K = pair.K - (np.linalg.eigvals(pair.K).real.max() + 0.2) * np.eye(2 * n)
+    B_inf = scipy.linalg.solve_continuous_lyapunov(K.T, -pair.C)
+    for t in (1e3, 1e4, 1e308):
+        E, B = propagator(K, pair.C, t)
+        assert np.abs(E).max() <= 1e-50
+        assert np.abs(B - B_inf).max() <= 1e-12 * (1.0 + np.abs(B_inf).max())
+
+
+@pytest.mark.parametrize("m", [2, 64])
+@pytest.mark.parametrize("t, shown", [(1e4, "10000"), (1e308, "1e+308")])
+def test_growing_dynamics_overflow_by_name_without_warnings(m, t, shown):
+    # an amplifier: e^{tK} = e^{t/2} I, finite in double precision up to t ~ 1400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagatorOverflowError,
+                           match=re.escape(f"t = {shown}: K has spectral abscissa 0.5")):
+            propagator(0.5 * np.eye(m), np.eye(m), t)
+    assert issubclass(PropagatorOverflowError, ArithmeticError)
 
 
 def test_complex_pairs_round_trip():
