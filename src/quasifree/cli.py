@@ -587,16 +587,19 @@ def _run(args) -> int:
     return code
 
 
+# built once; parse_args returns a fresh namespace on every call
+_PARSER = argparse.ArgumentParser(
+    prog="qfl",
+    description="Run a quasifree-dynamics scenario file and emit a JSON report.")
+_PARSER.add_argument("--scenario", help="path to the scenario JSON file")
+_PARSER.add_argument("--out", help="output directory (default: current)")
+_PARSER.add_argument("--seed", type=int, help="RNG seed override")
+_PARSER.add_argument("--cutoff", type=int, help="Fock cutoff override")
+_PARSER.add_argument("--tol", type=float, help="primary tolerance override")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="qfl",
-        description="Run a quasifree-dynamics scenario file and emit a JSON report.")
-    parser.add_argument("--scenario", help="path to the scenario JSON file")
-    parser.add_argument("--out", help="output directory (default: current)")
-    parser.add_argument("--seed", type=int, help="RNG seed override")
-    parser.add_argument("--cutoff", type=int, help="Fock cutoff override")
-    parser.add_argument("--tol", type=float, help="primary tolerance override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _run(args)
     except tuple(EXIT_CODES) as exc:

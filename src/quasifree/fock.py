@@ -16,8 +16,13 @@ by the estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| <= 1e-15.  The trace
 drift is checked once per chunk, and the basis costs 31 d^2 complex
 numbers.  The Lindbladian is applied as two stacked sparse products; see
 lindblad_evolve.  scipy.sparse is imported there, so code that never
-integrates does not load it.  Weyl matrices are Kronecker products of
-single-mode exponentials.
+integrates does not load it.
+
+Weyl matrices need no matrix exponential.  The single-mode generator
+z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
+diagonal phase diag(e^{ik(arg z + pi/2)}); a + a^dag is the real symmetric
+tridiagonal Jacobi matrix of the Hermite polynomials, so one eigenbasis per
+representation (FockRep.quadrature_eigenbasis) gives every probe exactly.
 
 Tensor ordering is mode-major: the first mode is the most significant index.
 """
@@ -27,13 +32,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import PSD_TOL, expm, hermitian_check
+from .symplectic import PSD_TOL, hermitian_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -81,7 +86,8 @@ class LeakageError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FockRep:
-    """Truncated n-mode Fock representation with explicit operator matrices."""
+    """Truncated n-mode Fock representation with explicit operator matrices,
+    and the eigenpairs of the single-mode a + a^dag that weyl_matrix uses."""
 
     n: int
     cutoff: int
@@ -90,6 +96,14 @@ class FockRep:
     adag: tuple       # creation matrix per mode
     q: tuple          # (a + a^dag)/sqrt(2) per mode
     p: tuple          # (a - a^dag)/(i sqrt(2)) per mode
+
+    @cached_property
+    def quadrature_eigenbasis(self):
+        """(mu, V) with a + a^dag = V diag(mu) V^T on one mode: the real
+        symmetric tridiagonal matrix with off-diagonals sqrt(1), ...,
+        sqrt(cutoff - 1), diagonalized on first use."""
+        lower = np.diag(np.sqrt(np.arange(1, self.cutoff)), 1)
+        return np.linalg.eigh(lower + lower.T)
 
 
 def build(n: int, cutoff: int) -> FockRep:
@@ -198,18 +212,24 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     """Displacement matrix expm(a^dag(z) - a(z)).
 
     The modes act on separate tensor factors, so this is the Kronecker
-    product of the single-mode expm(z_j a^dag - conj(z_j) a) on cutoff x
-    cutoff matrices.  Unitary up to truncation effects near the top level;
-    a warning is issued when the displaced vacuum leaks above the trust
-    threshold.
+    product of the single-mode exponentials of z_j a^dag - conj(z_j) a.  With
+    Phi = diag(e^{ik(arg z_j + pi/2)}), k = 0..cutoff-1, that generator is
+    -i|z_j| Phi (a + a^dag) conj(Phi), so from the representation's
+    eigenbasis a + a^dag = V diag(mu) V^T each factor is
+    Phi V diag(e^{-i|z_j| mu}) V^T conj(Phi), exact up to rounding.  Unitary
+    up to truncation effects near the top level; a warning is issued when
+    the displaced vacuum leaks above the trust threshold.
     """
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != rep.n:
         raise ValueError(f"expected a length-{rep.n} vector, got {z.size}")
-    lower = np.diag(np.sqrt(np.arange(1, rep.cutoff)), 1)
-    W = np.ones((1, 1))
+    mu, V = rep.quadrature_eigenbasis
+    levels = np.arange(rep.cutoff)
+    factors = []
     for zj in z:
-        W = np.kron(W, expm(zj * lower.T - np.conj(zj) * lower))
+        PV = np.exp(1j * levels * (np.angle(zj) + np.pi / 2))[:, None] * V
+        factors.append((PV * np.exp(-1j * abs(zj) * mu)) @ PV.conj().T)
+    W = reduce(np.kron, factors)
     leak = top_level_population(rep, W[:, 0])
     if leak > LEAKAGE_TRUST:
         warnings.warn(f"Weyl matrix for |z| = {np.linalg.norm(z):.3g} leaks "
@@ -260,9 +280,11 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| stays at most 1e-15.  The
     basis stops growing (tested every 4 vectors) once the estimate covers
     all remaining steps, or when L V_k lies in the span (L = 0, a dark
-    state), where the result is exact.  Then rho <- beta V_k P(hH_k)^s e_1 is
-    symmetrized and its trace drift checked; raises RuntimeError on drift,
-    i.e. on an unstable step size, after the first chunk that shows it.
+    state), where the result is exact; a chunk that stops on its estimate
+    takes the P(hH_k)^left e_1 the estimate computed.  Then rho <- beta V_k
+    P(hH_k)^s e_1 is symmetrized and its trace drift checked; raises
+    RuntimeError on drift, i.e. on an unstable step size, after the first
+    chunk that shows it.
 
     L y for Hermitian y is two sparse products: with A = -iH - (1/2) sum_j
     L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
@@ -309,26 +331,32 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         beta = np.linalg.norm(rho)
         V[0] = rho / beta
         H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
+        estimate = None             # P(hH_k)^left e_1 once its estimate passes
         for j in range(_KRYLOV_MAX):
             k = j + 1
             apply(V[j], V[k])
             w = Vr[k]
-            scale = np.linalg.norm(w)
+            scale = math.sqrt(w @ w)
             for _ in range(2):      # classical Gram-Schmidt, reorthogonalized once
                 c = Vr[:k] @ w
                 w -= c @ Vr[:k]
                 H[:k, j] += c
-            H[k, j] = np.linalg.norm(w)
+            H[k, j] = math.sqrt(w @ w)
             if H[k, j] <= np.finfo(float).eps * scale:
                 H[k, j] = 0.0       # breakdown: L V_k lies in the span
                 break
             w /= H[k, j]
             if 4 * left <= k - 1:
                 break
-            if (k % _KRYLOV_CHECK == 0 and beta * H[k, j]
-                    * abs(_rk4_power(h * H[:k, :k], left)[-1]) <= _KRYLOV_TOL):
-                break
-        s, power = _rk4_chunk(h * H[:k, :k], beta * H[k, k - 1], left)
+            if k % _KRYLOV_CHECK == 0:
+                u = _rk4_power(h * H[:k, :k], left)
+                if beta * H[k, j] * abs(u[-1]) <= _KRYLOV_TOL:
+                    estimate = u
+                    break
+        if estimate is None:
+            s, power = _rk4_chunk(h * H[:k, :k], beta * H[k, k - 1], left)
+        else:
+            s, power = left, estimate
         rho = (beta * (power @ Vr[:k])).view(complex).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)
         done += s

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, propagator, psd_check,
-                         read_only, real_embed, real_extract, symplectic_form)
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, _overflow, hermitian_check, propagator,
+                         psd_check, read_only, real_embed, real_extract, symplectic_form)
 
 __all__ = [
     "PROPAGATOR_MEMO",
@@ -138,7 +138,8 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """Predual action on Gaussian states; preserves validity for all t >= 0.
-    A propagator (e^{tK}, B_t) that overflows by time t raises
+    A propagator (e^{tK}, B_t) that overflows by time t, or evolved means or
+    covariance that do, raise
     :class:`~quasifree.symplectic.PropagatorOverflowError`."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
@@ -146,10 +147,13 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
     if not diag.is_valid:
         raise ValueError(f"invalid input state: min eig {diag.min_eigenvalue:.3e}")
     E, B = pair.propagator(t)
-    w = E.T @ np.concatenate([state.l, -state.m])
-    S_t = E.T @ state.S @ E + 0.5 * B
-    return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:],
-                         S=(S_t + S_t.T) / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = E.T @ np.concatenate([state.l, -state.m])
+        S_t = E.T @ state.S @ E + 0.5 * B
+        S_t = (S_t + S_t.T) / 2.0
+    if not (np.isfinite(w).all() and np.isfinite(S_t).all()):
+        raise _overflow(pair.K, t)
+    return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:], S=S_t)
 
 
 @dataclass(frozen=True, eq=False)

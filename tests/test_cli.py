@@ -118,6 +118,22 @@ def test_evolve_overflowing_amplifier_exits_2_without_report(tmp_path, capsys):
     assert "t = 10000" in err and "spectral abscissa 0.5" in err
 
 
+def test_evolve_overflowing_state_exits_2_without_report(tmp_path, capsys):
+    # the propagator is finite at t = 690; the evolved covariance 1e10 e^{690} is not
+    scenario = {"command": "evolve",
+                "pair": {"n": 1, "K": [[0.5, 0.0], [0.0, 0.5]], "C": [[1.0, 0.0], [0.0, 1.0]]},
+                "state": {"n": 1, "l": [0.0], "m": [0.0], "S": [[1e10, 0.0], [0.0, 1e10]]},
+                "times": [1.0, 690.0]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(tmp_path, scenario)
+    assert code == 2
+    assert report is None
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.startswith("error: ")
+    assert "t = 690" in err and "spectral abscissa 0.5" in err
+
+
 def test_weyl_command(tmp_path):
     scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.0, 0.0]], [[0.3, 0.4]]]}
@@ -359,6 +375,17 @@ def test_env_variable_fallback(tmp_path, monkeypatch):
     monkeypatch.setenv("QFL_OUT", str(tmp_path))
     assert cli.main([]) == 0
     assert (tmp_path / "report.json").exists()
+
+
+def test_a_flag_does_not_outlive_its_call(tmp_path):
+    # main parses with one parser for the process; an earlier --seed must not stick
+    scenario = {"command": "sample-field", "law": {"kind": "gaussian", "mean": [0.0],
+                                                  "covariance": [[1.0]]},
+                "count": 10, "seed": 4}
+    code, report = run(tmp_path, scenario, extra_args=["--seed", "7"])
+    assert code == 0 and report["seed"] == 7
+    code, report = run(tmp_path, scenario)
+    assert code == 0 and report["seed"] == 4
 
 
 def test_tol_flag_overrides_primary_tolerance(tmp_path):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from quasifree import cli, fock
-from quasifree.gaussian import coherent
-from quasifree.semigroup import QuasifreePair
+from quasifree.gaussian import coherent, weyl_transform
+from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
@@ -175,9 +175,11 @@ def test_weyl_unitarity_defect_on_low_levels():
     assert np.abs((W.conj().T @ W - np.eye(40)) @ P_low).max() < 1e-6
 
 
-@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("n, cutoff", [(2, 6), (3, 4), (1, 30), (1, 40), (2, 8)])
 def test_weyl_matrix_matches_full_expm(n, cutoff):
-    # the per-mode Kronecker form against the exponential of the full generator
+    # the per-mode eigenbasis form against the exponential of the full
+    # generator; the rounding of both grows with the cutoff
+    bound = 1e-14 if cutoff <= 6 else 5e-14
     rep = fock.build(n, cutoff)
     gen = rng(28 + n)
     for _ in range(3):
@@ -186,7 +188,19 @@ def test_weyl_matrix_matches_full_expm(n, cutoff):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             W = fock.weyl_matrix(rep, z)
-        assert np.abs(W - full).max() <= 1e-14
+        assert np.abs(W - full).max() <= bound
+
+
+def test_weyl_matrix_is_unitary_on_the_truncated_space():
+    # the truncated generator is anti-Hermitian, so its exponential is unitary
+    rep = fock.build(1, 30)
+    gen = rng(29)
+    for _ in range(5):
+        z = gen.normal(size=1) + 1j * gen.normal(size=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            W = fock.weyl_matrix(rep, z)
+        assert np.abs(W.conj().T @ W - np.eye(30)).max() <= 1e-13
 
 
 def test_weyl_matrix_warns_on_leakage():
@@ -334,6 +348,32 @@ def test_lindblad_evolve_matches_textbook_rk4_for_long_pure_loss():
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_chunk_reuses_its_passing_estimate(monkeypatch):
+    # one chunk covers all 400 steps and stops on its estimate: every
+    # P(hH_k)^s e_1 is an estimate, at k = 4, 8, ..., and the chunk adds none
+    rep = fock.build(1, 30)
+    spec = decompose(*pair_from_coupling([1.0], [0.0]))
+    rho0 = fock.coherent_density(rep, [1.0])
+    calls = []
+    power = fock._rk4_power
+
+    def counted(X, s):
+        calls.append((len(X), s))
+        return power(X, s)
+
+    def refused(*args):
+        raise AssertionError("the chunk recomputed its estimate")
+
+    monkeypatch.setattr(fock, "_rk4_power", counted)
+    monkeypatch.setattr(fock, "_rk4_chunk", refused)
+    rho = fock.lindblad_evolve(rep, rho0, spec, 0.5, 400)
+    assert calls == [(k, 400) for k in range(4, 4 * len(calls) + 1, 4)]
+    assert len(calls) >= 2
+    monkeypatch.undo()
+    ref = dense_rk4(rep, rho0, spec, 0.5, 400)
+    assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 # --- moments ----------------------------------------------------------------
 
 def test_vacuum_moments():
@@ -394,6 +434,37 @@ def test_oracle_compare_two_mode_couplings(G, rate, lossy):
     pair = QuasifreePair(n=2, K=K, C=C)
     rep = fock.oracle_compare(coherent([0.3, 0.2j]), pair, 0.5, cutoff=8, steps=200)
     assert rep.max_error < 1e-5
+
+
+def reference_weyl_error(state, pair, t, cutoff, steps, num_weyl, seed):
+    """oracle_compare's Weyl probes at the same Philox draws, with each probe
+    the scipy exponential of the full n-mode generator."""
+    rep = fock.build(state.n, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho0 = fock.coherent_density(rep, (state.m + 1j * state.l) / np.sqrt(2))
+    rho_t = fock.lindblad_evolve(rep, rho0, decompose(pair.K, pair.C), t, steps)
+    ref = evolve_state(state, pair, t)
+    gen = np.random.Generator(np.random.Philox(seed))
+    err = 0.0
+    for _ in range(num_weyl):
+        z = gen.normal(size=state.n) + 1j * gen.normal(size=state.n)
+        z = z / max(np.linalg.norm(z), 1.0)
+        W = expm(fock.creator(rep, z) - fock.annihilator(rep, z))
+        err = max(err, abs(np.sum(rho_t.T * W) - weyl_transform(ref, z)))
+    return err
+
+
+@pytest.mark.parametrize("n, cutoff, steps, amplitude, scale", [(1, 30, 400, 1.0, 0.5),
+                                                                (2, 8, 200, 0.3, 0.3)])
+def test_oracle_weyl_error_matches_full_expm_probes(n, cutoff, steps, amplitude, scale):
+    gen = rng(30 + n)
+    pair = random_admissible_pair(gen, n, couplings=n, coupling_scale=scale, symp_scale=scale)
+    state = coherent(amplitude * np.exp(2j * np.pi * gen.uniform(size=n)))
+    report = fock.oracle_compare(state, pair, 0.5, cutoff=cutoff, steps=steps,
+                                 num_weyl=5, seed=77)
+    ref = reference_weyl_error(state, pair, 0.5, cutoff, steps, num_weyl=5, seed=77)
+    assert abs(report.weyl_error - ref) <= 1e-14
 
 
 def test_oracle_truncation_monotonicity():

@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import pickle
+import warnings
 import weakref
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from quasifree import cli, fock
-from quasifree.gaussian import coherent, vacuum, validate, weyl_transform
+from quasifree.gaussian import GaussianState, coherent, vacuum, validate, weyl_transform
 from quasifree import semigroup
 from quasifree.semigroup import (
     PROPAGATOR_MEMO,
@@ -19,7 +20,8 @@ from quasifree.semigroup import (
     generator_action,
     weyl_action,
 )
-from quasifree.symplectic import expm, gram_integral, propagator, real_embed, symplectic_form
+from quasifree.symplectic import (PropagatorOverflowError, expm, gram_integral, propagator,
+                                  real_embed, symplectic_form)
 from quasifree.synthesis import pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state
@@ -190,6 +192,19 @@ def test_evolve_state_rejects_invalid_inputs():
         evolve_state(bad, attenuation_pair(), 1.0)
     with pytest.raises(ValueError):
         evolve_state(vacuum(1), attenuation_pair(), -1.0)
+
+
+def test_evolved_state_overflow_is_named_without_warnings():
+    # e^{tK} = e^{t/2} I and B_t are finite at t = 690, but S_t = 1e10 e^{t} I is not
+    pair = QuasifreePair(n=1, K=0.5 * np.eye(2), C=np.eye(2))
+    E, B = pair.propagator(690.0)
+    assert np.isfinite(E).all() and np.isfinite(B).all()
+    loud = GaussianState(n=1, l=[0.0], m=[0.0], S=1e10 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagatorOverflowError,
+                           match="t = 690: K has spectral abscissa 0.5"):
+            evolve_state(loud, pair, 690.0)
 
 
 # --- immutability and the propagator memo -----------------------------------
