@@ -1,11 +1,19 @@
 """Brute-force truncated Fock-space oracle for n bosonic modes.
 
 Every closed-form phase-space result in this package can be checked against
-explicit matrices on the truncated space C^{cutoff} per mode: ladder
+explicit operators on the truncated space C^{cutoff} per mode: ladder
 operators, Weyl displacement matrices, coherent vectors, and a fixed-step
 RK4 integrator for Lindblad master equations.  The representation is exact
 below the top occupation level of each mode; the population of the top
 level ("leakage") is the trust metric for every oracle result.
+
+Every operator the oracle needs is a polynomial of degree at most 2 in the
+ladder operators, and each a_j and a_j^dag has at most one nonzero per row.
+FockRep therefore holds one column index and one weight per row for each of
+the 2n ladder operators, and the (2n)^2 products X_k X_l on first use.  The
+Lindbladian is assembled from these tables in O(n^2 d) and moments are read
+by gathers on them; dense d x d matrices (rep.a, hamiltonian_matrix, ...)
+are built only when asked for.
 
 The integrator returns the fixed-step RK4 result P(hL)^steps rho0, P the
 RK4 step polynomial, but applies it by Krylov projection in chunks: Arnoldi
@@ -15,8 +23,8 @@ is exact when 4s <= k - 1 for k basis vectors; beyond that it is bounded
 by the estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| <= 1e-15.  The trace
 drift is checked once per chunk, and the basis costs 31 d^2 complex
 numbers.  The Lindbladian is applied as two stacked sparse products; see
-lindblad_evolve.  scipy.sparse is imported there, so code that never
-integrates does not load it.
+lindblad_evolve.  scipy.sparse is imported only where they are assembled,
+so code that never integrates does not load it.
 
 Weyl matrices need no matrix exponential.  The single-mode generator
 z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
@@ -86,16 +94,58 @@ class LeakageError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class FockRep:
-    """Truncated n-mode Fock representation with explicit operator matrices,
-    and the eigenpairs of the single-mode a + a^dag that weyl_matrix uses."""
+    """Truncated n-mode Fock representation held as ladder index tables.
+
+    Each of the 2n operators X = (a_1..a_n, a_1^dag..a_n^dag) has at most
+    one nonzero per row: row r of X_k holds weights[k, r] at columns[k, r].
+    A row without an entry (a_j at the top level of mode j, a_j^dag at its
+    vacuum) has weight 0 and column r; every other entry lies at
+    r + offsets[k], offsets = (s_1..s_n, -s_1..-s_n) with s_j the stride of
+    mode j.  Derived on first use: the tables of the products X_k X_l, the
+    top-level mask, the dense matrices a, adag, q, p, and the eigenpairs of
+    the single-mode a + a^dag that weyl_matrix uses.
+    """
 
     n: int
     cutoff: int
     dim: int
-    a: tuple          # annihilation matrix per mode
-    adag: tuple       # creation matrix per mode
-    q: tuple          # (a + a^dag)/sqrt(2) per mode
-    p: tuple          # (a - a^dag)/(i sqrt(2)) per mode
+    offsets: np.ndarray   # (2n,) column offset of each X_k
+    columns: np.ndarray   # (2n, dim) column of the entry in each row
+    weights: np.ndarray   # (2n, dim) value of that entry, 0 where there is none
+
+    @cached_property
+    def products(self):
+        """(columns, weights), each (2n, 2n, dim): row r of X_k X_l holds
+        weights[k, l, r] at columns[k, l, r]."""
+        cols = self.columns[:, self.columns].swapaxes(0, 1)
+        weights = self.weights[:, None] * self.weights[:, self.columns].swapaxes(0, 1)
+        return cols, weights
+
+    @cached_property
+    def top_level(self):
+        """Mask of the basis states in which some mode is at its top level,
+        the rows where some a_j has no entry."""
+        return (self.weights[:self.n] == 0).any(axis=0)
+
+    @cached_property
+    def a(self):
+        """Dense annihilation matrix per mode."""
+        return tuple(_dense(self, np.eye(2 * self.n)[j]) for j in range(self.n))
+
+    @cached_property
+    def adag(self):
+        """Dense creation matrix per mode."""
+        return tuple(_dense(self, np.eye(2 * self.n)[self.n + j]) for j in range(self.n))
+
+    @cached_property
+    def q(self):
+        """Dense (a + a^dag)/sqrt(2) per mode."""
+        return tuple((x + xd) / math.sqrt(2) for x, xd in zip(self.a, self.adag))
+
+    @cached_property
+    def p(self):
+        """Dense (a - a^dag)/(i sqrt(2)) per mode."""
+        return tuple((x - xd) / (1j * math.sqrt(2)) for x, xd in zip(self.a, self.adag))
 
     @cached_property
     def quadrature_eigenbasis(self):
@@ -108,7 +158,8 @@ class FockRep:
 
 def build(n: int, cutoff: int) -> FockRep:
     """Build the truncated representation with cutoff levels per mode; a
-    dimension cutoff**n above DIM_CAP is refused before anything is built."""
+    dimension cutoff**n above DIM_CAP is refused before anything is built.
+    The tables take O(n cutoff^n) memory."""
     if n < 1:
         raise ValueError("need at least one mode")
     if cutoff < 2:
@@ -116,45 +167,51 @@ def build(n: int, cutoff: int) -> FockRep:
     dim = cutoff**n
     if dim > DIM_CAP:
         raise DimensionCapError(f"dimension {cutoff}^{n} = {dim} exceeds cap {DIM_CAP}")
-    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
-    eye = np.eye(cutoff, dtype=complex)
-    a = [reduce(np.kron, [lower if k == j else eye for k in range(n)]) for j in range(n)]
-    adag = [m.conj().T for m in a]
-    q = [(x + xd) / math.sqrt(2) for x, xd in zip(a, adag)]
-    p = [(x - xd) / (1j * math.sqrt(2)) for x, xd in zip(a, adag)]
-    return FockRep(n=n, cutoff=cutoff, dim=dim,
-                   a=tuple(a), adag=tuple(adag), q=tuple(q), p=tuple(p))
+    rows = np.arange(dim)
+    occupations = np.array(np.unravel_index(rows, (cutoff,) * n))
+    strides = cutoff ** np.arange(n - 1, -1, -1)
+    offsets = np.concatenate([strides, -strides])
+    # a_j maps level k + 1 to k and a_j^dag level k - 1 to k, both with
+    # weight sqrt of the larger level, which must lie in 1..cutoff-1
+    levels = np.concatenate([occupations + 1, occupations])
+    present = (levels >= 1) & (levels < cutoff)
+    return FockRep(n=n, cutoff=cutoff, dim=dim, offsets=offsets,
+                   columns=np.where(present, rows + offsets[:, None], rows),
+                   weights=np.where(present, np.sqrt(levels), 0.0))
+
+
+def _dense(rep: FockRep, coefficients) -> np.ndarray:
+    """The d x d matrix sum_k coefficients[k] X_k, or sum_kl
+    coefficients[k, l] X_k X_l for a 2n x 2n array of coefficients."""
+    coefficients = np.asarray(coefficients)
+    columns, weights = rep.products if coefficients.ndim == 2 else (rep.columns, rep.weights)
+    out = np.zeros((rep.dim, rep.dim), dtype=complex)
+    rows = np.arange(rep.dim)
+    for c, col, w in zip(coefficients.ravel(), columns.reshape(-1, rep.dim),
+                         weights.reshape(-1, rep.dim)):
+        if c != 0:
+            out[rows, col] += c * w
+    return out
+
+
+def _vector(rep: FockRep, x) -> np.ndarray:
+    """x as a complex vector of one entry per mode, or ValueError."""
+    x = np.asarray(x, dtype=complex).ravel()
+    if x.size != rep.n:
+        raise ValueError(f"expected a length-{rep.n} vector, got {x.size}")
+    return x
 
 
 def annihilator(rep: FockRep, u) -> np.ndarray:
     """Smeared annihilation operator, antilinear in u: sum_j conj(u_j) a_j."""
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.size != rep.n:
-        raise ValueError(f"expected a length-{rep.n} vector, got {u.size}")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for uj, aj in zip(u, rep.a):
-        out += np.conj(uj) * aj
-    return out
+    u = _vector(rep, u)
+    return _dense(rep, np.concatenate([np.conj(u), np.zeros(rep.n)]))
 
 
 def creator(rep: FockRep, v) -> np.ndarray:
     """Smeared creation operator, linear in v: sum_j v_j a_j^dag."""
-    v = np.asarray(v, dtype=complex).ravel()
-    if v.size != rep.n:
-        raise ValueError(f"expected a length-{rep.n} vector, got {v.size}")
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for vj, adj in zip(v, rep.adag):
-        out += vj * adj
-    return out
-
-
-def _mode_occupations(rep: FockRep):
-    """Array occ[j, idx] = occupation of mode j at basis index idx."""
-    idx = np.arange(rep.dim)
-    occ = np.empty((rep.n, rep.dim), dtype=int)
-    for j in range(rep.n):
-        occ[j] = (idx // rep.cutoff ** (rep.n - 1 - j)) % rep.cutoff
-    return occ
+    v = _vector(rep, v)
+    return _dense(rep, np.concatenate([np.zeros(rep.n), v]))
 
 
 def top_level_population(rep: FockRep, state) -> float:
@@ -164,8 +221,7 @@ def top_level_population(rep: FockRep, state) -> float:
     leakage metric that bounds the trustworthiness of oracle results.
     """
     state = np.asarray(state)
-    occ = _mode_occupations(rep)
-    top = (occ == rep.cutoff - 1).any(axis=0)
+    top = rep.top_level
     if state.ndim == 1:
         return float(np.sum(np.abs(state[top]) ** 2))
     return float(np.real(np.trace(state[np.ix_(top, top)])))
@@ -179,9 +235,7 @@ def vacuum_vector(rep: FockRep) -> np.ndarray:
 
 def exponential_vector(rep: FockRep, u) -> np.ndarray:
     """Unnormalized exponential vector with components prod_j u_j^k / sqrt(k!)."""
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.size != rep.n:
-        raise ValueError(f"expected a length-{rep.n} vector, got {u.size}")
+    u = _vector(rep, u)
     vec = None
     for uj in u:
         # components u^k / sqrt(k!) via the stable recurrence c_k = c_{k-1} u / sqrt(k)
@@ -220,21 +274,25 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     up to truncation effects near the top level; a warning is issued when
     the displaced vacuum leaks above the trust threshold.
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != rep.n:
-        raise ValueError(f"expected a length-{rep.n} vector, got {z.size}")
+    z = _vector(rep, z)
     mu, V = rep.quadrature_eigenbasis
     levels = np.arange(rep.cutoff)
     factors = []
     for zj in z:
         PV = np.exp(1j * levels * (np.angle(zj) + np.pi / 2))[:, None] * V
         factors.append((PV * np.exp(-1j * abs(zj) * mu)) @ PV.conj().T)
-    W = reduce(np.kron, factors)
+    W = reduce(_kron, factors)
     leak = top_level_population(rep, W[:, 0])
     if leak > LEAKAGE_TRUST:
         warnings.warn(f"Weyl matrix for |z| = {np.linalg.norm(z):.3g} leaks "
                       f"{leak:.2e} into the top level", stacklevel=2)
     return W
+
+
+def _kron(A, B):
+    """np.kron(A, B) of two matrices: the broadcast outer product, reshaped."""
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(
+        A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
 def validate_density(rho, tol: float = PSD_TOL) -> None:
@@ -249,18 +307,89 @@ def validate_density(rho, tol: float = PSD_TOL) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
 
 
+def _hamiltonian_coefficients(rep: FockRep, hamiltonian_terms) -> np.ndarray:
+    """alpha with H = sum_kl alpha_kl X_k X_l: each term (lam/4) G^2 with
+    G = a(w) + a^dag(w) = sum_k g_k X_k, g = (conj(w), w), adds (lam/4) g g^T."""
+    alpha = np.zeros((2 * rep.n, 2 * rep.n), dtype=complex)
+    for term in hamiltonian_terms:
+        w = _vector(rep, term.w)
+        g = np.concatenate([np.conj(w), w])
+        alpha += 0.25 * term.lam * np.outer(g, g)
+    return alpha
+
+
+def _coupling_coefficients(rep: FockRep, spec: DilationSpec) -> np.ndarray:
+    """beta, m x 2n, with L_j = a(u_j) + a^dag(v_j) = sum_k beta_jk X_k."""
+    beta = [np.concatenate([np.conj(_vector(rep, term.u)), _vector(rep, term.v)])
+            for term in spec.lindblad_terms]
+    return np.array(beta, dtype=complex).reshape(-1, 2 * rep.n)
+
+
 def hamiltonian_matrix(rep: FockRep, hamiltonian_terms) -> np.ndarray:
     """Quadratic Hamiltonian (1/4) sum_j lam_j (a(w_j) + a^dag(w_j))^2."""
-    H = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for term in hamiltonian_terms:
-        G = annihilator(rep, term.w) + creator(rep, term.w)
-        H += 0.25 * term.lam * (G @ G)
-    return H
+    return _dense(rep, _hamiltonian_coefficients(rep, hamiltonian_terms))
 
 
 def lindblad_matrices(rep: FockRep, spec: DilationSpec):
     """Coupling operators L_j = a(u_j) + a^dag(v_j) from a dilation spec."""
-    return [annihilator(rep, term.u) + creator(rep, term.v) for term in spec.lindblad_terms]
+    return [_dense(rep, b) for b in _coupling_coefficients(rep, spec)]
+
+
+def _csr_parts(blocks):
+    """(data, indices, indptr) of the row-wise stack of blocks (values,
+    columns), each a table with one row per matrix row and a slot per
+    possible entry; zero values are dropped, and columns that ascend along
+    the slots stay sorted."""
+    data, indices, counts = [], [], [np.zeros(1, dtype=int)]
+    for values, columns in blocks:
+        keep = values != 0
+        data.append(values[keep])
+        indices.append(np.broadcast_to(columns, values.shape)[keep])
+        counts.append(keep.sum(axis=1))
+    indptr = np.cumsum(np.concatenate(counts))
+    return (np.concatenate(data), np.concatenate(indices).astype(np.int32),
+            indptr.astype(np.int32))
+
+
+def _lindblad_operators(rep: FockRep, spec: DilationSpec):
+    """The operators of lindblad_evolve, assembled from the index tables.
+
+    Returns stacked = vstack(A, L_1, ..., L_m), (m+1)d x d, and side_by_side
+    = hstack(L_1, ..., L_m), d x md, as CSR arrays built directly from
+    (data, indices, indptr), with A = -iH - (1/2) sum_j L_j^dag L_j.  Each
+    L_j = sum_k beta_jk X_k, and A = sum_kl alpha_kl X_k X_l with the 2n x 2n
+    alpha from the Hamiltonian terms and the couplings.  The entries of A at
+    the same column offset are merged, so a row of A has one entry per
+    distinct offset, at most 2n^2 + 1, and a row of L_j at most 2n; zeros
+    are dropped.  The cost is O(n^2 d) and no d x d array is formed.
+    scipy.sparse is imported here, so code that never integrates does not
+    load it.
+    """
+    import scipy.sparse as sparse
+
+    d, n = rep.dim, rep.n
+    beta = _coupling_coefficients(rep, spec)
+    m = len(beta)
+    # A = sum_kl alpha_kl X_k X_l, since L_j^dag = sum_k conj(beta_j)[k -+ n] X_k
+    alpha = (-1j * _hamiltonian_coefficients(rep, spec.hamiltonian_terms)
+             - 0.5 * np.roll(beta.conj(), n, axis=1).T @ beta)
+    # X_k X_l has its entries at r + offsets[k] + offsets[l]: one slot per sum
+    offsets, slot = np.unique(np.add.outer(rep.offsets, rep.offsets), return_inverse=True)
+    A = np.zeros((len(offsets), d), dtype=complex)
+    np.add.at(A, slot.ravel(), alpha.reshape(-1, 1) * rep.products[1].reshape(-1, d))
+    rows = np.arange(d)[:, None]
+    # entry k of L_j in row r lies at r + offsets[order[k]], ascending in k
+    order = np.argsort(rep.offsets)
+    Lw = beta[:, None, order] * rep.weights[order].T
+    Lcols = rows + rep.offsets[order]
+    stacked = sparse.csr_array(_csr_parts([(A.T, rows + offsets),
+                                           (Lw.reshape(m * d, 2 * n), np.tile(Lcols, (m, 1)))]),
+                               shape=((m + 1) * d, d))
+    side_by_side = sparse.csr_array(
+        _csr_parts([(Lw.transpose(1, 0, 2).reshape(d, m * 2 * n),
+                     (Lcols[:, None] + d * np.arange(m)[:, None]).reshape(d, m * 2 * n))]),
+        shape=(d, m * d))
+    return stacked, side_by_side
 
 
 def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int) -> np.ndarray:
@@ -290,11 +419,10 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
     G = vstack(A, L_1, ..., L_m) @ y and then hstack(L_1, ..., L_m) applied
     to the blockwise conjugate transpose of the rows of G below the first d.
-    The operators have at most (2n+1)^2 nonzeros per row; no d^2 x d^2
+    Both operators are assembled from the representation's index tables in
+    O(n^2 d) (_lindblad_operators); no dense d x d operator and no d^2 x d^2
     superoperator is formed.  Memory is the basis, 31 d^2 complex numbers.
     """
-    import scipy.sparse as sparse
-
     if t < 0:
         raise ValueError("time must be nonnegative")
     if steps < 1:
@@ -303,14 +431,8 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     validate_density(rho0)
     rho = 0.5 * (rho0 + rho0.conj().T)
     d = rep.dim
-    Ls = lindblad_matrices(rep, spec)
-    m = len(Ls)
-    A = -1j * hamiltonian_matrix(rep, spec.hamiltonian_terms)
-    for L in Ls:
-        A -= 0.5 * (L.conj().T @ L)
-    stacked = sparse.csr_array(np.vstack([A, *Ls]))
-    # the empty block keeps the shape (d, 0) when there are no couplings
-    side_by_side = sparse.csr_array(np.hstack([np.zeros((d, 0)), *Ls]))
+    stacked, side_by_side = _lindblad_operators(rep, spec)
+    m = len(spec.lindblad_terms)
     # B[0] = M^dag and B[j] = (L_j y)^dag, one transposing pass per product
     B = np.empty((m + 1, d, d), dtype=complex)
     jumps = B[1:].reshape(m * d, d)
@@ -411,16 +533,20 @@ def state_moments(rep: FockRep, rho):
 
     Returns (l, m, S) with l_j = Tr(p_j rho), m_j = Tr(q_j rho) and S the
     symmetrized second-moment matrix minus the outer product of the means.
-    With Z_j = X_j rho, Tr(X_i X_j rho) is the sum of the elementwise product
-    of X_i and Z_j^T, so only the 2n matrix products Z_j are formed.
+    The observables are Y = Gamma X in the ladder operators X, so
+    Tr(Y_i Y_j rho) = (Gamma T Gamma^T)_ij with T_kl = Tr(X_k X_l rho).
+    Since row r of X_k X_l has its one entry w at column c, T_kl is
+    sum_r w rho[c, r]: one gather of d entries of rho per product.
     """
     rho = np.asarray(rho, dtype=complex)
-    n = rep.n
-    X = np.stack(list(rep.p) + [-qj for qj in rep.q])
-    Z = X @ rho
-    means = np.trace(Z, axis1=1, axis2=2).real
-    # T[i, j] = Tr(X_i X_j rho)
-    T = X.reshape(2 * n, -1) @ Z.transpose(0, 2, 1).reshape(2 * n, -1).T
+    n, rows = rep.n, np.arange(rep.dim)
+    columns, weights = rep.products
+    first = np.sum(rep.weights * rho[rep.columns, rows], axis=-1)
+    T = np.sum(weights * rho[columns, rows], axis=-1)
+    # p_j = (-i a_j + i a_j^dag)/sqrt(2) and -q_j = -(a_j + a_j^dag)/sqrt(2)
+    gamma = _kron(np.array([[-1j, 1j], [-1.0, -1.0]]) / math.sqrt(2), np.eye(n))
+    means = (gamma @ first).real
+    T = gamma @ T @ gamma.T
     S = 0.5 * (T + T.T).real - np.outer(means, means)
     return means[:n], -means[n:], S
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -46,12 +47,29 @@ def test_number_operator_diagonal():
 def test_ccr_exact_below_top_level():
     # the defect of [a, a^dag] = I is confined to the top level of each mode
     rep = fock.build(2, 4)
-    occ = fock._mode_occupations(rep)
+    occ = np.unravel_index(np.arange(rep.dim), (rep.cutoff,) * rep.n)
     for j in range(2):
         low = occ[j] < rep.cutoff - 1
         P = np.diag(low.astype(float))
         comm = rep.a[j] @ rep.adag[j] - rep.adag[j] @ rep.a[j]
         assert np.abs((comm - np.eye(rep.dim)) @ P).max() < 1e-14
+
+
+def kron_ladder(n, cutoff):
+    """Annihilation and creation matrices per mode as Kronecker products."""
+    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+    eye = np.eye(cutoff, dtype=complex)
+    a = [reduce(np.kron, [lower if k == j else eye for k in range(n)]) for j in range(n)]
+    return a, [x.conj().T for x in a]
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 12), (2, 5), (3, 3)])
+def test_ladder_views_equal_the_kronecker_construction(n, cutoff):
+    rep = fock.build(n, cutoff)
+    a, adag = kron_ladder(n, cutoff)
+    for j in range(n):
+        assert np.array_equal(rep.a[j], a[j])
+        assert np.array_equal(rep.adag[j], adag[j])
 
 
 def test_cross_mode_operators_commute():
@@ -268,10 +286,23 @@ def test_lindblad_trace_watchdog_catches_instability():
         fock.lindblad_evolve(rep, rho0, spec, 400.0, 100)
 
 
+def dense_generator(rep, spec):
+    """H and the L_j of a dilation spec from Kronecker ladder matrices."""
+    a, adag = kron_ladder(rep.n, rep.cutoff)
+
+    def smeared(u, v):
+        return sum(np.conj(uj) * aj + vj * adj for uj, vj, aj, adj in zip(u, v, a, adag))
+
+    H = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for term in spec.hamiltonian_terms:
+        G = smeared(term.w, term.w)
+        H += 0.25 * term.lam * (G @ G)
+    return H, [smeared(term.u, term.v) for term in spec.lindblad_terms]
+
+
 def dense_rk4(rep, rho, spec, t, steps):
     """Textbook RK4 (k1..k4) on the dense master-equation right-hand side."""
-    H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
-    Ls = fock.lindblad_matrices(rep, spec)
+    H, Ls = dense_generator(rep, spec)
 
     def rhs(r):
         out = -1j * (H @ r - r @ H)
@@ -294,6 +325,38 @@ def random_density(gen, dim):
     W = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     rho = W @ W.conj().T
     return rho / np.trace(rho).real
+
+
+def spec_of_kind(gen, n, kind):
+    if kind == "coupled":
+        pair = random_admissible_pair(gen, n, couplings=2)
+        return decompose(pair.K, pair.C)
+    if kind == "closed":
+        spec = decompose(random_admissible_pair(gen, n, couplings=0).K, np.zeros((2 * n, 2 * n)))
+        assert spec.lindblad_terms == () and spec.hamiltonian_terms != ()
+        return spec
+    u = gen.normal(size=n) + 1j * gen.normal(size=n)
+    v = 0.5 * (gen.normal(size=n) + 1j * gen.normal(size=n))
+    spec = decompose(*pair_from_coupling(u, v))
+    assert spec.hamiltonian_terms == () and len(spec.lindblad_terms) == 1
+    return spec
+
+
+@pytest.mark.parametrize("kind", ["coupled", "closed", "dissipative"])
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
+def test_assembled_operators_equal_the_dense_formula(n, cutoff, kind):
+    # vstack(A, L_1..L_m) and hstack(L_1..L_m), A = -iH - (1/2) sum_j L_j^dag L_j,
+    # with one entry per column in every row and no stored zeros
+    gen = rng(40 + 3 * n)
+    spec = spec_of_kind(gen, n, kind)
+    rep = fock.build(n, cutoff)
+    stacked, side_by_side = fock._lindblad_operators(rep, spec)
+    H, Ls = dense_generator(rep, spec)
+    A = -1j * H - 0.5 * sum((L.conj().T @ L for L in Ls), np.zeros_like(H))
+    for got, ref in [(stacked, np.vstack([A, *Ls])),
+                     (side_by_side, np.hstack([np.zeros((rep.dim, 0)), *Ls]))]:
+        assert got.shape == ref.shape and got.has_canonical_format and np.all(got.data != 0)
+        assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
@@ -384,6 +447,22 @@ def test_vacuum_moments():
     assert np.abs(S - 0.5 * np.eye(2)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
+def test_state_moments_match_the_dense_trace_formula(n, cutoff):
+    gen = rng(50 + n)
+    rep = fock.build(n, cutoff)
+    rho = random_density(gen, rep.dim)
+    a, adag = kron_ladder(n, cutoff)
+    X = ([(aj - adj) / (1j * np.sqrt(2)) for aj, adj in zip(a, adag)]
+         + [-(aj + adj) / np.sqrt(2) for aj, adj in zip(a, adag)])
+    means = np.array([np.trace(Xi @ rho) for Xi in X]).real
+    T = np.array([[np.trace(Xi @ Xj @ rho) for Xj in X] for Xi in X])
+    S = 0.5 * (T + T.T).real - np.outer(means, means)
+    l, m, S_got = fock.state_moments(rep, rho)
+    assert np.abs(np.concatenate([l, -m]) - means).max() <= 1e-13
+    assert np.abs(S_got - S).max() <= 1e-13
+
+
 @pytest.mark.parametrize("k", [0, 1, 3])
 def test_number_state_moments(k):
     rep = fock.build(1, 10)
@@ -434,6 +513,18 @@ def test_oracle_compare_two_mode_couplings(G, rate, lossy):
     pair = QuasifreePair(n=2, K=K, C=C)
     rep = fock.oracle_compare(coherent([0.3, 0.2j]), pair, 0.5, cutoff=8, steps=200)
     assert rep.max_error < 1e-5
+
+
+def test_oracle_compare_three_mode_chain():
+    # beam splitters between modes 1-2 and 2-3 (g = 0.6), loss |u|^2 = 0.64 on mode 3
+    chain = np.zeros((3, 3))
+    chain[0, 1] = chain[1, 0] = chain[1, 2] = chain[2, 1] = 1.0
+    K_loss, C = pair_from_coupling([0.0, 0.0, 0.8], [0.0, 0.0, 0.0])
+    K = 0.6 * symplectic_form(3) @ np.kron(np.eye(2), chain) + K_loss
+    pair = QuasifreePair(n=3, K=K, C=C)
+    report = fock.oracle_compare(coherent([0.3, 0.2j, 0.0]), pair, 0.5, cutoff=7, steps=100)
+    assert report.max_error <= 1e-6
+    assert report.leakage <= 1e-8
 
 
 def reference_weyl_error(state, pair, t, cutoff, steps, num_weyl, seed):
