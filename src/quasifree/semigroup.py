@@ -11,13 +11,18 @@ damped Weyl operator, and dually maps Gaussian states to Gaussian states:
 Both directions are implemented and linked by the duality identity
 Tr(rho_t W(z)) = Tr(rho W(z_out)) exp(-damping), which the tests exercise.
 
-Pairs are immutable: the constructor checks admissibility on read-only copies
-of K and C, so no later write can slip past the check.  Both directions need
-the same (e^{tK}, B_t) at a given t, and each pair memoizes it:
-:meth:`QuasifreePair.propagator` calls :func:`quasifree.symplectic.propagator`
-once per t, keeps the PROPAGATOR_MEMO most recently used times, and returns
-read-only arrays.  Input states are checked through the state's own cached
-:meth:`~quasifree.gaussian.GaussianState.diagnostic`.
+Pairs are immutable: the constructor checks that K and C are finite and
+that the pair is admissible, on read-only copies of K and C, so no later write
+can slip past the check.  Both directions need the same (e^{tK}, B_t) at a
+given t, and each pair memoizes it.  On the first memo miss the pair prepares
+one :class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
+1-norm of the Van Loan block and assembles the block or, from order 24 up,
+its even powers; every miss after that is one :meth:`Propagator.at
+<quasifree.symplectic.Propagator.at>` of the prepared propagator.
+:meth:`QuasifreePair.propagator` keeps the PROPAGATOR_MEMO most recently used
+times and returns read-only arrays, bitwise equal to
+:func:`quasifree.symplectic.propagator`.  Input states are checked through the
+state's own cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, _overflow, hermitian_check, propagator,
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, Propagator, _overflow, hermitian_check,
                          psd_check, read_only, real_embed, real_extract, symplectic_form)
 
 __all__ = [
@@ -73,17 +78,27 @@ def admissible(K, C, tol: float = PSD_TOL):
 PROPAGATOR_MEMO = 32
 
 
-def _read_only_propagator(K, C, t):
-    E, B = propagator(K, C, t)
-    E.flags.writeable = False
-    B.flags.writeable = False
-    return E, B
+def _propagator_memo(K, C):
+    """t -> read-only (e^{tK}, B_t), keeping the PROPAGATOR_MEMO most recently
+    used times; the Propagator is prepared on the first miss."""
+    prepared = None
+
+    def at(t):
+        nonlocal prepared
+        if prepared is None:
+            prepared = Propagator(K, C)
+        E, B = prepared.at(t)
+        E.flags.writeable = False
+        B.flags.writeable = False
+        return E, B
+
+    return functools.lru_cache(PROPAGATOR_MEMO)(at)
 
 
 @dataclass(frozen=True, eq=False)
 class QuasifreePair:
-    """Admissible generating pair over read-only copies of K and C; the
-    inequality is checked on construction, which also sets
+    """Admissible generating pair over read-only copies of K and C; finiteness
+    and the inequality are checked on construction, which also sets
     min_noise_eigenvalue.  Compared and hashed by identity."""
 
     n: int
@@ -98,13 +113,14 @@ class QuasifreePair:
         object.__setattr__(self, "C", C)
         if K.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"K must be {2 * self.n} x {2 * self.n}, got {K.shape}")
+        if not (np.isfinite(K).all() and np.isfinite(C).all()):
+            raise ValueError("K and C must be finite")
         ok, min_eig = admissible(K, C)
         if not ok:
             raise ValueError(f"pair is not admissible: noise matrix has "
                              f"min eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "min_noise_eigenvalue", min_eig)
-        object.__setattr__(self, "_propagators", functools.lru_cache(PROPAGATOR_MEMO)(
-            functools.partial(_read_only_propagator, K, C)))
+        object.__setattr__(self, "_propagators", _propagator_memo(K, C))
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays,
@@ -112,8 +128,9 @@ class QuasifreePair:
         return type(self), (self.n, self.K, self.C)
 
     def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``symplectic.propagator(K, C, t)`` as read-only arrays, computed once
-        per t while t stays among the PROPAGATOR_MEMO most recently used."""
+        """``symplectic.propagator(K, C, t)`` as read-only arrays, evaluated
+        once per t from the pair's prepared Propagator while t stays among the
+        PROPAGATOR_MEMO most recently used."""
         return self._propagators(float(t))
 
 

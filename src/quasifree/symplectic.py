@@ -3,9 +3,13 @@
 A complex displacement z in C^n is identified with the stacked real vector
 (Re z, Im z) in R^2n.  The canonical symplectic form carries the -I block in
 the upper-right corner, so that multiplication by i on C^n corresponds to
-multiplication by J on R^2n.  :func:`propagator` alone propagates a pair in
-time: e^{tK} and B_t from one block exponential, squared up.  Everything here
-is dense numpy; the matrices in play are at most a few hundred rows.
+multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
+time: e^{tK} and B_t from one block exponential, squared up.  It is prepared
+once per pair (the checks on K and C, the 1-norm of the block, and the block
+or its even powers) and then evaluated at each t (:meth:`Propagator.at`: the
+scaling, the exponential and the squaring); :func:`propagator` prepares and
+evaluates once.  Everything here is dense numpy; the matrices in play are at
+most a few hundred rows.
 
 The block exponential is a scaling-and-squaring Pade [13/13] approximant
 (Higham 2005) of M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled to
@@ -15,11 +19,14 @@ so every even power is M^2j = [[(K^2j)^T, X_2j], [0, K^2j]] with
     X_2 = C K - K^T C,  X_4 = (K^2)^T X_2 + X_2 K^2,  X_6 = (K^4)^T X_2 + X_4 K^2,
 
 and the approximant follows from 2n x 2n products and one 2n x 2n inverse
-(:func:`_pade13_blocks`).  scipy's compiled expm of the assembled 4n x 4n
-block is faster on small blocks, where call overhead dominates; the 2n x 2n
-kernel wins from order 2n = _BLOCK_KERNEL_MIN_ORDER up, as each of its
-products costs an eighth of a 4n x 4n one.  A propagation that overflows
-raises :class:`PropagatorOverflowError`.
+(:func:`_pade13_blocks`).  The six blocks K^2, K^4, K^6, X_2, X_4, X_6 are
+computed once per pair at the reference step h0 = _THETA_13 / ||M||_1; at
+each t = 2^k h they are scaled by r^2j, r = h / h0 <= 1, through the
+approximant's coefficients, so no power can overflow.  scipy's compiled expm
+of the assembled 4n x 4n block is faster on small blocks, where call overhead
+dominates; the 2n x 2n kernel wins from order 2n = _BLOCK_KERNEL_MIN_ORDER
+up, as each of its products costs an eighth of a 4n x 4n one.  A propagation
+that overflows raises :class:`PropagatorOverflowError`.
 
 The package's shared pieces live here too: the default tolerances, the one
 Hermitian test (:func:`hermitian_check`), the read-only copies that make
@@ -49,6 +56,7 @@ __all__ = [
     "hermitian_eigh",
     "expm",
     "PropagatorOverflowError",
+    "Propagator",
     "propagator",
     "gram_integral",
 ]
@@ -199,27 +207,28 @@ _THETA_13 = 5.371920351148152
 _BLOCK_KERNEL_MIN_ORDER = 24
 
 
-def _pade13_blocks(K, C):
+def _pade13_blocks(powers, K, C, h: float, r: float):
     """(E, B), the bottom-right block of the Pade [13/13] approximant R of
-    exp([[-K^T, C], [0, K]]) and E^T times its top-right block, from 2n x 2n
+    exp(h [[-K^T, C], [0, K]]) and E^T times its top-right block, from 2n x 2n
     products and one 2n x 2n inverse.
 
-    Every polynomial p in M^2 is [[p_B^T, p_X], [0, p_B]] with p_B a
-    polynomial in K, so U = M W and V follow from their B and X blocks.
-    With P = V + U and Q = V - U, Q R = P reads E = Q_B^-1 P_B and
-    P_B^T G = P_X - Q_X E for the top-right block G, as the top-left block
-    of Q is P_B^T.  P_B and Q_B commute, so E^T P_B^-T = Q_B^-T and
-    B = E^T G = Q_B^-T (P_X - Q_X E).
+    Row j of powers is the B block then the X block, flattened, of
+    (h0 [[-K^T, C], [0, K]])^2j for j = 0..3, and r = h / h0 <= 1, so
+    (hM)^2j = r^2j (h0 M)^2j: each r^2j, the r^6 of the inner sums and the h
+    of U = hM W go into the coefficient rows, and one product of the rows
+    with powers gives all four sums.  Every polynomial p in M^2 is
+    [[p_B^T, p_X], [0, p_B]] with p_B a polynomial in K, so U and V follow
+    from their B and X blocks.  With P = V + U and Q = V - U, Q R = P reads
+    E = Q_B^-1 P_B and P_B^T G = P_X - Q_X E for the top-right block G, as
+    the top-left block of Q is P_B^T.  P_B and Q_B commute, so
+    E^T P_B^-T = Q_B^-T and B = E^T G = Q_B^-T (P_X - Q_X E).
     """
-    K2 = K @ K
-    K4 = K2 @ K2
-    K6 = K4 @ K2
-    X2 = C @ K - K.T @ C
-    X4 = K2.T @ X2 + X2 @ K2
-    X6 = K4.T @ X2 + X4 @ K2
     m = K.shape[0]
-    powers = np.array([(np.eye(m), np.zeros((m, m))), (K2, X2), (K4, X4), (K6, X6)])
-    inner_W, outer_W, inner_V, outer_V = np.tensordot(_PADE13_TABLE, powers, axes=1)
+    K6, X6 = powers[3].reshape(2, m, m)
+    r2 = r * r
+    r6 = r2 * r2 * r2
+    c = _PADE13_TABLE * np.outer([h * r6, h, r6, 1.0], [1.0, r2, r2 * r2, r6])
+    inner_W, outer_W, inner_V, outer_V = (c @ powers).reshape(4, 2, m, m)
     W_B = K6 @ inner_W[0] + outer_W[0]
     W_X = K6.T @ inner_W[1] + X6 @ inner_W[0] + outer_W[1]
     V_B = K6 @ inner_V[0] + outer_V[0]
@@ -231,56 +240,102 @@ def _pade13_blocks(K, C):
     return E, Q_B_inv.T @ (V_X + U_X - (V_X - U_X) @ E)
 
 
-def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds.
+class Propagator:
+    """(e^{tK}, B_t) of one pair (K, C) at any t, with B_t = integral_0^t
+    e^{sK^T} C e^{sK} ds.
 
-    exp(h [[-K^T, C], [0, K]]) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978),
-    taken at h = t / 2^k for the smallest k with ||h block||_1 <= _THETA_13 and
-    squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed,
-    so dissipative K stays finite at any t.  The 1-norm of the block is the
-    larger of the largest row sum of |K| and the largest column sum of
-    |C| + |K|, read off K and C.  Below order 2n = _BLOCK_KERNEL_MIN_ORDER the
-    exponential is scipy's expm of the assembled block; from it up, the Pade
-    [13/13] approximant in 2n x 2n blocks (:func:`_pade13_blocks`), which costs
-    an eighth of the flops per product.  C must be symmetric; B_t is
-    symmetric, and PSD whenever C is.  Raises PropagatorOverflowError when
-    e^{tK} or B_t is not finite.
+    The constructor does the work that does not depend on t, once: it checks
+    that K and C are equal square finite matrices and that C is symmetric,
+    takes the 1-norm of M = [[-K^T, C], [0, K]] (the larger of the largest row
+    sum of |K| and the largest column sum of |C| + |K|, read off K and C), and
+    then, below order 2n = _BLOCK_KERNEL_MIN_ORDER, assembles M, and from it
+    up stacks the blocks of I, (h0 M)^2, (h0 M)^4 and (h0 M)^6 at the
+    reference step h0 = _THETA_13 / ||M||_1.  :meth:`at` does the rest for
+    one t.
     """
-    K = np.asarray(K, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
-    if not hermitian_check(C, SYMMETRY_TOL)[0]:
-        raise ValueError("C must be symmetric")
-    if not 0.0 <= t < np.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    m = K.shape[0]
-    abs_K = np.abs(K)
-    norm = float(np.maximum(abs_K.sum(axis=1), (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
-    if norm == math.inf:
-        raise _overflow(K, t)
-    # log2 of each factor, as t * norm may exceed the float range
-    k = math.ceil(math.log2(t) + math.log2(norm / _THETA_13)) if t * norm > _THETA_13 else 0
-    h = math.ldexp(t, -k)
-    if m >= _BLOCK_KERNEL_MIN_ORDER:
-        E, B = _pade13_blocks(h * K, h * C)
-    else:
-        block = np.zeros((2 * m, 2 * m))
-        block[:m, :m] = -K.T
-        block[:m, m:] = C
-        block[m:, m:] = K
-        F = expm(h * block)
-        E = F[m:, m:]
-        B = E.T @ F[:m, m:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(k):
-            B = B + E.T @ B @ E
-            E = E @ E
-        B = (B + B.T) / 2.0
-    # unsquared, E and B come from the approximant at ||hM||_1 <= theta_13: finite
-    if k and not (np.isfinite(E).all() and np.isfinite(B).all()):
-        raise _overflow(K, t)
-    return E, B
+
+    def __init__(self, K, C):
+        K = np.asarray(K, dtype=float)
+        C = np.asarray(C, dtype=float)
+        if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
+        if not (np.isfinite(K).all() and np.isfinite(C).all()):
+            raise ValueError("K and C must be finite")
+        if not hermitian_check(C, SYMMETRY_TOL)[0]:
+            raise ValueError("C must be symmetric")
+        self.K = K
+        self.C = C
+        m = K.shape[0]
+        abs_K = np.abs(K)
+        self.norm = float(np.maximum(abs_K.sum(axis=1),
+                                     (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
+        if m >= _BLOCK_KERNEL_MIN_ORDER:
+            # at ||M||_1 = 0 every power is 0 whatever h0; at inf at() refuses any t
+            h0 = _THETA_13 / self.norm if self.norm else 0.0
+            K0 = h0 * K
+            C0 = h0 * C
+            powers = np.zeros((4, 2, m, m))
+            powers[0, 0] = np.eye(m)
+            K2, X2 = powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
+            K4, X4 = powers[2] = K2 @ K2, K2.T @ X2 + X2 @ K2
+            powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
+            self._powers = powers.reshape(4, -1)
+        else:
+            block = np.zeros((2 * m, 2 * m))
+            block[:m, :m] = -K.T
+            block[:m, m:] = C
+            block[m:, m:] = K
+            self._block = block
+
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{tK}, B_t) as fresh arrays.
+
+        exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken at
+        h = t / 2^k for the smallest k with ||hM||_1 <= _THETA_13 and squared
+        up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed, so
+        dissipative K stays finite at any t.  Below order
+        _BLOCK_KERNEL_MIN_ORDER the exponential is :func:`expm` of h M; from it
+        up, the Pade [13/13] approximant in 2n x 2n blocks
+        (:func:`_pade13_blocks`) from the prepared powers.  Raises
+        PropagatorOverflowError when e^{tK} or B_t is not finite.
+        """
+        if not 0.0 <= t < np.inf:
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
+        K, norm = self.K, self.norm
+        if norm == math.inf:
+            raise _overflow(K, t)
+        # log2 of each factor, as t * norm may exceed the float range
+        k = math.ceil(math.log2(t) + math.log2(norm / _THETA_13)) if t * norm > _THETA_13 else 0
+        h = math.ldexp(t, -k)
+        m = K.shape[0]
+        if m >= _BLOCK_KERNEL_MIN_ORDER:
+            E, B = _pade13_blocks(self._powers, K, self.C, h, h * (norm / _THETA_13))
+        else:
+            F = expm(h * self._block)
+            E = F[m:, m:]
+            B = E.T @ F[:m, m:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(k):
+                B = B + E.T @ B @ E
+                E = E @ E
+            B = (B + B.T) / 2.0
+        # unsquared, E and B come from the approximant at ||hM||_1 <= theta_13: finite
+        if k and not (np.isfinite(E).all() and np.isfinite(B).all()):
+            raise _overflow(K, t)
+        return E, B
+
+
+def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds:
+    ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.
+
+    K and C must be finite and C symmetric; B_t is symmetric, and PSD whenever
+    C is.  Below order 2n = _BLOCK_KERNEL_MIN_ORDER the exponential is scipy's
+    expm of the assembled 4n x 4n Van Loan block; from it up, the Pade [13/13]
+    approximant in 2n x 2n blocks, which costs an eighth of the flops per
+    product.  Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
+    """
+    return Propagator(K, C).at(t)
 
 
 def gram_integral(K, C, t: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from quasifree import cli, fock
+from quasifree import cli, fock, symplectic
 from quasifree.gaussian import GaussianState, coherent, vacuum, validate, weyl_transform
 from quasifree import semigroup
 from quasifree.semigroup import (
@@ -20,8 +20,8 @@ from quasifree.semigroup import (
     generator_action,
     weyl_action,
 )
-from quasifree.symplectic import (PropagatorOverflowError, expm, gram_integral, propagator,
-                                  real_embed, symplectic_form)
+from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gram_integral,
+                                  propagator, real_embed, symplectic_form)
 from quasifree.synthesis import pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state
@@ -255,16 +255,18 @@ def test_copies_of_a_pair_are_immutable_pairs_with_their_own_memo(clone):
 
 
 def test_memoized_propagator_is_read_only_and_bitwise_the_kernel():
-    pair = random_admissible_pair(rng(71), 3, couplings=2)
-    for t in (0.0, 0.3, 7.5, 400.0):
-        E, B = pair.propagator(t)
-        assert not E.flags.writeable and not B.flags.writeable
-        E_ref, B_ref = propagator(pair.K, pair.C, t)
-        assert same_bits(E, E_ref) and same_bits(B, B_ref)
-        with pytest.raises(ValueError):
-            E[0, 0] = 1.0
-        again = pair.propagator(t)
-        assert again[0] is E and again[1] is B
+    # n = 16 is above the order from which the 2n x 2n block kernel runs
+    for n in (3, 16):
+        pair = random_admissible_pair(rng(71), n, couplings=2)
+        for t in (0.0, 0.3, 7.5, 400.0):
+            E, B = pair.propagator(t)
+            assert not E.flags.writeable and not B.flags.writeable
+            E_ref, B_ref = propagator(pair.K, pair.C, t)
+            assert same_bits(E, E_ref) and same_bits(B, B_ref)
+            with pytest.raises(ValueError):
+                E[0, 0] = 1.0
+            again = pair.propagator(t)
+            assert again[0] is E and again[1] is B
 
 
 def test_evolve_and_weyl_action_repeat_bitwise():
@@ -285,14 +287,15 @@ def test_evolve_and_weyl_action_repeat_bitwise():
 
 @pytest.fixture
 def propagator_calls(monkeypatch):
-    """The times at which the memo reaches symplectic.propagator."""
+    """The times at which the memo reaches the per-time evaluation Propagator.at."""
     calls = []
+    at = Propagator.at
 
-    def counted(K, C, t):
+    def counted(self, t):
         calls.append(t)
-        return propagator(K, C, t)
+        return at(self, t)
 
-    monkeypatch.setattr(semigroup, "propagator", counted)
+    monkeypatch.setattr(Propagator, "at", counted)
     return calls
 
 
@@ -318,6 +321,50 @@ def test_each_distinct_time_is_propagated_once(propagator_calls):
         evolve_state(state, pair, t)
         weyl_action(pair, t, [0.2])
     assert propagator_calls == [0.1, 0.5]
+
+
+def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):
+    prepared = []
+
+    class Counted(Propagator):
+        def __init__(self, K, C):
+            prepared.append(K.shape)
+            super().__init__(K, C)
+
+    monkeypatch.setattr(semigroup, "Propagator", Counted)
+    pair = random_admissible_pair(rng(74), 12, couplings=2)
+    assert prepared == []                   # constructing a pair prepares nothing
+    state = random_valid_state(rng(75), 12)
+    for t in (0.1, 0.5, 2.0, 0.1):
+        evolve_state(state, pair, t)
+        weyl_action(pair, t, np.ones(12))
+    assert prepared == [(24, 24)]
+
+
+@pytest.mark.parametrize("n, per_miss", [(1, 1), (4, 1), (11, 1), (12, 0), (16, 0)])
+def test_symplectic_expm_runs_once_per_memo_miss_below_the_crossover_only(monkeypatch,
+                                                                          n, per_miss):
+    # perfbench counts symplectic.expm through the module attribute
+    assert (2 * n < symplectic._BLOCK_KERNEL_MIN_ORDER) == bool(per_miss)
+    pair = random_admissible_pair(rng(76), n, couplings=2)
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return expm(A)
+
+    monkeypatch.setattr(symplectic, "expm", counted)
+    for t in (0.2, 0.9, 0.2, 3.0, 0.9, 3.0):
+        pair.propagator(t)
+    assert calls == [(4 * n, 4 * n)] * (3 * per_miss)
+
+
+@pytest.mark.parametrize("which", ["K", "C"])
+def test_pair_refuses_non_finite_matrices_by_name(which):
+    arrays = {"K": -0.5 * np.eye(2), "C": np.eye(2)}
+    arrays[which][0, 1] = np.inf
+    with pytest.raises(ValueError, match="K and C must be finite"):
+        QuasifreePair(n=1, **arrays)
 
 
 # --- generator --------------------------------------------------------------

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from quasifree import fock, symplectic
 from quasifree.fields import FieldLaw, KernelModel, levy_law
@@ -224,6 +225,55 @@ def test_zero_drift_above_the_crossover_gives_exactly_the_identity():
     E, B = propagator(np.zeros((m, m)), C, 3.0)
     assert np.array_equal(E, np.eye(m))
     assert np.abs(B - 3.0 * C).max() <= 1e-14 * np.abs(C).max()
+
+
+def test_time_zero_above_the_crossover_gives_exactly_the_identity_and_no_noise():
+    pair = random_admissible_pair(rng(611), 12, couplings=3)
+    E, B = propagator(pair.K, pair.C, 0.0)
+    assert np.array_equal(E, np.eye(24))
+    assert np.array_equal(B, np.zeros((24, 24)))
+
+
+@pytest.mark.parametrize("t", [5e-324, 1e-300])
+def test_vanishing_times_above_the_crossover_match_the_full_block_reference(t):
+    pair = random_admissible_pair(rng(612), 12, couplings=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, B = propagator(pair.K, pair.C, t)
+        E_ref, B_ref = _full_block_propagator(pair.K, pair.C, t)
+    for got, ref in ((E, E_ref), (B, B_ref)):
+        assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("t", [3.0, 1e308])
+def test_zero_pair_above_the_crossover_stays_the_identity(t):
+    # ||M||_1 = 0: no reference step exists, and none is needed
+    m = symplectic._BLOCK_KERNEL_MIN_ORDER
+    E, B = propagator(np.zeros((m, m)), np.zeros((m, m)), t)
+    assert np.array_equal(E, np.eye(m))
+    assert np.array_equal(B, np.zeros((m, m)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(n=st.sampled_from([1, 4, 12, 16]), seed=st.integers(0, 2**16),
+       s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0))
+def test_propagator_obeys_the_semigroup_law(n, seed, s, t):
+    # E_{s+t} = E_s E_t and B_{s+t} = B_t + E_t^T B_s E_t
+    pair = random_admissible_pair(rng(seed), n, couplings=max(1, n // 4))
+    E_s, B_s = propagator(pair.K, pair.C, s)
+    E_t, B_t = propagator(pair.K, pair.C, t)
+    E_st, B_st = propagator(pair.K, pair.C, s + t)
+    for got, ref in ((E_s @ E_t, E_st), (B_t + E_t.T @ B_s @ E_t, B_st)):
+        assert np.abs(got - ref).max() <= 1e-10 * (1.0 + np.abs(ref).max())
+
+
+@pytest.mark.parametrize("m, bad", [(2, np.inf), (24, np.nan)], ids=["inf-2", "nan-24"])
+@pytest.mark.parametrize("which", ["K", "C"])
+def test_propagator_refuses_non_finite_matrices_by_name(m, bad, which):
+    arrays = {"K": -0.5 * np.eye(m), "C": np.eye(m)}
+    arrays[which][0, 0] = bad
+    with pytest.raises(ValueError, match="K and C must be finite"):
+        propagator(arrays["K"], arrays["C"], 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])
