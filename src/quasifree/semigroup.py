@@ -50,13 +50,15 @@ __all__ = [
 
 
 def noise_matrix(K, C) -> np.ndarray:
-    """Hermitian noise matrix D = C + i(K^T J + J K); asymmetric C is rejected."""
+    """Hermitian D = C + i(K^T J + J K); refuses non-finite K or C, then asymmetric C."""
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
         raise ValueError(f"K must be square of even order, got {K.shape}")
     if C.shape != K.shape:
         raise ValueError(f"C must match K, got {C.shape} vs {K.shape}")
+    if not (np.isfinite(K).all() and np.isfinite(C).all()):
+        raise ValueError("K and C must be finite")
     if not hermitian_check(C, SYMMETRY_TOL)[0]:
         raise ValueError("C must be symmetric")
     J = symplectic_form(K.shape[0] // 2)
@@ -113,8 +115,6 @@ class QuasifreePair:
         object.__setattr__(self, "C", C)
         if K.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"K must be {2 * self.n} x {2 * self.n}, got {K.shape}")
-        if not (np.isfinite(K).all() and np.isfinite(C).all()):
-            raise ValueError("K and C must be finite")
         ok, min_eig = admissible(K, C)
         if not ok:
             raise ValueError(f"pair is not admissible: noise matrix has "

@@ -42,6 +42,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetri
 
 __all__ = [
     "symplectic_form",
@@ -210,7 +211,8 @@ _BLOCK_KERNEL_MIN_ORDER = 24
 def _pade13_blocks(powers, K, C, h: float, r: float):
     """(E, B), the bottom-right block of the Pade [13/13] approximant R of
     exp(h [[-K^T, C], [0, K]]) and E^T times its top-right block, from 2n x 2n
-    products and one 2n x 2n inverse.
+    products and one 2n x 2n inverse, taken by LAPACK getrf and getri (an
+    exactly singular Q_B raises numpy.linalg.LinAlgError).
 
     Row j of powers is the B block then the X block, flattened, of
     (h0 [[-K^T, C], [0, K]])^2j for j = 0..3, and r = h / h0 <= 1, so
@@ -235,9 +237,12 @@ def _pade13_blocks(powers, K, C, h: float, r: float):
     V_X = K6.T @ inner_V[1] + X6 @ inner_V[0] + outer_V[1]
     U_B = K @ W_B
     U_X = C @ W_B - K.T @ W_X
-    Q_B_inv = np.linalg.inv(V_B - U_B)
-    E = Q_B_inv @ (V_B + U_B)
-    return E, Q_B_inv.T @ (V_X + U_X - (V_X - U_X) @ E)
+    # inverting the F-ordered view Q_B^T in place gives Q_B^-T and Q_B^-1 without copies
+    Q_B_inv_T, info = dgetri(*dgetrf((V_B - U_B).T, overwrite_a=1)[:2], overwrite_lu=1)
+    if info:
+        raise np.linalg.LinAlgError("Singular matrix")
+    E = Q_B_inv_T.T @ (V_B + U_B)
+    return E, Q_B_inv_T @ (V_X + U_X - (V_X - U_X) @ E)
 
 
 class Propagator:

@@ -78,15 +78,6 @@ def pair_from_coupling(u, v):
     return K, C
 
 
-def _fix_phase(vec, tol=1e-12):
-    """Rotate a vector so its first nonzero component is real positive."""
-    norm = np.linalg.norm(vec)
-    for comp in vec:
-        if abs(comp) > tol * norm:
-            return vec * (np.conj(comp) / abs(comp))
-    return vec
-
-
 @dataclass(frozen=True, eq=False)
 class LindbladTerm:
     """One noise channel L = a(u) + a^dag(v).
@@ -164,6 +155,15 @@ class DilationSpec:
         return len(self.lindblad_terms)
 
 
+def _phase_fixed(cols):
+    """cols, each column turned by conj(c)/|c| (a sign for real columns) so its
+    first component c above 1e-12 times its norm is real positive; every column
+    is a nonzero multiple of a unit eigenvector here, so each has such a c."""
+    above = np.abs(cols) > 1e-12 * np.linalg.norm(cols, axis=0)
+    lead = cols[above.argmax(axis=0), np.arange(cols.shape[1])]
+    return cols * (np.conj(lead) / np.abs(lead))
+
+
 def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     """Split an admissible pair into Lindblad, Hamiltonian and symplectic data.
 
@@ -172,7 +172,9 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     rank_tol relative to the largest; scale eigenvectors by sqrt(eigenvalue)
     and read off the couplings; subtract their drift contributions to expose
     the residual K' in sp(2n); diagonalize the symmetric part of JK, each
-    eigenpair (nu, x) giving a Hamiltonian term of strength lam = -nu.
+    eigenpair (nu, x) giving a Hamiltonian term of strength lam = -nu.  Both
+    eigendecompositions are read whole-array: one mask keeps eigenpairs and
+    one _phase_fixed call fixes the phase of every kept column.
     Verifies the reconstruction identities before returning.
     """
     if rank_tol <= 0:
@@ -186,16 +188,11 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
         raise ValueError(f"pair is not admissible: noise matrix has "
                          f"min eigenvalue {min_eig:.3e}")
     n = K.shape[0] // 2
-    terms = []
     # the absolute floor keeps machine-zero matrices from acquiring rank
     floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))
-    if evals[0] > floor:
-        cutoff = max(rank_tol * evals[0], floor)
-        for lam_d, vec in zip(evals, evecs.T):
-            if lam_d <= cutoff:
-                break
-            stacked = _fix_phase(np.sqrt(lam_d) * vec)
-            terms.append(LindbladTerm(b=stacked[:n], c=stacked[n:]))
+    keep = evals > max(rank_tol * evals[0], floor)
+    stacked = _phase_fixed(evecs[:, keep] * np.sqrt(evals[keep])).T
+    terms = [LindbladTerm(b=col[:n], c=col[n:]) for col in stacked]
 
     K_prime = K.copy()
     for term in terms:
@@ -204,15 +201,13 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     J = symplectic_form(n)
     N = (J @ K + (J @ K).T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
-    hterms = []
-    scale = np.abs(nvals).max()
     nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
-    for lam_h, vec in zip(nvals, nvecs.T):
-        if scale > nfloor and abs(lam_h) > max(rank_tol * scale, nfloor):
-            # only a real sign flip preserves the quadratic term, so the
-            # convention is applied to the real eigenvector, not to w
-            rvec = _fix_phase(np.real(vec)).real
-            hterms.append(HamiltonianTerm(lam=-float(lam_h), w=rvec[:n] + 1j * rvec[n:]))
+    keep = np.abs(nvals) > max(rank_tol * np.abs(nvals).max(), nfloor)
+    # only a real sign flip preserves the quadratic term, so the convention is
+    # applied to the real eigenvector, not to w
+    rvecs = _phase_fixed(nvecs[:, keep]).T
+    ws = rvecs[:, :n] + 1j * rvecs[:, n:]
+    hterms = [HamiltonianTerm(lam=-float(lam_h), w=w) for lam_h, w in zip(nvals[keep], ws)]
 
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),

@@ -22,7 +22,7 @@ from quasifree.semigroup import (
 )
 from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gram_integral,
                                   propagator, real_embed, symplectic_form)
-from quasifree.synthesis import pair_from_coupling
+from quasifree.synthesis import decompose, pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state
 
@@ -365,6 +365,19 @@ def test_pair_refuses_non_finite_matrices_by_name(which):
     arrays[which][0, 1] = np.inf
     with pytest.raises(ValueError, match="K and C must be finite"):
         QuasifreePair(n=1, **arrays)
+
+
+@pytest.mark.parametrize("check", [semigroup.noise_matrix, admissible, decompose],
+                         ids=["noise_matrix", "admissible", "decompose"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("which", ["K", "C"])
+def test_noise_matrix_refuses_non_finite_matrices_before_any_arithmetic(check, bad, which):
+    arrays = {"K": -0.5 * np.eye(4), "C": np.eye(4)}
+    arrays[which][1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^K and C must be finite$"):
+            check(arrays["K"], arrays["C"])
 
 
 # --- generator --------------------------------------------------------------

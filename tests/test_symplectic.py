@@ -208,7 +208,7 @@ def test_kernel_sizes_lie_on_both_sides_of_the_crossover():
     assert 2 * 4 < symplectic._BLOCK_KERNEL_MIN_ORDER <= 2 * 16
 
 
-@pytest.mark.parametrize("n", [1, 4, 16, 64])
+@pytest.mark.parametrize("n", [1, 4, 16, 32, 64])
 def test_propagator_matches_the_full_block_reference(n):
     pair = random_admissible_pair(rng(600 + n), n, couplings=max(1, n // 4))
     for t in (0.0, 1e-6, 0.1, 1.0, 5.0, 20.0):
@@ -216,6 +216,29 @@ def test_propagator_matches_the_full_block_reference(n):
         E_ref, B_ref = _full_block_propagator(pair.K, pair.C, t)
         for got, ref in ((E, E_ref), (B, B_ref)):
             assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
+
+def test_pade_kernel_refuses_an_exactly_singular_denominator_without_a_warning():
+    # all-zero powers make V - U the zero matrix
+    m = symplectic._BLOCK_KERNEL_MIN_ORDER
+    K = np.zeros((m, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            symplectic._pade13_blocks(np.zeros((4, 2 * m * m)), K, K, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("n", [12, 32])
+def test_propagation_above_the_crossover_never_calls_numpy_inv(monkeypatch, n):
+    pair = random_admissible_pair(rng(613), n, couplings=3)
+    expected = propagator(pair.K, pair.C, 2.0)
+
+    def refuse(a):
+        raise AssertionError("np.linalg.inv called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for got, ref in zip(propagator(pair.K, pair.C, 2.0), expected):
+        assert np.array_equal(got, ref)
 
 
 def test_zero_drift_above_the_crossover_gives_exactly_the_identity():

@@ -6,7 +6,8 @@ import pytest
 
 from quasifree import cli, fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
-from quasifree.symplectic import complex_from_pairs, psd_check, real_embed, symplectic_form
+from quasifree.symplectic import (RANK_TOL, complex_from_pairs, hermitian_eigh, psd_check,
+                                  real_embed, symplectic_form)
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
@@ -254,6 +255,105 @@ def test_decompose_builds_each_coupling_pair_once(monkeypatch):
     for term in spec.lindblad_terms:
         K_prime = K_prime - original(term.u, term.v)[0]
     assert np.array_equal(spec.K_prime, K_prime)
+
+
+def _fix_phase_reference(vec, tol=1e-12):
+    """Rotate a vector so its first nonzero component is real positive."""
+    norm = np.linalg.norm(vec)
+    for comp in vec:
+        if abs(comp) > tol * norm:
+            return vec * (np.conj(comp) / abs(comp))
+    return vec
+
+
+def per_vector_terms(K, C):
+    """Reference: decompose's term extraction written one eigenvector at a
+    time, as (Lindblad terms, Hamiltonian terms, K')."""
+    D = noise_matrix(K, C)
+    evals, evecs = hermitian_eigh(D)
+    n = K.shape[0] // 2
+    terms = []
+    floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))
+    if evals[0] > floor:
+        cutoff = max(RANK_TOL * evals[0], floor)
+        for lam_d, vec in zip(evals, evecs.T):
+            if lam_d <= cutoff:
+                break
+            stacked = _fix_phase_reference(np.sqrt(lam_d) * vec)
+            terms.append(LindbladTerm(b=stacked[:n], c=stacked[n:]))
+    K_prime = K.copy()
+    for term in terms:
+        K_prime = K_prime - term.pair[0]
+    J = symplectic_form(n)
+    N = (J @ K + (J @ K).T) / 2.0
+    nvals, nvecs = hermitian_eigh(N)
+    hterms = []
+    scale = np.abs(nvals).max()
+    nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
+    for lam_h, vec in zip(nvals, nvecs.T):
+        if scale > nfloor and abs(lam_h) > max(RANK_TOL * scale, nfloor):
+            rvec = _fix_phase_reference(np.real(vec)).real
+            hterms.append(HamiltonianTerm(lam=-float(lam_h), w=rvec[:n] + 1j * rvec[n:]))
+    return terms, hterms, K_prime
+
+
+def assert_terms_equal_the_per_vector_rule(K, C):
+    spec = decompose(K, C)
+    terms, hterms, K_prime = per_vector_terms(K, C)
+    assert len(spec.lindblad_terms) == len(terms)
+    for got, ref in zip(spec.lindblad_terms, terms):
+        for name in ("b", "c", "u", "v"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
+    assert len(spec.hamiltonian_terms) == len(hterms)
+    for got, ref in zip(spec.hamiltonian_terms, hterms):
+        assert got.lam == ref.lam
+        assert np.array_equal(got.w, ref.w)
+    assert np.array_equal(spec.K_prime, K_prime)
+    return spec
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_term_extraction_is_bitwise_the_per_vector_rule(n):
+    gen = rng(59 + n)
+    for couplings in (1, max(1, n // 4), 2 * n):
+        pair = random_admissible_pair(gen, n, couplings=couplings)
+        spec = assert_terms_equal_the_per_vector_rule(pair.K, pair.C)
+        assert spec.noise_dimension == min(couplings, 2 * n)
+
+
+def loss_and_rotation(rates, freqs):
+    """Loss at the given rate on each mode plus the drift -J diag(freqs), whose
+    N = sym(JK) is diag(freqs): diagonal, with unit-vector eigenvectors."""
+    g = np.tile(np.asarray(rates, dtype=float), 2)
+    J = symplectic_form(len(rates))
+    return -0.5 * np.diag(g) - J @ np.diag(freqs), np.diag(g)
+
+
+def test_term_extraction_edge_cases_are_bitwise_the_per_vector_rule():
+    # K = C = 0: no terms of either kind
+    spec = assert_terms_equal_the_per_vector_rule(np.zeros((4, 4)), np.zeros((4, 4)))
+    assert spec.noise_dimension == 0 and spec.hamiltonian_terms == ()
+    # a diagonal N, whose eigenvectors have zero leading components, and a
+    # noise matrix with one eigenvalue 2g per mode of loss rate g, 2 repeated
+    K, C = loss_and_rotation([1.0, 1.0, 0.5], [0.3, -1.1, 0.7, 2.0, -0.4, 0.9])
+    spec = assert_terms_equal_the_per_vector_rule(K, C)
+    assert (spec.noise_dimension, len(spec.hamiltonian_terms)) == (3, 6)
+    # repeated eigenvalues in N as well
+    K, C = loss_and_rotation([0.8, 0.8], [0.5, 0.5, -0.5, 0.5])
+    spec = assert_terms_equal_the_per_vector_rule(K, C)
+    assert (spec.noise_dimension, len(spec.hamiltonian_terms)) == (2, 4)
+
+
+@pytest.mark.parametrize("side, kept", [(1.0 - 1e-3, 1), (1.0 + 1e-3, 2)],
+                         ids=["below", "above"])
+def test_rank_cut_edges_are_bitwise_the_per_vector_rule(side, kept):
+    # the second loss rate and frequency sit just below or above rank_tol
+    # relative to the first
+    small = side * RANK_TOL
+    K, C = loss_and_rotation([1.0, small], [1.0, small, 1.0, small])
+    spec = assert_terms_equal_the_per_vector_rule(K, C)
+    assert spec.noise_dimension == kept
+    assert len(spec.hamiltonian_terms) == 2 * kept
 
 
 def test_decompose_noise_rank():
