@@ -15,21 +15,15 @@ from quasifree import fock
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair
 from quasifree.symplectic import symplectic_form
-from quasifree.synthesis import (
-    decompose,
-    dilation_report,
-    pair_from_coupling,
-    reconstruction_residuals,
-)
+from quasifree.synthesis import decompose, pair_from_coupling, reconstruction_residuals
 
 
 def describe(name, K, C):
     print(f"--- {name} ---")
     spec = decompose(K, C)
-    rep = dilation_report(spec)
-    print(f"noise channels r = {rep['noise_dimension']}, "
-          f"quadratic Hamiltonian terms r' = {len(rep['hamiltonian_terms'])}, "
-          f"closed dynamics: {rep['closed_dynamics']}")
+    print(f"noise channels r = {spec.noise_dimension}, "
+          f"quadratic Hamiltonian terms r' = {len(spec.hamiltonian_terms)}, "
+          f"closed dynamics: {spec.noise_dimension == 0}")
     for j, term in enumerate(spec.lindblad_terms):
         print(f"  L_{j + 1}: u = {np.round(term.u, 4)}  v = {np.round(term.v, 4)}")
     for j, term in enumerate(spec.hamiltonian_terms):

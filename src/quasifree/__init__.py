@@ -21,7 +21,6 @@ from .semigroup import (
 from .synthesis import (
     DilationSpec,
     decompose,
-    dilation_report,
     pair_from_coupling,
 )
 
@@ -32,5 +31,5 @@ __all__ = [
     "fields", "fock", "gaussian", "ito", "semigroup", "symplectic", "synthesis",
     "GaussianState", "coherent", "vacuum", "validate", "weyl_transform",
     "QuasifreePair", "admissible", "evolve_state", "generator_action", "weyl_action",
-    "DilationSpec", "decompose", "dilation_report", "noise_matrix", "pair_from_coupling",
+    "DilationSpec", "decompose", "noise_matrix", "pair_from_coupling",
 ]

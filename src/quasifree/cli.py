@@ -40,8 +40,8 @@ and no report.
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
 file, then to a built-in default.  Complex scalars are encoded as [re, im]
-pairs everywhere in scenario files and reports, by the codec of
-quasifree.symplectic.
+pairs everywhere in scenario files and reports: written by _json_default and
+read by _complex.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
 from .symplectic import (PSD_TOL, RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, UNITARITY_TOL,
-                         PropagatorOverflowError, complex_from_pairs, complex_to_pairs)
+                         PropagatorOverflowError)
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
@@ -173,13 +173,13 @@ def _real(data, key, ndim=1):
 
 def _complex(data, key, ndim=1):
     """Decode the [re, im] pairs of field key into a rank-ndim complex array;
-    the components are read like a real array field, so a null, a bool or a
-    string is a schema error naming the field."""
+    the components are read like a real array field, so a null, a bool, a
+    string or a non-finite value is a schema error naming the field."""
     arr = _real(data, key, ndim + 1)
-    try:
-        return complex_from_pairs(arr, ndim)
-    except ValueError as exc:
-        raise SchemaError(f"{key!r}: {exc}") from exc
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:     # empty rows, or not pairs
+        nested = "[" * ndim + "[re, im], ..." + "], ..." * (ndim - 1) + "]"
+        raise SchemaError(f"{key!r}: complex values are encoded as {nested}")
+    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _object(obj, key, where="scenario"):
@@ -232,7 +232,8 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
         return obj.tolist()
     if isinstance(obj, (np.ndarray, complex, np.complexfloating)):
-        return complex_to_pairs(obj)
+        z = np.asarray(obj)     # [re, im] pairs, nested like the array
+        return np.stack([z.real, z.imag], -1).tolist()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.floating):
@@ -370,7 +371,16 @@ def _cmd_decompose(scenario, ctx):
 def _cmd_dilate(scenario, ctx):
     pair = _payload(scenario, "pair")
     spec, res, passed = _decompose_results(pair, ctx)
-    return {"report": synthesis.dilation_report(spec)}, passed, {}
+    closed = spec.noise_dimension == 0
+    report = {"modes": spec.n, "noise_dimension": spec.noise_dimension,
+              "lindblad_terms": [{"b": t.b, "c": t.c, "u": t.u, "v": t.v}
+                                 for t in spec.lindblad_terms],
+              "hamiltonian_terms": [{"lambda": t.lam, "w": t.w} for t in spec.hamiltonian_terms],
+              "K_prime": spec.K_prime, "reconstruction": res, "closed_dynamics": closed}
+    if closed:
+        report["note"] = ("no noise channels: the evolution is a closed one "
+                          "generated by the quadratic Hamiltonian alone")
+    return {"report": report}, passed, {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
@@ -459,6 +469,8 @@ def _field_law(scenario):
 def _cmd_sample_field(scenario, ctx):
     law = _field_law(scenario)
     count = _number(scenario.get("count", 10000), "count", int)
+    if count < 2:       # the empirical (co)variance takes ddof=1
+        raise SchemaError(f"'count' must be at least 2, got {count}")
     draws = fields.sample(law, count, seed=ctx["seed"])
     data = draws if draws.ndim == 2 else draws[:, None]
     columns = [f"x{j + 1}" for j in range(data.shape[1])]

@@ -12,8 +12,7 @@ ladder operators, and each a_j and a_j^dag has at most one nonzero per row.
 FockRep therefore holds one column index and one weight per row for each of
 the 2n ladder operators, and the (2n)^2 products X_k X_l on first use.  The
 Lindbladian is assembled from these tables in O(n^2 d) and moments are read
-by gathers on them; dense d x d matrices (rep.a, hamiltonian_matrix, ...)
-are built only when asked for.
+by gathers on them.
 
 The integrator returns the fixed-step RK4 result P(hL)^steps rho0, P the
 RK4 step polynomial, but applies it by Krylov projection in chunks: Arnoldi
@@ -54,9 +53,6 @@ __all__ = [
     "DimensionCapError",
     "LeakageError",
     "build",
-    "annihilator",
-    "creator",
-    "vacuum_vector",
     "exponential_vector",
     "coherent_vector",
     "coherent_density",
@@ -102,8 +98,8 @@ class FockRep:
     vacuum) has weight 0 and column r; every other entry lies at
     r + offsets[k], offsets = (s_1..s_n, -s_1..-s_n) with s_j the stride of
     mode j.  Derived on first use: the tables of the products X_k X_l, the
-    top-level mask, the dense matrices a, adag, q, p, and the eigenpairs of
-    the single-mode a + a^dag that weyl_matrix uses.
+    top-level mask, and the eigenpairs of the single-mode a + a^dag that
+    weyl_matrix uses.
     """
 
     n: int
@@ -126,26 +122,6 @@ class FockRep:
         """Mask of the basis states in which some mode is at its top level,
         the rows where some a_j has no entry."""
         return (self.weights[:self.n] == 0).any(axis=0)
-
-    @cached_property
-    def a(self):
-        """Dense annihilation matrix per mode."""
-        return tuple(_dense(self, np.eye(2 * self.n)[j]) for j in range(self.n))
-
-    @cached_property
-    def adag(self):
-        """Dense creation matrix per mode."""
-        return tuple(_dense(self, np.eye(2 * self.n)[self.n + j]) for j in range(self.n))
-
-    @cached_property
-    def q(self):
-        """Dense (a + a^dag)/sqrt(2) per mode."""
-        return tuple((x + xd) / math.sqrt(2) for x, xd in zip(self.a, self.adag))
-
-    @cached_property
-    def p(self):
-        """Dense (a - a^dag)/(i sqrt(2)) per mode."""
-        return tuple((x - xd) / (1j * math.sqrt(2)) for x, xd in zip(self.a, self.adag))
 
     @cached_property
     def quadrature_eigenbasis(self):
@@ -202,18 +178,6 @@ def _vector(rep: FockRep, x) -> np.ndarray:
     return x
 
 
-def annihilator(rep: FockRep, u) -> np.ndarray:
-    """Smeared annihilation operator, antilinear in u: sum_j conj(u_j) a_j."""
-    u = _vector(rep, u)
-    return _dense(rep, np.concatenate([np.conj(u), np.zeros(rep.n)]))
-
-
-def creator(rep: FockRep, v) -> np.ndarray:
-    """Smeared creation operator, linear in v: sum_j v_j a_j^dag."""
-    v = _vector(rep, v)
-    return _dense(rep, np.concatenate([np.zeros(rep.n), v]))
-
-
 def top_level_population(rep: FockRep, state) -> float:
     """Population of the top occupation level of any mode.
 
@@ -225,12 +189,6 @@ def top_level_population(rep: FockRep, state) -> float:
     if state.ndim == 1:
         return float(np.sum(np.abs(state[top]) ** 2))
     return float(np.real(np.trace(state[np.ix_(top, top)])))
-
-
-def vacuum_vector(rep: FockRep) -> np.ndarray:
-    vec = np.zeros(rep.dim, dtype=complex)
-    vec[0] = 1.0
-    return vec
 
 
 def exponential_vector(rep: FockRep, u) -> np.ndarray:

@@ -29,11 +29,8 @@ up, as each of its products costs an eighth of a 4n x 4n one.  A propagation
 that overflows raises :class:`PropagatorOverflowError`.
 
 The package's shared pieces live here too: the default tolerances, the one
-Hermitian test (:func:`hermitian_check`), the read-only copies that make
-pairs and states immutable (:func:`read_only`), and the one [re, im] codec, in
-which :func:`complex_to_pairs` writes a complex scalar or array as [re, im]
-pairs nested like it and :func:`complex_from_pairs` reads back a regular
-nesting of the expected rank.
+Hermitian test (:func:`hermitian_check`) and the read-only copies that make
+pairs and states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -49,8 +46,6 @@ __all__ = [
     "real_embed",
     "real_extract",
     "read_only",
-    "complex_to_pairs",
-    "complex_from_pairs",
     "hermitian_check",
     "psd_check",
     "psd_verdict",
@@ -102,26 +97,6 @@ def read_only(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
-
-
-def complex_to_pairs(z) -> list:
-    """A complex scalar or array as [re, im] pairs, nested like the array."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], -1).tolist()
-
-
-def complex_from_pairs(data, ndim: int = 1) -> np.ndarray:
-    """Inverse of :func:`complex_to_pairs` for a rank-ndim complex array."""
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError):
-        arr = None      # ragged, or not numbers
-    if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
-        nested = "[" * ndim + "[re, im], ..." + "], ..." * (ndim - 1) + "]"
-        raise ValueError(f"complex values are encoded as {nested}")
-    if not np.isfinite(arr).all():
-        raise ValueError("complex values must be finite")     # a null reads as NaN
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def hermitian_check(A, tol: float):

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .semigroup import noise_matrix
-from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, complex_to_pairs,
-                         hermitian_eigh, psd_verdict, real_embed, symplectic_form)
+from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, hermitian_eigh,
+                         psd_verdict, real_embed, symplectic_form)
 
 __all__ = [
     "LindbladTerm",
@@ -42,7 +42,6 @@ __all__ = [
     "noise_matrix",
     "decompose",
     "reconstruction_residuals",
-    "dilation_report",
 ]
 
 
@@ -241,32 +240,3 @@ def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
     dJ = np.abs(spec.K_prime.T @ J + J @ spec.K_prime).max(initial=0.0)
     return ReconstructionResiduals(k_residual=float(dK), c_residual=float(dC),
                                    symplectic_residual=float(dJ))
-
-
-def dilation_report(spec: DilationSpec) -> dict:
-    """Structured summary of the noisy evolution the spec describes."""
-    res = spec.residuals
-    report = {
-        "modes": spec.n,
-        "noise_dimension": spec.noise_dimension,
-        "lindblad_terms": [
-            {"b": complex_to_pairs(t.b), "c": complex_to_pairs(t.c),
-             "u": complex_to_pairs(t.u), "v": complex_to_pairs(t.v)}
-            for t in spec.lindblad_terms
-        ],
-        "hamiltonian_terms": [
-            {"lambda": t.lam, "w": complex_to_pairs(t.w)} for t in spec.hamiltonian_terms
-        ],
-        "K_prime": [[float(v) for v in row] for row in spec.K_prime],
-        "reconstruction": {
-            "k_residual": res.k_residual,
-            "c_residual": res.c_residual,
-            "symplectic_residual": res.symplectic_residual,
-        },
-        "closed_dynamics": spec.noise_dimension == 0,
-    }
-    if spec.noise_dimension == 0:
-        report["note"] = ("no noise channels: the evolution is a closed one "
-                          "generated by the quadratic Hamiltonian alone")
-    return report
-

@@ -36,11 +36,13 @@ from quasifree.synthesis import (
 )
 
 from util import (
+    dense_generator,
     random_admissible_pair,
     random_complex,
     random_unitary,
     random_valid_state,
     rng,
+    smeared_ladder,
 )
 
 
@@ -146,15 +148,14 @@ def test_05_decomposition_round_trip():
         worst_rec = max(worst_rec, res.k_residual, res.c_residual)
         worst_symp = max(worst_symp, res.symplectic_residual)
         if n == 1:
-            H = fock.hamiltonian_matrix(rep40, spec.hamiltonian_terms)
+            H, _ = dense_generator(rep40, spec)
             for _ in range(2):
                 z = random_complex(gen, 1, 0.8)
                 W = fock.weyl_matrix(rep40, z)
                 commutator = 1j * (H @ W - W @ H)
                 coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime,
                                                        C=np.zeros((2, 2))), z)
-                gain = (fock.creator(rep40, coeff.gain_vector)
-                        - fock.annihilator(rep40, coeff.gain_vector))
+                gain = smeared_ladder(rep40, -coeff.gain_vector, coeff.gain_vector)
                 closed = (gain + coeff.scalar_part * eye) @ W
                 worst_comm = max(worst_comm,
                                  abs(np.vdot(left, (commutator - closed) @ right)))
@@ -241,13 +242,12 @@ def test_08_cross_module_generator_agreement():
         u = random_complex(gen, 1, 0.7)
         v = random_complex(gen, 1, 0.7)
         z = random_complex(gen, 1, 0.8)
-        L1 = fock.annihilator(rep, u) + fock.creator(rep, v)
+        L1 = smeared_ladder(rep, u, v)
         W = fock.weyl_matrix(rep, z)
         theta00 = flow_generator(hp_coefficients(eye, [L1], zero), W)[(0, 0)]
         K, C = pair_from_coupling(u, v)
         coeff = generator_action(QuasifreePair(n=1, K=K, C=C), z)
-        gain = (fock.creator(rep, coeff.gain_vector)
-                - fock.annihilator(rep, coeff.gain_vector))
+        gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * eye) @ W
         worst = max(worst, abs(np.vdot(left, (theta00 - closed) @ right)))
     report(8, "cross-module-generator-agreement", worst <= 1e-5,

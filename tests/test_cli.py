@@ -431,6 +431,41 @@ def test_json_default_encodes_numpy_complex_and_dataclasses():
         cli._json_default(object())
 
 
+def test_complex_pairs_round_trip():
+    # the [re, im] codec: written by the report encoder, read by _complex
+    z = rng(31).normal(size=(3, 2, 4, 2)) @ np.array([1.0, 1j])
+    assert cli._json_default(2 - 0.5j) == [2.0, -0.5]
+    for ndim, value in [(0, z[0, 0, 0]), (1, z[0, 0]), (2, z[0]), (3, z)]:
+        data = json.loads(json.dumps(value, default=cli._json_default))
+        assert np.array_equal(cli._complex(data, "z", ndim), value)
+
+
+@pytest.mark.parametrize("data, message", [
+    (5, "'z' must be [[numbers]], got int"),
+    ([1.0, 2.0], "'z' must be [[numbers]], got float"),
+    ([[1.0, 2.0], [3.0]], "'z' must have rows of one length"),
+    ([[1.0, 2.0, 3.0]], "'z': complex values are encoded as [[re, im], ...]"),
+    ([["a", "b"]], "'z' must hold numbers, got str"),
+    ([[[1.0, 2.0]]], "'z' must hold numbers, got list"),
+    ([{"re": 1.0}], "'z' must be [[numbers]], got dict"),
+    ([], "'z': complex values are encoded as [[re, im], ...]"),
+], ids=["scalar", "flat", "ragged", "triple", "text", "too-deep", "object", "empty"])
+def test_complex_field_refuses_what_is_not_a_vector_of_pairs(data, message):
+    with pytest.raises(cli.SchemaError) as caught:
+        cli._complex(data, "z")
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("pair, message", [([None, 0.0], "'z' must hold numbers, got null"),
+                                           ([0.0, float("nan")], "'z' must hold finite numbers"),
+                                           ([float("inf"), 0.0], "'z' must hold finite numbers")],
+                         ids=["null", "nan", "inf"])
+def test_complex_field_refuses_non_finite_values(pair, message):
+    with pytest.raises(cli.SchemaError) as caught:
+        cli._complex([[1.0, 0.0], pair], "z")
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("cols", [1, 3])
 @pytest.mark.parametrize("rows", [1023, 1024, 1025, 5000])
 def test_sample_csv_matches_savetxt(tmp_path, rows, cols):
@@ -774,6 +809,19 @@ def test_integral_float_in_an_integer_field_is_read_as_int(tmp_path):
     assert code in (0, 2)
     assert report["results"]["count"] == 3 and report["seed"] == 4
     assert isinstance(report["results"]["count"], int)
+
+
+@pytest.mark.parametrize("count", [1, 0])
+@pytest.mark.parametrize("law", [_GAUSSIAN_LAW, {"kind": "levy", "H": [[[1.0, 0.0]]],
+                                                 "u": [[1.0, 0.0]]}], ids=["gaussian", "levy"])
+def test_sample_field_with_fewer_than_two_draws_exits_1_naming_count(tmp_path, capsys, law,
+                                                                     count):
+    # the empirical (co)variance needs two draws
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run(tmp_path, {"command": "sample-field", "law": law, "count": count})
+    assert code == 1 and report is None and caught == []
+    assert capsys.readouterr().err == f"error: 'count' must be at least 2, got {count}\n"
 
 
 def test_sample_count_above_the_cap_exits_4(tmp_path, capsys):

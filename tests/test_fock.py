@@ -1,6 +1,5 @@
 import json
 import warnings
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
-from util import random_admissible_pair, rng
+from util import dense_generator, kron_ladder, random_admissible_pair, rng, smeared_ladder
 
 
 def attenuation_pair():
@@ -25,61 +24,74 @@ def empty_spec(n=1):
                         K=np.zeros((2 * n, 2 * n)), C=np.zeros((2 * n, 2 * n)))
 
 
+def vacuum(rep):
+    return np.eye(rep.dim, dtype=complex)[0]
+
+
 # --- representation ---------------------------------------------------------
 
+def table_ladder(rep):
+    """The dense a_j and a_j^dag per mode, read off the index tables: row r
+    of X_k holds weights[k, r] at columns[k, r]."""
+    rows = np.arange(rep.dim)
+    X = np.zeros((2 * rep.n, rep.dim, rep.dim))
+    for M, col, w in zip(X, rep.columns, rep.weights):
+        M[rows, col] = w
+    return list(X[:rep.n]), list(X[rep.n:])
+
+
 def test_single_mode_lowering_matrix():
-    rep = fock.build(1, 2)
-    assert np.array_equal(rep.a[0], [[0.0, 1.0], [0.0, 0.0]])
+    a, _ = table_ladder(fock.build(1, 2))
+    assert np.array_equal(a[0], [[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_ccr_truncation_defect():
-    rep = fock.build(1, 5)
-    comm = rep.a[0] @ rep.adag[0] - rep.adag[0] @ rep.a[0]
+    a, adag = table_ladder(fock.build(1, 5))
+    comm = a[0] @ adag[0] - adag[0] @ a[0]
     assert np.allclose(comm, np.diag([1, 1, 1, 1, -4]), atol=1e-14)
 
 
 def test_number_operator_diagonal():
-    rep = fock.build(1, 6)
-    N = rep.adag[0] @ rep.a[0]
+    a, adag = table_ladder(fock.build(1, 6))
+    N = adag[0] @ a[0]
     assert np.allclose(N, np.diag(np.arange(6)), atol=1e-14)
 
 
 def test_ccr_exact_below_top_level():
     # the defect of [a, a^dag] = I is confined to the top level of each mode
     rep = fock.build(2, 4)
+    a, adag = table_ladder(rep)
     occ = np.unravel_index(np.arange(rep.dim), (rep.cutoff,) * rep.n)
     for j in range(2):
         low = occ[j] < rep.cutoff - 1
         P = np.diag(low.astype(float))
-        comm = rep.a[j] @ rep.adag[j] - rep.adag[j] @ rep.a[j]
+        comm = a[j] @ adag[j] - adag[j] @ a[j]
         assert np.abs((comm - np.eye(rep.dim)) @ P).max() < 1e-14
-
-
-def kron_ladder(n, cutoff):
-    """Annihilation and creation matrices per mode as Kronecker products."""
-    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
-    eye = np.eye(cutoff, dtype=complex)
-    a = [reduce(np.kron, [lower if k == j else eye for k in range(n)]) for j in range(n)]
-    return a, [x.conj().T for x in a]
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 12), (2, 5), (3, 3)])
 def test_ladder_views_equal_the_kronecker_construction(n, cutoff):
+    # the index tables pinned entry by entry, and every entry at its offset
     rep = fock.build(n, cutoff)
     a, adag = kron_ladder(n, cutoff)
-    for j in range(n):
-        assert np.array_equal(rep.a[j], a[j])
-        assert np.array_equal(rep.adag[j], adag[j])
+    for got, ref in zip(sum(table_ladder(rep), []), a + adag):
+        assert np.array_equal(got, ref)
+    rows = np.arange(rep.dim)
+    present = rep.weights != 0
+    assert np.array_equal(rep.columns[present], (rows + rep.offsets[:, None])[present])
+    assert np.array_equal(rep.columns[~present], np.broadcast_to(rows, rep.columns.shape)[~present])
 
 
 def test_cross_mode_operators_commute():
-    rep = fock.build(2, 3)
-    assert np.abs(rep.a[0] @ rep.adag[1] - rep.adag[1] @ rep.a[0]).max() < 1e-14
+    a, adag = table_ladder(fock.build(2, 3))
+    assert np.abs(a[0] @ adag[1] - adag[1] @ a[0]).max() < 1e-14
 
 
 def test_quadratures_hermitian():
-    rep = fock.build(1, 8)
-    for M in (rep.q[0], rep.p[0]):
+    a, adag = table_ladder(fock.build(1, 8))
+    q = (a[0] + adag[0]) / np.sqrt(2)
+    p = (a[0] - adag[0]) / (1j * np.sqrt(2))
+    for M in (q, p):
         assert np.abs(M - M.conj().T).max() < 1e-12
 
 
@@ -105,7 +117,7 @@ def test_build_rejects_tiny_cutoff():
 
 def test_coherent_vector_vacuum():
     rep = fock.build(1, 10)
-    assert np.allclose(fock.coherent_vector(rep, [0.0]), fock.vacuum_vector(rep))
+    assert np.allclose(fock.coherent_vector(rep, [0.0]), vacuum(rep))
 
 
 def test_exponential_vector_inner_products():
@@ -134,7 +146,7 @@ def test_coherent_vector_is_lowering_eigenvector():
     rep = fock.build(1, 30)
     alpha = 0.7 - 0.4j
     psi = fock.coherent_vector(rep, [alpha])
-    resid = rep.a[0] @ psi - alpha * psi
+    resid = table_ladder(rep)[0][0] @ psi - alpha * psi
     # the defect lives at the top level only
     assert np.abs(resid[:-1]).max() < 1e-10
 
@@ -177,7 +189,7 @@ def test_weyl_multiplication_relation():
 def test_weyl_vacuum_expectation():
     rep = fock.build(1, 40)
     gen = rng(24)
-    vac = fock.vacuum_vector(rep)
+    vac = vacuum(rep)
     for _ in range(8):
         z = gen.normal() + 1j * gen.normal()
         z /= max(abs(z), 1.0)
@@ -202,7 +214,7 @@ def test_weyl_matrix_matches_full_expm(n, cutoff):
     gen = rng(28 + n)
     for _ in range(3):
         z = 0.8 * (gen.normal(size=n) + 1j * gen.normal(size=n)) / np.sqrt(n)
-        full = expm(fock.creator(rep, z) - fock.annihilator(rep, z))
+        full = expm(smeared_ladder(rep, -z, z))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             W = fock.weyl_matrix(rep, z)
@@ -239,7 +251,7 @@ def test_lindblad_empty_spec_is_constant():
 def test_lindblad_vacuum_is_dark_state_of_damping():
     rep = fock.build(1, 12)
     spec = decompose(*pair_from_coupling([1.0], [0.0]))
-    vac = np.outer(fock.vacuum_vector(rep), fock.vacuum_vector(rep).conj())
+    vac = np.outer(vacuum(rep), vacuum(rep).conj())
     rho1 = fock.lindblad_evolve(rep, vac, spec, 2.0, 200)
     assert np.abs(rho1 - vac).max() < 1e-12
 
@@ -284,20 +296,6 @@ def test_lindblad_trace_watchdog_catches_instability():
     rho0 = fock.coherent_density(rep, [1.0])
     with pytest.raises(RuntimeError), np.errstate(all="ignore"):
         fock.lindblad_evolve(rep, rho0, spec, 400.0, 100)
-
-
-def dense_generator(rep, spec):
-    """H and the L_j of a dilation spec from Kronecker ladder matrices."""
-    a, adag = kron_ladder(rep.n, rep.cutoff)
-
-    def smeared(u, v):
-        return sum(np.conj(uj) * aj + vj * adj for uj, vj, aj, adj in zip(u, v, a, adag))
-
-    H = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for term in spec.hamiltonian_terms:
-        G = smeared(term.w, term.w)
-        H += 0.25 * term.lam * (G @ G)
-    return H, [smeared(term.u, term.v) for term in spec.lindblad_terms]
 
 
 def dense_rk4(rep, rho, spec, t, steps):
@@ -357,6 +355,19 @@ def test_assembled_operators_equal_the_dense_formula(n, cutoff, kind):
                      (side_by_side, np.hstack([np.zeros((rep.dim, 0)), *Ls]))]:
         assert got.shape == ref.shape and got.has_canonical_format and np.all(got.data != 0)
         assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
+def test_dense_builders_equal_the_kronecker_reference(n, cutoff):
+    # hamiltonian_matrix and lindblad_matrices are no part of the oracle;
+    # they stay while perfbench/tracer.py names them
+    spec = spec_of_kind(rng(40 + 3 * n), n, "coupled")
+    rep = fock.build(n, cutoff)
+    H, Ls = dense_generator(rep, spec)
+    got = [fock.hamiltonian_matrix(rep, spec.hamiltonian_terms), *fock.lindblad_matrices(rep, spec)]
+    assert len(got) == 1 + len(Ls) == 1 + spec.noise_dimension
+    for M, ref in zip(got, [H, *Ls]):
+        assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
@@ -441,7 +452,7 @@ def test_chunk_reuses_its_passing_estimate(monkeypatch):
 
 def test_vacuum_moments():
     rep = fock.build(1, 10)
-    vac = np.outer(fock.vacuum_vector(rep), fock.vacuum_vector(rep).conj())
+    vac = np.outer(vacuum(rep), vacuum(rep).conj())
     l, m, S = fock.state_moments(rep, vac)
     assert np.abs(l).max() < 1e-14 and np.abs(m).max() < 1e-14
     assert np.abs(S - 0.5 * np.eye(2)).max() < 1e-12
@@ -541,7 +552,7 @@ def reference_weyl_error(state, pair, t, cutoff, steps, num_weyl, seed):
     for _ in range(num_weyl):
         z = gen.normal(size=state.n) + 1j * gen.normal(size=state.n)
         z = z / max(np.linalg.norm(z), 1.0)
-        W = expm(fock.creator(rep, z) - fock.annihilator(rep, z))
+        W = expm(smeared_ladder(rep, -z, z))
         err = max(err, abs(np.sum(rho_t.T * W) - weyl_transform(ref, z)))
     return err
 

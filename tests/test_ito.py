@@ -409,18 +409,18 @@ def test_flow_generator_matches_quasifree_generator():
     rep = fock.build(1, 20)
     left = fock.coherent_vector(rep, [0.3 - 0.2j])
     right = fock.coherent_vector(rep, [0.1 + 0.4j])
-    from util import random_complex
+    from util import random_complex, smeared_ladder
     for _ in range(3):
         u = random_complex(gen, 1, 0.6)
         v = random_complex(gen, 1, 0.5)
         z = random_complex(gen, 1, 0.8)
-        L1 = fock.annihilator(rep, u) + fock.creator(rep, v)
+        L1 = smeared_ladder(rep, u, v)
         W = fock.weyl_matrix(rep, z)
         dU = hp_coefficients(np.eye(rep.dim, dtype=complex), [L1],
                              np.zeros((rep.dim, rep.dim)))
         theta = flow_generator(dU, W)[(0, 0)]
         K, C = pair_from_coupling(u, v)
         coeff = generator_action(QuasifreePair(n=1, K=K, C=C), z)
-        gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
+        gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
         assert abs(np.vdot(left, (theta - closed) @ right)) < 1e-5

@@ -37,6 +37,30 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "quasifree").glob("*.py"))
+
+
+def _imported_modules(path):
+    tree = ast.parse(path.read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_cli_knows_a_file_form():
+    # one codec: JSON and CSV are read and written by cli alone
+    readers = [path.stem for path in SOURCES if _imported_modules(path) & {"json", "csv"}]
+    assert readers == ["cli"]
+    gone = ("complex_to_pairs", "complex_from_pairs", "dilation_report")
+    for name in ("quasifree", "quasifree.symplectic", "quasifree.synthesis"):
+        module = importlib.import_module(name)
+        assert [n for n in gone if hasattr(module, n)] == [], name
+
+
 def _attenuation():
     return semigroup.QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
 

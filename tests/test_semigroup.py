@@ -24,7 +24,7 @@ from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gra
                                   propagator, real_embed, symplectic_form)
 from quasifree.synthesis import decompose, pair_from_coupling
 
-from util import rng, random_admissible_pair, random_valid_state
+from util import rng, random_admissible_pair, random_valid_state, smeared_ladder
 
 
 def attenuation_pair():
@@ -416,7 +416,7 @@ def test_generator_matches_finite_difference_on_fock_oracle():
                       - weyl_element(2 * h)) / (2 * h)
 
         coeff = generator_action(pair, z)
-        gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
+        gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
         op = (gain + coeff.scalar_part * np.eye(rep.dim)) @ fock.weyl_matrix(rep, z)
         expected = np.vdot(e_left, op @ e_right)
         assert abs(derivative - expected) < 1e-6

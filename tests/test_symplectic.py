@@ -13,8 +13,6 @@ from quasifree.ito import hp_coefficients
 from quasifree.semigroup import noise_matrix
 from quasifree.symplectic import (
     PropagatorOverflowError,
-    complex_from_pairs,
-    complex_to_pairs,
     expm,
     gram_integral,
     hermitian_eigh,
@@ -321,28 +319,6 @@ def test_growing_dynamics_overflow_by_name_without_warnings(m, t, shown):
                            match=re.escape(f"t = {shown}: K has spectral abscissa 0.5")):
             propagator(0.5 * np.eye(m), np.eye(m), t)
     assert issubclass(PropagatorOverflowError, ArithmeticError)
-
-
-def test_complex_pairs_round_trip():
-    z = rng(31).normal(size=(3, 2, 4, 2)) @ np.array([1.0, 1j])
-    assert complex_to_pairs(2 - 0.5j) == [2.0, -0.5]
-    for ndim, value in [(1, z[0, 0]), (2, z[0]), (3, z)]:
-        assert np.array_equal(complex_from_pairs(complex_to_pairs(value), ndim), value)
-
-
-@pytest.mark.parametrize("data", [5, [1.0, 2.0], [[1.0, 2.0], [3.0]], [[1.0, 2.0, 3.0]],
-                                  [["a", "b"]], [[[1.0, 2.0]]], [{"re": 1.0}]],
-                         ids=["scalar", "flat", "ragged", "triple", "text", "too-deep", "object"])
-def test_complex_from_pairs_refuses_what_is_not_a_vector_of_pairs(data):
-    with pytest.raises(ValueError, match=r"\[\[re, im\], \.\.\.\]"):
-        complex_from_pairs(data)
-
-
-@pytest.mark.parametrize("pair", [[None, 0.0], [0.0, float("nan")], [float("inf"), 0.0]],
-                         ids=["null", "nan", "inf"])
-def test_complex_from_pairs_refuses_non_finite_values(pair):
-    with pytest.raises(ValueError, match="finite"):
-        complex_from_pairs([[1.0, 0.0], pair])
 
 
 def test_psd_verdict_is_the_rule_of_psd_check():

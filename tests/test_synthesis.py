@@ -6,20 +6,37 @@ import pytest
 
 from quasifree import cli, fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
-from quasifree.symplectic import (RANK_TOL, complex_from_pairs, hermitian_eigh, psd_check,
-                                  real_embed, symplectic_form)
+from quasifree.symplectic import (RANK_TOL, hermitian_eigh, psd_check, real_embed,
+                                  symplectic_form)
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
     coupling_form,
     decompose,
-    dilation_report,
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
 )
 
-from util import rng, random_admissible_pair, random_complex, random_symplectic_generator
+from util import (dense_generator, kron_ladder, rng, random_admissible_pair, random_complex,
+                  random_symplectic_generator, smeared_ladder)
+
+
+def from_pairs(data):
+    """A report's [re, im] pairs as a complex array."""
+    arr = np.asarray(data, dtype=float)
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def dilate_report(pair, out):
+    """The dilation report of qfl dilate on pair, through the report encoder
+    and back."""
+    scenario = json.loads(json.dumps({"command": "dilate", "pair": pair},
+                                     default=cli._json_default))
+    report, code = cli.run_scenario(scenario, str(out))
+    assert code == 0
+    return json.loads(json.dumps(report, default=cli._json_default,
+                                 allow_nan=False))["results"]["report"]
 
 
 def stacked_vector(u, v):
@@ -182,11 +199,12 @@ def test_decompose_rotation_pair():
     assert len(spec.hamiltonian_terms) == 2
     assert all(abs(t.lam - omega) < 1e-12 for t in spec.hamiltonian_terms)
     # e^{tK} turns Weyl arguments by e^{i omega t}, which H = omega (a^dag a + 1/2)
-    # does under the standard sign; checked on the oracle away from the
-    # truncation boundary where aa^dag loses its top entry
+    # does under the standard sign; checked on the truncated Fock space away
+    # from the truncation boundary where aa^dag loses its top entry
     rep = fock.build(1, 12)
-    H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
-    N = rep.adag[0] @ rep.a[0]
+    H, _ = dense_generator(rep, spec)
+    a, adag = kron_ladder(1, 12)
+    N = adag[0] @ a[0]
     target = omega * (N + 0.5 * np.eye(12))
     assert np.abs(H[:-1, :-1] - target[:-1, :-1]).max() < 1e-12
 
@@ -220,7 +238,7 @@ def test_reconstruction_identities_random_pairs():
             assert res.symplectic_residual < 1e-10
 
 
-def test_residuals_are_computed_once_per_spec(monkeypatch):
+def test_residuals_are_computed_once_per_spec(monkeypatch, tmp_path):
     calls = []
     original = synthesis.reconstruction_residuals
 
@@ -230,14 +248,14 @@ def test_residuals_are_computed_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(synthesis, "reconstruction_residuals", counted)
     pair = random_admissible_pair(rng(57), 2, couplings=2)
-    spec = decompose(pair.K, pair.C)
-    report = dilation_report(spec)
-    assert calls == [spec]
+    report = dilate_report(pair, tmp_path)
+    assert len(calls) == 1
+    spec = calls[0]
     assert spec.residuals == original(spec)
     assert report["reconstruction"] == dataclasses.asdict(spec.residuals)
 
 
-def test_decompose_builds_each_coupling_pair_once(monkeypatch):
+def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):
     pair = random_admissible_pair(rng(58), 2, couplings=2)
     calls = []
     original = synthesis.pair_from_coupling
@@ -247,9 +265,11 @@ def test_decompose_builds_each_coupling_pair_once(monkeypatch):
         return original(u, v)
 
     monkeypatch.setattr(synthesis, "pair_from_coupling", counted)
+    report = dilate_report(pair, tmp_path)
+    assert len(calls) == report["noise_dimension"] == 2
+    monkeypatch.undo()
     spec = decompose(pair.K, pair.C)
-    dilation_report(spec)
-    assert len(calls) == spec.noise_dimension == 2
+    assert np.array_equal(np.asarray(report["K_prime"]), spec.K_prime)
     # K' is K minus each term's drift, subtracted in order
     K_prime = pair.K.copy()
     for term in spec.lindblad_terms:
@@ -412,12 +432,12 @@ def test_hamiltonian_commutator_matches_oracle():
     for _ in range(5):
         Kp = random_symplectic_generator(gen, 1)
         spec = decompose(Kp, np.zeros((2, 2)))
-        H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
+        H, _ = dense_generator(rep, spec)
         z = 0.7 * (gen.normal(size=1) + 1j * gen.normal(size=1))
         W = fock.weyl_matrix(rep, z)
         commutator = 1j * (H @ W - W @ H)
         coeff = generator_action(QuasifreePair(n=1, K=spec.K_prime, C=np.zeros((2, 2))), z)
-        gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
+        gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
         lhs = np.vdot(left, commutator @ right)
         rhs = np.vdot(left, closed @ right)
@@ -433,8 +453,7 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
     spec = decompose(pair.K, pair.C)
     assert spec.noise_dimension >= 1 and spec.hamiltonian_terms
     rep = fock.build(n, cutoff)
-    Ls = fock.lindblad_matrices(rep, spec)
-    H = fock.hamiltonian_matrix(rep, spec.hamiltonian_terms)
+    H, Ls = dense_generator(rep, spec)
     dU = ito.hp_coefficients(np.eye(len(Ls) * rep.dim), Ls, H)
     left = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
     right = fock.coherent_vector(rep, random_complex(gen, n, 0.5))
@@ -445,33 +464,37 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
                    for vec in (left, right, W @ right)) < fock.LEAKAGE_TRUST
         flow = ito.flow_generator(dU, W)[(0, 0)]
         coeff = generator_action(pair, z)
-        gain = fock.creator(rep, coeff.gain_vector) - fock.annihilator(rep, coeff.gain_vector)
+        gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
         closed = (gain + coeff.scalar_part * np.eye(rep.dim)) @ W
         assert abs(np.vdot(left, (flow - closed) @ right)) < 1e-9
 
 
 # --- reports and serialization ----------------------------------------------
 
-def test_dilation_report_attenuation():
-    spec = decompose(-0.5 * np.eye(2), np.eye(2))
-    report = dilation_report(spec)
+def test_dilation_report_attenuation(tmp_path):
+    report = dilate_report(QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2)), tmp_path)
     assert report["noise_dimension"] == 1
     assert len(report["hamiltonian_terms"]) == 0
     assert not report["closed_dynamics"]
+    assert "note" not in report
+    (term,) = report["lindblad_terms"]
+    assert np.allclose(from_pairs(term["u"]), [1.0]) and np.allclose(from_pairs(term["v"]), [0.0])
 
 
-def test_dilation_report_rotation():
-    spec = decompose(0.5 * symplectic_form(1), np.zeros((2, 2)))
-    report = dilation_report(spec)
+def test_dilation_report_rotation(tmp_path):
+    report = dilate_report(QuasifreePair(n=1, K=0.5 * symplectic_form(1), C=np.zeros((2, 2))),
+                           tmp_path)
     assert report["noise_dimension"] == 0
     assert report["closed_dynamics"]
     assert "note" in report
 
 
-def test_dilation_report_zero():
-    report = dilation_report(decompose(np.zeros((2, 2)), np.zeros((2, 2))))
+def test_dilation_report_zero(tmp_path):
+    report = dilate_report(QuasifreePair(n=1, K=np.zeros((2, 2)), C=np.zeros((2, 2))), tmp_path)
     assert report["noise_dimension"] == 0
     assert report["hamiltonian_terms"] == []
+    assert report["closed_dynamics"]
+    assert report["note"].startswith("no noise channels")
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -488,14 +511,14 @@ def test_spec_json_round_trip(tmp_path):
     assert data["n"] == spec.n
     assert len(data["lindblad"]) == spec.noise_dimension
     for term, entry in zip(spec.lindblad_terms, data["lindblad"]):
-        back = LindbladTerm(b=complex_from_pairs(entry["b"]), c=complex_from_pairs(entry["c"]))
+        back = LindbladTerm(b=from_pairs(entry["b"]), c=from_pairs(entry["c"]))
         assert np.array_equal(back.b, term.b) and np.array_equal(back.c, term.c)
         assert np.abs(back.u - term.u).max() < 1e-15
         assert np.abs(back.v - term.v).max() < 1e-15
     assert len(data["hamiltonian"]) == len(spec.hamiltonian_terms)
     for term, entry in zip(spec.hamiltonian_terms, data["hamiltonian"]):
         assert entry["lambda"] == term.lam
-        assert np.array_equal(complex_from_pairs(entry["w"]), term.w)
+        assert np.array_equal(from_pairs(entry["w"]), term.w)
     for key, matrix in (("Kprime", spec.K_prime), ("K", spec.K), ("C", spec.C)):
         assert np.array_equal(np.asarray(data[key]), matrix)
     assert np.array_equal(np.asarray(data["K"]), pair.K)

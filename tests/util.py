@@ -1,4 +1,7 @@
-"""Shared random draws for the test suite (all explicitly seeded)."""
+"""Shared random draws for the test suite (all explicitly seeded), and a
+dense Fock-space reference built from Kronecker products alone."""
+
+from functools import reduce
 
 import numpy as np
 
@@ -60,3 +63,30 @@ def random_unitary(gen, dim):
     z = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     Q, R = np.linalg.qr(z)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def kron_ladder(n, cutoff):
+    """Annihilation and creation matrices per mode as Kronecker products."""
+    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)
+    eye = np.eye(cutoff, dtype=complex)
+    a = [reduce(np.kron, [lower if k == j else eye for k in range(n)]) for j in range(n)]
+    return a, [x.conj().T for x in a]
+
+
+def smeared_ladder(rep, u, v):
+    """Dense a(u) + a^dag(v) = sum_j conj(u_j) a_j + v_j a_j^dag on the
+    truncated space of rep; a(u) is antilinear in u, so a^dag(z) - a(z) is
+    smeared_ladder(rep, -z, z)."""
+    a, adag = kron_ladder(rep.n, rep.cutoff)
+    u = np.asarray(u, dtype=complex).ravel()
+    v = np.asarray(v, dtype=complex).ravel()
+    return sum(np.conj(uj) * aj + vj * adj for uj, vj, aj, adj in zip(u, v, a, adag))
+
+
+def dense_generator(rep, spec):
+    """H and the L_j of a dilation spec from Kronecker ladder matrices."""
+    H = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for term in spec.hamiltonian_terms:
+        G = smeared_ladder(rep, term.w, term.w)
+        H += 0.25 * term.lam * (G @ G)
+    return H, [smeared_ladder(rep, term.u, term.v) for term in spec.lindblad_terms]
