@@ -16,9 +16,9 @@ that the pair is admissible, on read-only copies of K and C, so no later write
 can slip past the check.  Both directions need the same (e^{tK}, B_t) at a
 given t, and each pair memoizes it.  On the first memo miss the pair prepares
 one :class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
-1-norm of the Van Loan block and assembles the block or, from order 24 up,
-its even powers; every miss after that is one :meth:`Propagator.at
-<quasifree.symplectic.Propagator.at>` of the prepared propagator.
+1-norm of the Van Loan block and computes its even powers; every miss after
+that is one :meth:`Propagator.at <quasifree.symplectic.Propagator.at>` of the
+prepared propagator.
 :meth:`QuasifreePair.propagator` keeps the PROPAGATOR_MEMO most recently used
 times and returns read-only arrays, bitwise equal to
 :func:`quasifree.symplectic.propagator`.  Input states are checked through the
@@ -143,14 +143,20 @@ class WeylActionResult:
 
 
 def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
-    """Image of the Weyl operator under the semigroup at time t >= 0."""
+    """Image of the Weyl operator under the semigroup at time t >= 0.  A
+    propagator that overflows by time t, or an image or damping exponent that
+    does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != pair.n:
         raise ValueError(f"expected a length-{pair.n} argument, got {z.size}")
     xi = real_embed(z)
     E, B = pair.propagator(t)
-    z_out = real_extract(E @ xi)
-    return WeylActionResult(z_out=z_out, damping_exponent=float(0.5 * xi @ B @ xi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi_out = E @ xi
+        damping = 0.5 * xi @ B @ xi
+    if not (np.isfinite(xi_out).all() and np.isfinite(damping)):
+        raise _overflow(pair.K, t)
+    return WeylActionResult(z_out=real_extract(xi_out), damping_exponent=float(damping))
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:

@@ -5,11 +5,11 @@ A complex displacement z in C^n is identified with the stacked real vector
 the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  It is prepared
-once per pair (the checks on K and C, the 1-norm of the block, and the block
-or its even powers) and then evaluated at each t (:meth:`Propagator.at`: the
-scaling, the exponential and the squaring); :func:`propagator` prepares and
-evaluates once.  Everything here is dense numpy; the matrices in play are at
-most a few hundred rows.
+once per pair (the checks on K and C, the 1-norm of the block, and its even
+powers) and then evaluated at each t (:meth:`Propagator.at`: the scaling,
+the exponential and the squaring); :func:`propagator` prepares and evaluates
+once.  Everything here is dense numpy; the matrices in play are at most a few
+hundred rows.
 
 The block exponential is a scaling-and-squaring Pade [13/13] approximant
 (Higham 2005) of M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled to
@@ -22,11 +22,8 @@ and the approximant follows from 2n x 2n products and one 2n x 2n inverse
 (:func:`_pade13_blocks`).  The six blocks K^2, K^4, K^6, X_2, X_4, X_6 are
 computed once per pair at the reference step h0 = _THETA_13 / ||M||_1; at
 each t = 2^k h they are scaled by r^2j, r = h / h0 <= 1, through the
-approximant's coefficients, so no power can overflow.  scipy's compiled expm
-of the assembled 4n x 4n block is faster on small blocks, where call overhead
-dominates; the 2n x 2n kernel wins from order 2n = _BLOCK_KERNEL_MIN_ORDER
-up, as each of its products costs an eighth of a 4n x 4n one.  A propagation
-that overflows raises :class:`PropagatorOverflowError`.
+approximant's coefficients, so no power can overflow.  A propagation that
+overflows raises :class:`PropagatorOverflowError`.
 
 The package's shared pieces live here too: the default tolerances, the one
 Hermitian test (:func:`hermitian_check`) and the read-only copies that make
@@ -147,7 +144,8 @@ def psd_verdict(w, tol: float = PSD_TOL):
 
 
 def expm(A) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential (scaling-and-squaring Pade, via scipy).  The library
+    no longer calls it; the tests keep it as a reference."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -179,8 +177,6 @@ _PADE13_TABLE = np.array([[0.0] + _PADE13[9::2], _PADE13[1:9:2],
 #: largest ||hM||_1 at which the [13/13] approximant's backward error stays
 #: within double-precision unit roundoff (Higham 2005)
 _THETA_13 = 5.371920351148152
-#: order 2n from which _pade13_blocks beats scipy's expm of the 4n x 4n block
-_BLOCK_KERNEL_MIN_ORDER = 24
 
 
 def _pade13_blocks(powers, K, C, h: float, r: float):
@@ -205,11 +201,11 @@ def _pade13_blocks(powers, K, C, h: float, r: float):
     r2 = r * r
     r6 = r2 * r2 * r2
     c = _PADE13_TABLE * np.outer([h * r6, h, r6, 1.0], [1.0, r2, r2 * r2, r6])
-    inner_W, outer_W, inner_V, outer_V = (c @ powers).reshape(4, 2, m, m)
-    W_B = K6 @ inner_W[0] + outer_W[0]
-    W_X = K6.T @ inner_W[1] + X6 @ inner_W[0] + outer_W[1]
-    V_B = K6 @ inner_V[0] + outer_V[0]
-    V_X = K6.T @ inner_V[1] + X6 @ inner_V[0] + outer_V[1]
+    # indexed [W or V, inner or outer, B or X]: W and V share each product
+    sums = (c @ powers).reshape(2, 2, 2, m, m)
+    inner, outer = sums[:, 0], sums[:, 1]
+    W_B, V_B = K6 @ inner[:, 0] + outer[:, 0]
+    W_X, V_X = K6.T @ inner[:, 1] + X6 @ inner[:, 0] + outer[:, 1]
     U_B = K @ W_B
     U_X = C @ W_B - K.T @ W_X
     # inverting the F-ordered view Q_B^T in place gives Q_B^-T and Q_B^-1 without copies
@@ -228,10 +224,8 @@ class Propagator:
     that K and C are equal square finite matrices and that C is symmetric,
     takes the 1-norm of M = [[-K^T, C], [0, K]] (the larger of the largest row
     sum of |K| and the largest column sum of |C| + |K|, read off K and C), and
-    then, below order 2n = _BLOCK_KERNEL_MIN_ORDER, assembles M, and from it
-    up stacks the blocks of I, (h0 M)^2, (h0 M)^4 and (h0 M)^6 at the
-    reference step h0 = _THETA_13 / ||M||_1.  :meth:`at` does the rest for
-    one t.
+    stacks the blocks of I, (h0 M)^2, (h0 M)^4 and (h0 M)^6 at the reference
+    step h0 = _THETA_13 / ||M||_1.  :meth:`at` does the rest for one t.
     """
 
     def __init__(self, K, C):
@@ -249,23 +243,16 @@ class Propagator:
         abs_K = np.abs(K)
         self.norm = float(np.maximum(abs_K.sum(axis=1),
                                      (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
-        if m >= _BLOCK_KERNEL_MIN_ORDER:
-            # at ||M||_1 = 0 every power is 0 whatever h0; at inf at() refuses any t
-            h0 = _THETA_13 / self.norm if self.norm else 0.0
-            K0 = h0 * K
-            C0 = h0 * C
-            powers = np.zeros((4, 2, m, m))
-            powers[0, 0] = np.eye(m)
-            K2, X2 = powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
-            K4, X4 = powers[2] = K2 @ K2, K2.T @ X2 + X2 @ K2
-            powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
-            self._powers = powers.reshape(4, -1)
-        else:
-            block = np.zeros((2 * m, 2 * m))
-            block[:m, :m] = -K.T
-            block[:m, m:] = C
-            block[m:, m:] = K
-            self._block = block
+        # at ||M||_1 = 0 every power is 0 whatever h0; at inf at() refuses any t
+        h0 = _THETA_13 / self.norm if self.norm else 0.0
+        K0 = h0 * K
+        C0 = h0 * C
+        powers = np.zeros((4, 2, m, m))
+        powers[0, 0] = np.eye(m)
+        K2, X2 = powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
+        K4, X4 = powers[2] = K2 @ K2, K2.T @ X2 + X2 @ K2
+        powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
+        self._powers = powers.reshape(4, -1)
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{tK}, B_t) as fresh arrays.
@@ -273,11 +260,10 @@ class Propagator:
         exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken at
         h = t / 2^k for the smallest k with ||hM||_1 <= _THETA_13 and squared
         up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed, so
-        dissipative K stays finite at any t.  Below order
-        _BLOCK_KERNEL_MIN_ORDER the exponential is :func:`expm` of h M; from it
-        up, the Pade [13/13] approximant in 2n x 2n blocks
-        (:func:`_pade13_blocks`) from the prepared powers.  Raises
-        PropagatorOverflowError when e^{tK} or B_t is not finite.
+        dissipative K stays finite at any t.  The exponential is the Pade
+        [13/13] approximant in 2n x 2n blocks (:func:`_pade13_blocks`) from the
+        prepared powers.  Raises PropagatorOverflowError when e^{tK} or B_t is
+        not finite.
         """
         if not 0.0 <= t < np.inf:
             raise ValueError(f"time must be finite and nonnegative, got {t}")
@@ -287,13 +273,7 @@ class Propagator:
         # log2 of each factor, as t * norm may exceed the float range
         k = math.ceil(math.log2(t) + math.log2(norm / _THETA_13)) if t * norm > _THETA_13 else 0
         h = math.ldexp(t, -k)
-        m = K.shape[0]
-        if m >= _BLOCK_KERNEL_MIN_ORDER:
-            E, B = _pade13_blocks(self._powers, K, self.C, h, h * (norm / _THETA_13))
-        else:
-            F = expm(h * self._block)
-            E = F[m:, m:]
-            B = E.T @ F[:m, m:]
+        E, B = _pade13_blocks(self._powers, K, self.C, h, h * (norm / _THETA_13))
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(k):
                 B = B + E.T @ B @ E
@@ -310,10 +290,9 @@ def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.
 
     K and C must be finite and C symmetric; B_t is symmetric, and PSD whenever
-    C is.  Below order 2n = _BLOCK_KERNEL_MIN_ORDER the exponential is scipy's
-    expm of the assembled 4n x 4n Van Loan block; from it up, the Pade [13/13]
-    approximant in 2n x 2n blocks, which costs an eighth of the flops per
-    product.  Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
+    C is.  The exponential is the Pade [13/13] approximant of the Van Loan
+    block, taken in 2n x 2n blocks.  Raises PropagatorOverflowError when e^{tK}
+    or B_t is not finite.
     """
     return Propagator(K, C).at(t)
 

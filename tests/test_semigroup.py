@@ -207,6 +207,20 @@ def test_evolved_state_overflow_is_named_without_warnings():
             evolve_state(loud, pair, 690.0)
 
 
+@pytest.mark.parametrize("z", [1e3, 1e160], ids=["damping", "image"])
+def test_weyl_action_overflow_is_named_without_warnings(z):
+    # at t = 700, e^{tK} = e^{350} I and B_t ~ e^{700} I are finite; the damping
+    # exponent overflows from |z| = 1e3 on, and the image E z as well at 1e160
+    pair = QuasifreePair(n=1, K=0.5 * np.eye(2), C=np.eye(2))
+    E, B = pair.propagator(700.0)
+    assert np.isfinite(E).all() and np.isfinite(B).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagatorOverflowError,
+                           match="t = 700: K has spectral abscissa 0.5"):
+            weyl_action(pair, 700.0, [z])
+
+
 # --- immutability and the propagator memo -----------------------------------
 
 def same_bits(a, b):
@@ -255,7 +269,6 @@ def test_copies_of_a_pair_are_immutable_pairs_with_their_own_memo(clone):
 
 
 def test_memoized_propagator_is_read_only_and_bitwise_the_kernel():
-    # n = 16 is above the order from which the 2n x 2n block kernel runs
     for n in (3, 16):
         pair = random_admissible_pair(rng(71), n, couplings=2)
         for t in (0.0, 0.3, 7.5, 400.0):
@@ -341,22 +354,24 @@ def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):
     assert prepared == [(24, 24)]
 
 
-@pytest.mark.parametrize("n, per_miss", [(1, 1), (4, 1), (11, 1), (12, 0), (16, 0)])
-def test_symplectic_expm_runs_once_per_memo_miss_below_the_crossover_only(monkeypatch,
-                                                                          n, per_miss):
-    # perfbench counts symplectic.expm through the module attribute
-    assert (2 * n < symplectic._BLOCK_KERNEL_MIN_ORDER) == bool(per_miss)
+@pytest.mark.parametrize("n", [1, 4, 11, 12, 16])
+def test_pade_kernel_runs_once_per_memo_miss_and_symplectic_expm_never(monkeypatch, n):
     pair = random_admissible_pair(rng(76), n, couplings=2)
     calls = []
+    kernel = symplectic._pade13_blocks
 
-    def counted(A):
-        calls.append(A.shape)
-        return expm(A)
+    def counted(powers, K, C, h, r):
+        calls.append(K.shape)
+        return kernel(powers, K, C, h, r)
 
-    monkeypatch.setattr(symplectic, "expm", counted)
+    def refuse(A):
+        raise AssertionError("symplectic.expm called")
+
+    monkeypatch.setattr(symplectic, "_pade13_blocks", counted)
+    monkeypatch.setattr(symplectic, "expm", refuse)
     for t in (0.2, 0.9, 0.2, 3.0, 0.9, 3.0):
         pair.propagator(t)
-    assert calls == [(4 * n, 4 * n)] * (3 * per_miss)
+    assert calls == [(2 * n, 2 * n)] * 3
 
 
 @pytest.mark.parametrize("which", ["K", "C"])

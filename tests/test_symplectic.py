@@ -202,10 +202,6 @@ def _full_block_propagator(K, C, t):
     return E, (B + B.T) / 2.0
 
 
-def test_kernel_sizes_lie_on_both_sides_of_the_crossover():
-    assert 2 * 4 < symplectic._BLOCK_KERNEL_MIN_ORDER <= 2 * 16
-
-
 @pytest.mark.parametrize("n", [1, 4, 16, 32, 64])
 def test_propagator_matches_the_full_block_reference(n):
     pair = random_admissible_pair(rng(600 + n), n, couplings=max(1, n // 4))
@@ -218,16 +214,16 @@ def test_propagator_matches_the_full_block_reference(n):
 
 def test_pade_kernel_refuses_an_exactly_singular_denominator_without_a_warning():
     # all-zero powers make V - U the zero matrix
-    m = symplectic._BLOCK_KERNEL_MIN_ORDER
-    K = np.zeros((m, m))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(np.linalg.LinAlgError):
-            symplectic._pade13_blocks(np.zeros((4, 2 * m * m)), K, K, 1.0, 1.0)
+    for m in (2, 24):
+        K = np.zeros((m, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                symplectic._pade13_blocks(np.zeros((4, 2 * m * m)), K, K, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("n", [12, 32])
-def test_propagation_above_the_crossover_never_calls_numpy_inv(monkeypatch, n):
+@pytest.mark.parametrize("n", [1, 12, 32])
+def test_propagation_never_calls_numpy_inv(monkeypatch, n):
     pair = random_admissible_pair(rng(613), n, couplings=3)
     expected = propagator(pair.K, pair.C, 2.0)
 
@@ -239,8 +235,8 @@ def test_propagation_above_the_crossover_never_calls_numpy_inv(monkeypatch, n):
         assert np.array_equal(got, ref)
 
 
-def test_zero_drift_above_the_crossover_gives_exactly_the_identity():
-    m = symplectic._BLOCK_KERNEL_MIN_ORDER
+@pytest.mark.parametrize("m", [2, 24])
+def test_zero_drift_gives_exactly_the_identity(m):
     G = rng(610).normal(size=(m, m))
     C = G @ G.T
     E, B = propagator(np.zeros((m, m)), C, 3.0)
@@ -248,16 +244,18 @@ def test_zero_drift_above_the_crossover_gives_exactly_the_identity():
     assert np.abs(B - 3.0 * C).max() <= 1e-14 * np.abs(C).max()
 
 
-def test_time_zero_above_the_crossover_gives_exactly_the_identity_and_no_noise():
-    pair = random_admissible_pair(rng(611), 12, couplings=3)
+@pytest.mark.parametrize("m", [2, 24])
+def test_time_zero_gives_exactly_the_identity_and_no_noise(m):
+    pair = random_admissible_pair(rng(611), m // 2, couplings=3)
     E, B = propagator(pair.K, pair.C, 0.0)
-    assert np.array_equal(E, np.eye(24))
-    assert np.array_equal(B, np.zeros((24, 24)))
+    assert np.array_equal(E, np.eye(m))
+    assert np.array_equal(B, np.zeros((m, m)))
 
 
+@pytest.mark.parametrize("m", [2, 24])
 @pytest.mark.parametrize("t", [5e-324, 1e-300])
-def test_vanishing_times_above_the_crossover_match_the_full_block_reference(t):
-    pair = random_admissible_pair(rng(612), 12, couplings=3)
+def test_vanishing_times_match_the_full_block_reference(t, m):
+    pair = random_admissible_pair(rng(612), m // 2, couplings=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         E, B = propagator(pair.K, pair.C, t)
@@ -266,10 +264,10 @@ def test_vanishing_times_above_the_crossover_match_the_full_block_reference(t):
         assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
+@pytest.mark.parametrize("m", [2, 24])
 @pytest.mark.parametrize("t", [3.0, 1e308])
-def test_zero_pair_above_the_crossover_stays_the_identity(t):
+def test_zero_pair_stays_the_identity(t, m):
     # ||M||_1 = 0: no reference step exists, and none is needed
-    m = symplectic._BLOCK_KERNEL_MIN_ORDER
     E, B = propagator(np.zeros((m, m)), np.zeros((m, m)), t)
     assert np.array_equal(E, np.eye(m))
     assert np.array_equal(B, np.zeros((m, m)))
