@@ -34,8 +34,8 @@ ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
 propagation that overflows (PropagatorOverflowError), a non-finite report);
 3 the scenario is unreadable, not JSON or not an object; 4 a size cap
-(DimensionCapError, SampleCapError).  An exception prints one "error:" line
-and no report.
+(DimensionCapError, SampleCapError, ColourCapError).  An exception prints
+one "error:" line and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
@@ -49,7 +49,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import numbers
 import os
 import sys
 import tempfile
@@ -113,6 +112,7 @@ EXIT_CODES = {
     UnreadableScenario: 3,
     fock.DimensionCapError: 4,
     fields.SampleCapError: 4,
+    ito.ColourCapError: 4,
 }
 
 
@@ -137,14 +137,22 @@ def _list(obj, key, where="scenario"):
     return value
 
 
+#: the number types a field may hold: what JSON decodes to, and numpy's
+#: scalars; concrete tuples, as isinstance against the numbers ABCs costs
+#: several times more per decoded number
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_INTEGRAL_TYPES = (int, np.integer)
+
+
 def _number(value, key, cast=float):
     """One value of the scalar or list-of-scalar field key, read as cast
-    (float or int).  null, a non-number and, for an int field, a number with
-    a fractional part are schema errors that name the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    (float or int).  null, a bool (refused before the type check, as bool
+    subclasses int), a value of none of _REAL_TYPES and, for an int field, a
+    number with a fractional part are schema errors that name the field."""
+    if isinstance(value, bool) or not isinstance(value, _REAL_TYPES):
         shown = "null" if value is None else type(value).__name__
         raise SchemaError(f"{key!r} must hold numbers, got {shown}")
-    if cast is int and not isinstance(value, numbers.Integral) and not float(value).is_integer():
+    if cast is int and not isinstance(value, _INTEGRAL_TYPES) and not float(value).is_integer():
         raise SchemaError(f"{key!r} must hold integers, got {value!r}")
     return cast(value)
 
@@ -261,8 +269,11 @@ def _finite(cast):
 def _write_csv(path, columns, rows, fmt, line_end):
     """Write the header and the rows of a 2-D float array, fields formatted
     by fmt and lines ended by line_end, one pass per block of _CSV_BLOCK_ROWS
-    rows.  ("%r", "\r\n") gives csv.writer's bytes for repr'd floats,
-    ("%.18e", "\n") np.savetxt's with delimiter "," and comments ""."""
+    rows.  ("%r", "\r\n") gives csv.writer's bytes for repr'd floats (the
+    evolve CSV); ("%.17g", "\n") gives np.savetxt's with that fmt, delimiter
+    "," and comments "" (the sample CSV).  Both read back bitwise: 17
+    significant digits round-trip any float64, and formatting them is
+    cheaper than repr or savetxt's default "%.18e"."""
     row_fmt = ",".join([fmt] * len(columns)) + line_end
     with open(path, "w", newline="") as fh:
         fh.write(",".join(columns) + line_end)
@@ -389,6 +400,8 @@ def _cmd_verify_oracle(scenario, ctx):
     times = [_number(t, "times") for t in _list(scenario, "times")]
     cutoff = ctx["cutoff"]
     steps_per_unit = _number(scenario.get("steps", 2000), "steps", int)
+    if steps_per_unit < 1:
+        raise SchemaError(f"'steps' must be at least 1, got {steps_per_unit}")
     tol = ctx["tolerances"]["oracle"]
     reports = []
     passed = True
@@ -477,7 +490,7 @@ def _cmd_sample_field(scenario, ctx):
     artifacts = {}
     csv_name = scenario.get("csv")
     if csv_name:
-        _write_csv(os.path.join(ctx["out"], csv_name), columns, data, "%.18e", "\n")
+        _write_csv(os.path.join(ctx["out"], csv_name), columns, data, "%.17g", "\n")
         artifacts["csv"] = csv_name
     results = {"count": count}
     if isinstance(law, fields.FieldLaw):

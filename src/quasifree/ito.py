@@ -49,6 +49,8 @@ __all__ = [
     "product_differential",
     "ito_equal",
     "quadrature_table",
+    "COLOUR_CAP",
+    "ColourCapError",
     "poisson_table",
     "format_differential",
     "format_table",
@@ -57,6 +59,15 @@ __all__ = [
     "unitarity_check",
     "flow_generator",
 ]
+
+
+#: most colours d that quadrature_table renders; its (d + 1)^2 products and
+#: its text grow as d^2, to ~0.5 s and ~440 kB at the cap
+COLOUR_CAP = 256
+
+
+class ColourCapError(ValueError):
+    """Requested table exceeds COLOUR_CAP colours."""
 
 
 def _is_zero(coeff) -> bool:
@@ -308,9 +319,13 @@ def quadrature_table(d: int, tol: float = 1e-12) -> TableCheck:
 
     The grid includes the dt row and column, which vanish identically, so the
     text reproduces the full multiplication table of Brownian differentials.
+    More than COLOUR_CAP colours raise ColourCapError before any differential
+    is built.
     """
     if d < 1:
         raise ValueError("need at least one colour")
+    if d > COLOUR_CAP:
+        raise ColourCapError(f"{d} colours exceed the cap of {COLOUR_CAP} for a quadrature table")
     dt = time_differential(d)
     labels = [f"dB{i}" for i in range(1, d + 1)] + ["dt"]
     basis = [quadrature(d, i) for i in range(1, d + 1)] + [dt]

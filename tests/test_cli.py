@@ -2,13 +2,15 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasifree import cli, fields, fock
+from quasifree import cli, fields, fock, ito
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import PropagatorOverflowError
@@ -263,7 +265,8 @@ def test_sample_field_gaussian_csv(tmp_path):
     law = scenario["law"]
     draws = fields.sample(fields.FieldLaw(mean=law["mean"], covariance=law["covariance"]),
                           20000, seed=3)
-    np.savetxt(tmp_path / "ref.csv", draws, delimiter=",", header="x1,x2", comments="")
+    np.savetxt(tmp_path / "ref.csv", draws, fmt="%.17g", delimiter=",", header="x1,x2",
+               comments="")
     assert (tmp_path / "draws.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -406,6 +409,27 @@ def test_reports_are_deterministic_modulo_timestamp(tmp_path):
     assert first == second
 
 
+_TIMESTAMP = re.compile(rb'"timestamp": "[^"]*", ')
+
+
+@pytest.mark.parametrize("path", DEMO_SCENARIOS, ids=lambda p: p.stem)
+def test_demo_scenario_outputs_are_byte_identical_modulo_timestamp(tmp_path, path):
+    outputs = []
+    for run_dir in (tmp_path / "a", tmp_path / "b"):
+        assert cli.main(["--scenario", str(path), "--out", str(run_dir)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in run_dir.iterdir()})
+    first, second = outputs
+    assert sorted(first) == sorted(second)
+    for name, text in first.items():
+        if name.endswith(".json"):      # the report: drop its one timestamp
+            text, count = _TIMESTAMP.subn(b"", text)
+            other, other_count = _TIMESTAMP.subn(b"", second[name])
+            assert count == other_count == 1
+        else:
+            other = second[name]
+        assert text == other, name
+
+
 @dataclasses.dataclass(frozen=True)
 class _Inner:
     values: np.ndarray
@@ -471,8 +495,43 @@ def test_complex_field_refuses_non_finite_values(pair, message):
 def test_sample_csv_matches_savetxt(tmp_path, rows, cols):
     data = rng(rows + cols).normal(size=(rows, cols)) * 10.0 ** rng(7).integers(-300, 300, cols)
     columns = [f"x{j + 1}" for j in range(cols)]
-    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", header=",".join(columns), comments="")
-    cli._write_csv(tmp_path / "out.csv", columns, data, "%.18e", "\n")
+    np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",", header=",".join(columns),
+               comments="")
+    cli._write_csv(tmp_path / "out.csv", columns, data, "%.17g", "\n")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("law", [
+    {"kind": "gaussian", "mean": [1e-3, -2e5], "covariance": [[1e-6, 0.0], [0.0, 1e10]]},
+    {"kind": "levy", "H": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-2.0, 0.0]]],
+     "u": [[0.6, 0.0], [0.8, 0.0]]},
+    {"kind": "coherent", "u0": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]],
+     "us": [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0], [-0.4, 0.0]],
+            [[0.2, 0.0], [0.0, 0.0], [1.5, 0.0]]]},
+], ids=lambda law: law["kind"])
+def test_sample_csv_reads_back_bitwise(tmp_path, law):
+    scenario = {"command": "sample-field", "law": law, "count": 3000, "seed": 8,
+                "csv": "draws.csv"}
+    assert run(tmp_path, scenario)[0] == 0
+    draws = fields.sample(cli._field_law(scenario), 3000, seed=8)
+    back = np.loadtxt(tmp_path / "draws.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert _same_bits(back, draws.reshape(3000, -1))
+
+
+def test_write_csv_reads_back_extreme_values_bitwise(tmp_path):
+    gen = rng(44)
+    tiny, huge = np.finfo(float).smallest_subnormal, np.finfo(float).max
+    data = np.concatenate([gen.normal(size=4000) * 1e307, gen.normal(size=4000) * 1e-307,
+                           gen.normal(size=4000), [tiny, -tiny, huge, -huge, -0.0, 0.1, 1 / 3]])
+    data = data.reshape(-1, 1)
+    cli._write_csv(tmp_path / "out.csv", ["x1"], data, "%.17g", "\n")
+    back = np.loadtxt(tmp_path / "out.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert _same_bits(back, data)
+    np.savetxt(tmp_path / "ref.csv", data, fmt="%.17g", delimiter=",", header="x1", comments="")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -684,6 +743,7 @@ def test_bad_field_error_names_the_field(tmp_path, capsys, scenario, field):
     (RuntimeError("drift"), 2), (PropagatorOverflowError("overflows"), 2),
     (fock.DimensionCapError("too big"), 4),
     (fields.SampleCapError("too many"), 4),
+    (ito.ColourCapError("too many"), 4),
 ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
 def test_exit_code_is_set_by_the_most_derived_listed_class(tmp_path, capsys, monkeypatch,
                                                            exc, code):
@@ -830,3 +890,44 @@ def test_sample_count_above_the_cap_exits_4(tmp_path, capsys):
     code, report = run(tmp_path, scenario)
     assert code == 4 and report is None
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_quadrature_table_above_the_colour_cap_exits_4(tmp_path, capsys):
+    start = time.perf_counter()
+    code, report = run(tmp_path, {"command": "ito-table", "table": "quadrature",
+                                  "d": ito.COLOUR_CAP + 1})
+    assert time.perf_counter() - start < 1.0
+    assert code == 4 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(ito.COLOUR_CAP) in err
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_verify_oracle_with_fewer_than_one_step_exits_1_naming_steps(tmp_path, capsys, steps):
+    scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
+                "state": coherent([0.5]), "times": [0.1], "cutoff": 8, "steps": steps}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None and caught == []
+    assert capsys.readouterr().err == f"error: 'steps' must be at least 1, got {steps}\n"
+
+
+@pytest.mark.parametrize("value, cast, expected", [
+    (np.int64(7), int, 7), (np.int64(7), float, 7.0), (np.float32(0.25), float, 0.25),
+    (np.float64(-1.5), float, -1.5), (np.float64(3.0), int, 3),
+], ids=["int64-int", "int64-float", "float32", "float64", "float64-int"])
+def test_number_accepts_numpy_scalars(value, cast, expected):
+    read = cli._number(value, "x", cast)
+    assert read == expected and type(read) is cast
+
+
+@pytest.mark.parametrize("value, shown", [(True, "bool"), (np.bool_(True), "bool"),
+                                          (None, "null"), ("1.0", "str")],
+                         ids=["bool", "numpy-bool", "null", "string"])
+@pytest.mark.parametrize("cast", [float, int])
+def test_number_refuses_what_is_not_a_number(value, shown, cast):
+    with pytest.raises(cli.SchemaError) as caught:
+        cli._number(value, "x", cast)
+    assert str(caught.value) == f"'x' must hold numbers, got {shown}"
