@@ -10,9 +10,9 @@ Payloads are decoded by the field readers (_require, _number, _real,
 _complex): a state is {"n", "l", "m", "S"}, a pair {"n", "K", "C"}, a kernel
 {"points", "K", "group"} with K all numbers or all [re, im] pairs.  Reports
 are encoded by one JSON default (_json_default: arrays, dataclasses such as
-GaussianState, complex values as [re, im] pairs), and both CSV artifacts,
-evolve's moment trajectory and sample-field's draws, by one writer
-(_write_csv).
+GaussianState or DilationSpec, complex values as [re, im] pairs), and both
+CSV artifacts, evolve's moment trajectory and sample-field's draws, by one
+writer (_write_csv).
 
 JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
 scenario file, or a number beyond float range such as 1e999, is an input
@@ -61,9 +61,6 @@ from .symplectic import (PSD_TOL, RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, 
                          PropagatorOverflowError)
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
-
-COMMANDS = ("validate-state", "evolve", "weyl", "decompose", "dilate",
-            "verify-oracle", "ito-table", "unitarity", "sample-field")
 
 DEFAULT_TOLERANCES = {
     "psd": PSD_TOL,
@@ -307,16 +304,13 @@ def _check_artifact_names(scenario):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results dict, passed flag, artifacts dict)
+# command handlers: each returns (results, passed flag, artifacts dict); the
+# results are anything _json_default encodes
 
 
 def _cmd_validate_state(scenario, ctx):
-    state = _payload(scenario, "state")
-    diag = gaussian.validate(state, tol=ctx["tolerances"]["psd"])
-    results = {"is_valid": diag.is_valid,
-               "min_eigenvalue": diag.min_eigenvalue,
-               "symmetry_defect": diag.symmetry_defect}
-    return results, diag.is_valid, {}
+    diag = gaussian.validate(_payload(scenario, "state"), tol=ctx["tolerances"]["psd"])
+    return diag, diag.is_valid, {}
 
 
 def _cmd_evolve(scenario, ctx):
@@ -359,39 +353,13 @@ def _cmd_weyl(scenario, ctx):
     return {"values": values}, passed, {}
 
 
-def _decompose_results(pair, ctx):
-    spec = synthesis.decompose(pair.K, pair.C, rank_tol=ctx["tolerances"]["rank"])
-    res = spec.residuals
-    passed = (max(res.k_residual, res.c_residual) <= ctx["tolerances"]["reconstruction"]
-              and res.symplectic_residual <= ctx["tolerances"]["symplectic"])
-    return spec, res, passed
-
-
 def _cmd_decompose(scenario, ctx):
+    """decompose and dilate: the DilationSpec itself, judged by its one
+    reconstruction rule at the scenario's tolerances."""
     pair = _payload(scenario, "pair")
-    spec, res, passed = _decompose_results(pair, ctx)
-    results = {"spec": {"n": spec.n,
-                        "lindblad": [{"b": t.b, "c": t.c} for t in spec.lindblad_terms],
-                        "hamiltonian": [{"lambda": t.lam, "w": t.w}
-                                        for t in spec.hamiltonian_terms],
-                        "Kprime": spec.K_prime, "K": spec.K, "C": spec.C},
-               "residuals": res}
-    return results, passed, {}
-
-
-def _cmd_dilate(scenario, ctx):
-    pair = _payload(scenario, "pair")
-    spec, res, passed = _decompose_results(pair, ctx)
-    closed = spec.noise_dimension == 0
-    report = {"modes": spec.n, "noise_dimension": spec.noise_dimension,
-              "lindblad_terms": [{"b": t.b, "c": t.c, "u": t.u, "v": t.v}
-                                 for t in spec.lindblad_terms],
-              "hamiltonian_terms": [{"lambda": t.lam, "w": t.w} for t in spec.hamiltonian_terms],
-              "K_prime": spec.K_prime, "reconstruction": res, "closed_dynamics": closed}
-    if closed:
-        report["note"] = ("no noise channels: the evolution is a closed one "
-                          "generated by the quadratic Hamiltonian alone")
-    return {"report": report}, passed, {}
+    tols = ctx["tolerances"]
+    spec = synthesis.decompose(pair.K, pair.C, rank_tol=tols["rank"])
+    return spec, spec.reconstructs(tols["reconstruction"], tols["symplectic"]), {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
@@ -519,12 +487,14 @@ HANDLERS = {
     "evolve": _cmd_evolve,
     "weyl": _cmd_weyl,
     "decompose": _cmd_decompose,
-    "dilate": _cmd_dilate,
+    "dilate": _cmd_decompose,
     "verify-oracle": _cmd_verify_oracle,
     "ito-table": _cmd_ito_table,
     "unitarity": _cmd_unitarity,
     "sample-field": _cmd_sample_field,
 }
+
+COMMANDS = tuple(HANDLERS)
 
 
 def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None):

@@ -135,7 +135,10 @@ class DilationSpec:
     The noisy evolution it describes couples the system to one bath channel
     per Lindblad term; with no terms it degenerates to a closed evolution
     generated by the quadratic Hamiltonian alone.  The residuals of its
-    reconstruction identities are computed once, on construction.
+    reconstruction identities are computed once, on construction, and judged
+    by one rule, reconstructs(): relative to s = 1 + max(|K|, |C|), the K and
+    C residuals must be at most reconstruction_tol * s and the symplectic
+    residual at most symplectic_tol * s.
     """
 
     n: int
@@ -152,6 +155,14 @@ class DilationSpec:
     @property
     def noise_dimension(self) -> int:
         return len(self.lindblad_terms)
+
+    def reconstructs(self, reconstruction_tol: float = RECONSTRUCTION_TOL,
+                     symplectic_tol: float = SYMPLECTIC_TOL) -> bool:
+        """Whether the residuals pass the reconstruction rule at these tolerances."""
+        res = self.residuals
+        scale = 1.0 + max(np.abs(self.K).max(initial=0.0), np.abs(self.C).max(initial=0.0))
+        return (max(res.k_residual, res.c_residual) <= reconstruction_tol * scale
+                and res.symplectic_residual <= symplectic_tol * scale)
 
 
 def _phase_fixed(cols):
@@ -174,7 +185,8 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     eigenpair (nu, x) giving a Hamiltonian term of strength lam = -nu.  Both
     eigendecompositions are read whole-array: one mask keeps eigenpairs and
     one _phase_fixed call fixes the phase of every kept column.
-    Verifies the reconstruction identities before returning.
+    Refuses a spec that fails DilationSpec.reconstructs() at the default
+    tolerances.
     """
     if rank_tol <= 0:
         raise ValueError("rank tolerance must be positive")
@@ -211,11 +223,8 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),
                         K_prime=K_prime, K=K, C=C)
-    res = spec.residuals
-    scale = 1.0 + max(np.abs(K).max(initial=0.0), np.abs(C).max(initial=0.0))
-    if max(res.k_residual, res.c_residual) > RECONSTRUCTION_TOL * scale or \
-            res.symplectic_residual > SYMPLECTIC_TOL * scale:
-        raise RuntimeError(f"decomposition failed to reconstruct the pair: {res}")
+    if not spec.reconstructs():
+        raise RuntimeError(f"decomposition failed to reconstruct the pair: {spec.residuals}")
     return spec
 
 

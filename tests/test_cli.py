@@ -13,7 +13,7 @@ import pytest
 from quasifree import cli, fields, fock, ito
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import PropagatorOverflowError
+from quasifree.symplectic import SYMPLECTIC_TOL, PropagatorOverflowError
 
 from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
@@ -150,8 +150,7 @@ def test_decompose_command(tmp_path):
     scenario = {"command": "decompose", "pair": attenuation_pair_dict()}
     code, report = run(tmp_path, scenario)
     assert code == 0
-    spec = report["results"]["spec"]
-    assert len(spec["lindblad"]) == 1
+    assert len(report["results"]["lindblad_terms"]) == 1
     assert report["results"]["residuals"]["k_residual"] < 1e-8
 
 
@@ -159,7 +158,77 @@ def test_dilate_command(tmp_path):
     scenario = {"command": "dilate", "pair": attenuation_pair_dict()}
     code, report = run(tmp_path, scenario)
     assert code == 0
-    assert report["results"]["report"]["noise_dimension"] == 1
+    assert len(report["results"]["lindblad_terms"]) == 1
+    assert report["results"]["hamiltonian_terms"] == []
+
+
+def _scaled_pair(scale):
+    pair = random_admissible_pair(rng(0), 4, couplings=3)
+    return {"n": pair.n, "K": scale * pair.K, "C": scale * pair.C}
+
+
+@pytest.mark.parametrize("command", ["decompose", "dilate"])
+def test_reconstruction_verdict_is_relative_to_the_pair_scale(tmp_path, command):
+    # at scale 1e6 the symplectic residual is ~1e-10 absolute but ~1e-16
+    # relative to 1 + max(|K|, |C|): the library's own rule passes it
+    code, report = run(tmp_path, {"command": command, "pair": _scaled_pair(1e6)})
+    assert (code, report["passed"]) == (0, True)
+    assert report["results"]["residuals"]["symplectic_residual"] > SYMPLECTIC_TOL
+
+
+@pytest.mark.parametrize("command", ["decompose", "dilate"])
+def test_scenario_tolerances_reach_the_reconstruction_verdict(tmp_path, command):
+    scenario = {"command": command, "pair": _scaled_pair(1.0),
+                "tolerances": {"symplectic": 1e-20}}
+    code, report = run(tmp_path, scenario)
+    assert (code, report["passed"]) == (2, False)
+    assert report["results"]["residuals"]["symplectic_residual"] > 0.0
+
+
+def test_decompose_and_dilate_write_the_same_results(tmp_path):
+    texts = []
+    for command in ("decompose", "dilate"):
+        run(tmp_path, {"command": command, "pair": _scaled_pair(1.0)})
+        text = (tmp_path / "report.json").read_text()
+        texts.append(text[text.index('"results": '):text.index(', "artifacts": ')])
+    assert texts[0] == texts[1]
+
+
+#: a small scenario per command whose results perfbench's qfl_sweep check
+#: reads, and the paths it reads there ("*" walks every entry of a list)
+_SWEEP_CONTRACT = {
+    "evolve": ({"pair": attenuation_pair_dict(), "state": coherent([0.5]),
+                "times": [0.0, 0.1]},
+               [("trajectory", 0, "state", key) for key in ("l", "m", "S")]),
+    "verify-oracle": ({"pair": attenuation_pair_dict(), "state": coherent([0.5]),
+                       "times": [0.1], "cutoff": 12, "steps": 100},
+                      [("comparisons", "*", key) for key in
+                       ("mean_error", "cov_error", "weyl_error")] + [("tolerance",)]),
+    "unitarity": ({"H": [[[1.0, 0.0]]]}, [("residual",), ("tolerance",)]),
+    "decompose": ({"pair": attenuation_pair_dict()},
+                  [("residuals", key) for key in
+                   ("k_residual", "c_residual", "symplectic_residual")]),
+}
+
+
+def _walk(value, path):
+    if not path:
+        return [value]
+    head, rest = path[0], path[1:]
+    if head == "*":
+        assert isinstance(value, list) and value
+        return [leaf for item in value for leaf in _walk(item, rest)]
+    return _walk(value[head], rest)
+
+
+@pytest.mark.parametrize("command", sorted(_SWEEP_CONTRACT))
+def test_report_keeps_the_keys_the_benchmark_check_reads(tmp_path, command):
+    scenario, paths = _SWEEP_CONTRACT[command]
+    code, report = run(tmp_path, {"command": command, **scenario})
+    assert (code, report["passed"]) == (0, True)
+    for path in paths:
+        leaves = _walk(report["results"], path)
+        assert leaves and all(isinstance(leaf, (int, float, list)) for leaf in leaves), path
 
 
 def test_verify_oracle_command(tmp_path):

@@ -59,6 +59,9 @@ def test_only_cli_knows_a_file_form():
     for name in ("quasifree", "quasifree.symplectic", "quasifree.synthesis"):
         module = importlib.import_module(name)
         assert [n for n in gone if hasattr(module, n)] == [], name
+    # one handler writes the DilationSpec for both decompose and dilate
+    cli = importlib.import_module("quasifree.cli")
+    assert [n for n in ("_cmd_dilate", "_decompose_results") if hasattr(cli, n)] == []
 
 
 def _attenuation():

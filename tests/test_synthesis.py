@@ -6,8 +6,8 @@ import pytest
 
 from quasifree import cli, fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
-from quasifree.symplectic import (RANK_TOL, hermitian_eigh, psd_check, real_embed,
-                                  symplectic_form)
+from quasifree.symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, hermitian_eigh,
+                                  psd_check, real_embed, symplectic_form)
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
@@ -28,15 +28,15 @@ def from_pairs(data):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def dilate_report(pair, out):
-    """The dilation report of qfl dilate on pair, through the report encoder
-    and back."""
-    scenario = json.loads(json.dumps({"command": "dilate", "pair": pair},
+def dilate_report(pair, out, command="dilate"):
+    """The results of qfl dilate (or decompose) on pair, the encoded
+    DilationSpec, through the report encoder and back."""
+    scenario = json.loads(json.dumps({"command": command, "pair": pair},
                                      default=cli._json_default))
     report, code = cli.run_scenario(scenario, str(out))
     assert code == 0
     return json.loads(json.dumps(report, default=cli._json_default,
-                                 allow_nan=False))["results"]["report"]
+                                 allow_nan=False))["results"]
 
 
 def stacked_vector(u, v):
@@ -252,7 +252,20 @@ def test_residuals_are_computed_once_per_spec(monkeypatch, tmp_path):
     assert len(calls) == 1
     spec = calls[0]
     assert spec.residuals == original(spec)
-    assert report["reconstruction"] == dataclasses.asdict(spec.residuals)
+    assert report["residuals"] == dataclasses.asdict(spec.residuals)
+
+
+def test_reconstruction_rule_is_relative_to_the_pair_scale():
+    pair = random_admissible_pair(rng(0), 4, couplings=3)
+    spec = decompose(1e6 * pair.K, 1e6 * pair.C)
+    res = spec.residuals
+    scale = 1.0 + max(np.abs(spec.K).max(), np.abs(spec.C).max())
+    kc = max(res.k_residual, res.c_residual)
+    assert res.symplectic_residual > SYMPLECTIC_TOL     # an absolute rule refuses it
+    assert spec.reconstructs()
+    assert spec.reconstructs(2 * kc / scale, 2 * res.symplectic_residual / scale)
+    assert not spec.reconstructs(0.5 * kc / scale, SYMPLECTIC_TOL)
+    assert not spec.reconstructs(RECONSTRUCTION_TOL, 0.5 * res.symplectic_residual / scale)
 
 
 def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):
@@ -266,7 +279,7 @@ def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(synthesis, "pair_from_coupling", counted)
     report = dilate_report(pair, tmp_path)
-    assert len(calls) == report["noise_dimension"] == 2
+    assert len(calls) == len(report["lindblad_terms"]) == 2
     monkeypatch.undo()
     spec = decompose(pair.K, pair.C)
     assert np.array_equal(np.asarray(report["K_prime"]), spec.K_prime)
@@ -473,28 +486,27 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
 
 def test_dilation_report_attenuation(tmp_path):
     report = dilate_report(QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2)), tmp_path)
-    assert report["noise_dimension"] == 1
+    assert list(report) == ["n", "lindblad_terms", "hamiltonian_terms", "K_prime", "K", "C",
+                            "residuals"]
     assert len(report["hamiltonian_terms"]) == 0
-    assert not report["closed_dynamics"]
-    assert "note" not in report
     (term,) = report["lindblad_terms"]
+    assert list(term) == ["b", "c", "u", "v"]
     assert np.allclose(from_pairs(term["u"]), [1.0]) and np.allclose(from_pairs(term["v"]), [0.0])
 
 
 def test_dilation_report_rotation(tmp_path):
     report = dilate_report(QuasifreePair(n=1, K=0.5 * symplectic_form(1), C=np.zeros((2, 2))),
                            tmp_path)
-    assert report["noise_dimension"] == 0
-    assert report["closed_dynamics"]
-    assert "note" in report
+    # closed dynamics: no noise channel, the Hamiltonian alone
+    assert report["lindblad_terms"] == []
+    assert [list(term) for term in report["hamiltonian_terms"]] == [["lam", "w"]] * 2
 
 
 def test_dilation_report_zero(tmp_path):
     report = dilate_report(QuasifreePair(n=1, K=np.zeros((2, 2)), C=np.zeros((2, 2))), tmp_path)
-    assert report["noise_dimension"] == 0
+    assert report["lindblad_terms"] == []
     assert report["hamiltonian_terms"] == []
-    assert report["closed_dynamics"]
-    assert report["note"].startswith("no noise channels")
+    assert report["K_prime"] == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -502,24 +514,21 @@ def test_spec_json_round_trip(tmp_path):
     gen = rng(61)
     pair = random_admissible_pair(gen, 2, couplings=2)
     spec = decompose(pair.K, pair.C)
-    scenario = json.loads(json.dumps({"command": "decompose", "pair": pair},
-                                     default=cli._json_default))
-    report, code = cli.run_scenario(scenario, str(tmp_path))
-    assert code == 0
-    data = json.loads(json.dumps(report, default=cli._json_default,
-                                 allow_nan=False))["results"]["spec"]
+    data = dilate_report(pair, tmp_path, "decompose")
     assert data["n"] == spec.n
-    assert len(data["lindblad"]) == spec.noise_dimension
-    for term, entry in zip(spec.lindblad_terms, data["lindblad"]):
+    assert len(data["lindblad_terms"]) == spec.noise_dimension
+    for term, entry in zip(spec.lindblad_terms, data["lindblad_terms"]):
         back = LindbladTerm(b=from_pairs(entry["b"]), c=from_pairs(entry["c"]))
         assert np.array_equal(back.b, term.b) and np.array_equal(back.c, term.c)
         assert np.abs(back.u - term.u).max() < 1e-15
         assert np.abs(back.v - term.v).max() < 1e-15
-    assert len(data["hamiltonian"]) == len(spec.hamiltonian_terms)
-    for term, entry in zip(spec.hamiltonian_terms, data["hamiltonian"]):
-        assert entry["lambda"] == term.lam
+        assert np.array_equal(from_pairs(entry["u"]), term.u)
+        assert np.array_equal(from_pairs(entry["v"]), term.v)
+    assert len(data["hamiltonian_terms"]) == len(spec.hamiltonian_terms)
+    for term, entry in zip(spec.hamiltonian_terms, data["hamiltonian_terms"]):
+        assert entry["lam"] == term.lam
         assert np.array_equal(from_pairs(entry["w"]), term.w)
-    for key, matrix in (("Kprime", spec.K_prime), ("K", spec.K), ("C", spec.C)):
+    for key, matrix in (("K_prime", spec.K_prime), ("K", spec.K), ("C", spec.C)):
         assert np.array_equal(np.asarray(data[key]), matrix)
     assert np.array_equal(np.asarray(data["K"]), pair.K)
     assert np.array_equal(np.asarray(data["C"]), pair.C)
