@@ -15,11 +15,9 @@ The block exponential is a scaling-and-squaring Pade [13/13] approximant
 (Higham 2005) of M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled to
 ||hM||_1 <= _THETA_13.  M is block upper triangular with top-left block -K^T,
 so every even power is M^2j = [[(K^2j)^T, X_2j], [0, K^2j]] with
-
-    X_2 = C K - K^T C,  X_4 = (K^2)^T X_2 + X_2 K^2,  X_6 = (K^4)^T X_2 + X_4 K^2,
-
+X_2 = C K - K^T C and X_{a+b} = (K^a)^T X_b + X_a K^b,
 and the approximant follows from 2n x 2n products and one 2n x 2n inverse
-(:func:`_pade13_blocks`).  The six blocks K^2, K^4, K^6, X_2, X_4, X_6 are
+(:func:`_pade13_blocks`).  The seven powers (h0 M)^2j, j = 0..6, are
 computed once per pair at the reference step h0 = _THETA_13 / ||M||_1; at
 each t = 2^k h they are scaled by r^2j, r = h / h0 <= 1, through the
 approximant's coefficients, so no power can overflow.  A propagation that
@@ -169,11 +167,9 @@ _PADE13 = [b / 64764752532480000 for b in (
     64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
     129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
     40840800, 960960, 16380, 182, 1)]
-#: the approximant is (V - U)^-1 (V + U), U = M W odd and V even in M, with
-#: W = M^6 (inner W) + outer W and V = M^6 (inner V) + outer V; the rows hold
-#: inner W, outer W, inner V and outer V in the powers I, M^2, M^4, M^6
-_PADE13_TABLE = np.array([[0.0] + _PADE13[9::2], _PADE13[1:9:2],
-                          [0.0] + _PADE13[8::2], _PADE13[0:8:2]])
+#: the approximant is (V - U)^-1 (V + U), U = M W odd and V even in M; the
+#: rows hold W and V in the powers I, M^2, ..., M^12
+_PADE13_TABLE = np.array([_PADE13[1::2], _PADE13[0::2]])
 #: largest ||hM||_1 at which the [13/13] approximant's backward error stays
 #: within double-precision unit roundoff (Higham 2005)
 _THETA_13 = 5.371920351148152
@@ -186,10 +182,10 @@ def _pade13_blocks(powers, K, C, h: float, r: float):
     exactly singular Q_B raises numpy.linalg.LinAlgError).
 
     Row j of powers is the B block then the X block, flattened, of
-    (h0 [[-K^T, C], [0, K]])^2j for j = 0..3, and r = h / h0 <= 1, so
-    (hM)^2j = r^2j (h0 M)^2j: each r^2j, the r^6 of the inner sums and the h
-    of U = hM W go into the coefficient rows, and one product of the rows
-    with powers gives all four sums.  Every polynomial p in M^2 is
+    (h0 [[-K^T, C], [0, K]])^2j for j = 0..6, and r = h / h0 <= 1, so
+    (hM)^2j = r^2j (h0 M)^2j: each r^2j and the h of U = hM W go into the
+    coefficient rows, and one product of the rows with powers gives W and V
+    whole.  Every polynomial p in M^2 is
     [[p_B^T, p_X], [0, p_B]] with p_B a polynomial in K, so U and V follow
     from their B and X blocks.  With P = V + U and Q = V - U, Q R = P reads
     E = Q_B^-1 P_B and P_B^T G = P_X - Q_X E for the top-right block G, as
@@ -197,15 +193,8 @@ def _pade13_blocks(powers, K, C, h: float, r: float):
     E^T P_B^-T = Q_B^-T and B = E^T G = Q_B^-T (P_X - Q_X E).
     """
     m = K.shape[0]
-    K6, X6 = powers[3].reshape(2, m, m)
-    r2 = r * r
-    r6 = r2 * r2 * r2
-    c = _PADE13_TABLE * np.outer([h * r6, h, r6, 1.0], [1.0, r2, r2 * r2, r6])
-    # indexed [W or V, inner or outer, B or X]: W and V share each product
-    sums = (c @ powers).reshape(2, 2, 2, m, m)
-    inner, outer = sums[:, 0], sums[:, 1]
-    W_B, V_B = K6 @ inner[:, 0] + outer[:, 0]
-    W_X, V_X = K6.T @ inner[:, 1] + X6 @ inner[:, 0] + outer[:, 1]
+    c = _PADE13_TABLE * np.outer([h, 1.0], (r * r) ** np.arange(7))
+    (W_B, W_X), (V_B, V_X) = (c @ powers).reshape(2, 2, m, m)
     U_B = K @ W_B
     U_X = C @ W_B - K.T @ W_X
     # inverting the F-ordered view Q_B^T in place gives Q_B^-T and Q_B^-1 without copies
@@ -224,8 +213,9 @@ class Propagator:
     that K and C are equal square finite matrices and that C is symmetric,
     takes the 1-norm of M = [[-K^T, C], [0, K]] (the larger of the largest row
     sum of |K| and the largest column sum of |C| + |K|, read off K and C), and
-    stacks the blocks of I, (h0 M)^2, (h0 M)^4 and (h0 M)^6 at the reference
-    step h0 = _THETA_13 / ||M||_1.  :meth:`at` does the rest for one t.
+    stacks the blocks of the seven powers (h0 M)^2j, j = 0..6, at the reference
+    step h0 = _THETA_13 / ||M||_1, from 18 block products.  :meth:`at` does
+    the rest for one t, from 6 block products and one inverse.
     """
 
     def __init__(self, K, C):
@@ -247,12 +237,15 @@ class Propagator:
         h0 = _THETA_13 / self.norm if self.norm else 0.0
         K0 = h0 * K
         C0 = h0 * C
-        powers = np.zeros((4, 2, m, m))
+        powers = np.zeros((7, 2, m, m))
         powers[0, 0] = np.eye(m)
         K2, X2 = powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
         K4, X4 = powers[2] = K2 @ K2, K2.T @ X2 + X2 @ K2
-        powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
-        self._powers = powers.reshape(4, -1)
+        K6, X6 = powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
+        powers[4] = K4 @ K4, K4.T @ X4 + X4 @ K4
+        powers[5] = K6 @ K4, K6.T @ X4 + X6 @ K4
+        powers[6] = K6 @ K6, K6.T @ X6 + X6 @ K6
+        self._powers = powers.reshape(7, -1)
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{tK}, B_t) as fresh arrays.

@@ -24,14 +24,13 @@ covered by an explicit regression test.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .semigroup import noise_matrix
 from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, hermitian_eigh,
-                         psd_verdict, real_embed, symplectic_form)
+                         psd_verdict, symplectic_form)
 
 __all__ = [
     "LindbladTerm",
@@ -65,16 +64,21 @@ def pair_from_coupling(u, v):
     (wr . Rz)(v - u)/2 - (wi . Rz) i(u + v)/2, so K = [R(v - u) wr^T -
     R(i(u + v)) wi^T] / 2, and |lam|^2 gives C = wr wr^T + wi wi^T.  The pair
     is always admissible, with noise matrix of rank <= 1.
+
+    u and v of shape (n, k) hold k couplings as columns; the result is then
+    the sum of their k pairs, from two matrix products over the stacked
+    columns.  1-D u and v are one coupling.
     """
-    u = np.asarray(u, dtype=complex).ravel()
-    v = np.asarray(v, dtype=complex).ravel()
-    if u.size != v.size:
-        raise ValueError(f"length mismatch: {u.size} vs {v.size}")
-    wr = np.concatenate([u.real + v.real, u.imag + v.imag])
-    wi = np.concatenate([v.imag - u.imag, u.real - v.real])
-    K = 0.5 * (np.outer(real_embed(v - u), wr) - np.outer(real_embed(1j * (u + v)), wi))
-    C = np.outer(wr, wr) + np.outer(wi, wi)
-    return K, C
+    u, v = np.asarray(u, dtype=complex), np.asarray(v, dtype=complex)
+    if u.shape != v.shape or u.ndim not in (1, 2):
+        raise ValueError(f"u and v must be equal vectors or (n, k) arrays, "
+                         f"got shapes {u.shape} and {v.shape}")
+    s, d = (u + v).reshape(len(u), -1), (v - u).reshape(len(u), -1)
+    # rows: the real embeddings of s and -i d (wr and wi, the rows of Wt), then
+    # of d and -i s (R(v - u) and -R(i(u + v)), the rows of Dt)
+    Z = np.concatenate([s, -1j * d, d, -1j * s], axis=1).T
+    Wt, Dt = np.concatenate([Z.real, Z.imag], axis=1).reshape(2, -1, 2 * len(u))
+    return 0.5 * (Dt.T @ Wt), Wt.T @ Wt
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +105,6 @@ class LindbladTerm:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "u", (b + 1j * c) / 2.0)
         object.__setattr__(self, "v", np.conj(b - 1j * c) / 2.0)
-
-    @functools.cached_property
-    def pair(self):
-        """The generating pair (K, C) of this channel, built on first use."""
-        return pair_from_coupling(self.u, self.v)
 
     @classmethod
     def from_coupling(cls, u, v) -> "LindbladTerm":
@@ -180,13 +179,14 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     Steps: eigendecompose the noise matrix D once, refuse the pair if its
     eigenvalues fail the PSD rule of admissible(), and keep those above
     rank_tol relative to the largest; scale eigenvectors by sqrt(eigenvalue)
-    and read off the couplings; subtract their drift contributions to expose
-    the residual K' in sp(2n); diagonalize the symmetric part of JK, each
-    eigenpair (nu, x) giving a Hamiltonian term of strength lam = -nu.  Both
-    eigendecompositions are read whole-array: one mask keeps eigenpairs and
-    one _phase_fixed call fixes the phase of every kept column.
-    Refuses a spec that fails DilationSpec.reconstructs() at the default
-    tolerances.
+    and read off the couplings; subtract their summed drift, one stacked
+    pair_from_coupling call, to expose the residual K' in sp(2n); diagonalize
+    the symmetric part of JK, each eigenpair (nu, x) giving a Hamiltonian
+    term of strength lam = -nu.  Both eigendecompositions are read
+    whole-array: one mask keeps eigenpairs and one _phase_fixed call fixes
+    the phase of every kept column.  Refuses a spec that fails
+    DilationSpec.reconstructs() at the default tolerances; its k_residual is
+    0 by construction, as reconstruction_residuals() takes the same sum.
     """
     if rank_tol <= 0:
         raise ValueError("rank tolerance must be positive")
@@ -205,9 +205,7 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     stacked = _phase_fixed(evecs[:, keep] * np.sqrt(evals[keep])).T
     terms = [LindbladTerm(b=col[:n], c=col[n:]) for col in stacked]
 
-    K_prime = K.copy()
-    for term in terms:
-        K_prime = K_prime - term.pair[0]
+    K_prime = K - _coupling_sum(terms, n)[0]
 
     J = symplectic_form(n)
     N = (J @ K + (J @ K).T) / 2.0
@@ -235,14 +233,17 @@ class ReconstructionResiduals:
     symplectic_residual: float  # max |K'^T J + J K'|
 
 
+def _coupling_sum(terms, n: int):
+    """(sum K(u_j, v_j), sum C(u_j, v_j)) of the terms, one stacked call."""
+    return pair_from_coupling(np.reshape([t.u for t in terms], (-1, n)).T,
+                              np.reshape([t.v for t in terms], (-1, n)).T)
+
+
 def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
-    """Max-norm residuals of the three reconstruction identities."""
-    K_sum = np.zeros_like(spec.K)
-    C_sum = np.zeros_like(spec.C)
-    for term in spec.lindblad_terms:
-        K_uv, C_uv = term.pair
-        K_sum += K_uv
-        C_sum += C_uv
+    """Max-norm residuals of the three reconstruction identities, the term
+    sums from one stacked pair_from_coupling call.  k_residual is 0 by
+    construction for a spec made by decompose(); it measures hand-built ones."""
+    K_sum, C_sum = _coupling_sum(spec.lindblad_terms, spec.n)
     J = symplectic_form(spec.n)
     dK = np.abs(spec.K - K_sum - spec.K_prime).max(initial=0.0)
     dC = np.abs(spec.C - C_sum).max(initial=0.0)

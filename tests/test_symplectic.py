@@ -212,6 +212,20 @@ def test_propagator_matches_the_full_block_reference(n):
             assert np.abs(got - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
 
 
+@pytest.mark.parametrize("n", [1, 4, 32])
+def test_prepared_powers_are_the_even_powers_of_the_scaled_block(n):
+    pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
+    prepared = symplectic.Propagator(pair.K, pair.C)
+    m = 2 * n
+    M = (symplectic._THETA_13 / prepared.norm) * np.block(
+        [[-pair.K.T, pair.C], [np.zeros((m, m)), pair.K]])
+    powers = prepared._powers.reshape(7, 2, m, m)
+    for j in range(7):
+        ref = np.linalg.matrix_power(M, 2 * j)
+        for got, want in zip(powers[j], (ref[m:, m:], ref[:m, m:])):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_pade_kernel_refuses_an_exactly_singular_denominator_without_a_warning():
     # all-zero powers make V - U the zero matrix
     for m in (2, 24):
@@ -219,7 +233,7 @@ def test_pade_kernel_refuses_an_exactly_singular_denominator_without_a_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                symplectic._pade13_blocks(np.zeros((4, 2 * m * m)), K, K, 1.0, 1.0)
+                symplectic._pade13_blocks(np.zeros((7, 2 * m * m)), K, K, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 12, 32])
@@ -274,7 +288,7 @@ def test_zero_pair_stays_the_identity(t, m):
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
-@given(n=st.sampled_from([1, 4, 12, 16]), seed=st.integers(0, 2**16),
+@given(n=st.sampled_from([1, 4, 12, 16, 32]), seed=st.integers(0, 2**16),
        s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0))
 def test_propagator_obeys_the_semigroup_law(n, seed, s, t):
     # E_{s+t} = E_s E_t and B_{s+t} = B_t + E_t^T B_s E_t

@@ -136,6 +136,26 @@ def test_pair_from_coupling_matches_column_by_column(n):
         assert np.abs(C - C_ref).max() <= 1e-14 * np.abs(C_ref).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 32])
+def test_stacked_couplings_give_the_summed_pair(n):
+    gen = rng(80 + n)
+    for k in (1, 3, 2 * n):
+        u = np.column_stack([random_complex(gen, n) for _ in range(k)])
+        v = np.column_stack([random_complex(gen, n) for _ in range(k)])
+        K, C = pair_from_coupling(u, v)
+        pairs = [pair_from_coupling(u[:, j], v[:, j]) for j in range(k)]
+        for got, ref in ((K, sum(p[0] for p in pairs)), (C, sum(p[1] for p in pairs))):
+            assert got.shape == (2 * n, 2 * n)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("u_shape, v_shape", [((2,), (3,)), ((2, 3), (2, 2)),
+                                              ((2, 1), (2,)), ((2, 1, 1), (2, 1, 1))])
+def test_stacked_couplings_refuse_mismatched_shapes(u_shape, v_shape):
+    with pytest.raises(ValueError, match="u and v must be"):
+        pair_from_coupling(np.ones(u_shape), np.ones(v_shape))
+
+
 def test_textbook_drift_is_twice_the_matched_one():
     gen = rng(53)
     for n in (1, 2):
@@ -269,25 +289,29 @@ def test_reconstruction_rule_is_relative_to_the_pair_scale():
 
 
 def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):
-    pair = random_admissible_pair(rng(58), 2, couplings=2)
-    calls = []
     original = synthesis.pair_from_coupling
+    for n, couplings in ((2, 2), (8, 16)):
+        pair = random_admissible_pair(rng(58), n, couplings=couplings)
+        calls = []
 
-    def counted(u, v):
-        calls.append((u, v))
-        return original(u, v)
+        def counted(u, v):
+            calls.append((u, v))
+            return original(u, v)
 
-    monkeypatch.setattr(synthesis, "pair_from_coupling", counted)
-    report = dilate_report(pair, tmp_path)
-    assert len(calls) == len(report["lindblad_terms"]) == 2
-    monkeypatch.undo()
-    spec = decompose(pair.K, pair.C)
-    assert np.array_equal(np.asarray(report["K_prime"]), spec.K_prime)
-    # K' is K minus each term's drift, subtracted in order
-    K_prime = pair.K.copy()
-    for term in spec.lindblad_terms:
-        K_prime = K_prime - original(term.u, term.v)[0]
-    assert np.array_equal(spec.K_prime, K_prime)
+        monkeypatch.setattr(synthesis, "pair_from_coupling", counted)
+        report = dilate_report(pair, tmp_path)
+        assert len(report["lindblad_terms"]) == couplings
+        # one stacked call for K' and one for the residuals, whatever the term count
+        assert len(calls) == 2
+        monkeypatch.undo()
+        spec = decompose(pair.K, pair.C)
+        assert np.array_equal(np.asarray(report["K_prime"]), spec.K_prime)
+        assert spec.residuals.k_residual == 0.0
+        # K' is K minus each term's drift, up to the rounding of the stacked sum
+        K_prime = pair.K.copy()
+        for term in spec.lindblad_terms:
+            K_prime = K_prime - original(term.u, term.v)[0]
+        assert np.abs(spec.K_prime - K_prime).max() <= 1e-14 * (1.0 + np.abs(pair.K).max())
 
 
 def _fix_phase_reference(vec, tol=1e-12):
@@ -316,7 +340,7 @@ def per_vector_terms(K, C):
             terms.append(LindbladTerm(b=stacked[:n], c=stacked[n:]))
     K_prime = K.copy()
     for term in terms:
-        K_prime = K_prime - term.pair[0]
+        K_prime = K_prime - pair_from_coupling(term.u, term.v)[0]
     J = symplectic_form(n)
     N = (J @ K + (J @ K).T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
@@ -341,7 +365,7 @@ def assert_terms_equal_the_per_vector_rule(K, C):
     for got, ref in zip(spec.hamiltonian_terms, hterms):
         assert got.lam == ref.lam
         assert np.array_equal(got.w, ref.w)
-    assert np.array_equal(spec.K_prime, K_prime)
+    assert np.abs(spec.K_prime - K_prime).max() <= 1e-14 * (1.0 + np.abs(K).max())
     return spec
 
 
