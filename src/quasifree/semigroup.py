@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, Propagator, _overflow, hermitian_check,
-                         psd_check, read_only, real_embed, real_extract, symplectic_form)
+from .symplectic import (PSD_TOL, SYMMETRY_TOL, Propagator, _form_times, _overflow,
+                         hermitian_check, psd_check, read_only, real_embed, real_extract)
 
 __all__ = [
     "PROPAGATOR_MEMO",
@@ -61,8 +61,8 @@ def noise_matrix(K, C) -> np.ndarray:
         raise ValueError("K and C must be finite")
     if not hermitian_check(C, SYMMETRY_TOL)[0]:
         raise ValueError("C must be symmetric")
-    J = symplectic_form(K.shape[0] // 2)
-    D = C + 1j * (K.T @ J + J @ K)
+    JK = _form_times(K)
+    D = C + 1j * (JK - JK.T)  # K^T J + J K, as J^T = -J
     return (D + D.conj().T) / 2.0
 
 

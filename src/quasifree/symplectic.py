@@ -11,17 +11,16 @@ the exponential and the squaring); :func:`propagator` prepares and evaluates
 once.  Everything here is dense numpy; the matrices in play are at most a few
 hundred rows.
 
-The block exponential is a scaling-and-squaring Pade [13/13] approximant
-(Higham 2005) of M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled to
-||hM||_1 <= _THETA_13.  M is block upper triangular with top-left block -K^T,
-so every even power is M^2j = [[(K^2j)^T, X_2j], [0, K^2j]] with
-X_2 = C K - K^T C and X_{a+b} = (K^a)^T X_b + X_a K^b,
-and the approximant follows from 2n x 2n products and one 2n x 2n inverse
-(:func:`_pade13_blocks`).  The seven powers (h0 M)^2j, j = 0..6, are
-computed once per pair at the reference step h0 = _THETA_13 / ||M||_1; at
-each t = 2^k h they are scaled by r^2j, r = h / h0 <= 1, through the
-approximant's coefficients, so no power can overflow.  A propagation that
-overflows raises :class:`PropagatorOverflowError`.
+The block exponential is the degree-25 Taylor polynomial T_25 of
+M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled and squared (Al-Mohy and
+Higham 2009, 2011).  M is block upper triangular, so every even power is
+M^2j = [[(K^2j)^T, X_2j], [0, K^2j]], and T_25 follows with no inverse from
+2n x 2n products (:func:`_taylor25_blocks`) with the 13 powers (h0 M)^2j,
+j = 0..12, prepared once per pair at h0 = _THETA_25 / ||M||_1.  Each
+t = 2^k h takes k from h eta <= _THETA_25, with eta (:attr:`Propagator.eta`)
+read off the norms of those powers and often far below ||M||_1; r = h / h0
+stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
+that overflows raises :class:`PropagatorOverflowError`.
 
 The package's shared pieces live here too: the default tolerances, the one
 Hermitian test (:func:`hermitian_check`) and the read-only copies that make
@@ -30,11 +29,11 @@ pairs and states immutable (:func:`read_only`).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgetrf, dgetri
 
 __all__ = [
     "symplectic_form",
@@ -69,6 +68,13 @@ def symplectic_form(n: int) -> np.ndarray:
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
     return J
+
+
+def _form_times(A) -> np.ndarray:
+    """J A for the symplectic form J of A's order, by slicing: the rows
+    (-A_lower, A_upper), bitwise the product, as J holds only 0 and +-1."""
+    n = len(A) // 2
+    return np.concatenate([-A[n:], A[:n]])
 
 
 def real_embed(z) -> np.ndarray:
@@ -161,48 +167,30 @@ def _overflow(K, t: float) -> PropagatorOverflowError:
                                    f"abscissa {alpha:.6g}")
 
 
-#: Pade [13/13] coefficients b_j / b_0 (Higham 2005); with b_0 scaled to 1 the
-#: approximant at K = 0 is the identity exactly
-_PADE13 = [b / 64764752532480000 for b in (
-    64764752532480000, 32382376266240000, 7771770303897600, 1187353796428800,
-    129060195264000, 10559470521600, 670442572800, 33522128640, 1323241920,
-    40840800, 960960, 16380, 182, 1)]
-#: the approximant is (V - U)^-1 (V + U), U = M W odd and V even in M; the
-#: rows hold W and V in the powers I, M^2, ..., M^12
-_PADE13_TABLE = np.array([_PADE13[1::2], _PADE13[0::2]])
-#: largest ||hM||_1 at which the [13/13] approximant's backward error stays
-#: within double-precision unit roundoff (Higham 2005)
-_THETA_13 = 5.371920351148152
+#: Taylor coefficients 1/i!, i = 0..25, of T_25; the largest h eta at which the
+#: backward error of T_25, the series of log(e^{-x} T_25(x)) past x^25, stays
+#: within u = 2^-53 (Al-Mohy and Higham); the largest r = h / h0, so that r^25
+#: times a prepared power stays far inside the float range
+_TAYLOR25 = 1.0 / np.array([math.factorial(i) for i in range(26)], dtype=float)
+_THETA_25 = 2.4285825244428264
+_MAX_RATIO = 2.0 ** 16
 
 
-def _pade13_blocks(powers, K, C, h: float, r: float):
-    """(E, B), the bottom-right block of the Pade [13/13] approximant R of
-    exp(h [[-K^T, C], [0, K]]) and E^T times its top-right block, from 2n x 2n
-    products and one 2n x 2n inverse, taken by LAPACK getrf and getri (an
-    exactly singular Q_B raises numpy.linalg.LinAlgError).
+def _taylor25_blocks(powers, K0, C0, r: float):
+    """(E, B): the bottom-right block E of the degree-25 Taylor polynomial T of
+    exp(hM), M = [[-K^T, C], [0, K]], and B = E^T G with G its top-right
+    block, from four 2n x 2n products and no inverse.
 
-    Row j of powers is the B block then the X block, flattened, of
-    (h0 [[-K^T, C], [0, K]])^2j for j = 0..6, and r = h / h0 <= 1, so
-    (hM)^2j = r^2j (h0 M)^2j: each r^2j and the h of U = hM W go into the
-    coefficient rows, and one product of the rows with powers gives W and V
-    whole.  Every polynomial p in M^2 is
-    [[p_B^T, p_X], [0, p_B]] with p_B a polynomial in K, so U and V follow
-    from their B and X blocks.  With P = V + U and Q = V - U, Q R = P reads
-    E = Q_B^-1 P_B and P_B^T G = P_X - Q_X E for the top-right block G, as
-    the top-left block of Q is P_B^T.  P_B and Q_B commute, so
-    E^T P_B^-T = Q_B^-T and B = E^T G = Q_B^-T (P_X - Q_X E).
+    powers[j] holds the B and X blocks of M0^2j, M0 = h0 M, j = 0..12;
+    K0 = h0 K, C0 = h0 C and r = h / h0.  T = V + M0 W with
+    V = sum_j r^2j M0^2j / (2j)! and W = sum_j r^(2j+1) M0^2j / (2j+1)!, both
+    from one product of the 2 x 13 coefficient rows with powers, so
+    E = V_B + K0 W_B and G = V_X + C0 W_B - K0^T W_X.
     """
-    m = K.shape[0]
-    c = _PADE13_TABLE * np.outer([h, 1.0], (r * r) ** np.arange(7))
-    (W_B, W_X), (V_B, V_X) = (c @ powers).reshape(2, 2, m, m)
-    U_B = K @ W_B
-    U_X = C @ W_B - K.T @ W_X
-    # inverting the F-ordered view Q_B^T in place gives Q_B^-T and Q_B^-1 without copies
-    Q_B_inv_T, info = dgetri(*dgetrf((V_B - U_B).T, overwrite_a=1)[:2], overwrite_lu=1)
-    if info:
-        raise np.linalg.LinAlgError("Singular matrix")
-    E = Q_B_inv_T.T @ (V_B + U_B)
-    return E, Q_B_inv_T @ (V_X + U_X - (V_X - U_X) @ E)
+    c = (_TAYLOR25 * r ** np.arange(26.0)).reshape(13, 2).T
+    (V_B, V_X), (W_B, W_X) = (c @ powers.reshape(13, -1)).reshape(2, 2, *K0.shape)
+    E = V_B + K0 @ W_B
+    return E, E.T @ (V_X + C0 @ W_B - K0.T @ W_X)
 
 
 class Propagator:
@@ -211,11 +199,10 @@ class Propagator:
 
     The constructor does the work that does not depend on t, once: it checks
     that K and C are equal square finite matrices and that C is symmetric,
-    takes the 1-norm of M = [[-K^T, C], [0, K]] (the larger of the largest row
-    sum of |K| and the largest column sum of |C| + |K|, read off K and C), and
-    stacks the blocks of the seven powers (h0 M)^2j, j = 0..6, at the reference
-    step h0 = _THETA_13 / ||M||_1, from 18 block products.  :meth:`at` does
-    the rest for one t, from 6 block products and one inverse.
+    takes the 1-norm of M = [[-K^T, C], [0, K]] off K and C, and stacks the
+    blocks of the 13 powers (h0 M)^2j, j = 0..12, at h0 = _THETA_25 / ||M||_1,
+    from 15 block products in 5 stacked rounds.  :meth:`at` does the rest
+    for one t, from 4 block products and no inverse.
     """
 
     def __init__(self, K, C):
@@ -228,52 +215,65 @@ class Propagator:
         if not hermitian_check(C, SYMMETRY_TOL)[0]:
             raise ValueError("C must be symmetric")
         self.K = K
-        self.C = C
         m = K.shape[0]
         abs_K = np.abs(K)
         self.norm = float(np.maximum(abs_K.sum(axis=1),
                                      (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
-        # at ||M||_1 = 0 every power is 0 whatever h0; at inf at() refuses any t
-        h0 = _THETA_13 / self.norm if self.norm else 0.0
-        K0 = h0 * K
-        C0 = h0 * C
-        powers = np.zeros((7, 2, m, m))
+        # h0 M, dividing first: h0 = _THETA_25 / ||M||_1 overflows at a subnormal norm
+        norm = self.norm or 1.0  # K = C = 0 at ||M||_1 = 0; at inf, at() refuses any t
+        self._K0 = K0 = K / norm * _THETA_25
+        self._C0 = C0 = C / norm * _THETA_25
+        powers = np.zeros((13, 2, m, m))
         powers[0, 0] = np.eye(m)
-        K2, X2 = powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
-        K4, X4 = powers[2] = K2 @ K2, K2.T @ X2 + X2 @ K2
-        K6, X6 = powers[3] = K4 @ K2, K4.T @ X2 + X4 @ K2
-        powers[4] = K4 @ K4, K4.T @ X4 + X4 @ K4
-        powers[5] = K6 @ K4, K6.T @ X4 + X6 @ K4
-        powers[6] = K6 @ K6, K6.T @ X6 + X6 @ K6
-        self._powers = powers.reshape(7, -1)
+        powers[1] = K0 @ K0, C0 @ K0 - K0.T @ C0
+        # powers a+1..a+b from power a and powers 1..b at once, as
+        # K^{a+b} = K^a K^b and X_{a+b} = (K^a)^T X_b + X_a K^b
+        for a, b in ((1, 1), (2, 2), (4, 4), (8, 4)):
+            (K_a, X_a), K_b, X_b = powers[a], powers[1:b + 1, 0], powers[1:b + 1, 1]
+            powers[a + 1:a + b + 1, 0] = K_a @ K_b
+            powers[a + 1:a + b + 1, 1] = K_a.T @ X_b + X_a @ K_b
+        self._powers = powers
+
+    @functools.cached_property
+    def eta(self) -> float:
+        """Rate the squarings are picked from, ||(hM)^i||_1 <= (h eta)^i for
+        i >= 26 (Al-Mohy and Higham 2009, Thm 4.2): with d_i = ||M^i||_1^{1/i}
+        off the prepared powers, alpha = min(max(d_6, d_8), max(d_8, d_10))
+        bounds the even powers and ||M||_1 alpha^{i-1} the odd ones."""
+        P = np.abs(self._powers[3:6])
+        norms = np.maximum(P[:, 0].sum(axis=2), (P[:, 0] + P[:, 1]).sum(axis=1)).max(axis=1)
+        d6, d8, d10 = norms ** (1.0 / np.array([6, 8, 10])) * (self.norm / _THETA_25)
+        alpha = float(min(max(d6, d8), max(d8, d10)))
+        eta = alpha * (self.norm / alpha) ** (1.0 / 27.0) if alpha else 0.0
+        return max(eta, self.norm / _MAX_RATIO)
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(e^{tK}, B_t) as fresh arrays.
 
-        exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken at
-        h = t / 2^k for the smallest k with ||hM||_1 <= _THETA_13 and squared
-        up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed, so
-        dissipative K stays finite at any t.  The exponential is the Pade
-        [13/13] approximant in 2n x 2n blocks (:func:`_pade13_blocks`) from the
-        prepared powers.  Raises PropagatorOverflowError when e^{tK} or B_t is
-        not finite.
+        exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
+        :func:`_taylor25_blocks` at h = t / 2^k and squared up k times
+        (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed, so dissipative
+        K stays finite at any t.  k = 0 while t ||M||_1 <= _THETA_25, and else
+        is the smallest k with h eta <= _THETA_25 (:attr:`eta`, on first use).
+        Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
         """
         if not 0.0 <= t < np.inf:
             raise ValueError(f"time must be finite and nonnegative, got {t}")
         K, norm = self.K, self.norm
         if norm == math.inf:
             raise _overflow(K, t)
-        # log2 of each factor, as t * norm may exceed the float range
-        k = math.ceil(math.log2(t) + math.log2(norm / _THETA_13)) if t * norm > _THETA_13 else 0
+        k = 0
+        if t * norm > _THETA_25:
+            # log2 of each factor, as t * eta may exceed the float range
+            k = max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25)))
         h = math.ldexp(t, -k)
-        E, B = _pade13_blocks(self._powers, K, self.C, h, h * (norm / _THETA_13))
         with np.errstate(over="ignore", invalid="ignore"):
+            E, B = _taylor25_blocks(self._powers, self._K0, self._C0, h * (norm / _THETA_25))
             for _ in range(k):
                 B = B + E.T @ B @ E
                 E = E @ E
             B = (B + B.T) / 2.0
-        # unsquared, E and B come from the approximant at ||hM||_1 <= theta_13: finite
-        if k and not (np.isfinite(E).all() and np.isfinite(B).all()):
+        if not (np.isfinite(E).all() and np.isfinite(B).all()):
             raise _overflow(K, t)
         return E, B
 
@@ -283,9 +283,9 @@ def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.
 
     K and C must be finite and C symmetric; B_t is symmetric, and PSD whenever
-    C is.  The exponential is the Pade [13/13] approximant of the Van Loan
-    block, taken in 2n x 2n blocks.  Raises PropagatorOverflowError when e^{tK}
-    or B_t is not finite.
+    C is.  The exponential is the degree-25 Taylor polynomial of the Van Loan
+    block, taken in 2n x 2n blocks with no inverse and scaled by the norms of
+    its powers.  Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
     """
     return Propagator(K, C).at(t)
 

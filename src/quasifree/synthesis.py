@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .semigroup import noise_matrix
-from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, hermitian_eigh,
-                         psd_verdict, symplectic_form)
+from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, _form_times,
+                         hermitian_eigh, psd_verdict)
 
 __all__ = [
     "LindbladTerm",
@@ -207,8 +207,8 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
 
     K_prime = K - _coupling_sum(terms, n)[0]
 
-    J = symplectic_form(n)
-    N = (J @ K + (J @ K).T) / 2.0
+    JK = _form_times(K)
+    N = (JK + JK.T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
     nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
     keep = np.abs(nvals) > max(rank_tol * np.abs(nvals).max(), nfloor)
@@ -244,9 +244,9 @@ def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
     sums from one stacked pair_from_coupling call.  k_residual is 0 by
     construction for a spec made by decompose(); it measures hand-built ones."""
     K_sum, C_sum = _coupling_sum(spec.lindblad_terms, spec.n)
-    J = symplectic_form(spec.n)
+    JK = _form_times(spec.K_prime)
     dK = np.abs(spec.K - K_sum - spec.K_prime).max(initial=0.0)
     dC = np.abs(spec.C - C_sum).max(initial=0.0)
-    dJ = np.abs(spec.K_prime.T @ J + J @ spec.K_prime).max(initial=0.0)
+    dJ = np.abs(JK - JK.T).max(initial=0.0)
     return ReconstructionResiduals(k_residual=float(dK), c_residual=float(dC),
                                    symplectic_residual=float(dJ))

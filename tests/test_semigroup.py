@@ -358,16 +358,16 @@ def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):
 def test_pade_kernel_runs_once_per_memo_miss_and_symplectic_expm_never(monkeypatch, n):
     pair = random_admissible_pair(rng(76), n, couplings=2)
     calls = []
-    kernel = symplectic._pade13_blocks
+    kernel = symplectic._taylor25_blocks
 
-    def counted(powers, K, C, h, r):
-        calls.append(K.shape)
-        return kernel(powers, K, C, h, r)
+    def counted(powers, K0, C0, r):
+        calls.append(K0.shape)
+        return kernel(powers, K0, C0, r)
 
     def refuse(A):
         raise AssertionError("symplectic.expm called")
 
-    monkeypatch.setattr(symplectic, "_pade13_blocks", counted)
+    monkeypatch.setattr(symplectic, "_taylor25_blocks", counted)
     monkeypatch.setattr(symplectic, "expm", refuse)
     for t in (0.2, 0.9, 0.2, 3.0, 0.9, 3.0):
         pair.propagator(t)

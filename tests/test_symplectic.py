@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -217,23 +218,13 @@ def test_prepared_powers_are_the_even_powers_of_the_scaled_block(n):
     pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
     prepared = symplectic.Propagator(pair.K, pair.C)
     m = 2 * n
-    M = (symplectic._THETA_13 / prepared.norm) * np.block(
+    M = (symplectic._THETA_25 / prepared.norm) * np.block(
         [[-pair.K.T, pair.C], [np.zeros((m, m)), pair.K]])
-    powers = prepared._powers.reshape(7, 2, m, m)
-    for j in range(7):
+    powers = prepared._powers.reshape(13, 2, m, m)
+    for j in range(13):
         ref = np.linalg.matrix_power(M, 2 * j)
         for got, want in zip(powers[j], (ref[m:, m:], ref[:m, m:])):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_pade_kernel_refuses_an_exactly_singular_denominator_without_a_warning():
-    # all-zero powers make V - U the zero matrix
-    for m in (2, 24):
-        K = np.zeros((m, m))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                symplectic._pade13_blocks(np.zeros((7, 2 * m * m)), K, K, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 12, 32])
@@ -256,6 +247,68 @@ def test_zero_drift_gives_exactly_the_identity(m):
     E, B = propagator(np.zeros((m, m)), C, 3.0)
     assert np.array_equal(E, np.eye(m))
     assert np.abs(B - 3.0 * C).max() <= 1e-14 * np.abs(C).max()
+
+
+# closed forms, with no full-block reference: its e^{-tK^T} block overflows for
+# dissipative K at long times
+
+
+def _assert_close(got, ref, rel):
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+@pytest.mark.parametrize("sign, times", [(-1.0, (0.1, 1.0, 30.0, 1e3, 1e4)),
+                                         (1.0, (0.1, 1.0, 30.0, 300.0))], ids=["loss", "gain"])
+def test_pure_loss_and_gain_match_their_closed_form(sign, times, gamma):
+    # K = +-(gamma/2) I, C = gamma I: E = e^{+-gamma t/2} I, B = +-(e^{+-gamma t} - 1) I;
+    # e^{+-gamma t/2} has relative condition number gamma t/2, which bounds E
+    m = 4
+    for t in times:
+        E, B = propagator(sign * 0.5 * gamma * np.eye(m), gamma * np.eye(m), t)
+        _assert_close(E, np.exp(sign * 0.5 * gamma * t) * np.eye(m),
+                      1e-13 * max(1.0, 0.5 * gamma * t))
+        _assert_close(B, sign * np.expm1(sign * gamma * t) * np.eye(m), 1e-13)
+
+
+def _decay_moment(k, c, t):
+    """integral_0^t s^k e^{-cs} ds = (k! / c^{k+1}) e^{-ct} sum_{i>k} (ct)^i / i!,
+    summed term by term: every term is positive, so nothing cancels."""
+    x = c * t
+    term, total, i = x ** (k + 1) / math.factorial(k + 1), 0.0, k + 1
+    while total + term != total:
+        total += term
+        i += 1
+        term *= x / i
+    return math.factorial(k) / c ** (k + 1) * math.exp(-x) * total
+
+
+@pytest.mark.parametrize("b", [30.0, 1e4])
+@pytest.mark.parametrize("t", [0.1, 1.0, 5.0, 30.0])
+def test_non_normal_jordan_pair_matches_its_closed_form(t, b):
+    # K = [[-a, b], [0, -a]], C = 2aI is admissible; ||M||_1 ~ b overstates the
+    # growth of the powers of M, which the squarings must not pay for in digits
+    a = 1.0
+    K = np.array([[-a, b], [0.0, -a]])
+    E, B = propagator(K, 2.0 * a * np.eye(2), t)
+    # e^{sK} = e^{-as} [[1, bs], [0, 1]]
+    _assert_close(E, math.exp(-a * t) * np.array([[1.0, b * t], [0.0, 1.0]]), 1e-13)
+    i0, i1, i2 = (_decay_moment(k, 2.0 * a, t) for k in range(3))
+    _assert_close(B, 2.0 * a * np.array([[i0, b * i1], [b * i1, i0 + b * b * i2]]), 1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 24])
+@pytest.mark.parametrize("t", [3.0, 1e300])
+def test_pure_noise_gives_the_identity_and_linear_noise_without_warnings(t, m):
+    # K = 0: M^2 = 0, so eta is ||M||_1 / _MAX_RATIO alone, and r^i times a zero
+    # power must not turn into inf * 0
+    G = rng(614).normal(size=(m, m))
+    C = G @ G.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, B = propagator(np.zeros((m, m)), C, t)
+    assert np.array_equal(E, np.eye(m))
+    _assert_close(B, t * C, 1e-14)
 
 
 @pytest.mark.parametrize("m", [2, 24])
@@ -285,6 +338,16 @@ def test_zero_pair_stays_the_identity(t, m):
     E, B = propagator(np.zeros((m, m)), np.zeros((m, m)), t)
     assert np.array_equal(E, np.eye(m))
     assert np.array_equal(B, np.zeros((m, m)))
+
+
+def test_subnormal_pair_propagates_without_warnings():
+    # ||M||_1 = 2e-310: the reference step _THETA_25 / ||M||_1 overflows
+    K = -1e-310 * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, B = propagator(K, -2.0 * K, 1.0)
+    assert np.array_equal(E, np.eye(2))
+    _assert_close(B, -2.0 * K, 1e-10)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
