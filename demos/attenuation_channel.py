@@ -36,7 +36,8 @@ def main():
     act = weyl_action(pair, np.log(4.0), [1.0])
     print("  z_out =", act.z_out, "  damping exponent =", act.damping_exponent)
 
-    print("\nbrute-force cross-check on a 30-level Fock space (RK4, 2000 steps/unit):")
+    print("\nbrute-force cross-check on a 30-level Fock space "
+          "(Krylov exponential, 2000 substeps/unit cap):")
     for t in (0.25, 1.0):
         rep = fock.oracle_compare(state, pair, t, cutoff=30, steps=int(2000 * t))
         print(f"  t = {t:4.2f}:  mean err {rep.mean_error:.2e}   "

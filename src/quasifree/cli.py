@@ -370,11 +370,14 @@ def _cmd_verify_oracle(scenario, ctx):
     steps_per_unit = _number(scenario.get("steps", 2000), "steps", int)
     if steps_per_unit < 1:
         raise SchemaError(f"'steps' must be at least 1, got {steps_per_unit}")
+    caps = [steps_per_unit * max(t, 1e-3) for t in times]
+    if not all(np.isfinite(caps)):
+        raise SchemaError(f"'steps' x 'times' overflows: {steps_per_unit} x {max(times):g}")
     tol = ctx["tolerances"]["oracle"]
     reports = []
     passed = True
-    for t in times:
-        steps = max(1, int(np.ceil(steps_per_unit * max(t, 1e-3))))
+    for t, cap in zip(times, caps):
+        steps = max(1, int(np.ceil(cap)))
         rep = fock.oracle_compare(state, pair, t, cutoff=cutoff, steps=steps,
                                   seed=ctx["seed"])
         reports.append(rep)

@@ -2,8 +2,8 @@
 
 Every closed-form phase-space result in this package can be checked against
 explicit operators on the truncated space C^{cutoff} per mode: ladder
-operators, Weyl displacement matrices, coherent vectors, and a fixed-step
-RK4 integrator for Lindblad master equations.  The representation is exact
+operators, Weyl displacement matrices, coherent vectors, and a Krylov
+integrator for Lindblad master equations.  The representation is exact
 below the top occupation level of each mode; the population of the top
 level ("leakage") is the trust metric for every oracle result.
 
@@ -14,16 +14,15 @@ the 2n ladder operators, and the (2n)^2 products X_k X_l on first use.  The
 Lindbladian is assembled from these tables in O(n^2 d) and moments are read
 by gathers on them.
 
-The integrator returns the fixed-step RK4 result P(hL)^steps rho0, P the
-RK4 step polynomial, but applies it by Krylov projection in chunks: Arnoldi
-on Hermitian matrices (real Gram-Schmidt coefficients, at most 30 basis
-vectors) and P(hH_k)^s on the small Hessenberg matrix.  A chunk of s steps
-is exact when 4s <= k - 1 for k basis vectors; beyond that it is bounded
-by the estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| <= 1e-15.  The trace
-drift is checked once per chunk, and the basis costs 31 d^2 complex
-numbers.  The Lindbladian is applied as two stacked sparse products; see
-lindblad_evolve.  scipy.sparse is imported only where they are assembled,
-so code that never integrates does not load it.
+The integrator returns e^{tL} rho0 with no time-step error, in substeps of
+Krylov projection: Arnoldi on Hermitian matrices (real Gram-Schmidt
+coefficients, at most 30 basis vectors) and the exponential of the small
+augmented Hessenberg matrix, whose last entry is the error estimate
+(Saad 1992; Sidje 1998, Expokit's expv).  The trace drift is checked once
+per substep, and the basis costs 31 d^2 complex numbers.  The Lindbladian
+is applied as two stacked sparse products; see lindblad_evolve.
+scipy.sparse is imported only where they are assembled, so code that never
+integrates does not load it.
 
 Weyl matrices need no matrix exponential.  The single-mode generator
 z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
@@ -42,6 +41,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
+import scipy.linalg
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
@@ -73,8 +73,8 @@ DIM_CAP = 1024
 #: top-level population above which oracle results are not trusted
 LEAKAGE_TRUST = 1e-8
 
-#: Krylov basis cap (as in Expokit), bound on the step-error estimate, and
-#: how many basis vectors lie between two tests of that estimate
+#: Krylov basis cap (as in Expokit), bound on a substep's error estimate,
+#: and how many basis vectors lie between two tests of that estimate
 _KRYLOV_MAX = 30
 _KRYLOV_TOL = 1e-15
 _KRYLOV_CHECK = 4
@@ -355,23 +355,25 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
 
     drho/dt = -i[H, rho] + sum_j ( L_j rho L_j^dag - (1/2){L_j^dag L_j, rho} )
 
-    The result is that of fixed-step RK4 with h = t/steps: P(hL)^steps rho0
-    with P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24, the exact RK4 step of a
-    constant linear generator.  It is applied by Krylov projection in chunks.
-    From the current rho (symmetrized to (rho0 + rho0^dag)/2 at the start),
-    Arnoldi builds at most 30 basis vectors V_k with beta = ||rho||_F.  L
-    maps Hermitian matrices to Hermitian matrices and Tr(XY) is real for
-    Hermitian X, Y, so the Gram-Schmidt coefficients are taken real and the
-    Hessenberg matrix H_k is real.  P(hH_k)^s e_1 gives P(hL)^s rho exactly
-    whenever 4s <= k - 1; beyond that a chunk advances by the largest s whose
-    estimate beta h_{k+1,k} |e_k^T P(hH_k)^s e_1| stays at most 1e-15.  The
-    basis stops growing (tested every 4 vectors) once the estimate covers
-    all remaining steps, or when L V_k lies in the span (L = 0, a dark
-    state), where the result is exact; a chunk that stops on its estimate
-    takes the P(hH_k)^left e_1 the estimate computed.  Then rho <- beta V_k
-    P(hH_k)^s e_1 is symmetrized and its trace drift checked; raises
-    RuntimeError on drift, i.e. on an unstable step size, after the first
-    chunk that shows it.
+    The result is e^{tL} rho0 with no time-step error, taken in at most
+    steps substeps by Krylov projection.  From the current rho (symmetrized to
+    (rho0 + rho0^dag)/2 at the start), Arnoldi builds at most 30 basis
+    vectors V_k with beta = ||rho||_F.  L maps Hermitian matrices to
+    Hermitian matrices and Tr(XY) is real for Hermitian X, Y, so the
+    Gram-Schmidt coefficients are taken real and the Hessenberg matrix H_k
+    is real.  With the augmented (k+1) x (k+1) matrix Hbar = [[H_k, 0],
+    [h_{k+1,k} e_k^T, 0]], u = beta exp(tau Hbar) e_1 gives the substep
+    e^{tau L} rho ~ V_k u[:k], and |u[k]| is Saad's phi_1 estimate of its
+    error.  A substep tries tau = twice the last substep (t at the first),
+    capped at the time left, and tests the estimate against 1e-15 every 4
+    basis vectors; at 30 vectors it halves tau on the same basis until the
+    estimate passes.  Only a finite u is accepted.  The basis stops growing
+    also when L V_k lies in the span (L = 0, a dark state), where the
+    estimate is 0.  Then rho <- V_k u[:k] is symmetrized and its trace drift
+    checked.  Raises ValueError for a negative or non-finite t, before any
+    work, and RuntimeError when more than steps substeps are needed, when a
+    substep is too short to change the time left in floating point (the
+    time left above 2^53 times the substep), or when the trace drifts.
 
     L y for Hermitian y is two sparse products: with A = -iH - (1/2) sum_j
     L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
@@ -381,8 +383,8 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     O(n^2 d) (_lindblad_operators); no dense d x d operator and no d^2 x d^2
     superoperator is formed.  Memory is the basis, 31 d^2 complex numbers.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     if steps < 1:
         raise ValueError("need at least one step")
     rho0 = np.asarray(rho0, dtype=complex)
@@ -401,17 +403,25 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         np.add(side_by_side @ jumps, G[:d], out=out)
         out += B[0]
 
+    def substep(Hbar):
+        """beta exp(Hbar) e_1 when it is finite and its estimate passes, else None."""
+        with np.errstate(all="ignore"):
+            u = beta * scipy.linalg.expm(Hbar)[:, 0]
+        return u if np.isfinite(u).all() and abs(u[-1]) <= _KRYLOV_TOL else None
+
     # complex basis vectors and their real views: <X, Y> = Re Tr(X^dag Y)
     V = np.empty((_KRYLOV_MAX + 1, d, d), dtype=complex)
     Vr = V.reshape(_KRYLOV_MAX + 1, d * d).view(float)
-    h = t / steps
+    left = tau = t
     done = 0
-    while done < steps:
-        left = steps - done
+    while left > 0:
+        if done == steps:
+            raise RuntimeError(f"more than steps = {steps} substeps needed to reach "
+                               f"t = {t:.6g}; {left:.6g} is left")
         beta = np.linalg.norm(rho)
         V[0] = rho / beta
-        H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX))
-        estimate = None             # P(hH_k)^left e_1 once its estimate passes
+        H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX + 1))
+        tau, u = min(left, 2 * tau), None
         for j in range(_KRYLOV_MAX):
             k = j + 1
             apply(V[j], V[k])
@@ -426,64 +436,25 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
                 H[k, j] = 0.0       # breakdown: L V_k lies in the span
                 break
             w /= H[k, j]
-            if 4 * left <= k - 1:
-                break
             if k % _KRYLOV_CHECK == 0:
-                u = _rk4_power(h * H[:k, :k], left)
-                if beta * H[k, j] * abs(u[-1]) <= _KRYLOV_TOL:
-                    estimate = u
+                u = substep(tau * H[:k + 1, :k + 1])
+                if u is not None:
                     break
-        if estimate is None:
-            s, power = _rk4_chunk(h * H[:k, :k], beta * H[k, k - 1], left)
-        else:
-            s, power = left, estimate
-        rho = (beta * (power @ Vr[:k])).view(complex).reshape(d, d)
+        while u is None:
+            u = substep(tau * H[:k + 1, :k + 1])
+            if u is None:
+                tau /= 2
+        if left - tau == left:
+            raise RuntimeError(f"a substep of {tau:.3g} cannot advance the time left, "
+                               f"{left:.6g}, in floating point")
+        rho = (u[:k] @ Vr[:k]).view(complex).reshape(d, d)
         rho = 0.5 * (rho + rho.conj().T)
-        done += s
+        left -= tau
+        done += 1
         drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
         if not np.isfinite(drift) or drift > 1e-6:
-            raise RuntimeError(f"trace drift {drift:.3e} after {done} steps; "
-                               "reduce the step size")
+            raise RuntimeError(f"trace drift {drift:.3e} after {done} substeps")
     return rho
-
-
-def _rk4_step_matrix(X):
-    """P(X) = I + X + X^2/2 + X^3/6 + X^4/24 in Horner form."""
-    eye = np.eye(len(X))
-    P = eye + X / 4
-    for c in (3, 2, 1):
-        P = eye + (X / c) @ P
-    return P
-
-
-def _rk4_power(X, s):
-    """P(X)^s e_1; non-finite when the power overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.linalg.matrix_power(_rk4_step_matrix(X), s)[:, 0]
-
-
-def _rk4_chunk(X, residual, left):
-    """Steps s <= left for one chunk of k = len(X) basis vectors, and P(X)^s e_1.
-
-    All left steps when they are exact (4 left <= k - 1, or residual = 0
-    after a breakdown) or their estimate residual |e_k^T P(X)^left e_1| is
-    at most _KRYLOV_TOL; otherwise the exact steps and then every step up to
-    the first that fails the estimate.
-    """
-    k = len(X)
-    u = _rk4_power(X, left)
-    if residual == 0 or 4 * left <= k - 1 or residual * abs(u[-1]) <= _KRYLOV_TOL:
-        return left, u
-    P = _rk4_step_matrix(X)
-    u = np.eye(k)[0]
-    s = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while s < left:
-            nxt = P @ u
-            if 4 * (s + 1) > k - 1 and not residual * abs(nxt[-1]) <= _KRYLOV_TOL:
-                break
-            u, s = nxt, s + 1
-    return s, u
 
 
 def state_moments(rep: FockRep, rho):
@@ -542,8 +513,9 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
 
     The initial state must be coherent (covariance I/2) and representable at
     the requested cutoff with leakage below 1e-6, otherwise the comparison is
-    refused.  Weyl-transform errors are probed at num_weyl random arguments
-    with |z| <= 1 drawn from the given seed.
+    refused.  The master equation is integrated by lindblad_evolve in at
+    most steps substeps.  Weyl-transform errors are probed at num_weyl
+    random arguments with |z| <= 1 drawn from the given seed.
     """
     alpha = _coherent_amplitude(state)
     rep = build(state.n, cutoff)

@@ -243,19 +243,30 @@ def test_verify_oracle_command(tmp_path):
     assert comp["weyl_error"] < 1e-5
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_verify_oracle_trace_drift_exits_2_without_report(tmp_path, capsys):
-    # one RK4 step per unit time cannot resolve damping at rate 9, so the
-    # integrator's trace watchdog refuses
+def test_verify_oracle_long_stiff_loss_exits_0(tmp_path):
+    # damping at rate 9 over 400 time units at one step per unit: the Krylov
+    # exponential takes long substeps, and both sides end in the vacuum
     scenario = {"command": "verify-oracle",
                 "pair": {"n": 1, "K": [[-4.5, 0.0], [0.0, -4.5]], "C": [[9.0, 0.0], [0.0, 9.0]]},
                 "state": coherent([1.0]),
                 "times": [400], "cutoff": 25, "steps": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(tmp_path, scenario)
+    assert code == 0
+    comp = report["results"]["comparisons"][0]
+    assert max(comp["mean_error"], comp["cov_error"], comp["weyl_error"]) <= 1e-12
+
+
+def test_verify_oracle_with_overflowing_step_count_exits_1_naming_times_and_steps(tmp_path,
+                                                                                    capsys):
+    scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
+                "state": coherent([0.5]), "times": [0.1, 1e306], "cutoff": 8}
     code, report = run(tmp_path, scenario)
-    assert code == 2
-    assert report is None
+    assert code == 1 and report is None
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "trace drift" in err and "Traceback" not in err
+    assert err.startswith("error: ") and "'steps'" in err and "'times'" in err
+    assert "Traceback" not in err
 
 
 def test_verify_oracle_dimension_cap(tmp_path):

@@ -10,7 +10,8 @@ from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
-from util import dense_generator, kron_ladder, random_admissible_pair, rng, smeared_ladder
+from util import (dense_evolution, dense_generator, kron_ladder, random_admissible_pair, rng,
+                  smeared_ladder)
 
 
 def attenuation_pair():
@@ -288,35 +289,48 @@ def test_lindblad_rejects_negative_time():
         fock.lindblad_evolve(rep, rho0, empty_spec(), -1.0, 10)
 
 
-def test_lindblad_trace_watchdog_catches_instability():
-    # grossly under-resolved RK4 on a stiff generator must refuse, not
-    # silently return garbage
+def test_lindblad_non_finite_time_is_refused_before_any_work(monkeypatch):
+    rep = fock.build(1, 6)
+    rho0 = fock.coherent_density(rep, [0.0])
+
+    def refused(*args):
+        raise AssertionError("operators assembled for a non-finite time")
+    monkeypatch.setattr(fock, "_lindblad_operators", refused)
+    for t in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                fock.lindblad_evolve(rep, rho0, empty_spec(), t, 10)
+
+
+def stiff_loss():
+    """Damping at rate 9 from the coherent state of amplitude 1, cutoff 25."""
     rep = fock.build(1, 25)
     spec = decompose(*pair_from_coupling([3.0], [0.0]))
-    rho0 = fock.coherent_density(rep, [1.0])
-    with pytest.raises(RuntimeError), np.errstate(all="ignore"):
-        fock.lindblad_evolve(rep, rho0, spec, 400.0, 100)
+    return rep, spec, fock.coherent_density(rep, [1.0])
 
 
-def dense_rk4(rep, rho, spec, t, steps):
-    """Textbook RK4 (k1..k4) on the dense master-equation right-hand side."""
-    H, Ls = dense_generator(rep, spec)
+def test_lindblad_long_stiff_loss_reaches_the_vacuum():
+    rep, spec, rho0 = stiff_loss()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = fock.lindblad_evolve(rep, rho0, spec, 400.0, 100)
+    vac = np.outer(vacuum(rep), vacuum(rep).conj())
+    assert np.abs(rho - vac).max() <= 1e-12
 
-    def rhs(r):
-        out = -1j * (H @ r - r @ H)
-        for L in Ls:
-            LdL = L.conj().T @ L
-            out += L @ r @ L.conj().T - 0.5 * (LdL @ r + r @ LdL)
-        return out
 
-    h = t / steps
-    for _ in range(steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + 0.5 * h * k1)
-        k3 = rhs(rho + 0.5 * h * k2)
-        k4 = rhs(rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return rho
+def test_lindblad_refuses_more_substeps_than_steps():
+    rep, spec, rho0 = stiff_loss()
+    with pytest.raises(RuntimeError, match="steps = 1 "):
+        fock.lindblad_evolve(rep, rho0, spec, 400.0, 1)
+
+
+def test_lindblad_refuses_a_substep_below_the_resolution_of_t():
+    # e^{tL} rho0 is the vacuum, but the first substeps are lost in the
+    # rounding of t = 1e50
+    rep, spec, rho0 = stiff_loss()
+    with pytest.raises(RuntimeError, match="cannot advance"):
+        fock.lindblad_evolve(rep, rho0, spec, 1e50, 10**60)
 
 
 def random_density(gen, dim):
@@ -373,13 +387,15 @@ def test_dense_builders_equal_the_kronecker_reference(n, cutoff):
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
 @pytest.mark.parametrize("couplings", [1, 2])
 def test_lindblad_evolve_matches_textbook_rk4(n, cutoff, couplings):
+    # the *_matches_textbook_rk4* names keep the ids of these cases; each
+    # compares with the exact exponential of the dense superoperator
     gen = rng(26 + 10 * n + couplings)
     pair = random_admissible_pair(gen, n, couplings=couplings)
     spec = decompose(pair.K, pair.C)
     rep = fock.build(n, cutoff)
     rho0 = random_density(gen, rep.dim)
     got = fock.lindblad_evolve(rep, rho0, spec, 0.5, 20)
-    ref = dense_rk4(rep, rho0, spec, 0.5, 20)
+    ref = dense_evolution(rep, rho0, spec, 0.5)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -395,11 +411,11 @@ def test_lindblad_evolve_symmetrizes_nearly_hermitian_input():
     fock.validate_density(rho0)
     got = fock.lindblad_evolve(rep, rho0, spec, 0.5, 20)
     assert np.abs(got - got.conj().T).max() <= 1e-14
-    ref = dense_rk4(rep, 0.5 * (rho0 + rho0.conj().T), spec, 0.5, 20)
+    ref = dense_evolution(rep, 0.5 * (rho0 + rho0.conj().T), spec, 0.5)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-# each case runs the Krylov propagator over two or three chunks
+# each case takes more than one substep
 @pytest.mark.parametrize("n, cutoff, t, steps, seed", [(1, 30, 0.5, 400, 31),
                                                        (2, 6, 1.0, 200, 32)])
 def test_lindblad_evolve_matches_textbook_rk4_over_several_chunks(n, cutoff, t, steps, seed):
@@ -409,7 +425,7 @@ def test_lindblad_evolve_matches_textbook_rk4_over_several_chunks(n, cutoff, t, 
     rep = fock.build(n, cutoff)
     rho0 = random_density(gen, rep.dim)
     got = fock.lindblad_evolve(rep, rho0, spec, t, steps)
-    ref = dense_rk4(rep, rho0, spec, t, steps)
+    ref = dense_evolution(rep, rho0, spec, t)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -418,34 +434,8 @@ def test_lindblad_evolve_matches_textbook_rk4_for_long_pure_loss():
     spec = decompose(*pair_from_coupling([1.0], [0.0]))
     rho0 = fock.coherent_density(rep, [1.0])
     got = fock.lindblad_evolve(rep, rho0, spec, 5.0, 2000)
-    ref = dense_rk4(rep, rho0, spec, 5.0, 2000)
+    ref = dense_evolution(rep, rho0, spec, 5.0)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_chunk_reuses_its_passing_estimate(monkeypatch):
-    # one chunk covers all 400 steps and stops on its estimate: every
-    # P(hH_k)^s e_1 is an estimate, at k = 4, 8, ..., and the chunk adds none
-    rep = fock.build(1, 30)
-    spec = decompose(*pair_from_coupling([1.0], [0.0]))
-    rho0 = fock.coherent_density(rep, [1.0])
-    calls = []
-    power = fock._rk4_power
-
-    def counted(X, s):
-        calls.append((len(X), s))
-        return power(X, s)
-
-    def refused(*args):
-        raise AssertionError("the chunk recomputed its estimate")
-
-    monkeypatch.setattr(fock, "_rk4_power", counted)
-    monkeypatch.setattr(fock, "_rk4_chunk", refused)
-    rho = fock.lindblad_evolve(rep, rho0, spec, 0.5, 400)
-    assert calls == [(k, 400) for k in range(4, 4 * len(calls) + 1, 4)]
-    assert len(calls) >= 2
-    monkeypatch.undo()
-    ref = dense_rk4(rep, rho0, spec, 0.5, 400)
-    assert np.abs(rho - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # --- moments ----------------------------------------------------------------

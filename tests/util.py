@@ -90,3 +90,18 @@ def dense_generator(rep, spec):
         G = smeared_ladder(rep, term.w, term.w)
         H += 0.25 * term.lam * (G @ G)
     return H, [smeared_ladder(rep, term.u, term.v) for term in spec.lindblad_terms]
+
+
+def dense_evolution(rep, rho, spec, t):
+    """e^{tL} rho for the master equation of a dilation spec, from the dense
+    d^2 x d^2 superoperator of dense_generator's H and L_j (row-major vec,
+    so A X B is kron(A, B^T)); scipy's expm_multiply applies its exponential."""
+    from scipy.sparse.linalg import expm_multiply
+
+    H, Ls = dense_generator(rep, spec)
+    eye = np.eye(rep.dim)
+    S = -1j * (np.kron(H, eye) - np.kron(eye, H.T))
+    for L in Ls:
+        LdL = L.conj().T @ L
+        S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
+    return expm_multiply(t * S, np.ravel(rho)).reshape(rep.dim, rep.dim)
