@@ -10,18 +10,20 @@ Payloads are decoded by the field readers (_require, _number, _real,
 _complex): a state is {"n", "l", "m", "S"}, a pair {"n", "K", "C"}, a kernel
 {"points", "K", "group"} with K all numbers or all [re, im] pairs.  Reports
 are encoded by one JSON default (_json_default: arrays, dataclasses such as
-GaussianState or DilationSpec, complex values as [re, im] pairs), and both
-CSV artifacts, evolve's moment trajectory and sample-field's draws, by one
-writer (_write_csv).
+GaussianState, DilationSpec or a Check, complex values as [re, im] pairs,
+in scenario files too), and both CSV artifacts, evolve's moment trajectory
+and sample-field's draws, by one writer (_write_csv).
 
 JSON is strict both ways.  A NaN, Infinity or -Infinity literal in a
 scenario file, or a number beyond float range such as 1e999, is an input
-failure (exit 1); a report is one line of strict
-JSON, and a result that is not finite exits 2 with no report written.
-Tolerances, from the scenario or the --tol override, must be finite
-numbers > 0, and the keys of "tolerances" must be those of
-DEFAULT_TOLERANCES.  The scalar fields (times, d, i, j, n, steps, count,
-seed, cutoff, intensities) must hold numbers, and the integer ones
+failure (exit 1); a report is one line of strict JSON, and a result that is
+not finite exits 2 with no report written.  The scenario's "tolerances"
+(keys those of DEFAULT_TOLERANCES, the dict form of the library's defaults)
+and the --tol override make one symplectic.Tolerances per run, each value a
+finite number > 0.  The pair keeps it and every check judges by it; a
+command passes when every symplectic.Check the library returns passes, and
+its report carries them.  The scalar fields (times, d, i, j, n, steps,
+count, seed, cutoff, intensities) must hold numbers, and the integer ones
 integers; the real array fields (l, m, S, K, C, a Gaussian law's mean and
 covariance) and the [re, im] components of the complex fields must be nested
 lists of numbers, rows of one length.  A null, a bool, a string or a
@@ -39,9 +41,7 @@ one "error:" line and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
-file, then to a built-in default.  Complex scalars are encoded as [re, im]
-pairs everywhere in scenario files and reports: written by _json_default and
-read by _complex.
+file, then to a built-in default.
 """
 
 from __future__ import annotations
@@ -57,32 +57,16 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
-from .symplectic import (PSD_TOL, RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, UNITARITY_TOL,
-                         PropagatorOverflowError)
+from .symplectic import TOLERANCES, PropagatorOverflowError, Tolerances
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
-DEFAULT_TOLERANCES = {
-    "psd": PSD_TOL,
-    "oracle": 1e-5,
-    "unitarity": UNITARITY_TOL,
-    "rank": RANK_TOL,
-    "reconstruction": RECONSTRUCTION_TOL,
-    "symplectic": SYMPLECTIC_TOL,
-}
+DEFAULT_TOLERANCES = dataclasses.asdict(TOLERANCES)
 
 # which tolerance the --tol flag overrides, per command
-PRIMARY_TOL = {
-    "validate-state": "psd",
-    "evolve": "psd",
-    "weyl": "psd",
-    "decompose": "rank",
-    "dilate": "rank",
-    "verify-oracle": "oracle",
-    "ito-table": "unitarity",
-    "unitarity": "unitarity",
-    "sample-field": "psd",
-}
+PRIMARY_TOL = {"validate-state": "psd", "evolve": "psd", "weyl": "psd", "sample-field": "psd",
+               "decompose": "rank", "dilate": "rank", "verify-oracle": "oracle",
+               "ito-table": "unitarity", "unitarity": "unitarity"}
 
 # rows per formatting pass of a CSV: one pass per block keeps the formatted
 # text small next to the data
@@ -119,18 +103,12 @@ def _require(scenario, key, where="scenario"):
     return scenario[key]
 
 
-def _tolerance(key, value):
-    """A tolerance is a finite number > 0."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not 0 < value <= sys.float_info.max):
-        raise SchemaError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def _list(obj, key, where="scenario"):
+def _typed(obj, key, kind, where="scenario"):
+    """The required field key, refused unless a kind (list or dict) value."""
     value = _require(obj, key, where)
-    if not isinstance(value, list):
-        raise SchemaError(f"{key!r} must be a list, got {type(value).__name__}")
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "a JSON object"
+        raise SchemaError(f"{key!r} must be {noun}, got {type(value).__name__}")
     return value
 
 
@@ -187,13 +165,6 @@ def _complex(data, key, ndim=1):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _object(obj, key, where="scenario"):
-    value = _require(obj, key, where)
-    if not isinstance(value, dict):
-        raise SchemaError(f"{key} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
 #: payload -> (constructor, rank of each real array field); the constructor
 #: takes the integer field "n" and then those arrays
 _PAYLOADS = {
@@ -202,15 +173,14 @@ _PAYLOADS = {
 }
 
 
-def _payload(scenario, key):
-    """The state or pair in the JSON object scenario[key]; an error of its
-    constructor is reported as a bad key payload."""
+def _payload(scenario, key, *extra):
+    """The state or pair in scenario[key], built with extra (a pair's tolerances)."""
     build, ranks = _PAYLOADS[key]
-    data = _object(scenario, key)
+    data = _typed(scenario, key, dict)
     n = _number(_require(data, "n", key), "n", int)
     arrays = [_real(_require(data, name, key), name, ndim) for name, ndim in ranks.items()]
     try:
-        return build(n, *arrays)
+        return build(n, *arrays, *extra)
     except ValueError as exc:
         raise SchemaError(f"bad {key} payload: {exc}") from exc
 
@@ -218,8 +188,8 @@ def _payload(scenario, key):
 def _kernel(law):
     """The kernel {"points": [...], "K": [[...]], "group": [[...], ...]}; the
     entries of K are all plain numbers or all [re, im] pairs."""
-    data = _object(law, "kernel", "kernel law")
-    points = _list(data, "points", "kernel")
+    data = _typed(law, "kernel", dict, "kernel law")
+    points = _typed(data, "points", list, "kernel")
     raw = _require(data, "K", "kernel")
     try:
         K = _real(raw, "K", 2)
@@ -304,31 +274,27 @@ def _check_artifact_names(scenario):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results, passed flag, artifacts dict); the
-# results are anything _json_default encodes
+# command handlers: each returns (results, passed, artifacts), the results
+# anything _json_default encodes and passed the conjunction of library Checks
 
 
 def _cmd_validate_state(scenario, ctx):
-    diag = gaussian.validate(_payload(scenario, "state"), tol=ctx["tolerances"]["psd"])
+    diag = gaussian.validate(_payload(scenario, "state"), tol=ctx["tolerances"].psd)
     return diag, diag.is_valid, {}
 
 
 def _cmd_evolve(scenario, ctx):
-    pair = _payload(scenario, "pair")
+    pair = _payload(scenario, "pair", ctx["tolerances"])
     state = _payload(scenario, "state")
-    times = [_number(t, "times") for t in _list(scenario, "times")]
-    trajectory = []
-    rows = []
-    all_valid = True
+    times = [_number(t, "times") for t in _typed(scenario, "times", list)]
+    trajectory, rows = [], []
     for t in times:
         out = semigroup.evolve_state(state, pair, t)
-        diag = gaussian.validate(out, tol=ctx["tolerances"]["psd"])
-        all_valid = all_valid and diag.is_valid
-        trajectory.append({"t": t, "state": out, "is_valid": diag.is_valid,
-                           "min_eigenvalue": diag.min_eigenvalue})
+        diag = gaussian.validate(out, tol=pair.tolerances.psd)
+        trajectory.append({"t": t, "state": out, "symmetry": diag.symmetry, "psd": diag.psd})
         rows.append(np.concatenate(([t], out.l, out.m, out.S.ravel())))
     artifacts = {}
-    results = {"trajectory": trajectory, "all_valid": all_valid}
+    results = {"trajectory": trajectory}
     csv_name = scenario.get("csv")
     if csv_name:
         n = state.n
@@ -338,56 +304,47 @@ def _cmd_evolve(scenario, ctx):
                    "%r", "\r\n")
         results["csv_columns"] = columns
         artifacts["csv"] = csv_name
-    return results, all_valid, artifacts
+    return results, all(step["psd"].passed and step["symmetry"].passed
+                        for step in trajectory), artifacts
 
 
 def _cmd_weyl(scenario, ctx):
     state = _payload(scenario, "state")
-    zs = [_complex(z, "z") for z in _list(scenario, "z")]
+    zs = [_complex(z, "z") for z in _typed(scenario, "z", list)]
     values = []
-    passed = True
     for z in zs:
-        val = gaussian.weyl_transform(state, z, tol=ctx["tolerances"]["psd"])
-        passed = passed and abs(val) <= 1.0 + 1e-12
-        values.append({"z": z, "value": val, "magnitude": abs(val)})
-    return {"values": values}, passed, {}
+        val = gaussian.weyl_transform(state, z, tol=ctx["tolerances"].psd)
+        values.append({"z": z, "value": val, "modulus": gaussian.weyl_modulus(val)})
+    return {"values": values}, all(v["modulus"].passed for v in values), {}
 
 
 def _cmd_decompose(scenario, ctx):
-    """decompose and dilate: the DilationSpec itself, judged by its one
-    reconstruction rule at the scenario's tolerances."""
-    pair = _payload(scenario, "pair")
-    tols = ctx["tolerances"]
-    spec = synthesis.decompose(pair.K, pair.C, rank_tol=tols["rank"])
-    return spec, spec.reconstructs(tols["reconstruction"], tols["symplectic"]), {}
+    """decompose and dilate: the DilationSpec, judged at the pair's (the scenario's) tolerances."""
+    pair = _payload(scenario, "pair", ctx["tolerances"])
+    spec = synthesis.decompose(pair.K, pair.C, pair.tolerances)
+    return spec, spec.reconstructs(pair.tolerances).passed, {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
-    pair = _payload(scenario, "pair")
+    pair = _payload(scenario, "pair", ctx["tolerances"])
     state = _payload(scenario, "state")
-    times = [_number(t, "times") for t in _list(scenario, "times")]
-    cutoff = ctx["cutoff"]
+    times = [_number(t, "times") for t in _typed(scenario, "times", list)]
     steps_per_unit = _number(scenario.get("steps", 2000), "steps", int)
     if steps_per_unit < 1:
         raise SchemaError(f"'steps' must be at least 1, got {steps_per_unit}")
     caps = [steps_per_unit * max(t, 1e-3) for t in times]
     if not all(np.isfinite(caps)):
         raise SchemaError(f"'steps' x 'times' overflows: {steps_per_unit} x {max(times):g}")
-    tol = ctx["tolerances"]["oracle"]
-    reports = []
-    passed = True
-    for t, cap in zip(times, caps):
-        steps = max(1, int(np.ceil(cap)))
-        rep = fock.oracle_compare(state, pair, t, cutoff=cutoff, steps=steps,
-                                  seed=ctx["seed"])
-        reports.append(rep)
-        passed = passed and rep.max_error <= tol
-    return {"comparisons": reports, "tolerance": tol}, passed, {}
+    reports = [fock.oracle_compare(state, pair, t, cutoff=ctx["cutoff"],
+                                   steps=max(1, int(np.ceil(cap))), seed=ctx["seed"])
+               for t, cap in zip(times, caps)]
+    return ({"comparisons": reports, "tolerance": pair.tolerances.oracle},
+            all(rep.check.passed for rep in reports), {})
 
 
 def _cmd_ito_table(scenario, ctx):
     kind = scenario.get("table", "quadrature")
-    tol = ctx["tolerances"]["unitarity"]
+    tol = ctx["tolerances"].unitarity
     if kind in ("quadrature", "brownian"):
         d = _number(scenario.get("d", 1), "d", int)
         check = ito.quadrature_table(d, tol=tol)
@@ -406,26 +363,21 @@ def _cmd_ito_table(scenario, ctx):
 
 def _cmd_unitarity(scenario, ctx):
     H = _complex(_require(scenario, "H"), "H", 2)
-    L = [_complex(m, "L", 2) for m in _list(scenario, "L")] if "L" in scenario else []
-    if L:
-        S = _complex(_require(scenario, "S"), "S", 2)
-    else:
-        S = np.zeros((0, 0), dtype=complex)
+    L = [_complex(m, "L", 2) for m in _typed(scenario, "L", list)] if "L" in scenario else []
+    S = _complex(_require(scenario, "S"), "S", 2) if L else np.zeros((0, 0), dtype=complex)
     dU = ito.hp_coefficients(S, L, H)
-    residual = ito.unitarity_residual(dU)
-    tol = ctx["tolerances"]["unitarity"]
-    ok = residual <= tol
-    results = {"unitary": ok, "residual": residual, "tolerance": tol,
+    check = ito.unitarity_check(dU, ctx["tolerances"].unitarity)
+    results = {"unitarity": check, "residual": check.value, "tolerance": check.bound,
                "noise_channels": dU.d, "system_dimension": H.shape[0]}
     if "X" in scenario:
         X = _complex(scenario["X"], "X", 2)
         theta = ito.flow_generator(dU, X)
         results["flow"] = {f"theta[{a}][{b}]": mat for (a, b), mat in sorted(theta.items())}
-    return results, ok, {}
+    return results, check.passed, {}
 
 
 def _field_law(scenario):
-    law = _object(scenario, "law")
+    law = _typed(scenario, "law", dict)
     kind = law.get("kind")
 
     def field(key):
@@ -436,7 +388,7 @@ def _field_law(scenario):
                                covariance=_real(field("covariance"), "covariance", 2))
     if kind == "coherent":
         u0 = _complex(field("u0"), "u0")
-        us = [_complex(u, "us") for u in _list(law, "us", where=f"{kind} law")]
+        us = [_complex(u, "us") for u in _typed(law, "us", list, f"{kind} law")]
         return fields.coherent_gaussian_field(u0, us, family=law.get("family", "p"))
     if kind == "kernel":
         model = _kernel(law)
@@ -465,24 +417,16 @@ def _cmd_sample_field(scenario, ctx):
         artifacts["csv"] = csv_name
     results = {"count": count}
     if isinstance(law, fields.FieldLaw):
-        emp_mean = draws.mean(axis=0)
         emp_cov = np.cov(draws.T, ddof=1).reshape(law.mean.size, law.mean.size)
-        sigma = np.sqrt(np.maximum(np.diag(law.covariance), 1e-300) / count)
-        band = 5.0 * sigma
-        within = bool(np.all(np.abs(emp_mean - law.mean) <= band))
         results.update({"law_mean": law.mean, "law_covariance": law.covariance,
-                        "empirical_mean": emp_mean, "empirical_covariance": emp_cov,
-                        "mean_band_5sigma": band, "within_bands": within})
+                        "empirical_mean": draws.mean(axis=0), "empirical_covariance": emp_cov})
     else:
-        within = (abs(draws.mean() - law.mean) <=
-                  5.0 * np.sqrt(max(law.variance, 1e-300) / count))
-        results.update({"atoms": list(law.atoms),
-                        "law_mean": law.mean, "law_variance": law.variance,
-                        "empirical_mean": float(draws.mean()),
-                        "empirical_variance": float(draws.var(ddof=1)),
-                        "within_bands": bool(within)})
+        results.update({"atoms": list(law.atoms), "law_mean": law.mean,
+                        "law_variance": law.variance, "empirical_mean": float(draws.mean()),
+                        "empirical_variance": float(draws.var(ddof=1))})
+    results["mean_band"] = band = fields.mean_band(law, draws)
     results["csv_columns"] = columns
-    return results, bool(within), artifacts
+    return results, band.passed, artifacts
 
 
 HANDLERS = {
@@ -506,23 +450,19 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
     if command not in COMMANDS:
         raise SchemaError(f"unknown command {command!r}; expected one of {COMMANDS}")
     _check_artifact_names(scenario)
-    overrides = scenario.get("tolerances", {})
-    if not isinstance(overrides, dict):
-        raise SchemaError("tolerances must be a JSON object")
+    overrides = _typed(scenario, "tolerances", dict) if "tolerances" in scenario else {}
     unknown = [key for key in overrides if key not in DEFAULT_TOLERANCES]
     if unknown:
         raise SchemaError(f"unknown tolerance key {', '.join(map(repr, unknown))}; "
                           f"the keys are {', '.join(DEFAULT_TOLERANCES)}")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tolerances.update((key, _tolerance(key, value)) for key, value in overrides.items())
     if tol is not None:
-        tolerances[PRIMARY_TOL[command]] = _tolerance(PRIMARY_TOL[command], tol)
+        overrides = {**overrides, PRIMARY_TOL[command]: tol}
     ctx = {
         "out": out_dir,
         "seed": _number(seed if seed is not None else scenario.get("seed", 0), "seed", int),
         "cutoff": _number(cutoff if cutoff is not None else scenario.get("cutoff", 30),
                           "cutoff", int),
-        "tolerances": tolerances,
+        "tolerances": Tolerances(**overrides),
     }
     results, passed, artifacts = HANDLERS[command](scenario, ctx)
     report = {
@@ -532,7 +472,7 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
         "inputs": {k: v for k, v in scenario.items() if k != "command"},
         "seed": ctx["seed"],
         "cutoff": ctx["cutoff"],
-        "tolerances": tolerances,
+        "tolerances": ctx["tolerances"],
         "results": results,
         "artifacts": artifacts,
         "passed": bool(passed),

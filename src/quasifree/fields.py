@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SYMMETRY_TOL, hermitian_check, hermitian_eigh, psd_verdict
+from .symplectic import SYMMETRY_TOL, Check, hermitian_check, hermitian_eigh, psd_verdict
 
 __all__ = [
     "KernelModel",
@@ -33,6 +33,7 @@ __all__ = [
     "coherent_gaussian_field",
     "levy_law",
     "sample",
+    "mean_band",
     "SampleCapError",
 ]
 
@@ -67,7 +68,7 @@ class KernelModel:
             raise ValueError("kernel needs at least one point")
         if K.shape != (N, N):
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
-        if not hermitian_check(K, 1e-12)[0]:
+        if not hermitian_check(K, 1e-12).passed:
             raise ValueError("kernel must be Hermitian")
         _kernel_eigh(K)
         scale = 1.0 + np.abs(K).max(initial=0.0)
@@ -81,11 +82,10 @@ class KernelModel:
 
 def _kernel_eigh(K):
     """hermitian_eigh of the Hermitian part of a kernel, refused unless its
-    eigenvalues pass the PSD rule psd_verdict at PSD_TOL."""
+    eigenvalues pass the PSD rule psd_verdict at the default tolerance."""
     w, V = hermitian_eigh((K + K.conj().T) / 2.0)
-    ok, min_eig = psd_verdict(w)
-    if not ok:
-        raise ValueError(f"kernel is not PSD: min eigenvalue {min_eig:.3e}")
+    if not psd_verdict(w).passed:
+        raise ValueError(f"kernel is not PSD: min eigenvalue {w[-1]:.3e}")
     return w, V
 
 
@@ -137,7 +137,7 @@ class FieldLaw:
                 raise ValueError(f"law {name} must be finite")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance must be {mean.size} x {mean.size}")
-        if not hermitian_check(cov, SYMMETRY_TOL)[0]:
+        if not hermitian_check(cov, SYMMETRY_TOL).passed:
             raise ValueError("covariance must be symmetric")
 
 
@@ -210,7 +210,7 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
     mass at zero (constant characteristic function).
     """
     H = np.asarray(H, dtype=complex)
-    if not hermitian_check(H, SYMMETRY_TOL)[0]:
+    if not hermitian_check(H, SYMMETRY_TOL).passed:
         raise ValueError("H must be Hermitian")
     scale = 1.0 + np.abs(H).max(initial=0.0)
     u = np.asarray(u, dtype=complex).ravel()
@@ -264,3 +264,11 @@ def sample(law, count: int, seed: int) -> np.ndarray:
         return out
     raise TypeError(f"cannot sample from {type(law).__name__}")
 
+
+def mean_band(law, draws) -> Check:
+    """The empirical mean of draws from a FieldLaw or a LevyLaw against the law's
+    own: max_i |mean_i - law mean_i| / sqrt(variance_i / count) within 5."""
+    draws = np.reshape(draws, (len(draws), -1))
+    variance = np.diag(law.covariance) if isinstance(law, FieldLaw) else law.variance
+    sigma = np.sqrt(np.maximum(variance, 1e-300) / len(draws))
+    return Check("mean_band", float(np.max(np.abs(draws.mean(axis=0) - law.mean) / sigma)), 5.0)

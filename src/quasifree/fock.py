@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
@@ -45,7 +45,7 @@ import scipy.linalg
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import PSD_TOL, hermitian_check
+from .symplectic import TOLERANCES, Check, hermitian_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "coherent_density",
     "weyl_matrix",
     "top_level_population",
+    "leakage_check",
     "validate_density",
     "hamiltonian_matrix",
     "lindblad_matrices",
@@ -70,8 +71,8 @@ __all__ = [
 #: Krylov basis of lindblad_evolve, 31 d^2 complex numbers, to 0.52 GB
 DIM_CAP = 1024
 
-#: top-level population above which oracle results are not trusted
-LEAKAGE_TRUST = 1e-8
+#: top-level population above which a state warns and an oracle comparison is refused
+LEAKAGE_BOUND = 1e-6
 
 #: Krylov basis cap (as in Expokit), bound on a substep's error estimate,
 #: and how many basis vectors lie between two tests of that estimate
@@ -191,6 +192,11 @@ def top_level_population(rep: FockRep, state) -> float:
     return float(np.real(np.trace(state[np.ix_(top, top)])))
 
 
+def leakage_check(rep: FockRep, state) -> Check:
+    """The top-level population of a state vector or density against LEAKAGE_BOUND."""
+    return Check("leakage", top_level_population(rep, state), LEAKAGE_BOUND)
+
+
 def exponential_vector(rep: FockRep, u) -> np.ndarray:
     """Unnormalized exponential vector with components prod_j u_j^k / sqrt(k!)."""
     u = _vector(rep, u)
@@ -209,9 +215,9 @@ def coherent_vector(rep: FockRep, alpha) -> np.ndarray:
     """Normalized coherent vector; warns when truncation leakage is large."""
     alpha = np.asarray(alpha, dtype=complex).ravel()
     vec = exponential_vector(rep, alpha) * np.exp(-0.5 * np.sum(np.abs(alpha) ** 2))
-    leak = top_level_population(rep, vec)
-    if leak > LEAKAGE_TRUST:
-        warnings.warn(f"coherent vector leaks {leak:.2e} into the top level", stacklevel=2)
+    leak = leakage_check(rep, vec)
+    if not leak.passed:
+        warnings.warn(f"coherent vector leaks {leak.value:.2e} into the top level", stacklevel=2)
     return vec
 
 
@@ -240,10 +246,10 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
         PV = np.exp(1j * levels * (np.angle(zj) + np.pi / 2))[:, None] * V
         factors.append((PV * np.exp(-1j * abs(zj) * mu)) @ PV.conj().T)
     W = reduce(_kron, factors)
-    leak = top_level_population(rep, W[:, 0])
-    if leak > LEAKAGE_TRUST:
+    leak = leakage_check(rep, W[:, 0])
+    if not leak.passed:
         warnings.warn(f"Weyl matrix for |z| = {np.linalg.norm(z):.3g} leaks "
-                      f"{leak:.2e} into the top level", stacklevel=2)
+                      f"{leak.value:.2e} into the top level", stacklevel=2)
     return W
 
 
@@ -253,10 +259,10 @@ def _kron(A, B):
         A.shape[0] * B.shape[0], A.shape[1] * B.shape[1])
 
 
-def validate_density(rho, tol: float = PSD_TOL) -> None:
+def validate_density(rho, tol: float = TOLERANCES.psd) -> None:
     """Raise unless rho is Hermitian, unit trace and PSD within tol."""
     rho = np.asarray(rho)
-    if not hermitian_check(rho, tol)[0]:
+    if not hermitian_check(rho, tol).passed:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")
@@ -482,7 +488,8 @@ def state_moments(rep: FockRep, rho):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Discrepancies between the closed-form semigroup and the Fock oracle."""
+    """Discrepancies between the closed-form semigroup and the Fock oracle;
+    check, derived on construction, holds max_error against the tolerance."""
 
     t: float
     cutoff: int
@@ -491,10 +498,16 @@ class OracleReport:
     mean_error: float
     cov_error: float
     weyl_error: float
+    tolerance: float
+    check: Check = field(init=False)
+
+    def __post_init__(self):
+        errors = [self.mean_error, self.cov_error, self.weyl_error]
+        object.__setattr__(self, "check", Check("oracle", float(np.max(errors)), self.tolerance))
 
     @property
     def max_error(self) -> float:
-        return max(self.mean_error, self.cov_error, self.weyl_error)
+        return self.check.value
 
 
 def _coherent_amplitude(state: GaussianState) -> np.ndarray:
@@ -512,23 +525,24 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
     """Run the closed-form and brute-force pipelines and report discrepancies.
 
     The initial state must be coherent (covariance I/2) and representable at
-    the requested cutoff with leakage below 1e-6, otherwise the comparison is
-    refused.  The master equation is integrated by lindblad_evolve in at
-    most steps substeps.  Weyl-transform errors are probed at num_weyl
-    random arguments with |z| <= 1 drawn from the given seed.
+    the requested cutoff with leakage within LEAKAGE_BOUND, otherwise the
+    comparison is refused.  Every check judges by the pair's tolerances.  The
+    master equation is integrated by lindblad_evolve in at most steps
+    substeps.  Weyl-transform errors are probed at num_weyl random arguments
+    with |z| <= 1 drawn from the given seed.
     """
     alpha = _coherent_amplitude(state)
     rep = build(state.n, cutoff)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rho0 = coherent_density(rep, alpha)
-    leak = top_level_population(rep, rho0)
-    if leak > 1e-6:
-        raise LeakageError(f"initial state leaks {leak:.2e} > 1e-6 at cutoff {cutoff}; "
-                           "increase the cutoff or shrink the state")
-    spec = decompose(pair.K, pair.C)
+    leak = leakage_check(rep, rho0)
+    if not leak.passed:
+        raise LeakageError(f"initial state leaks {leak.value:.2e} > {leak.bound:g} at cutoff "
+                           f"{cutoff}; increase the cutoff or shrink the state")
+    spec = decompose(pair.K, pair.C, pair.tolerances)
     rho_t = lindblad_evolve(rep, rho0, spec, t, steps)
-    leak_t = max(leak, top_level_population(rep, rho_t))
+    leak_t = max(leak.value, top_level_population(rep, rho_t))
 
     l_num, m_num, S_num = state_moments(rep, rho_t)
     ref = evolve_state(state, pair, t)
@@ -547,10 +561,9 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
             warnings.simplefilter("ignore")
             W = weyl_matrix(rep, z)
         numeric = np.sum(rho_t.T * W)
-        closed = weyl_transform(ref, z)
+        closed = weyl_transform(ref, z, pair.tolerances.psd)
         weyl_err = max(weyl_err, abs(numeric - closed))
 
-    return OracleReport(t=t, cutoff=cutoff, steps=steps, leakage=leak_t,
-                        mean_error=mean_err, cov_error=cov_err,
-                        weyl_error=float(weyl_err))
+    return OracleReport(t, cutoff, steps, leak_t, mean_err, cov_err, float(weyl_err),
+                        pair.tolerances.oracle)
 

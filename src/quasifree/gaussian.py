@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, hermitian_check, psd_check, read_only,
-                         real_embed, symplectic_form)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, hermitian_check, psd_check,
+                         read_only, real_embed, symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -36,6 +36,7 @@ __all__ = [
     "vacuum",
     "coherent",
     "weyl_transform",
+    "weyl_modulus",
 ]
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +69,7 @@ class GaussianState:
         # and no verdict carried over
         return type(self), (self.n, self.l, self.m, self.S)
 
-    def diagnostic(self, tol: float = PSD_TOL) -> StateDiagnostic:
+    def diagnostic(self, tol: float = TOLERANCES.psd) -> StateDiagnostic:
         """``validate(self, tol)``, computed on the first call for each tol and
         then reused; the arrays are read-only, so the verdict cannot go stale."""
         diag = self._diagnostics.get(tol)
@@ -79,21 +80,23 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class StateDiagnostic:
-    is_valid: bool
-    min_eigenvalue: float   # smallest eigenvalue of 2S + iJ
-    symmetry_defect: float  # max |S - S^T|
+    symmetry: Check     # max |S - S^T| at SYMMETRY_TOL
+    psd: Check          # -(smallest eigenvalue of 2S + iJ) at the PSD tolerance
+
+    @property
+    def is_valid(self) -> bool:
+        return self.symmetry.passed and self.psd.passed
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return -self.psd.value
 
 
-def validate(state: GaussianState, tol: float = PSD_TOL) -> StateDiagnostic:
+def validate(state: GaussianState, tol: float = TOLERANCES.psd) -> StateDiagnostic:
     """Check the two state invariants: S symmetric and 2S + iJ >= 0."""
     S = state.S
-    symmetric, defect = hermitian_check(S, SYMMETRY_TOL)
-    J = symplectic_form(state.n)
-    Ssym = (S + S.T) / 2.0
-    is_psd, min_eig = psd_check(2.0 * Ssym + 1j * J, tol)
-    return StateDiagnostic(is_valid=bool(symmetric and is_psd),
-                           min_eigenvalue=min_eig,
-                           symmetry_defect=defect)
+    return StateDiagnostic(symmetry=hermitian_check(S, SYMMETRY_TOL),
+                           psd=psd_check(S + S.T + 1j * symplectic_form(state.n), tol))
 
 
 def vacuum(n: int) -> GaussianState:
@@ -113,7 +116,7 @@ def coherent(alpha) -> GaussianState:
                          S=0.5 * np.eye(2 * n))
 
 
-def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
+def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd) -> complex:
     """Expectation of the Weyl operator W(z) in the state.
 
     Returns exp{-i sqrt(2) (l.x - m.y) - (x, y) S (x, y)^T} with (x, y) the
@@ -123,7 +126,7 @@ def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
     diag = state.diagnostic(tol)
     if not diag.is_valid:
         raise ValueError(f"invalid Gaussian state: min eig {diag.min_eigenvalue:.3e}, "
-                         f"symmetry defect {diag.symmetry_defect:.3e}")
+                         f"symmetry defect {diag.symmetry.value:.3e}")
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != state.n:
         raise ValueError(f"expected a length-{state.n} argument, got {z.size}")
@@ -132,3 +135,7 @@ def weyl_transform(state: GaussianState, z, tol: float = PSD_TOL) -> complex:
     phase = -1j * math.sqrt(2) * (state.l @ x - state.m @ y)
     return complex(np.exp(phase - xi @ state.S @ xi))
 
+
+def weyl_modulus(value) -> Check:
+    """|Tr(rho W(z))| <= 1 in every state: a Weyl transform's modulus within 1 + 1e-12."""
+    return Check("weyl_modulus", abs(value), 1.0 + 1e-12)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SYMMETRY_TOL, UNITARITY_TOL, hermitian_check
+from .symplectic import SYMMETRY_TOL, TOLERANCES, Check, hermitian_check
 
 __all__ = [
     "ItoDifferential",
@@ -369,7 +369,7 @@ def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
     which satisfy both unitarity conditions by construction.
     """
     H = np.asarray(H, dtype=complex)
-    if not hermitian_check(H, tol)[0]:
+    if not hermitian_check(H, tol).passed:
         raise ValueError("H must be Hermitian")
     dim = H.shape[0]
     L = [np.asarray(Lk, dtype=complex) for Lk in L]
@@ -404,17 +404,18 @@ def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
 
 def unitarity_residual(dU: ItoDifferential) -> float:
     """Largest coefficient of d(U^dag U) = dU + dU^dag + dU^dag dU and of
-    d(U U^dag) = dU + dU^dag + dU dU^dag, both zero for a unitary evolution."""
+    d(U U^dag) = dU + dU^dag + dU dU^dag, both zero for a unitary evolution;
+    NaN if any coefficient is."""
     dU_dag = adjoint(dU)
     drift = dU + dU_dag
-    return float(max((_coeff_norm(c)
-                      for dV in (drift + ito_product(dU_dag, dU), drift + ito_product(dU, dU_dag))
-                      for c in dV.terms.values()), default=0.0))
+    squares = (drift + ito_product(dU_dag, dU), drift + ito_product(dU, dU_dag))
+    return float(np.max([_coeff_norm(c) for dV in squares for c in dV.terms.values()],
+                        initial=0.0))
 
 
-def unitarity_check(dU: ItoDifferential, tol: float = UNITARITY_TOL) -> bool:
-    """Whether the differential generates a unitary adapted evolution."""
-    return unitarity_residual(dU) <= tol
+def unitarity_check(dU: ItoDifferential, tol: float = TOLERANCES.unitarity) -> Check:
+    """Whether dU generates a unitary adapted evolution: unitarity_residual against tol."""
+    return Check("unitarity", unitarity_residual(dU), tol)
 
 
 def flow_generator(dU: ItoDifferential, X) -> dict:

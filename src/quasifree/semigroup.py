@@ -13,16 +13,18 @@ Tr(rho_t W(z)) = Tr(rho W(z_out)) exp(-damping), which the tests exercise.
 
 Pairs are immutable: the constructor checks that K and C are finite and
 that the pair is admissible, on read-only copies of K and C, so no later write
-can slip past the check.  Both directions need the same (e^{tK}, B_t) at a
-given t, and each pair memoizes it.  On the first memo miss the pair prepares
-one :class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
+can slip past the check.  A pair keeps the tolerance set it was admitted
+under, and its input states, its decomposition and the oracle are judged by
+it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
+memoizes it.  On the first memo miss the pair prepares one
+:class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
 1-norm of the Van Loan block and computes its even powers; every miss after
 that is one :meth:`Propagator.at <quasifree.symplectic.Propagator.at>` of the
-prepared propagator.
-:meth:`QuasifreePair.propagator` keeps the PROPAGATOR_MEMO most recently used
-times and returns read-only arrays, bitwise equal to
-:func:`quasifree.symplectic.propagator`.  Input states are checked through the
-state's own cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`.
+prepared propagator.  :meth:`QuasifreePair.propagator` keeps the
+PROPAGATOR_MEMO most recently used times and returns read-only arrays,
+bitwise equal to :func:`quasifree.symplectic.propagator`.  Input states are
+checked through the state's own cached
+:meth:`~quasifree.gaussian.GaussianState.diagnostic`.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState
-from .symplectic import (PSD_TOL, SYMMETRY_TOL, Propagator, _form_times, _overflow,
-                         hermitian_check, psd_check, read_only, real_embed, real_extract)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, Propagator, Tolerances, _form_times,
+                         _overflow, hermitian_check, psd_check, read_only, real_embed,
+                         real_extract)
 
 __all__ = [
     "PROPAGATOR_MEMO",
@@ -59,20 +62,17 @@ def noise_matrix(K, C) -> np.ndarray:
         raise ValueError(f"C must match K, got {C.shape} vs {K.shape}")
     if not (np.isfinite(K).all() and np.isfinite(C).all()):
         raise ValueError("K and C must be finite")
-    if not hermitian_check(C, SYMMETRY_TOL)[0]:
+    if not hermitian_check(C, SYMMETRY_TOL).passed:
         raise ValueError("C must be symmetric")
     JK = _form_times(K)
     D = C + 1j * (JK - JK.T)  # K^T J + J K, as J^T = -J
     return (D + D.conj().T) / 2.0
 
 
-def admissible(K, C, tol: float = PSD_TOL):
-    """Test the generator inequality C + i(K^T J + J K) >= 0.
-
-    Returns (ok, min_eigenvalue) with the smallest eigenvalue of the noise
-    matrix.  C >= 0 follows: the imaginary part of the noise matrix is
-    antisymmetric, so x^T D x = x^T C x for every real x.
-    """
+def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
+    """Test the generator inequality C + i(K^T J + J K) >= 0 by the PSD rule.
+    C >= 0 follows: the imaginary part of the noise matrix is antisymmetric,
+    so x^T D x = x^T C x for every real x."""
     return psd_check(noise_matrix(K, C), tol)
 
 
@@ -100,12 +100,13 @@ def _propagator_memo(K, C):
 @dataclass(frozen=True, eq=False)
 class QuasifreePair:
     """Admissible generating pair over read-only copies of K and C; finiteness
-    and the inequality are checked on construction, which also sets
-    min_noise_eigenvalue.  Compared and hashed by identity."""
+    and the inequality are checked on construction, at tolerances.psd, which
+    also sets min_noise_eigenvalue.  Compared and hashed by identity."""
 
     n: int
     K: np.ndarray
     C: np.ndarray
+    tolerances: Tolerances = TOLERANCES
     min_noise_eigenvalue: float = field(init=False)
 
     def __post_init__(self):
@@ -115,17 +116,17 @@ class QuasifreePair:
         object.__setattr__(self, "C", C)
         if K.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"K must be {2 * self.n} x {2 * self.n}, got {K.shape}")
-        ok, min_eig = admissible(K, C)
-        if not ok:
+        check = admissible(K, C, self.tolerances.psd)
+        if not check.passed:
             raise ValueError(f"pair is not admissible: noise matrix has "
-                             f"min eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "min_noise_eigenvalue", min_eig)
+                             f"min eigenvalue {-check.value:.3e}")
+        object.__setattr__(self, "min_noise_eigenvalue", -check.value)
         object.__setattr__(self, "_propagators", _propagator_memo(K, C))
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays,
         # the admissibility check and an empty memo of their own
-        return type(self), (self.n, self.K, self.C)
+        return type(self), (self.n, self.K, self.C, self.tolerances)
 
     def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """``symplectic.propagator(K, C, t)`` as read-only arrays, evaluated
@@ -160,13 +161,14 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
-    """Predual action on Gaussian states; preserves validity for all t >= 0.
-    A propagator (e^{tK}, B_t) that overflows by time t, or evolved means or
-    covariance that do, raise
-    :class:`~quasifree.symplectic.PropagatorOverflowError`."""
+    """Predual action on Gaussian states, the input checked at the pair's PSD
+    tolerance.  An admitted pair's noise matrix may reach -eps, eps its PSD
+    bound, so an evolved state can miss that bound by about eps / gamma,
+    gamma the decay rate.  A propagator or evolved moments that overflow by
+    time t raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
-    diag = state.diagnostic()
+    diag = state.diagnostic(pair.tolerances.psd)
     if not diag.is_valid:
         raise ValueError(f"invalid input state: min eig {diag.min_eigenvalue:.3e}")
     E, B = pair.propagator(t)

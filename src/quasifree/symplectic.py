@@ -22,20 +22,27 @@ read off the norms of those powers and often far below ||M||_1; r = h / h0
 stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
 that overflows raises :class:`PropagatorOverflowError`.
 
-The package's shared pieces live here too: the default tolerances, the one
-Hermitian test (:func:`hermitian_check`) and the read-only copies that make
-pairs and states immutable (:func:`read_only`).
+The package's shared pieces live here too: the one verdict type
+(:class:`Check`), the one tolerance set (:class:`Tolerances`, with the
+defaults in TOLERANCES), the one Hermitian test (:func:`hermitian_check`) and
+the read-only copies that make pairs and states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
+import sys
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
+    "Check",
+    "Tolerances",
+    "TOLERANCES",
     "symplectic_form",
     "real_embed",
     "real_extract",
@@ -51,13 +58,44 @@ __all__ = [
     "gram_integral",
 ]
 
-#: default relative tolerances of the library's checks
-PSD_TOL = 1e-9              # positive semidefiniteness
-SYMMETRY_TOL = 1e-10        # Hermitian (symmetric) defect
-RANK_TOL = 1e-10            # rank cuts on the noise matrix
-RECONSTRUCTION_TOL = 1e-8   # K and C rebuilt from a decomposition
-SYMPLECTIC_TOL = 1e-10      # K' of a decomposition staying in sp(2n)
-UNITARITY_TOL = 1e-12       # unitarity of a noise equation's coefficients
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One verdict: value against bound, passed = value <= bound, so a NaN
+    value or bound fails; the margin is bound - value."""
+
+    name: str
+    value: float
+    bound: float
+    passed: bool = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.value <= self.bound))
+
+
+@dataclasses.dataclass(frozen=True)
+class Tolerances:
+    """The one tolerance set, each a finite number > 0, by the keys of a
+    scenario's "tolerances"; a pair keeps the set it was admitted under."""
+
+    psd: float = 1e-9               # positive semidefiniteness, relative
+    oracle: float = 1e-5            # Fock oracle against the closed form, absolute
+    unitarity: float = 1e-12        # unitarity of a noise equation's coefficients
+    rank: float = 1e-10             # rank cuts on the noise matrix, relative
+    reconstruction: float = 1e-8    # K and C rebuilt from a decomposition, relative
+    symplectic: float = 1e-10       # K' of a decomposition staying in sp(2n), relative
+
+    def __post_init__(self):
+        for key, value in vars(self).items():
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value <= sys.float_info.max):
+                raise ValueError(f"tolerance {key!r} must be a finite number > 0, got {value!r}")
+            object.__setattr__(self, key, float(value))
+
+
+#: the default tolerances, and the relative bound of a Hermitian (symmetric)
+#: defect, which no scenario key sets
+TOLERANCES = Tolerances()
+SYMMETRY_TOL = 1e-10
 
 
 def symplectic_form(n: int) -> np.ndarray:
@@ -100,17 +138,15 @@ def read_only(a) -> np.ndarray:
     return a
 
 
-def hermitian_check(A, tol: float):
-    """The Hermitian test: max|A - A^dag| <= tol * (1 + max|A|).
-
-    Returns (ok, defect) with the absolute defect max|A - A^dag|.  A NaN
-    defect fails; a matrix that is not square is refused.
-    """
+def hermitian_check(A, tol: float) -> Check:
+    """The Hermitian test: the absolute defect max|A - A^dag| against the bound
+    tol * (1 + max|A|).  A NaN defect fails; a matrix that is not square is
+    refused."""
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    defect = float(np.abs(A - A.conj().T).max(initial=0.0))
-    return bool(defect <= tol * (1.0 + np.abs(A).max(initial=0.0))), defect
+    return Check("hermitian", float(np.abs(A - A.conj().T).max(initial=0.0)),
+                 tol * (1.0 + float(np.abs(A).max(initial=0.0))))
 
 
 def hermitian_eigh(H):
@@ -123,28 +159,25 @@ def hermitian_eigh(H):
     return w[::-1], V[:, ::-1]
 
 
-def psd_check(H, tol: float = PSD_TOL):
-    """Decide positive semidefiniteness of a Hermitian matrix.
-
-    Returns (is_psd, min_eigenvalue).  The matrix passes when its smallest
-    eigenvalue is >= -tol * (1 + ||H||), with ||H|| the spectral norm.  Inputs
-    whose Hermitian defect exceeds the same relative tolerance are rejected.
-    """
+def psd_check(H, tol: float = TOLERANCES.psd) -> Check:
+    """Decide positive semidefiniteness of a Hermitian matrix by the rule of
+    :func:`psd_verdict` on its eigenvalues.  Inputs whose Hermitian defect
+    exceeds the same relative tolerance are rejected."""
     H = np.asarray(H)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    hermitian, defect = hermitian_check(H, max(tol, 1e-12))
-    if not hermitian:
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    hermitian = hermitian_check(H, max(tol, 1e-12))
+    if not hermitian.passed:
+        raise ValueError(f"matrix is not Hermitian: defect {hermitian.value:.3e}")
     return psd_verdict(np.linalg.eigvalsh((H + H.conj().T) / 2.0), tol)
 
 
-def psd_verdict(w, tol: float = PSD_TOL):
+def psd_verdict(w, tol: float = TOLERANCES.psd) -> Check:
     """The PSD rule on the eigenvalues w of a Hermitian matrix, in any order:
-    (is_psd, min_eigenvalue) with is_psd = min(w) >= -tol * (1 + max|w|)."""
+    the value -min(w) against the bound tol * (1 + max|w|), so the matrix
+    passes when min(w) >= -tol * (1 + ||H||)."""
     w = np.asarray(w, dtype=float)
-    min_eig = float(w.min())
-    return min_eig >= -tol * (1.0 + float(np.abs(w).max())), min_eig
+    return Check("psd", -float(w.min()), tol * (1.0 + float(np.abs(w).max())))
 
 
 def expm(A) -> np.ndarray:
@@ -212,7 +245,7 @@ class Propagator:
             raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
         if not (np.isfinite(K).all() and np.isfinite(C).all()):
             raise ValueError("K and C must be finite")
-        if not hermitian_check(C, SYMMETRY_TOL)[0]:
+        if not hermitian_check(C, SYMMETRY_TOL).passed:
             raise ValueError("C must be symmetric")
         self.K = K
         m = K.shape[0]
@@ -280,13 +313,8 @@ class Propagator:
 
 def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds:
-    ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.
-
-    K and C must be finite and C symmetric; B_t is symmetric, and PSD whenever
-    C is.  The exponential is the degree-25 Taylor polynomial of the Van Loan
-    block, taken in 2n x 2n blocks with no inverse and scaled by the norms of
-    its powers.  Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
-    """
+    ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.  B_t is
+    symmetric, and PSD whenever C is."""
     return Propagator(K, C).at(t)
 
 

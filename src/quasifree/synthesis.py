@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .semigroup import noise_matrix
-from .symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, _form_times,
-                         hermitian_eigh, psd_verdict)
+from .symplectic import TOLERANCES, Check, Tolerances, _form_times, hermitian_eigh, psd_verdict
 
 __all__ = [
     "LindbladTerm",
@@ -136,8 +135,8 @@ class DilationSpec:
     generated by the quadratic Hamiltonian alone.  The residuals of its
     reconstruction identities are computed once, on construction, and judged
     by one rule, reconstructs(): relative to s = 1 + max(|K|, |C|), the K and
-    C residuals must be at most reconstruction_tol * s and the symplectic
-    residual at most symplectic_tol * s.
+    C residuals must be at most tolerances.reconstruction * s and the
+    symplectic residual at most tolerances.symplectic * s.
     """
 
     n: int
@@ -155,13 +154,16 @@ class DilationSpec:
     def noise_dimension(self) -> int:
         return len(self.lindblad_terms)
 
-    def reconstructs(self, reconstruction_tol: float = RECONSTRUCTION_TOL,
-                     symplectic_tol: float = SYMPLECTIC_TOL) -> bool:
-        """Whether the residuals pass the reconstruction rule at these tolerances."""
+    def reconstructs(self, tolerances: Tolerances = TOLERANCES) -> Check:
+        """The reconstruction rule as the Check that decides it: of the
+        "reconstruction" (K and C) and "symplectic" checks, a failing one if
+        any fails, else the one nearer its bound."""
         res = self.residuals
         scale = 1.0 + max(np.abs(self.K).max(initial=0.0), np.abs(self.C).max(initial=0.0))
-        return (max(res.k_residual, res.c_residual) <= reconstruction_tol * scale
-                and res.symplectic_residual <= symplectic_tol * scale)
+        checks = (Check("reconstruction", float(np.max([res.k_residual, res.c_residual])),
+                        tolerances.reconstruction * scale),
+                  Check("symplectic", res.symplectic_residual, tolerances.symplectic * scale))
+        return max(checks, key=lambda c: (not c.passed, c.value / c.bound))
 
 
 def _phase_fixed(cols):
@@ -173,35 +175,33 @@ def _phase_fixed(cols):
     return cols * (np.conj(lead) / np.abs(lead))
 
 
-def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
-    """Split an admissible pair into Lindblad, Hamiltonian and symplectic data.
+def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
+    """Split an admissible pair into Lindblad, Hamiltonian and symplectic data,
+    judged by one tolerance set (a pair's own, where there is a pair).
 
     Steps: eigendecompose the noise matrix D once, refuse the pair if its
-    eigenvalues fail the PSD rule of admissible(), and keep those above
-    rank_tol relative to the largest; scale eigenvectors by sqrt(eigenvalue)
-    and read off the couplings; subtract their summed drift, one stacked
-    pair_from_coupling call, to expose the residual K' in sp(2n); diagonalize
-    the symmetric part of JK, each eigenpair (nu, x) giving a Hamiltonian
-    term of strength lam = -nu.  Both eigendecompositions are read
-    whole-array: one mask keeps eigenpairs and one _phase_fixed call fixes
-    the phase of every kept column.  Refuses a spec that fails
-    DilationSpec.reconstructs() at the default tolerances; its k_residual is
-    0 by construction, as reconstruction_residuals() takes the same sum.
+    eigenvalues fail the PSD rule of admissible() at tolerances.psd, and keep
+    those above tolerances.rank relative to the largest; scale eigenvectors by
+    sqrt(eigenvalue) and read off the couplings; subtract their summed drift,
+    one stacked pair_from_coupling call, to expose the residual K' in sp(2n);
+    diagonalize the symmetric part of JK, each eigenpair (nu, x) giving a
+    Hamiltonian term of strength lam = -nu.  Both eigendecompositions are read
+    whole-array: one mask keeps eigenpairs and one _phase_fixed call fixes the
+    phase of every kept column.  Raises RuntimeError for a spec that fails
+    DilationSpec.reconstructs() at the same tolerances; its k_residual is 0 by
+    construction, as reconstruction_residuals() takes the same sum.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank tolerance must be positive")
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
     D = noise_matrix(K, C)
     evals, evecs = hermitian_eigh(D)
-    ok, min_eig = psd_verdict(evals)
-    if not ok:
+    if not psd_verdict(evals, tolerances.psd).passed:
         raise ValueError(f"pair is not admissible: noise matrix has "
-                         f"min eigenvalue {min_eig:.3e}")
+                         f"min eigenvalue {evals[-1]:.3e}")
     n = K.shape[0] // 2
     # the absolute floor keeps machine-zero matrices from acquiring rank
     floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))
-    keep = evals > max(rank_tol * evals[0], floor)
+    keep = evals > max(tolerances.rank * evals[0], floor)
     stacked = _phase_fixed(evecs[:, keep] * np.sqrt(evals[keep])).T
     terms = [LindbladTerm(b=col[:n], c=col[n:]) for col in stacked]
 
@@ -211,7 +211,7 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     N = (JK + JK.T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
     nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
-    keep = np.abs(nvals) > max(rank_tol * np.abs(nvals).max(), nfloor)
+    keep = np.abs(nvals) > max(tolerances.rank * np.abs(nvals).max(), nfloor)
     # only a real sign flip preserves the quadratic term, so the convention is
     # applied to the real eigenvector, not to w
     rvecs = _phase_fixed(nvecs[:, keep]).T
@@ -221,8 +221,9 @@ def decompose(K, C, rank_tol: float = RANK_TOL) -> DilationSpec:
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),
                         K_prime=K_prime, K=K, C=C)
-    if not spec.reconstructs():
-        raise RuntimeError(f"decomposition failed to reconstruct the pair: {spec.residuals}")
+    check = spec.reconstructs(tolerances)
+    if not check.passed:
+        raise RuntimeError(f"decomposition failed to reconstruct the pair: {check}")
     return spec
 
 

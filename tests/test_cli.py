@@ -13,7 +13,7 @@ import pytest
 from quasifree import cli, fields, fock, ito
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import SYMPLECTIC_TOL, PropagatorOverflowError
+from quasifree.symplectic import TOLERANCES, PropagatorOverflowError
 
 from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
@@ -59,7 +59,9 @@ def test_validate_state_invalid_exits_2(tmp_path):
     code, report = run(tmp_path, scenario)
     assert code == 2
     assert report["passed"] is False
-    assert abs(report["results"]["min_eigenvalue"] - (-0.5)) < 1e-9
+    psd = report["results"]["psd"]
+    assert psd["name"] == "psd" and psd["passed"] is False
+    assert abs(psd["value"] - 0.5) < 1e-9
 
 
 def test_evolve_writes_trajectory_csv(tmp_path):
@@ -103,7 +105,8 @@ def test_evolve_long_horizon_report_is_finite(tmp_path):
     code, _ = run(tmp_path, scenario)
     assert code == 0
     report = strict_json((tmp_path / "report.json").read_text())
-    assert report["results"]["all_valid"] is True
+    assert report["passed"] is True
+    assert all(step["psd"]["passed"] for step in report["results"]["trajectory"])
 
 
 def test_evolve_overflowing_amplifier_exits_2_without_report(tmp_path, capsys):
@@ -143,7 +146,8 @@ def test_weyl_command(tmp_path):
     assert code == 0
     first = report["results"]["values"][0]["value"]
     assert first == [1.0, 0.0]
-    assert all(v["magnitude"] <= 1.0 + 1e-12 for v in report["results"]["values"])
+    assert all(v["modulus"]["value"] <= 1.0 + 1e-12 and v["modulus"]["passed"]
+               for v in report["results"]["values"])
 
 
 def test_decompose_command(tmp_path):
@@ -173,16 +177,20 @@ def test_reconstruction_verdict_is_relative_to_the_pair_scale(tmp_path, command)
     # relative to 1 + max(|K|, |C|): the library's own rule passes it
     code, report = run(tmp_path, {"command": command, "pair": _scaled_pair(1e6)})
     assert (code, report["passed"]) == (0, True)
-    assert report["results"]["residuals"]["symplectic_residual"] > SYMPLECTIC_TOL
+    assert report["results"]["residuals"]["symplectic_residual"] > TOLERANCES.symplectic
 
 
 @pytest.mark.parametrize("command", ["decompose", "dilate"])
-def test_scenario_tolerances_reach_the_reconstruction_verdict(tmp_path, command):
+def test_scenario_tolerances_reach_the_reconstruction_verdict(tmp_path, capsys, command):
+    # the scenario's tolerances reach decompose's own gate, which refuses the
+    # spec: exit 2 with no report, the error naming the deciding check
     scenario = {"command": command, "pair": _scaled_pair(1.0),
                 "tolerances": {"symplectic": 1e-20}}
     code, report = run(tmp_path, scenario)
-    assert (code, report["passed"]) == (2, False)
-    assert report["results"]["residuals"]["symplectic_residual"] > 0.0
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("error: decomposition failed to reconstruct the pair")
+    assert "name='symplectic'" in err and "passed=False" in err
 
 
 def test_decompose_and_dilate_write_the_same_results(tmp_path):
@@ -326,7 +334,8 @@ def test_unitarity_command(tmp_path):
                 "X": enc(np.eye(dim))}
     code, report = run(tmp_path, scenario)
     assert code == 0
-    assert report["results"]["unitary"] is True
+    check = report["results"]["unitarity"]
+    assert check["passed"] is True and check["value"] == report["results"]["residual"]
     flow = report["results"]["flow"]["theta[0][0]"]
     flat = np.array(flow, dtype=float).ravel()
     assert np.abs(flat).max() < 1e-10
@@ -339,7 +348,8 @@ def test_sample_field_gaussian_csv(tmp_path):
                 "count": 20000, "seed": 3, "csv": "draws.csv"}
     code, report = run(tmp_path, scenario)
     assert code == 0
-    assert report["results"]["within_bands"] is True
+    band = report["results"]["mean_band"]
+    assert (band["name"], band["bound"], band["passed"]) == ("mean_band", 5.0, True)
     data = np.loadtxt(tmp_path / "draws.csv", delimiter=",", skiprows=1)
     assert data.shape == (20000, 2)
     law = scenario["law"]
@@ -476,6 +486,69 @@ def test_tol_flag_overrides_primary_tolerance(tmp_path):
     code, report = run(tmp_path, scenario, extra_args=["--tol", "1e-6"])
     assert code == 0
     assert report["tolerances"]["psd"] == 1e-6
+
+
+def _near_boundary_pair(delta):
+    """K = -I/2, C = (1 - delta) I: the noise matrix has min eigenvalue
+    -delta against the default PSD bound 1e-9 (1 + 2 - delta) ~ 3e-9."""
+    return {"n": 1, "K": [[-0.5, 0.0], [0.0, -0.5]],
+            "C": [[1.0 - delta, 0.0], [0.0, 1.0 - delta]]}
+
+
+#: what each gated command needs beside the pair
+_GATED = {"evolve": {"state": coherent([0.5]), "times": [0.5]},
+          "decompose": {}, "dilate": {},
+          "verify-oracle": {"state": coherent([0.5]), "times": [0.5], "cutoff": 12,
+                            "steps": 100}}
+
+#: (delta, the scenario's tolerances, exit code): a strict set refuses the
+#: pair the defaults pass, and a loose set passes the pair the defaults refuse
+#: (the c residual of 5e-8 against 1e-6 times the scale 2 included)
+_TOLERANCE_PROBES = {
+    "strict-refuses": (1e-10, {"psd": 1e-12}, 1),
+    "default-passes": (1e-10, {}, 0),
+    "loose-passes": (1e-7, {"psd": 1e-6, "reconstruction": 1e-6, "symplectic": 1e-6}, 0),
+    "default-refuses": (1e-7, {}, 1),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_TOLERANCE_PROBES))
+@pytest.mark.parametrize("command", sorted(_GATED))
+def test_one_tolerance_set_decides_every_gate(tmp_path, capsys, command, probe):
+    # the pair's admission, decompose's PSD and reconstruction gates, the
+    # evolved states and the oracle judge by the one set
+    delta, tolerances, expected = _TOLERANCE_PROBES[probe]
+    scenario = {"command": command, "pair": _near_boundary_pair(delta), **_GATED[command],
+                "tolerances": tolerances}
+    code, report = run(tmp_path, scenario)
+    assert code == expected
+    if expected:
+        assert report is None
+        assert "pair is not admissible" in capsys.readouterr().err
+    else:
+        assert report["passed"] is True
+        assert report["tolerances"] == {**cli.DEFAULT_TOLERANCES, **tolerances}
+
+
+def test_evolved_state_misses_the_psd_bound_by_the_pairs_margin_over_its_rate(tmp_path):
+    # K = -(gamma/2) I, C = (gamma - eps) I is admitted, its noise matrix at
+    # -eps inside the PSD bound; the vacuum relaxes to S = (1 - eps/gamma) I/2,
+    # whose 2S + iJ has min eigenvalue -eps/gamma = -9.0e-7
+    gamma = 1e-3
+    eps = 0.9 * TOLERANCES.psd * (1 + 2 * gamma)
+    pair = {"n": 1, "K": (-gamma / 2 * np.eye(2)).tolist(),
+            "C": ((gamma - eps) * np.eye(2)).tolist()}
+    scenario = {"command": "evolve", "pair": pair, "state": coherent([0.0]),
+                "times": [1.0, 1e5]}
+    code, report = run(tmp_path, scenario)
+    assert (code, report["passed"]) == (2, False)
+    early, late = report["results"]["trajectory"]
+    assert early["psd"]["passed"] is True
+    psd = late["psd"]
+    assert (psd["name"], psd["passed"]) == ("psd", False)
+    assert abs(psd["value"] - eps / gamma) <= 1e-3 * eps / gamma
+    assert abs(psd["value"] - 9.0e-7) <= 0.05e-7
+    assert psd["bound"] == pytest.approx(3e-9, rel=1e-3)
 
 
 def test_reports_are_deterministic_modulo_timestamp(tmp_path):

@@ -13,7 +13,7 @@ from quasifree.gaussian import (
     weyl_transform,
 )
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import PSD_TOL, expm, symplectic_form
+from quasifree.symplectic import TOLERANCES, expm, symplectic_form
 
 from util import rng, random_valid_state
 
@@ -47,7 +47,7 @@ def test_asymmetric_covariance_flagged():
     S = np.array([[0.5, 0.1], [-0.1, 0.5]])
     diag = validate(GaussianState(n=1, l=[0.0], m=[0.0], S=S))
     assert not diag.is_valid
-    assert diag.symmetry_defect > 0.1
+    assert diag.symmetry.value > 0.1 and not diag.symmetry.passed
 
 
 def test_shape_mismatch_rejected():
@@ -193,7 +193,7 @@ def validate_calls(monkeypatch):
     """The (state, tol) arguments of every call that reaches validate."""
     calls = []
 
-    def counted(state, tol=PSD_TOL):
+    def counted(state, tol=TOLERANCES.psd):
         calls.append((state, tol))
         return validate(state, tol)
 
@@ -207,7 +207,7 @@ def test_diagnostic_is_validate_computed_once_per_tolerance(validate_calls):
     assert st.diagnostic() is first and first == validate(st)
     assert st.diagnostic(1e-6) == validate(st, 1e-6)
     st.diagnostic(1e-6)
-    assert validate_calls == [(st, PSD_TOL), (st, 1e-6)]
+    assert validate_calls == [(st, TOLERANCES.psd), (st, 1e-6)]
 
 
 def test_evolution_and_weyl_transforms_validate_the_input_once(validate_calls):
@@ -216,4 +216,4 @@ def test_evolution_and_weyl_transforms_validate_the_input_once(validate_calls):
     for t in (0.1, 0.2, 0.3):
         evolve_state(st, pair, t)
         weyl_transform(st, [0.3j])
-    assert validate_calls == [(st, PSD_TOL)]
+    assert validate_calls == [(st, TOLERANCES.psd)]

@@ -211,7 +211,7 @@ def test_hp_coefficients_schroedinger_case():
     dU = hp_coefficients(np.zeros((0, 0)), [], H)
     assert dU.d == 0
     assert np.abs(dU.coefficient(0, 0) + 1j * H).max() < 1e-15
-    assert unitarity_check(dU, tol=1e-12)
+    assert unitarity_check(dU, tol=1e-12).passed
 
 
 def test_hp_coefficients_identity_scattering():
@@ -224,7 +224,7 @@ def test_hp_coefficients_identity_scattering():
     assert np.abs(dU.coefficient(0, 0) + 1j * H).max() < 1e-14
     assert np.abs(dU.coefficient(1, 1)).max() < 1e-14
     assert np.abs(dU.coefficient(1, 0)).max() == 0.0
-    assert unitarity_check(dU)
+    assert unitarity_check(dU).passed
 
 
 @pytest.mark.parametrize("d,dim", [(1, 2), (2, 2), (3, 3)])
@@ -303,7 +303,7 @@ def test_residual_and_flow_match_the_block_loops(d, dim):
 def test_unitarity_check_rejects_identity_drift():
     eye = np.eye(2, dtype=complex)
     bad = differential(0, 0, 0, eye)
-    assert not unitarity_check(bad)
+    assert not unitarity_check(bad).passed
 
 
 def test_hp_coefficients_rejects_non_unitary_scattering():

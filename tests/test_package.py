@@ -1,14 +1,16 @@
 """The public surface: every exported name, and every name the benchmark's
-tracer wraps, exists; the value classes that hold arrays compare and hash."""
+tracer wraps, exists; every verdict is a Check and the default tolerances are
+defined once; the value classes that hold arrays compare and hash."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quasifree import fields, fock, gaussian, semigroup, synthesis
+from quasifree import cli, fields, fock, gaussian, ito, semigroup, symplectic, synthesis
 
 MODULES = ["quasifree", "quasifree.symplectic", "quasifree.gaussian", "quasifree.semigroup",
            "quasifree.synthesis", "quasifree.fock", "quasifree.ito", "quasifree.fields",
@@ -62,6 +64,69 @@ def test_only_cli_knows_a_file_form():
     # one handler writes the DilationSpec for both decompose and dilate
     cli = importlib.import_module("quasifree.cli")
     assert [n for n in ("_cmd_dilate", "_decompose_results") if hasattr(cli, n)] == []
+
+
+NAN = float("nan")
+
+
+def _nan_spec():
+    nan = np.full((2, 2), NAN)
+    return synthesis.DilationSpec(n=1, lindblad_terms=(), hamiltonian_terms=(), K_prime=nan,
+                                  K=np.zeros((2, 2)), C=np.zeros((2, 2)))
+
+
+def _nan_eigvalsh(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda H: np.full(len(H), NAN))
+
+
+def _oracle_check(monkeypatch):
+    monkeypatch.setattr(fock, "state_moments",
+                        lambda rep, rho: (np.full(1, NAN), np.full(1, NAN), np.full((2, 2), NAN)))
+    return fock.oracle_compare(gaussian.coherent([0.3]), _attenuation(), 0.1, cutoff=8,
+                               steps=50).check
+
+
+#: every rule that returns a verdict, fed a NaN value: the value itself, or a
+#: NaN eigenvalue, residual or moment where the inputs must be finite
+VERDICTS = {
+    "symplectic.hermitian_check": lambda mp: symplectic.hermitian_check([[NAN]], 1.0),
+    "symplectic.psd_verdict": lambda mp: symplectic.psd_verdict([1.0, NAN]),
+    "symplectic.psd_check": lambda mp: (_nan_eigvalsh(mp), symplectic.psd_check(np.eye(2)))[1],
+    "semigroup.admissible": lambda mp: (_nan_eigvalsh(mp),
+                                        semigroup.admissible(-0.5 * np.eye(2), np.eye(2)))[1],
+    "gaussian.validate.psd": lambda mp: (_nan_eigvalsh(mp),
+                                         gaussian.validate(gaussian.vacuum(1)))[1].psd,
+    "gaussian.weyl_modulus": lambda mp: gaussian.weyl_modulus(complex(NAN, 0.0)),
+    "synthesis.DilationSpec.reconstructs": lambda mp: _nan_spec().reconstructs(),
+    "ito.unitarity_check": lambda mp: ito.unitarity_check(
+        ito.ItoDifferential(1, {(0, 0): 1.0, (1, 1): NAN})),
+    "fock.oracle_compare.check": _oracle_check,
+    "fock.leakage_check": lambda mp: fock.leakage_check(fock.build(1, 3), np.full(3, NAN)),
+    "fields.mean_band": lambda mp: fields.mean_band(
+        fields.FieldLaw(mean=[0.0], covariance=[[1.0]]), np.array([[NAN], [0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICTS))
+def test_every_verdict_is_a_check_that_a_nan_value_fails(monkeypatch, name):
+    check = VERDICTS[name](monkeypatch)
+    assert type(check) is symplectic.Check
+    assert check.value != check.value and check.passed is False
+
+
+def _float_literals(path):
+    return {node.value for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Constant) and isinstance(node.value, float)}
+
+
+def test_the_default_tolerances_are_defined_once():
+    # cli reads them off the library's one set, and writes no tolerance of
+    # its own: its float literals are the shortest time verify-oracle caps
+    # its substeps by and the Poisson table's default intensity
+    assert cli.DEFAULT_TOLERANCES == dataclasses.asdict(symplectic.TOLERANCES)
+    assert list(cli.DEFAULT_TOLERANCES) == ["psd", "oracle", "unitarity", "rank",
+                                            "reconstruction", "symplectic"]
+    assert _float_literals(Path(cli.__file__)) == {1e-3, 1.0}
 
 
 def _attenuation():

@@ -34,21 +34,21 @@ def attenuation_pair():
 # --- admissibility ----------------------------------------------------------
 
 def test_admissible_attenuation():
-    ok, mineig = admissible(-0.5 * np.eye(2), np.eye(2))
-    assert ok
-    assert abs(mineig) < 1e-12
+    check = admissible(-0.5 * np.eye(2), np.eye(2))
+    assert check.passed
+    assert abs(check.value) < 1e-12
 
 
 def test_admissible_symplectic_drift_without_noise():
-    ok, mineig = admissible(symplectic_form(1), np.zeros((2, 2)))
-    assert ok
-    assert abs(mineig) < 1e-14
+    check = admissible(symplectic_form(1), np.zeros((2, 2)))
+    assert check.passed
+    assert abs(check.value) < 1e-14
 
 
 def test_inadmissible_pure_contraction():
-    ok, mineig = admissible(np.eye(2), np.zeros((2, 2)))
-    assert not ok
-    assert abs(mineig - (-2.0)) < 1e-12
+    check = admissible(np.eye(2), np.zeros((2, 2)))
+    assert not check.passed
+    assert abs(check.value - 2.0) < 1e-12
 
 
 def test_admissible_rejects_asymmetric_noise():
@@ -235,7 +235,7 @@ def test_pair_arrays_refuse_in_place_writes(name):
         getattr(pair, name)[:] = 5.0
     with pytest.raises(ValueError):
         getattr(pair, name)[0, 1] = 5.0
-    assert admissible(pair.K, pair.C)[0]
+    assert admissible(pair.K, pair.C).passed
 
 
 def test_pair_keeps_its_own_copy_of_the_callers_arrays():
@@ -251,7 +251,7 @@ def test_min_noise_eigenvalue_is_computed_not_passed():
     K, C = -0.5 * np.eye(2), np.eye(2)
     with pytest.raises(TypeError):
         QuasifreePair(n=1, K=K, C=C, min_noise_eigenvalue=123.0)
-    assert QuasifreePair(n=1, K=K, C=C).min_noise_eigenvalue == admissible(K, C)[1]
+    assert QuasifreePair(n=1, K=K, C=C).min_noise_eigenvalue == -admissible(K, C).value
 
 
 @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,

@@ -13,6 +13,7 @@ from quasifree.gaussian import GaussianState, validate
 from quasifree.ito import hp_coefficients
 from quasifree.semigroup import noise_matrix
 from quasifree.symplectic import (
+    Check,
     PropagatorOverflowError,
     expm,
     gram_integral,
@@ -77,21 +78,21 @@ def test_real_extract_rejects_odd_length():
 
 def test_psd_check_boundary_case():
     J = symplectic_form(1)
-    ok, mineig = psd_check(np.eye(2) + 1j * J)
-    assert ok
-    assert abs(mineig) < 1e-12
+    check = psd_check(np.eye(2) + 1j * J)
+    assert check.passed
+    assert abs(check.value) < 1e-12
 
 
 def test_psd_check_negative_case():
     J = symplectic_form(1)
-    ok, mineig = psd_check(np.eye(2) - 2j * J)
-    assert not ok
-    assert abs(mineig - (-1.0)) < 1e-12
+    check = psd_check(np.eye(2) - 2j * J)
+    assert not check.passed
+    assert abs(check.value - 1.0) < 1e-12
 
 
 def test_psd_check_zero_matrix():
-    ok, mineig = psd_check(np.zeros((3, 3)))
-    assert ok and mineig == 0.0
+    check = psd_check(np.zeros((3, 3)))
+    assert check.passed and check.value == 0.0
 
 
 def test_psd_check_rejects_non_hermitian():
@@ -173,8 +174,7 @@ def test_gram_integral_symmetric_and_psd():
         C = G @ G.T
         B = gram_integral(K, C, 0.7)
         assert np.abs(B - B.T).max() < 1e-12 * (1 + np.abs(B).max())
-        ok, _ = psd_check(B + 0j)
-        assert ok
+        assert psd_check(B + 0j).passed
 
 
 def test_gram_integral_rejects_asymmetric_noise():
@@ -405,9 +405,11 @@ def test_psd_verdict_is_the_rule_of_psd_check():
         w = np.linalg.eigvalsh(H)
         assert psd_verdict(w[::-1]) == psd_verdict(w) == psd_check(H)
     # the bound is -tol * (1 + max|w|) = -2e-9 here
-    assert psd_verdict([1.0, -2.1e-9]) == (False, -2.1e-9)
-    assert psd_verdict([1.0, -1.9e-9]) == (True, -1.9e-9)
-    assert psd_verdict([1.0, float("nan")])[0] is False
+    assert psd_verdict([1.0, -2.1e-9]) == Check("psd", 2.1e-9, 2e-9)
+    assert not psd_verdict([1.0, -2.1e-9]).passed
+    assert psd_verdict([1.0, -1.9e-9]).passed
+    assert psd_verdict([1.0, -1.9e-9]).value == 1.9e-9
+    assert psd_verdict([1.0, float("nan")]).passed is False
 
 
 # every site of the shared Hermitian test: (its tolerance, a Hermitian matrix
@@ -417,7 +419,7 @@ HERMITIAN_SITES = {
                                lambda A: noise_matrix(np.zeros((2, 2)), A) is not None),
     "symplectic.propagator": (1e-10, np.eye(2),
                               lambda A: propagator(np.zeros((2, 2)), A, 1.0) is not None),
-    "symplectic.psd_check": (1e-9, np.eye(2), lambda A: psd_check(A)[0]),
+    "symplectic.psd_check": (1e-9, np.eye(2), lambda A: psd_check(A).passed),
     "gaussian.validate": (1e-10, np.eye(2),
                           lambda A: validate(GaussianState(1, [0.0], [0.0], A)).is_valid),
     "fock.validate_density": (1e-9, 0.5 * np.eye(2),

@@ -6,8 +6,8 @@ import pytest
 
 from quasifree import cli, fock, ito, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
-from quasifree.symplectic import (RANK_TOL, RECONSTRUCTION_TOL, SYMPLECTIC_TOL, hermitian_eigh,
-                                  psd_check, real_embed, symplectic_form)
+from quasifree.symplectic import (TOLERANCES, Tolerances, hermitian_eigh, psd_check, real_embed,
+                                  symplectic_form)
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
@@ -107,8 +107,7 @@ def test_pair_from_coupling_always_admissible():
         for _ in range(10):
             u, v = random_complex(gen, n), random_complex(gen, n)
             K, C = pair_from_coupling(u, v)
-            ok, _ = admissible(K, C)
-            assert ok
+            assert admissible(K, C).passed
 
 
 def column_by_column_pair(u, v):
@@ -171,8 +170,7 @@ def test_textbook_drift_fails_noise_identity():
     D_bad = noise_matrix(textbook_drift_matrix(u, v), C)
     outer = np.outer(stacked_vector(u, v), stacked_vector(u, v).conj())
     assert np.abs(D_bad - outer).max() > 0.5
-    ok, _ = psd_check(D_bad)
-    assert not ok
+    assert not psd_check(D_bad).passed
 
 
 # --- noise matrix -----------------------------------------------------------
@@ -243,7 +241,7 @@ def test_decompose_rejects_inadmissible():
 
 def test_decompose_rejects_bad_rank_tol():
     with pytest.raises(ValueError):
-        decompose(np.zeros((2, 2)), np.zeros((2, 2)), rank_tol=0.0)
+        decompose(np.zeros((2, 2)), np.zeros((2, 2)), Tolerances(rank=0.0))
 
 
 def test_reconstruction_identities_random_pairs():
@@ -281,11 +279,13 @@ def test_reconstruction_rule_is_relative_to_the_pair_scale():
     res = spec.residuals
     scale = 1.0 + max(np.abs(spec.K).max(), np.abs(spec.C).max())
     kc = max(res.k_residual, res.c_residual)
-    assert res.symplectic_residual > SYMPLECTIC_TOL     # an absolute rule refuses it
-    assert spec.reconstructs()
-    assert spec.reconstructs(2 * kc / scale, 2 * res.symplectic_residual / scale)
-    assert not spec.reconstructs(0.5 * kc / scale, SYMPLECTIC_TOL)
-    assert not spec.reconstructs(RECONSTRUCTION_TOL, 0.5 * res.symplectic_residual / scale)
+    assert res.symplectic_residual > TOLERANCES.symplectic     # an absolute rule refuses it
+    assert spec.reconstructs().passed
+    assert spec.reconstructs(Tolerances(reconstruction=2 * kc / scale,
+                                        symplectic=2 * res.symplectic_residual / scale)).passed
+    assert not spec.reconstructs(Tolerances(reconstruction=0.5 * kc / scale)).passed
+    assert not spec.reconstructs(
+        Tolerances(symplectic=0.5 * res.symplectic_residual / scale)).passed
 
 
 def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):
@@ -332,7 +332,7 @@ def per_vector_terms(K, C):
     terms = []
     floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))
     if evals[0] > floor:
-        cutoff = max(RANK_TOL * evals[0], floor)
+        cutoff = max(TOLERANCES.rank * evals[0], floor)
         for lam_d, vec in zip(evals, evecs.T):
             if lam_d <= cutoff:
                 break
@@ -348,7 +348,7 @@ def per_vector_terms(K, C):
     scale = np.abs(nvals).max()
     nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))
     for lam_h, vec in zip(nvals, nvecs.T):
-        if scale > nfloor and abs(lam_h) > max(RANK_TOL * scale, nfloor):
+        if scale > nfloor and abs(lam_h) > max(TOLERANCES.rank * scale, nfloor):
             rvec = _fix_phase_reference(np.real(vec)).real
             hterms.append(HamiltonianTerm(lam=-float(lam_h), w=rvec[:n] + 1j * rvec[n:]))
     return terms, hterms, K_prime
@@ -406,7 +406,7 @@ def test_term_extraction_edge_cases_are_bitwise_the_per_vector_rule():
 def test_rank_cut_edges_are_bitwise_the_per_vector_rule(side, kept):
     # the second loss rate and frequency sit just below or above rank_tol
     # relative to the first
-    small = side * RANK_TOL
+    small = side * TOLERANCES.rank
     K, C = loss_and_rotation([1.0, small], [1.0, small, 1.0, small])
     spec = assert_terms_equal_the_per_vector_rule(K, C)
     assert spec.noise_dimension == kept
@@ -498,7 +498,7 @@ def test_dilation_drives_the_hudson_parthasarathy_generator(n, cutoff, seed):
         z = random_complex(gen, n, 0.5)
         W = fock.weyl_matrix(rep, z)
         assert max(fock.top_level_population(rep, vec)
-                   for vec in (left, right, W @ right)) < fock.LEAKAGE_TRUST
+                   for vec in (left, right, W @ right)) < 1e-8
         flow = ito.flow_generator(dU, W)[(0, 0)]
         coeff = generator_action(pair, z)
         gain = smeared_ladder(rep, -coeff.gain_vector, coeff.gain_vector)
