@@ -10,9 +10,9 @@ level ("leakage") is the trust metric for every oracle result.
 Every operator the oracle needs is a polynomial of degree at most 2 in the
 ladder operators, and each a_j and a_j^dag has at most one nonzero per row.
 FockRep therefore holds one column index and one weight per row for each of
-the 2n ladder operators, and the (2n)^2 products X_k X_l on first use.  The
-Lindbladian is assembled from these tables in O(n^2 d) and moments are read
-by gathers on them.
+the 2n ladder operators, and the (2n)^2 products X_k X_l on first use.  Each
+operator is assembled from these tables as COO triplets in O(n^2 d) (_csr),
+and moments are read by gathers on them; neither depends on the basis order.
 
 The integrator returns e^{tL} rho0 with no time-step error, in substeps of
 Krylov projection: Arnoldi on Hermitian matrices (real Gram-Schmidt
@@ -21,8 +21,8 @@ augmented Hessenberg matrix, whose last entry is the error estimate
 (Saad 1992; Sidje 1998, Expokit's expv).  The trace drift is checked once
 per substep, and the basis costs 31 d^2 complex numbers.  The Lindbladian
 is applied as two stacked sparse products; see lindblad_evolve.
-scipy.sparse is imported only where they are assembled, so code that never
-integrates does not load it.
+scipy.sparse is imported only where operators are assembled, so code that
+never assembles one does not load it.
 
 Weyl matrices need no matrix exponential.  The single-mode generator
 z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
@@ -96,17 +96,14 @@ class FockRep:
     Each of the 2n operators X = (a_1..a_n, a_1^dag..a_n^dag) has at most
     one nonzero per row: row r of X_k holds weights[k, r] at columns[k, r].
     A row without an entry (a_j at the top level of mode j, a_j^dag at its
-    vacuum) has weight 0 and column r; every other entry lies at
-    r + offsets[k], offsets = (s_1..s_n, -s_1..-s_n) with s_j the stride of
-    mode j.  Derived on first use: the tables of the products X_k X_l, the
-    top-level mask, and the eigenpairs of the single-mode a + a^dag that
-    weyl_matrix uses.
+    vacuum) has weight 0 and column r.  Derived on first use: the tables of
+    the products X_k X_l, the top-level mask, and the eigenpairs of the
+    single-mode a + a^dag that weyl_matrix uses.
     """
 
     n: int
     cutoff: int
     dim: int
-    offsets: np.ndarray   # (2n,) column offset of each X_k
     columns: np.ndarray   # (2n, dim) column of the entry in each row
     weights: np.ndarray   # (2n, dim) value of that entry, 0 where there is none
 
@@ -147,28 +144,39 @@ def build(n: int, cutoff: int) -> FockRep:
     rows = np.arange(dim)
     occupations = np.array(np.unravel_index(rows, (cutoff,) * n))
     strides = cutoff ** np.arange(n - 1, -1, -1)
-    offsets = np.concatenate([strides, -strides])
     # a_j maps level k + 1 to k and a_j^dag level k - 1 to k, both with
     # weight sqrt of the larger level, which must lie in 1..cutoff-1
     levels = np.concatenate([occupations + 1, occupations])
     present = (levels >= 1) & (levels < cutoff)
-    return FockRep(n=n, cutoff=cutoff, dim=dim, offsets=offsets,
-                   columns=np.where(present, rows + offsets[:, None], rows),
+    columns = rows + np.concatenate([strides, -strides])[:, None]
+    return FockRep(n=n, cutoff=cutoff, dim=dim, columns=np.where(present, columns, rows),
                    weights=np.where(present, np.sqrt(levels), 0.0))
 
 
+def _csr(triplets, shape):
+    """The CSR array of the given shape holding the COO triplets of each
+    (values, rows, columns) group, whose three arrays broadcast together.
+    Zero values are dropped, duplicate entries summed and zeros left by the
+    sums removed; scipy refuses an index outside the shape.  scipy.sparse is
+    imported here, so code that never assembles an operator does not load it.
+    """
+    import scipy.sparse as sparse
+
+    groups = [np.broadcast_arrays(*group) for group in triplets]
+    values, rows, columns = (np.concatenate([g[i].ravel() for g in groups]) for i in range(3))
+    keep = values != 0
+    out = sparse.csr_array((values[keep], (rows[keep], columns[keep])), shape=shape)
+    out.eliminate_zeros()
+    return out
+
+
 def _dense(rep: FockRep, coefficients) -> np.ndarray:
-    """The d x d matrix sum_k coefficients[k] X_k, or sum_kl
-    coefficients[k, l] X_k X_l for a 2n x 2n array of coefficients."""
+    """The d x d matrix sum_k coefficients[k] X_k, or sum_kl coefficients[k, l]
+    X_k X_l for a 2n x 2n array of coefficients: the _csr assembly, densified."""
     coefficients = np.asarray(coefficients)
     columns, weights = rep.products if coefficients.ndim == 2 else (rep.columns, rep.weights)
-    out = np.zeros((rep.dim, rep.dim), dtype=complex)
-    rows = np.arange(rep.dim)
-    for c, col, w in zip(coefficients.ravel(), columns.reshape(-1, rep.dim),
-                         weights.reshape(-1, rep.dim)):
-        if c != 0:
-            out[rows, col] += c * w
-    return out
+    return _csr([(coefficients[..., None] * weights, np.arange(rep.dim), columns)],
+                (rep.dim, rep.dim)).toarray()
 
 
 def _vector(rep: FockRep, x) -> np.ndarray:
@@ -212,7 +220,8 @@ def exponential_vector(rep: FockRep, u) -> np.ndarray:
 
 
 def coherent_vector(rep: FockRep, alpha) -> np.ndarray:
-    """Normalized coherent vector; warns when truncation leakage is large."""
+    """Coherent vector cut at the cutoff and not renormalized: its squared norm is
+    1 less the coherent state's weight past the cutoff.  Warns when leakage is large."""
     alpha = np.asarray(alpha, dtype=complex).ravel()
     vec = exponential_vector(rep, alpha) * np.exp(-0.5 * np.sum(np.abs(alpha) ** 2))
     leak = leakage_check(rep, vec)
@@ -299,60 +308,32 @@ def lindblad_matrices(rep: FockRep, spec: DilationSpec):
     return [_dense(rep, b) for b in _coupling_coefficients(rep, spec)]
 
 
-def _csr_parts(blocks):
-    """(data, indices, indptr) of the row-wise stack of blocks (values,
-    columns), each a table with one row per matrix row and a slot per
-    possible entry; zero values are dropped, and columns that ascend along
-    the slots stay sorted."""
-    data, indices, counts = [], [], [np.zeros(1, dtype=int)]
-    for values, columns in blocks:
-        keep = values != 0
-        data.append(values[keep])
-        indices.append(np.broadcast_to(columns, values.shape)[keep])
-        counts.append(keep.sum(axis=1))
-    indptr = np.cumsum(np.concatenate(counts))
-    return (np.concatenate(data), np.concatenate(indices).astype(np.int32),
-            indptr.astype(np.int32))
-
-
 def _lindblad_operators(rep: FockRep, spec: DilationSpec):
     """The operators of lindblad_evolve, assembled from the index tables.
 
     Returns stacked = vstack(A, L_1, ..., L_m), (m+1)d x d, and side_by_side
-    = hstack(L_1, ..., L_m), d x md, as CSR arrays built directly from
-    (data, indices, indptr), with A = -iH - (1/2) sum_j L_j^dag L_j.  Each
-    L_j = sum_k beta_jk X_k, and A = sum_kl alpha_kl X_k X_l with the 2n x 2n
-    alpha from the Hamiltonian terms and the couplings.  The entries of A at
-    the same column offset are merged, so a row of A has one entry per
-    distinct offset, at most 2n^2 + 1, and a row of L_j at most 2n; zeros
-    are dropped.  The cost is O(n^2 d) and no d x d array is formed.
-    scipy.sparse is imported here, so code that never integrates does not
-    load it.
+    = hstack(L_1, ..., L_m), d x md, as canonical CSR arrays with no stored
+    zeros, with A = -iH - (1/2) sum_j L_j^dag L_j.  Each L_j = sum_k beta_jk
+    X_k, and A = sum_kl alpha_kl X_k X_l with the 2n x 2n alpha from the
+    Hamiltonian terms and the couplings.  Each operator is one _csr call on
+    COO triplets from the tables, L_j offset by its own row block in stacked
+    and by its own column block in side_by_side; entries of A in one column
+    are summed.  The cost is O(n^2 d) and no d x d array is formed.
     """
-    import scipy.sparse as sparse
-
     d, n = rep.dim, rep.n
     beta = _coupling_coefficients(rep, spec)
     m = len(beta)
     # A = sum_kl alpha_kl X_k X_l, since L_j^dag = sum_k conj(beta_j)[k -+ n] X_k
     alpha = (-1j * _hamiltonian_coefficients(rep, spec.hamiltonian_terms)
              - 0.5 * np.roll(beta.conj(), n, axis=1).T @ beta)
-    # X_k X_l has its entries at r + offsets[k] + offsets[l]: one slot per sum
-    offsets, slot = np.unique(np.add.outer(rep.offsets, rep.offsets), return_inverse=True)
-    A = np.zeros((len(offsets), d), dtype=complex)
-    np.add.at(A, slot.ravel(), alpha.reshape(-1, 1) * rep.products[1].reshape(-1, d))
-    rows = np.arange(d)[:, None]
-    # entry k of L_j in row r lies at r + offsets[order[k]], ascending in k
-    order = np.argsort(rep.offsets)
-    Lw = beta[:, None, order] * rep.weights[order].T
-    Lcols = rows + rep.offsets[order]
-    stacked = sparse.csr_array(_csr_parts([(A.T, rows + offsets),
-                                           (Lw.reshape(m * d, 2 * n), np.tile(Lcols, (m, 1)))]),
-                               shape=((m + 1) * d, d))
-    side_by_side = sparse.csr_array(
-        _csr_parts([(Lw.transpose(1, 0, 2).reshape(d, m * 2 * n),
-                     (Lcols[:, None] + d * np.arange(m)[:, None]).reshape(d, m * 2 * n))]),
-        shape=(d, m * d))
+    columns, weights = rep.products
+    rows = np.arange(d)
+    # entry (k, r) of L_j, (m, 2n, d), and the offset of its block
+    Lw = beta[:, :, None] * rep.weights
+    block = d * np.arange(m)[:, None, None]
+    stacked = _csr([(alpha[..., None] * weights, rows, columns),
+                    (Lw, d + block + rows, rep.columns)], ((m + 1) * d, d))
+    side_by_side = _csr([(Lw, rows, block + rep.columns)], (d, m * d))
     return stacked, side_by_side
 
 

@@ -72,14 +72,13 @@ def test_ccr_exact_below_top_level():
 
 @pytest.mark.parametrize("n, cutoff", [(1, 2), (1, 12), (2, 5), (3, 3)])
 def test_ladder_views_equal_the_kronecker_construction(n, cutoff):
-    # the index tables pinned entry by entry, and every entry at its offset
+    # the index tables pinned entry by entry, and a row without an entry at column r
     rep = fock.build(n, cutoff)
     a, adag = kron_ladder(n, cutoff)
     for got, ref in zip(sum(table_ladder(rep), []), a + adag):
         assert np.array_equal(got, ref)
     rows = np.arange(rep.dim)
     present = rep.weights != 0
-    assert np.array_equal(rep.columns[present], (rows + rep.offsets[:, None])[present])
     assert np.array_equal(rep.columns[~present], np.broadcast_to(rows, rep.columns.shape)[~present])
 
 
@@ -382,6 +381,58 @@ def test_dense_builders_equal_the_kronecker_reference(n, cutoff):
     assert len(got) == 1 + len(Ls) == 1 + spec.noise_dimension
     for M, ref in zip(got, [H, *Ls]):
         assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def shuffled(rep, perm):
+    """rep on its basis reordered so that state i is rep's state perm[i]: row
+    i of X_k is rep's row perm[i], with its column renamed to match."""
+    inverse = np.argsort(perm)
+    return fock.FockRep(n=rep.n, cutoff=rep.cutoff, dim=rep.dim,
+                        columns=inverse[rep.columns[:, perm]], weights=rep.weights[:, perm])
+
+
+def conjugated_blocks(M, perm, d):
+    """M as a dense array with each d x d block B replaced by P B P^T,
+    (P B P^T)[i, j] = B[perm[i], perm[j]]."""
+    rows, cols = (d * np.arange(size // d)[:, None] + perm for size in M.shape)
+    return M.toarray()[np.ix_(rows.ravel(), cols.ravel())]
+
+
+@pytest.mark.parametrize("kind", ["coupled", "closed", "dissipative"])
+def test_the_oracle_does_not_depend_on_the_order_of_the_basis(kind):
+    # the same operators, leakage mask, moments and evolution on a shuffled
+    # basis, up to the permutation
+    gen = rng(61)
+    spec = spec_of_kind(gen, 2, kind)
+    rep = fock.build(2, 5)
+    perm = gen.permutation(rep.dim)
+    shuf = shuffled(rep, perm)
+    for got, ref in zip(fock._lindblad_operators(shuf, spec), fock._lindblad_operators(rep, spec)):
+        ref = conjugated_blocks(ref, perm, rep.dim)
+        assert got.shape == ref.shape and got.has_canonical_format and np.all(got.data != 0)
+        assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-15 * np.abs(ref).max(initial=0.0)
+    assert np.array_equal(shuf.top_level, rep.top_level[perm])
+    rho0 = random_density(gen, rep.dim)
+    for got, ref in zip(fock.state_moments(shuf, rho0[np.ix_(perm, perm)]),
+                        fock.state_moments(rep, rho0)):
+        assert np.abs(got - ref).max() <= 1e-13
+    got = fock.lindblad_evolve(shuf, rho0[np.ix_(perm, perm)], spec, 0.5, 20)
+    ref = fock.lindblad_evolve(rep, rho0, spec, 0.5, 20)
+    assert np.abs(got - ref[np.ix_(perm, perm)]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("column", [7, -3])
+def test_a_column_outside_the_basis_is_refused(column):
+    # a malformed table raises before any operator holds an entry outside it
+    rep = fock.build(1, 6)
+    columns = rep.columns.copy()
+    columns[0, 2] = column
+    bad = fock.FockRep(n=1, cutoff=6, dim=6, columns=columns, weights=rep.weights)
+    spec = spec_of_kind(rng(62), 1, "dissipative")
+    with pytest.raises((IndexError, ValueError)):
+        fock._lindblad_operators(bad, spec)
+    with pytest.raises((IndexError, ValueError)):
+        fock.lindblad_matrices(bad, spec)
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])

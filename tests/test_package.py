@@ -1,10 +1,14 @@
 """The public surface: every exported name, and every name the benchmark's
 tracer wraps, exists; every verdict is a Check and the default tolerances are
-defined once; the value classes that hold arrays compare and hash."""
+defined once; the value classes that hold arrays compare and hash; scipy.sparse
+loads on the first operator assembly only; the suite's BLAS pin reaches numpy."""
 
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -154,3 +158,35 @@ def test_value_objects_compare_by_identity_and_hash(name):
     assert type(a).__name__ == name
     assert a == a and a != b
     assert len({a, b, a}) == 2
+
+
+LAZY_SPARSE = """
+import sys
+import quasifree as qf
+K, C = qf.pair_from_coupling([1.0], [0.5])
+pair = qf.QuasifreePair(n=1, K=K, C=C)
+qf.evolve_state(qf.coherent([0.3 + 0.1j]), pair, 0.5)
+spec = qf.decompose(K, C)
+print("scipy.sparse" in sys.modules)
+qf.fock._lindblad_operators(qf.fock.build(1, 4), spec)
+print("scipy.sparse" in sys.modules)
+"""
+
+
+def test_scipy_sparse_loads_on_the_first_operator_assembly_only():
+    # a fresh interpreter: the channel ops never load scipy.sparse, and the
+    # first Fock operator assembly does
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", LAZY_SPARSE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
+
+
+def test_the_blas_pin_comes_before_numpy_loads():
+    # tests/conftest.py sets the BLAS thread counts, which numpy reads only
+    # when it loads; a plugin that imports numpy first would void the pin
+    import conftest
+    assert conftest.NUMPY_WAS_LOADED is False
