@@ -34,14 +34,15 @@ Exit codes, one table (EXIT_CODES; the most derived class listed for an
 exception decides): 0 success; 1 input or validation failure (SchemaError,
 ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
-propagation that overflows (PropagatorOverflowError), a non-finite report);
+propagation that overflows (PropagatorOverflowError), any other floating-point
+error inside a command (FloatingPointError), a non-finite report);
 3 the scenario is unreadable, not JSON or not an object; 4 a size cap
 (DimensionCapError, SampleCapError, ColourCapError).  An exception prints
 one "error:" line and no report.
 
 Flags: --scenario PATH, --out DIR, --seed N, --cutoff N, --tol X.  Each flag
 falls back to the environment variable QFL_<NAME>, then to the scenario
-file, then to a built-in default.
+file, then to a built-in default.  A malformed flag or QFL_<NAME> exits 1.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ EXIT_CODES = {
     fock.LeakageError: 1,
     OSError: 1,                 # writing the report or a CSV
     RuntimeError: 2,            # a check inside the library refused
+    FloatingPointError: 2,      # an overflow or invalid operation inside a command
     PropagatorOverflowError: 2,  # growing dynamics overflow by the requested time
     UnreadableScenario: 3,
     fock.DimensionCapError: 4,
@@ -407,7 +409,7 @@ def _cmd_sample_field(scenario, ctx):
     count = _number(scenario.get("count", 10000), "count", int)
     if count < 2:       # the empirical (co)variance takes ddof=1
         raise SchemaError(f"'count' must be at least 2, got {count}")
-    draws = fields.sample(law, count, seed=ctx["seed"])
+    draws = fields.sample(law, count, seed=ctx["seed"], tol=ctx["tolerances"].psd)
     data = draws if draws.ndim == 2 else draws[:, None]
     columns = [f"x{j + 1}" for j in range(data.shape[1])]
     artifacts = {}
@@ -464,7 +466,8 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
                           "cutoff", int),
         "tolerances": Tolerances(**overrides),
     }
-    results, passed, artifacts = HANDLERS[command](scenario, ctx)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        results, passed, artifacts = HANDLERS[command](scenario, ctx)
     report = {
         "library": {"name": "quasifree", "version": __version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -525,8 +528,13 @@ def _run(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # a malformed flag exits 1, not argparse's 2
+        raise SchemaError(message)
+
+
 # built once; parse_args returns a fresh namespace on every call
-_PARSER = argparse.ArgumentParser(
+_PARSER = _Parser(
     prog="qfl",
     description="Run a quasifree-dynamics scenario file and emit a JSON report.")
 _PARSER.add_argument("--scenario", help="path to the scenario JSON file")
@@ -537,9 +545,8 @@ _PARSER.add_argument("--tol", type=float, help="primary tolerance override")
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     try:
-        return _run(args)
+        return _run(_PARSER.parse_args(argv))
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)

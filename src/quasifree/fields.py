@@ -13,7 +13,8 @@ Three constructions are covered, all at finite size:
   generating Hermitian matrix.
 
 Sampling uses an explicitly seeded counter-based generator (Philox) so
-every draw is reproducible bit-for-bit.
+every draw is reproducible bit-for-bit; a covariance is judged by the one PSD
+rule, symplectic.psd_verdict, so its bound scales with the covariance.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SYMMETRY_TOL, Check, hermitian_check, hermitian_eigh, psd_verdict
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, hermitian_check,
+                         hermitian_eigh, psd_verdict)
 
 __all__ = [
     "KernelModel",
@@ -36,9 +38,6 @@ __all__ = [
     "mean_band",
     "SampleCapError",
 ]
-
-#: covariance eigenvalues in [-PSD_REPAIR, 0) are clipped to zero before sampling
-PSD_REPAIR = 1e-12
 
 #: most values (count x dimension) that one call of sample() may draw
 SAMPLE_CAP = 10**7
@@ -111,9 +110,7 @@ def vacuum_field_variance(z, model: KernelModel) -> float:
     Z = sum_j (x_j q(alpha_j) + y_j p(alpha_j)) with z_j = x_j + i y_j; in
     the vacuum Z is centred normal with this variance.
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != len(model.points):
-        raise ValueError(f"expected {len(model.points)} coefficients, got {z.size}")
+    z = complex_vector(z, len(model.points))
     var = 0.5 * np.vdot(z, model.K @ z)
     if abs(var.imag) > 1e-10 * (1.0 + abs(var.real)):
         raise ValueError("variance came out non-real; kernel is not Hermitian")
@@ -152,12 +149,9 @@ def coherent_gaussian_field(u0, us, family: str = "p") -> FieldLaw:
     matrix in both cases.
     """
     u0 = np.asarray(u0, dtype=complex).ravel()
-    vecs = [np.asarray(u, dtype=complex).ravel() for u in us]
+    vecs = [complex_vector(u, u0.size) for u in us]
     if not vecs:
         raise ValueError("need at least one smearing vector")
-    for u in vecs:
-        if u.size != u0.size:
-            raise ValueError("all vectors must share the length of u0")
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     if np.abs(gram.imag).max(initial=0.0) > 1e-10 * (1.0 + np.abs(gram).max(initial=0.0)):
         raise ValueError("smearing vectors have complex inner products; the "
@@ -213,11 +207,12 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
     if not hermitian_check(H, SYMMETRY_TOL).passed:
         raise ValueError("H must be Hermitian")
     scale = 1.0 + np.abs(H).max(initial=0.0)
-    u = np.asarray(u, dtype=complex).ravel()
-    if u.size != H.shape[0]:
-        raise ValueError(f"expected a length-{H.shape[0]} amplitude, got {u.size}")
+    u = complex_vector(u, H.shape[0])
     w, V = hermitian_eigh((H + H.conj().T) / 2.0)
-    masses = np.abs(V.conj().T @ u) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        masses = np.abs(V.conj().T @ u) ** 2
+    if not np.isfinite(masses).all():
+        raise ValueError("amplitude u is too large: the atom masses |<xi_k|u>|^2 overflow")
     atoms = []
     for x, m in zip(w, masses):
         if m <= 1e-15:
@@ -231,15 +226,16 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
     return LevyLaw(atoms=tuple(atoms))
 
 
-def sample(law, count: int, seed: int) -> np.ndarray:
+def sample(law, count: int, seed: int, tol: float = TOLERANCES.psd) -> np.ndarray:
     """Draw reproducible samples from a FieldLaw or a LevyLaw.
 
     Gaussian laws are sampled through an eigenvalue square root of the
-    covariance; eigenvalues in [-1e-12, 0) are repaired to zero and anything
-    below is rejected.  Jump laws are sampled as sums x_k * Poisson(mass_k)
-    over independent counts.  Returns shape (count, dim) for fields and
-    (count,) for jump laws.  More than SAMPLE_CAP values in all are refused
-    before anything is allocated.
+    covariance.  A covariance that fails the PSD rule psd_verdict at tol,
+    min eigenvalue below -tol (1 + max|eigenvalue|), is rejected; the negative
+    eigenvalues of one that passes are clipped to zero.  Jump laws are sampled
+    as sums x_k * Poisson(mass_k) over independent counts.  Returns shape
+    (count, dim) for fields and (count,) for jump laws.  More than SAMPLE_CAP
+    values in all are refused before anything is allocated.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -250,9 +246,8 @@ def sample(law, count: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(seed))
     if isinstance(law, FieldLaw):
         w, V = np.linalg.eigh((law.covariance + law.covariance.T) / 2.0)
-        if w[0] < -PSD_REPAIR:
-            raise ValueError(f"covariance is indefinite beyond repair: "
-                             f"min eigenvalue {w[0]:.3e}")
+        if not psd_verdict(w, tol).passed:
+            raise ValueError(f"covariance is not PSD: min eigenvalue {w[0]:.3e}")
         root = V * np.sqrt(np.clip(w, 0.0, None))
         normals = rng.standard_normal((count, law.mean.size))
         return law.mean + normals @ root.T

@@ -45,7 +45,7 @@ import scipy.linalg
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import TOLERANCES, Check, hermitian_check
+from .symplectic import TOLERANCES, Check, complex_vector, psd_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -98,7 +98,8 @@ class FockRep:
     A row without an entry (a_j at the top level of mode j, a_j^dag at its
     vacuum) has weight 0 and column r.  Derived on first use: the tables of
     the products X_k X_l, the top-level mask, and the eigenpairs of the
-    single-mode a + a^dag that weyl_matrix uses.
+    single-mode a + a^dag that weyl_matrix uses.  Tables not shaped (2n, dim),
+    or with a column outside 0..dim-1 that a gather would wrap, are refused.
     """
 
     n: int
@@ -106,6 +107,13 @@ class FockRep:
     dim: int
     columns: np.ndarray   # (2n, dim) column of the entry in each row
     weights: np.ndarray   # (2n, dim) value of that entry, 0 where there is none
+
+    def __post_init__(self):
+        shape = (2 * self.n, self.dim)
+        if np.shape(self.columns) != shape or np.shape(self.weights) != shape:
+            raise ValueError(f"ladder tables must have shape {shape}")
+        if not ((self.columns >= 0) & (self.columns < self.dim)).all():
+            raise ValueError(f"a ladder column lies outside the basis 0..{self.dim - 1}")
 
     @cached_property
     def products(self):
@@ -179,14 +187,6 @@ def _dense(rep: FockRep, coefficients) -> np.ndarray:
                 (rep.dim, rep.dim)).toarray()
 
 
-def _vector(rep: FockRep, x) -> np.ndarray:
-    """x as a complex vector of one entry per mode, or ValueError."""
-    x = np.asarray(x, dtype=complex).ravel()
-    if x.size != rep.n:
-        raise ValueError(f"expected a length-{rep.n} vector, got {x.size}")
-    return x
-
-
 def top_level_population(rep: FockRep, state) -> float:
     """Population of the top occupation level of any mode.
 
@@ -207,7 +207,7 @@ def leakage_check(rep: FockRep, state) -> Check:
 
 def exponential_vector(rep: FockRep, u) -> np.ndarray:
     """Unnormalized exponential vector with components prod_j u_j^k / sqrt(k!)."""
-    u = _vector(rep, u)
+    u = complex_vector(u, rep.n)
     vec = None
     for uj in u:
         # components u^k / sqrt(k!) via the stable recurrence c_k = c_{k-1} u / sqrt(k)
@@ -222,7 +222,6 @@ def exponential_vector(rep: FockRep, u) -> np.ndarray:
 def coherent_vector(rep: FockRep, alpha) -> np.ndarray:
     """Coherent vector cut at the cutoff and not renormalized: its squared norm is
     1 less the coherent state's weight past the cutoff.  Warns when leakage is large."""
-    alpha = np.asarray(alpha, dtype=complex).ravel()
     vec = exponential_vector(rep, alpha) * np.exp(-0.5 * np.sum(np.abs(alpha) ** 2))
     leak = leakage_check(rep, vec)
     if not leak.passed:
@@ -247,7 +246,7 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     up to truncation effects near the top level; a warning is issued when
     the displaced vacuum leaks above the trust threshold.
     """
-    z = _vector(rep, z)
+    z = complex_vector(z, rep.n)
     mu, V = rep.quadrature_eigenbasis
     levels = np.arange(rep.cutoff)
     factors = []
@@ -269,15 +268,14 @@ def _kron(A, B):
 
 
 def validate_density(rho, tol: float = TOLERANCES.psd) -> None:
-    """Raise unless rho is Hermitian, unit trace and PSD within tol."""
-    rho = np.asarray(rho)
-    if not hermitian_check(rho, tol).passed:
-        raise ValueError("density matrix is not Hermitian")
+    """Raise unless rho is Hermitian, unit trace within tol and PSD, judged by
+    one psd_check at tol: for a density, a negative eigenvalue within at most
+    2 tol passes.  The trace is tested before the PSD verdict refuses."""
+    psd = psd_check(rho, tol)
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w[0] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    if not psd.passed:
+        raise ValueError(f"density matrix has negative eigenvalue {-psd.value:.3e}")
 
 
 def _hamiltonian_coefficients(rep: FockRep, hamiltonian_terms) -> np.ndarray:
@@ -285,7 +283,7 @@ def _hamiltonian_coefficients(rep: FockRep, hamiltonian_terms) -> np.ndarray:
     G = a(w) + a^dag(w) = sum_k g_k X_k, g = (conj(w), w), adds (lam/4) g g^T."""
     alpha = np.zeros((2 * rep.n, 2 * rep.n), dtype=complex)
     for term in hamiltonian_terms:
-        w = _vector(rep, term.w)
+        w = complex_vector(term.w, rep.n)
         g = np.concatenate([np.conj(w), w])
         alpha += 0.25 * term.lam * np.outer(g, g)
     return alpha
@@ -293,7 +291,7 @@ def _hamiltonian_coefficients(rep: FockRep, hamiltonian_terms) -> np.ndarray:
 
 def _coupling_coefficients(rep: FockRep, spec: DilationSpec) -> np.ndarray:
     """beta, m x 2n, with L_j = a(u_j) + a^dag(v_j) = sum_k beta_jk X_k."""
-    beta = [np.concatenate([np.conj(_vector(rep, term.u)), _vector(rep, term.v)])
+    beta = [np.concatenate([np.conj(complex_vector(term.u, rep.n)), complex_vector(term.v, rep.n)])
             for term in spec.lindblad_terms]
     return np.array(beta, dtype=complex).reshape(-1, 2 * rep.n)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, hermitian_check, psd_check,
-                         read_only, real_embed, symplectic_form)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, hermitian_check,
+                         psd_check, read_only, real_embed, symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -108,8 +108,6 @@ def coherent(alpha) -> GaussianState:
     """Coherent state of amplitude alpha: vacuum covariance, displaced means."""
     alpha = np.asarray(alpha, dtype=complex).ravel()
     n = alpha.size
-    if n < 1:
-        raise ValueError("amplitude vector must be nonempty")
     return GaussianState(n=n,
                          l=math.sqrt(2) * alpha.imag,
                          m=math.sqrt(2) * alpha.real,
@@ -127,10 +125,7 @@ def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd) -> comp
     if not diag.is_valid:
         raise ValueError(f"invalid Gaussian state: min eig {diag.min_eigenvalue:.3e}, "
                          f"symmetry defect {diag.symmetry.value:.3e}")
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != state.n:
-        raise ValueError(f"expected a length-{state.n} argument, got {z.size}")
-    xi = real_embed(z)
+    xi = real_embed(complex_vector(z, state.n))
     x, y = xi[:state.n], xi[state.n:]
     phase = -1j * math.sqrt(2) * (state.l @ x - state.m @ y)
     return complex(np.exp(phase - xi @ state.S @ xi))

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, Propagator, Tolerances, _form_times,
-                         _overflow, hermitian_check, psd_check, read_only, real_embed,
+from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow,
+                         complex_vector, pair_arrays, psd_verdict, read_only, real_embed,
                          real_extract)
 
 __all__ = [
@@ -53,17 +53,10 @@ __all__ = [
 
 
 def noise_matrix(K, C) -> np.ndarray:
-    """Hermitian D = C + i(K^T J + J K); refuses non-finite K or C, then asymmetric C."""
-    K = np.asarray(K, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] % 2 != 0:
-        raise ValueError(f"K must be square of even order, got {K.shape}")
-    if C.shape != K.shape:
-        raise ValueError(f"C must match K, got {C.shape} vs {K.shape}")
-    if not (np.isfinite(K).all() and np.isfinite(C).all()):
-        raise ValueError("K and C must be finite")
-    if not hermitian_check(C, SYMMETRY_TOL).passed:
-        raise ValueError("C must be symmetric")
+    """D = C + i(K^T J + J K), exactly Hermitian; K and C pass pair_arrays, K of even order."""
+    K, C = pair_arrays(K, C)
+    if K.shape[0] % 2 != 0:
+        raise ValueError(f"K must be of even order, got {K.shape}")
     JK = _form_times(K)
     D = C + 1j * (JK - JK.T)  # K^T J + J K, as J^T = -J
     return (D + D.conj().T) / 2.0
@@ -73,7 +66,7 @@ def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
     """Test the generator inequality C + i(K^T J + J K) >= 0 by the PSD rule.
     C >= 0 follows: the imaginary part of the noise matrix is antisymmetric,
     so x^T D x = x^T C x for every real x."""
-    return psd_check(noise_matrix(K, C), tol)
+    return psd_verdict(np.linalg.eigvalsh(noise_matrix(K, C)), tol)
 
 
 #: propagators (e^{tK}, B_t) a pair keeps, the least recently used dropped first
@@ -147,10 +140,7 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     """Image of the Weyl operator under the semigroup at time t >= 0.  A
     propagator that overflows by time t, or an image or damping exponent that
     does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != pair.n:
-        raise ValueError(f"expected a length-{pair.n} argument, got {z.size}")
-    xi = real_embed(z)
+    xi = real_embed(complex_vector(z, pair.n))
     E, B = pair.propagator(t)
     with np.errstate(over="ignore", invalid="ignore"):
         xi_out = E @ xi
@@ -196,9 +186,7 @@ def generator_action(pair: QuasifreePair, z) -> GeneratorCoefficients:
     is (1/2){<g|z> - <z|g> - (Rz)^T C (Rz)}.  The imaginary part of the scalar
     is a phase drift, the (nonpositive) real part the damping rate.
     """
-    z = np.asarray(z, dtype=complex).ravel()
-    if z.size != pair.n:
-        raise ValueError(f"expected a length-{pair.n} argument, got {z.size}")
+    z = complex_vector(z, pair.n)
     xi = real_embed(z)
     g = real_extract(pair.K @ xi)
     inner = np.vdot(g, z)  # <g|z>, antilinear in the first slot

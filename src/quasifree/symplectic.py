@@ -24,8 +24,9 @@ that overflows raises :class:`PropagatorOverflowError`.
 
 The package's shared pieces live here too: the one verdict type
 (:class:`Check`), the one tolerance set (:class:`Tolerances`, with the
-defaults in TOLERANCES), the one Hermitian test (:func:`hermitian_check`) and
-the read-only copies that make pairs and states immutable (:func:`read_only`).
+defaults in TOLERANCES), the one Hermitian test and PSD rule, the input checks
+of a complex vector (:func:`complex_vector`) and of a pair (:func:`pair_arrays`),
+and the read-only copies that make pairs and states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ __all__ = [
     "real_embed",
     "real_extract",
     "read_only",
+    "complex_vector",
+    "pair_arrays",
     "hermitian_check",
     "psd_check",
     "psd_verdict",
@@ -136,6 +139,27 @@ def read_only(a) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def complex_vector(z, n: int) -> np.ndarray:
+    """z as a flat complex vector, refused unless it has length n."""
+    z = np.asarray(z, dtype=complex).ravel()
+    if z.size != n:
+        raise ValueError(f"expected a length-{n} vector, got {z.size}")
+    return z
+
+
+def pair_arrays(K, C) -> tuple[np.ndarray, np.ndarray]:
+    """K and C as float arrays: equal square matrices, finite, C symmetric within SYMMETRY_TOL."""
+    K = np.asarray(K, dtype=float)
+    C = np.asarray(C, dtype=float)
+    if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
+    if not (np.isfinite(K).all() and np.isfinite(C).all()):
+        raise ValueError("K and C must be finite")
+    if not hermitian_check(C, SYMMETRY_TOL).passed:
+        raise ValueError("C must be symmetric")
+    return K, C
 
 
 def hermitian_check(A, tol: float) -> Check:
@@ -239,14 +263,7 @@ class Propagator:
     """
 
     def __init__(self, K, C):
-        K = np.asarray(K, dtype=float)
-        C = np.asarray(C, dtype=float)
-        if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
-        if not (np.isfinite(K).all() and np.isfinite(C).all()):
-            raise ValueError("K and C must be finite")
-        if not hermitian_check(C, SYMMETRY_TOL).passed:
-            raise ValueError("C must be symmetric")
+        K, C = pair_arrays(K, C)
         self.K = K
         m = K.shape[0]
         abs_K = np.abs(K)

@@ -1,19 +1,24 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasifree import cli, fields, fock, ito
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import TOLERANCES, PropagatorOverflowError
+from quasifree.symplectic import TOLERANCES, PropagatorOverflowError, symplectic_form
 
 from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
@@ -486,6 +491,50 @@ def test_tol_flag_overrides_primary_tolerance(tmp_path):
     code, report = run(tmp_path, scenario, extra_args=["--tol", "1e-6"])
     assert code == 0
     assert report["tolerances"]["psd"] == 1e-6
+
+
+@pytest.mark.parametrize("how", ["flag", "scenario"])
+def test_sample_field_judges_its_covariance_at_the_psd_tolerance(tmp_path, capsys, how):
+    law = {"kind": "gaussian", "mean": [0.0, 0.0], "covariance": [[1.0, 0.0], [0.0, -1e-6]]}
+    scenario = {"command": "sample-field", "law": law, "count": 100}
+    assert run(tmp_path, scenario) == (1, None)
+    assert capsys.readouterr().err.startswith("error: covariance is not PSD")
+    if how == "flag":
+        code, report = run(tmp_path, scenario, extra_args=["--tol", "1e-3"])
+    else:
+        code, report = run(tmp_path, {**scenario, "tolerances": {"psd": 1e-3}})
+    assert code == 0 and report["passed"] is True
+    assert report["tolerances"]["psd"] == 1e-3
+
+
+@pytest.mark.parametrize("seed", [25, 27, 31])
+def test_sample_field_accepts_a_large_coherent_law(tmp_path, seed):
+    # three smearing vectors of |u| ~ 100 with a real Gram matrix of rank 2 in C^2:
+    # rounding leaves a Gram eigenvalue just below zero, within the relative bound
+    gen = rng(seed)
+    phase = np.exp(1j * gen.uniform(0, 2 * np.pi))
+    us = [gen.normal(size=2) * 100 / np.sqrt(2) * phase for _ in range(3)]
+    law = {"kind": "coherent", "u0": [0.1 + 0.2j, -0.3j], "us": us}
+    code, report = run(tmp_path, {"command": "sample-field", "law": law, "count": 200,
+                                  "seed": 3})
+    assert code == 0 and report["passed"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "abc"), ("--cutoff", "1.5"),
+                                         ("--tol", "-1e+300"), ("--tol", "tiny")])
+def test_a_malformed_flag_exits_1_with_one_error_line(tmp_path, capsys, flag, value):
+    scenario = {"command": "validate-state", "state": coherent([0.0])}
+    assert run(tmp_path, scenario, extra_args=[flag, value]) == (1, None)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument " + flag) and captured.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qfl")
 
 
 def _near_boundary_pair(delta):
@@ -1084,3 +1133,154 @@ def test_number_refuses_what_is_not_a_number(value, shown, cast):
     with pytest.raises(cli.SchemaError) as caught:
         cli._number(value, "x", cast)
     assert str(caught.value) == f"'x' must hold numbers, got {shown}"
+
+
+# --- fuzz ---------------------------------------------------------------------
+# schema-shaped scenarios for every command, with entries anywhere in the float
+# range, the scalars of admissible pairs and the times also moderate, scenario
+# tolerances and the three override flags
+
+_NUM = st.floats(allow_nan=False, allow_infinity=False)
+_SCALAR = st.one_of(st.floats(-2.0, 2.0), _NUM)
+_TOL = st.one_of(st.floats(1e-15, 1.0), _NUM)
+
+
+def _vec(size, num=_NUM):
+    return st.lists(num, min_size=size, max_size=size)
+
+
+def _mat(size):
+    return st.lists(_vec(size), min_size=size, max_size=size)
+
+
+def _cvec(size, num=_NUM):
+    return st.lists(_vec(2, num), min_size=size, max_size=size)
+
+
+def _cmat(size):
+    return st.lists(_cvec(size), min_size=size, max_size=size)
+
+
+def _diagonal(values):
+    """The diagonal matrix of |values|."""
+    return [[abs(x) if i == j else 0.0 for j in range(len(values))] for i, x in enumerate(values)]
+
+
+@st.composite
+def _state(draw, n):
+    """Arbitrary moments, or a coherent state (S = I/2) at moderate means."""
+    if draw(st.booleans()):
+        return {"n": n, "l": draw(_vec(n)), "m": draw(_vec(n)), "S": draw(_mat(2 * n))}
+    return {"n": n, "l": draw(_vec(n, _SCALAR)), "m": draw(_vec(n, _SCALAR)),
+            "S": _diagonal([0.5] * (2 * n))}
+
+
+@st.composite
+def _pair(draw, n):
+    """Arbitrary (K, C), or the admissible K = -g I + a J, C = c I with c >= 2|g|."""
+    if draw(st.booleans()):
+        return {"n": n, "K": draw(_mat(2 * n)), "C": draw(_mat(2 * n))}
+    g, a, extra = draw(_SCALAR), draw(_SCALAR), draw(_SCALAR)
+    J = symplectic_form(n)
+    return {"n": n, "K": [[-g * (i == j) + a * J[i, j] for j in range(2 * n)]
+                          for i in range(2 * n)],
+            "C": _diagonal([min(2 * abs(g) + abs(extra), sys.float_info.max)] * (2 * n))}
+
+
+@st.composite
+def _law(draw):
+    """A law of each kind, arbitrary or built to be valid: a diagonal
+    covariance, kernel or H, and smearing vectors on one complex line."""
+    kind = draw(st.sampled_from(["gaussian", "coherent", "kernel", "levy"]))
+    size = draw(st.integers(1, 3))
+    if not draw(st.booleans()):
+        diagonal = _diagonal(draw(_vec(size, _SCALAR)))
+        if kind == "gaussian":
+            return {"kind": kind, "mean": draw(_vec(size, _SCALAR)), "covariance": diagonal}
+        if kind == "coherent":
+            line = draw(_cvec(size, _SCALAR))
+            us = [[[c * re, c * im] for re, im in line]
+                  for c in draw(st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3))]
+            return {"kind": kind, "u0": draw(_cvec(size, _SCALAR)), "us": us}
+        if kind == "kernel":
+            kernel = {"points": list(range(size)), "K": diagonal}
+            return {"kind": kind, "kernel": kernel, "z": draw(_cvec(size, _SCALAR))}
+        H = [[[x, 0.0] for x in row] for row in diagonal]
+        return {"kind": kind, "H": H, "u": draw(_cvec(size, _SCALAR))}
+    if kind == "gaussian":
+        return {"kind": kind, "mean": draw(_vec(size)), "covariance": draw(_mat(size))}
+    if kind == "coherent":
+        return {"kind": kind, "u0": draw(_cvec(size)), "family": draw(st.sampled_from("pq")),
+                "us": draw(st.lists(_cvec(size), min_size=1, max_size=3))}
+    if kind == "kernel":
+        kernel = {"points": list(range(size)), "K": draw(_mat(size)),
+                  "group": draw(st.lists(st.permutations(range(size)), max_size=2))}
+        return {"kind": kind, "kernel": kernel, "z": draw(_cvec(size))}
+    return {"kind": kind, "H": draw(_cmat(size)), "u": draw(_cvec(size))}
+
+
+@st.composite
+def _scenario(draw):
+    command = draw(st.sampled_from(cli.COMMANDS))
+    n = draw(st.integers(1, 2))
+    times = st.lists(st.one_of(st.floats(0.0, 2.0), _SCALAR), min_size=1, max_size=3)
+    scenario = {"command": command, "seed": draw(st.integers(0, 2**32))}
+    if command == "validate-state":
+        scenario["state"] = draw(_state(n))
+    elif command == "evolve":
+        scenario.update(pair=draw(_pair(n)), state=draw(_state(n)), times=draw(times),
+                        csv=draw(st.sampled_from(["", "traj.csv"])))
+    elif command == "weyl":
+        scenario.update(state=draw(_state(n)), z=draw(st.lists(_cvec(n), max_size=3)))
+    elif command in ("decompose", "dilate"):
+        scenario["pair"] = draw(_pair(n))
+    elif command == "verify-oracle":
+        scenario.update(pair=draw(_pair(n)), state=draw(_state(n)), times=draw(times),
+                        steps=draw(st.integers(-1, 50)), cutoff=draw(st.integers(0, 8)))
+    elif command == "ito-table":
+        scenario.update(table=draw(st.sampled_from(["quadrature", "poisson", "other"])),
+                        d=draw(st.integers(-1, 5)), i=draw(st.integers(0, 3)),
+                        j=draw(st.integers(0, 3)), intensities=draw(st.lists(_NUM, max_size=2)))
+    elif command == "unitarity":
+        dim, channels = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        scenario.update(H=draw(_cmat(dim)), L=draw(st.lists(_cmat(dim), min_size=channels,
+                                                            max_size=channels)),
+                        S=draw(_cmat(dim * channels)))
+        if draw(st.booleans()):
+            scenario["X"] = draw(_cmat(dim))
+    else:
+        scenario.update(law=draw(_law()), count=draw(st.integers(0, 50)),
+                        csv=draw(st.sampled_from(["", "draws.csv"])))
+    keys = st.sampled_from(sorted(cli.DEFAULT_TOLERANCES))
+    tolerances = draw(st.one_of(st.none(), st.dictionaries(keys, _TOL, max_size=2)))
+    if tolerances is not None:
+        scenario["tolerances"] = tolerances
+    return scenario
+
+
+_FLAGS = st.lists(st.one_of(st.tuples(st.just("--tol"), _TOL.map(repr)),
+                            st.tuples(st.just("--seed"), st.integers(-1, 2**32).map(str)),
+                            st.tuples(st.just("--cutoff"), st.integers(0, 6).map(str))),
+                  max_size=2)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(scenario=_scenario(), flags=_FLAGS)
+def test_fuzz_every_command_exits_by_the_table_without_warnings(scenario, flags):
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "scenario.json")
+        with open(path, "w") as fh:
+            json.dump(scenario, fh, allow_nan=False)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["--scenario", path, "--out", out,
+                             *[arg for flag in flags for arg in flag]])
+        assert code in (0, 1, 2, 3, 4)
+        assert [str(w.message) for w in caught] == []
+        assert (code in (0, 2)) or err.getvalue().startswith("error: ")
+        report = os.path.join(out, "report.json")
+        if os.path.exists(report):
+            with open(report) as fh:
+                strict_json(fh.read())

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,13 @@ def test_levy_law_rejects_non_hermitian():
         levy_law(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
 
 
+def test_levy_law_refuses_overflowing_masses_by_name():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="amplitude u is too large"):
+            levy_law(np.array([[1.0]]), np.array([351.0 + 1e300j]))
+
+
 def test_levy_moments():
     law = LevyLaw(atoms=((2.0, 0.5), (-1.0, 1.5)))
     assert abs(law.mean - (2 * 0.5 - 1 * 1.5)) < 1e-15
@@ -222,6 +230,26 @@ def test_gaussian_sampling_rank_deficient_covariance():
     draws = sample(law, 1000, seed=12)
     # samples live on the line spanned by v
     assert np.abs(draws @ np.array([1.0, 1.0])).max() < 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_gaussian_sampling_accepts_a_large_rank_deficient_covariance(seed):
+    # rank 2 in 4 dimensions at scale 1e6: rounding leaves eigenvalues near
+    # -1e-10, inside the relative PSD bound and beyond any absolute 1e-12
+    A = rng(seed).normal(size=(4, 2))
+    law = FieldLaw(mean=np.zeros(4), covariance=1e6 * A @ A.T)
+    draws = sample(law, 1000, seed=seed)
+    # the draws lie in the span of A's columns
+    outside = np.linalg.qr(A, mode="complete")[0][:, 2:]
+    assert np.abs(draws @ outside).max() <= 1e-6 * np.abs(draws).max()
+
+
+def test_gaussian_sampling_judges_by_the_tolerance_it_is_given():
+    law = FieldLaw(mean=np.zeros(2), covariance=np.diag([1.0, -1e-6]))
+    with pytest.raises(ValueError, match="covariance is not PSD: min eigenvalue -1.000e-06"):
+        sample(law, 10, seed=0)
+    draws = sample(law, 1000, seed=0, tol=1e-3)
+    assert np.all(draws[:, 1] == 0.0)
 
 
 def test_gaussian_sampling_rejects_indefinite_covariance():

@@ -423,16 +423,31 @@ def test_the_oracle_does_not_depend_on_the_order_of_the_basis(kind):
 
 @pytest.mark.parametrize("column", [7, -3])
 def test_a_column_outside_the_basis_is_refused(column):
-    # a malformed table raises before any operator holds an entry outside it
+    # a malformed table raises at construction, before any operator holds an entry outside it
     rep = fock.build(1, 6)
     columns = rep.columns.copy()
     columns[0, 2] = column
-    bad = fock.FockRep(n=1, cutoff=6, dim=6, columns=columns, weights=rep.weights)
-    spec = spec_of_kind(rng(62), 1, "dissipative")
-    with pytest.raises((IndexError, ValueError)):
-        fock._lindblad_operators(bad, spec)
-    with pytest.raises((IndexError, ValueError)):
-        fock.lindblad_matrices(bad, spec)
+    with pytest.raises(ValueError, match="outside the basis"):
+        fock.FockRep(n=1, cutoff=6, dim=6, columns=columns, weights=rep.weights)
+
+
+def test_a_negative_column_cannot_reach_state_moments():
+    # a column of -2 would wrap in the gathers and misread the position mean
+    rep = fock.build(1, 6)
+    rho = fock.coherent_density(rep, [0.3])
+    columns = rep.columns.copy()
+    columns[0, 2] = -2
+    with pytest.raises(ValueError, match="outside the basis"):
+        fock.state_moments(fock.FockRep(n=1, cutoff=6, dim=6, columns=columns,
+                                        weights=rep.weights), rho)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (2, 5), (3, 6)])
+def test_tables_of_the_wrong_shape_are_refused(shape):
+    rep = fock.build(1, 6)
+    with pytest.raises(ValueError, match="ladder tables must have shape"):
+        fock.FockRep(n=1, cutoff=6, dim=6, columns=np.zeros(shape, dtype=int),
+                     weights=rep.weights)
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])

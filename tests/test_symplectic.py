@@ -8,10 +8,12 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from quasifree import fock, symplectic
-from quasifree.fields import FieldLaw, KernelModel, levy_law
-from quasifree.gaussian import GaussianState, validate
+from quasifree.fields import (FieldLaw, KernelModel, coherent_gaussian_field, levy_law,
+                              vacuum_field_variance)
+from quasifree.gaussian import GaussianState, vacuum, validate, weyl_transform
 from quasifree.ito import hp_coefficients
-from quasifree.semigroup import noise_matrix
+from quasifree.semigroup import QuasifreePair, generator_action, noise_matrix, weyl_action
+from quasifree.synthesis import HamiltonianTerm, decompose
 from quasifree.symplectic import (
     Check,
     PropagatorOverflowError,
@@ -443,3 +445,31 @@ def test_hermitian_sites_apply_their_bound(site, factor, accepted):
     except ValueError:
         result = False
     assert result == accepted
+
+
+# every site of the shared complex-vector check, each expecting 2 entries: a
+# call on the vector z
+_PAIR_2 = QuasifreePair(2, -0.5 * np.eye(4), np.eye(4))
+VECTOR_SITES = {
+    "gaussian.weyl_transform": lambda z: weyl_transform(vacuum(2), z),
+    "semigroup.weyl_action": lambda z: weyl_action(_PAIR_2, 1.0, z),
+    "semigroup.generator_action": lambda z: generator_action(_PAIR_2, z),
+    "fields.vacuum_field_variance": lambda z: vacuum_field_variance(z, KernelModel((0, 1),
+                                                                                   np.eye(2))),
+    "fields.levy_law": lambda z: levy_law(np.eye(2), z),
+    "fields.coherent_gaussian_field": lambda z: coherent_gaussian_field([1.0, 0.0], [z]),
+    "fock.exponential_vector": lambda z: fock.exponential_vector(fock.build(2, 3), z),
+    "fock.weyl_matrix": lambda z: fock.weyl_matrix(fock.build(2, 3), z),
+    "fock.hamiltonian_matrix": lambda z: fock.hamiltonian_matrix(fock.build(2, 3),
+                                                                 [HamiltonianTerm(1.0, z)]),
+    "fock.lindblad_matrices": lambda z: fock.lindblad_matrices(
+        fock.build(2, 3), decompose(-0.5 * np.eye(2 * z.size), np.eye(2 * z.size))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(VECTOR_SITES))
+def test_vector_sites_refuse_a_wrong_length_with_one_message(site):
+    call = VECTOR_SITES[site]
+    call(np.array([0.01, 0.02j]))
+    with pytest.raises(ValueError, match="^expected a length-2 vector, got 3$"):
+        call(np.array([0.01, 0.02j, 0.0]))
