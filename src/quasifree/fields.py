@@ -42,6 +42,9 @@ __all__ = [
 #: most values (count x dimension) that one call of sample() may draw
 SAMPLE_CAP = 10**7
 
+#: largest Poisson mean numpy's sampler takes, int64 max - 10 sqrt(int64 max)
+POISSON_MASS_MAX = float(np.iinfo(np.int64).max) - 10.0 * float(np.iinfo(np.int64).max) ** 0.5
+
 
 class SampleCapError(ValueError):
     """Requested sample exceeds SAMPLE_CAP values."""
@@ -233,9 +236,10 @@ def sample(law, count: int, seed: int, tol: float = TOLERANCES.psd) -> np.ndarra
     covariance.  A covariance that fails the PSD rule psd_verdict at tol,
     min eigenvalue below -tol (1 + max|eigenvalue|), is rejected; the negative
     eigenvalues of one that passes are clipped to zero.  Jump laws are sampled
-    as sums x_k * Poisson(mass_k) over independent counts.  Returns shape
-    (count, dim) for fields and (count,) for jump laws.  More than SAMPLE_CAP
-    values in all are refused before anything is allocated.
+    as sums x_k * Poisson(mass_k) over independent counts; an atom whose mass
+    exceeds POISSON_MASS_MAX is refused by name.  Returns shape (count, dim)
+    for fields and (count,) for jump laws.  More than SAMPLE_CAP values in all
+    are refused before anything is allocated.
     """
     if count < 1:
         raise ValueError("need at least one sample")
@@ -252,6 +256,10 @@ def sample(law, count: int, seed: int, tol: float = TOLERANCES.psd) -> np.ndarra
         normals = rng.standard_normal((count, law.mean.size))
         return law.mean + normals @ root.T
     if isinstance(law, LevyLaw):
+        for x, m in law.atoms:
+            if m > POISSON_MASS_MAX:
+                raise ValueError(f"atom at {x:.6g} has mass {m:.3g}, above {POISSON_MASS_MAX:.3g}, "
+                                 f"the largest Poisson mean the sampler takes")
         out = np.zeros(count)
         for x, m in law.atoms:
             if m > 0:

@@ -18,17 +18,23 @@ The integrator returns e^{tL} rho0 with no time-step error, in substeps of
 Krylov projection: Arnoldi on Hermitian matrices (real Gram-Schmidt
 coefficients, at most 30 basis vectors) and the exponential of the small
 augmented Hessenberg matrix, whose last entry is the error estimate
-(Saad 1992; Sidje 1998, Expokit's expv).  The trace drift is checked once
-per substep, and the basis costs 31 d^2 complex numbers.  The Lindbladian
-is applied as two stacked sparse products; see lindblad_evolve.
-scipy.sparse is imported only where operators are assembled, so code that
-never assembles one does not load it.
+(Saad 1992; Sidje 1998, Expokit's expv).  A substep pays only for what its
+estimate needs: the exponential is taken only once the estimate's leading
+term, computed in logs, is within 10^3 of the tolerance; the next substep's
+length follows from the last estimate, and a full basis that fails shrinks
+the substep by the same rule; Gram-Schmidt is repeated only when the first
+pass cancels most of the vector (Daniel, Gragg, Kaufman and Stewart 1976).
+The trace drift is checked once per substep, and the basis costs 31 d^2
+complex numbers.  The Lindbladian is applied as two stacked sparse
+products; see lindblad_evolve.  scipy.sparse is imported only where
+operators are assembled, so code that never assembles one does not load it.
 
 Weyl matrices need no matrix exponential.  The single-mode generator
 z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
 diagonal phase diag(e^{ik(arg z + pi/2)}); a + a^dag is the real symmetric
 tridiagonal Jacobi matrix of the Hermite polynomials, so one eigenbasis per
-representation (FockRep.quadrature_eigenbasis) gives every probe exactly.
+cutoff (_quadrature_eigenbasis, cached for the module) gives every probe
+exactly.
 
 Tensor ordering is mode-major: the first mode is the most significant index.
 """
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 import scipy.linalg
@@ -75,10 +81,12 @@ DIM_CAP = 1024
 LEAKAGE_BOUND = 1e-6
 
 #: Krylov basis cap (as in Expokit), bound on a substep's error estimate,
-#: and how many basis vectors lie between two tests of that estimate
+#: how many basis vectors lie between two tests of that estimate, and the
+#: log of the leading term of the estimate above which a test is skipped
 _KRYLOV_MAX = 30
 _KRYLOV_TOL = 1e-15
 _KRYLOV_CHECK = 4
+_LOG_TEST_GATE = math.log(1e3 * _KRYLOV_TOL)
 
 
 class DimensionCapError(ValueError):
@@ -97,8 +105,7 @@ class FockRep:
     one nonzero per row: row r of X_k holds weights[k, r] at columns[k, r].
     A row without an entry (a_j at the top level of mode j, a_j^dag at its
     vacuum) has weight 0 and column r.  Derived on first use: the tables of
-    the products X_k X_l, the top-level mask, and the eigenpairs of the
-    single-mode a + a^dag that weyl_matrix uses.  Tables not shaped (2n, dim),
+    the products X_k X_l and the top-level mask.  Tables not shaped (2n, dim),
     or with a column outside 0..dim-1 that a gather would wrap, are refused.
     """
 
@@ -128,14 +135,6 @@ class FockRep:
         """Mask of the basis states in which some mode is at its top level,
         the rows where some a_j has no entry."""
         return (self.weights[:self.n] == 0).any(axis=0)
-
-    @cached_property
-    def quadrature_eigenbasis(self):
-        """(mu, V) with a + a^dag = V diag(mu) V^T on one mode: the real
-        symmetric tridiagonal matrix with off-diagonals sqrt(1), ...,
-        sqrt(cutoff - 1), diagonalized on first use."""
-        lower = np.diag(np.sqrt(np.arange(1, self.cutoff)), 1)
-        return np.linalg.eigh(lower + lower.T)
 
 
 def build(n: int, cutoff: int) -> FockRep:
@@ -234,20 +233,32 @@ def coherent_density(rep: FockRep, alpha) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+@lru_cache(maxsize=8)
+def _quadrature_eigenbasis(cutoff: int):
+    """(mu, V) with a + a^dag = V diag(mu) V^T on one mode of cutoff levels:
+    the real symmetric tridiagonal matrix with off-diagonals sqrt(1), ...,
+    sqrt(cutoff - 1).  Diagonalized once per cutoff and shared by every
+    representation, so both arrays are read-only."""
+    lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
+    mu, V = np.linalg.eigh(lower + lower.T)
+    mu.flags.writeable = V.flags.writeable = False
+    return mu, V
+
+
 def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     """Displacement matrix expm(a^dag(z) - a(z)).
 
     The modes act on separate tensor factors, so this is the Kronecker
     product of the single-mode exponentials of z_j a^dag - conj(z_j) a.  With
     Phi = diag(e^{ik(arg z_j + pi/2)}), k = 0..cutoff-1, that generator is
-    -i|z_j| Phi (a + a^dag) conj(Phi), so from the representation's
+    -i|z_j| Phi (a + a^dag) conj(Phi), so from the cached single-mode
     eigenbasis a + a^dag = V diag(mu) V^T each factor is
     Phi V diag(e^{-i|z_j| mu}) V^T conj(Phi), exact up to rounding.  Unitary
     up to truncation effects near the top level; a warning is issued when
     the displaced vacuum leaks above the trust threshold.
     """
     z = complex_vector(z, rep.n)
-    mu, V = rep.quadrature_eigenbasis
+    mu, V = _quadrature_eigenbasis(rep.cutoff)
     levels = np.arange(rep.cutoff)
     factors = []
     for zj in z:
@@ -270,7 +281,15 @@ def _kron(A, B):
 def validate_density(rho, tol: float = TOLERANCES.psd) -> None:
     """Raise unless rho is Hermitian, unit trace within tol and PSD, judged by
     one psd_check at tol: for a density, a negative eigenvalue within at most
-    2 tol passes.  The trace is tested before the PSD verdict refuses."""
+    2 tol passes.  The trace is tested before the PSD verdict refuses.  A
+    state vector psi stands for the density psi psi^dag, Hermitian and PSD by
+    construction, so only its trace ||psi||^2 is tested, in O(d)."""
+    rho = np.asarray(rho)
+    if rho.ndim == 1:
+        trace = np.vdot(rho, rho).real
+        if abs(trace - 1.0) > tol:
+            raise ValueError(f"state vector squared norm {trace:.12g} != 1")
+        return
     psd = psd_check(rho, tol)
     if abs(np.trace(rho) - 1.0) > tol:
         raise ValueError(f"density matrix trace {np.trace(rho):.12g} != 1")
@@ -340,25 +359,35 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
 
     drho/dt = -i[H, rho] + sum_j ( L_j rho L_j^dag - (1/2){L_j^dag L_j, rho} )
 
-    The result is e^{tL} rho0 with no time-step error, taken in at most
-    steps substeps by Krylov projection.  From the current rho (symmetrized to
-    (rho0 + rho0^dag)/2 at the start), Arnoldi builds at most 30 basis
-    vectors V_k with beta = ||rho||_F.  L maps Hermitian matrices to
+    rho0 is a density matrix, checked by validate_density and symmetrized
+    to (rho0 + rho0^dag)/2, or a state vector psi for the pure state
+    psi psi^dag, of which only the trace ||psi||^2 is checked.  The result
+    is e^{tL} rho0 with no time-step error, taken in at most steps substeps
+    by Krylov projection.  From the current rho, Arnoldi builds at most 30
+    basis vectors V_k with beta = ||rho||_F.  L maps Hermitian matrices to
     Hermitian matrices and Tr(XY) is real for Hermitian X, Y, so the
     Gram-Schmidt coefficients are taken real and the Hessenberg matrix H_k
-    is real.  With the augmented (k+1) x (k+1) matrix Hbar = [[H_k, 0],
-    [h_{k+1,k} e_k^T, 0]], u = beta exp(tau Hbar) e_1 gives the substep
-    e^{tau L} rho ~ V_k u[:k], and |u[k]| is Saad's phi_1 estimate of its
-    error.  A substep tries tau = twice the last substep (t at the first),
-    capped at the time left, and tests the estimate against 1e-15 every 4
-    basis vectors; at 30 vectors it halves tau on the same basis until the
-    estimate passes.  Only a finite u is accepted.  The basis stops growing
-    also when L V_k lies in the span (L = 0, a dark state), where the
-    estimate is 0.  Then rho <- V_k u[:k] is symmetrized and its trace drift
-    checked.  Raises ValueError for a negative or non-finite t, before any
-    work, and RuntimeError when more than steps substeps are needed, when a
-    substep is too short to change the time left in floating point (the
-    time left above 2^53 times the substep), or when the trace drifts.
+    is real; a second classical Gram-Schmidt pass runs only when the first
+    leaves less than 1/sqrt(2) of the vector's norm.  With the augmented
+    (k+1) x (k+1) matrix Hbar = [[H_k, 0], [h_{k+1,k} e_k^T, 0]],
+    u = beta exp(tau Hbar) e_1 gives the substep e^{tau L} rho ~ V_k u[:k],
+    and |u[k]| is Saad's phi_1 estimate of its error, accepted at 1e-15
+    when u is finite.
+
+    The estimate is tested every 4 basis vectors, but its exponential is
+    taken only once its leading term beta prod_{i<=k} tau h_{i+1,i} / i,
+    summed in logs, is at most 1e3 times the tolerance.  At 30 vectors, or
+    when L V_k lies in the span (L = 0, a dark state, where the estimate is
+    0), it is tested at once, and while it fails tau shrinks on the same
+    basis by 0.9 (1e-15/err)^{1/(k+1)} clipped to [0.05, 0.5].  The first
+    substep tries tau = t and each later one the last tau times
+    min(2, 0.9 (1e-15/err)^{1/(k+1)}) for the estimate err it passed with,
+    capped at the time left.  Then rho <- V_k u[:k] is symmetrized and its
+    trace drift checked.  Raises ValueError for a negative or non-finite t,
+    before any work, and RuntimeError when more than steps substeps are
+    needed, when a substep is too short to change the time left in floating
+    point (the time left above 2^53 times the substep), or when the trace
+    drifts.
 
     L y for Hermitian y is two sparse products: with A = -iH - (1/2) sum_j
     L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
@@ -374,7 +403,10 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         raise ValueError("need at least one step")
     rho0 = np.asarray(rho0, dtype=complex)
     validate_density(rho0)
-    rho = 0.5 * (rho0 + rho0.conj().T)
+    if rho0.ndim == 1:
+        rho = np.outer(rho0, rho0.conj())
+    else:
+        rho = 0.5 * (rho0 + rho0.conj().T)
     d = rep.dim
     stacked, side_by_side = _lindblad_operators(rep, spec)
     m = len(spec.lindblad_terms)
@@ -388,11 +420,11 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         np.add(side_by_side @ jumps, G[:d], out=out)
         out += B[0]
 
-    def substep(Hbar):
-        """beta exp(Hbar) e_1 when it is finite and its estimate passes, else None."""
+    def estimate(tau, k):
+        """(beta exp(tau Hbar) e_1, its estimate |u[k]|), inf for a u not finite."""
         with np.errstate(all="ignore"):
-            u = beta * scipy.linalg.expm(Hbar)[:, 0]
-        return u if np.isfinite(u).all() and abs(u[-1]) <= _KRYLOV_TOL else None
+            u = beta * scipy.linalg.expm(tau * H[:k + 1, :k + 1])[:, 0]
+            return u, float(abs(u[-1])) if np.isfinite(u).all() else math.inf
 
     # complex basis vectors and their real views: <X, Y> = Re Tr(X^dag Y)
     V = np.empty((_KRYLOV_MAX + 1, d, d), dtype=complex)
@@ -406,29 +438,37 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         beta = np.linalg.norm(rho)
         V[0] = rho / beta
         H = np.zeros((_KRYLOV_MAX + 1, _KRYLOV_MAX + 1))
-        tau, u = min(left, 2 * tau), None
+        tau, err = min(left, tau), math.inf
+        # log of the leading term of u[k] but for its factor tau^k
+        log_lead = math.log(beta)
         for j in range(_KRYLOV_MAX):
             k = j + 1
             apply(V[j], V[k])
             w = Vr[k]
             scale = math.sqrt(w @ w)
-            for _ in range(2):      # classical Gram-Schmidt, reorthogonalized once
-                c = Vr[:k] @ w
+            c = Vr[:k] @ w          # classical Gram-Schmidt
+            w -= c @ Vr[:k]
+            H[:k, j] = c
+            H[k, j] = math.sqrt(w @ w)
+            if H[k, j] < scale / math.sqrt(2):
+                c = Vr[:k] @ w      # cancellation: reorthogonalize once
                 w -= c @ Vr[:k]
                 H[:k, j] += c
-            H[k, j] = math.sqrt(w @ w)
+                H[k, j] = math.sqrt(w @ w)
             if H[k, j] <= np.finfo(float).eps * scale:
                 H[k, j] = 0.0       # breakdown: L V_k lies in the span
                 break
             w /= H[k, j]
-            if k % _KRYLOV_CHECK == 0:
-                u = substep(tau * H[:k + 1, :k + 1])
-                if u is not None:
+            log_lead += math.log(H[k, j] / k)
+            if k % _KRYLOV_CHECK == 0 and log_lead + k * math.log(tau) <= _LOG_TEST_GATE:
+                u, err = estimate(tau, k)
+                if err <= _KRYLOV_TOL:
                     break
-        while u is None:
-            u = substep(tau * H[:k + 1, :k + 1])
-            if u is None:
-                tau /= 2
+        if err > _KRYLOV_TOL:       # a full basis, or a breakdown
+            u, err = estimate(tau, k)
+        while err > _KRYLOV_TOL:
+            tau *= min(max(_step_factor(err, k), 0.05), 0.5)
+            u, err = estimate(tau, k)
         if left - tau == left:
             raise RuntimeError(f"a substep of {tau:.3g} cannot advance the time left, "
                                f"{left:.6g}, in floating point")
@@ -439,7 +479,18 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
         if not np.isfinite(drift) or drift > 1e-6:
             raise RuntimeError(f"trace drift {drift:.3e} after {done} substeps")
+        tau *= min(2.0, _step_factor(err, k))
     return rho
+
+
+def _step_factor(err: float, k: int) -> float:
+    """0.9 (_KRYLOV_TOL / err)^{1/(k+1)}, the factor on a substep whose
+    estimate on k basis vectors read err that would bring it to the
+    tolerance with a margin: inf for err = 0, 0 for err = inf.  In Python
+    floats, so no numpy floating-point mode applies."""
+    if err == 0.0:
+        return math.inf
+    return 0.9 * math.exp((math.log(_KRYLOV_TOL) - math.log(err)) / (k + 1))
 
 
 def state_moments(rep: FockRep, rho):
@@ -504,23 +555,29 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
     """Run the closed-form and brute-force pipelines and report discrepancies.
 
     The initial state must be coherent (covariance I/2) and representable at
-    the requested cutoff with leakage within LEAKAGE_BOUND, otherwise the
-    comparison is refused.  Every check judges by the pair's tolerances.  The
-    master equation is integrated by lindblad_evolve in at most steps
-    substeps.  Weyl-transform errors are probed at num_weyl random arguments
-    with |z| <= 1 drawn from the given seed.
+    the requested cutoff: its truncated vector psi0 must leak within
+    LEAKAGE_BOUND and keep the mass ||psi0||^2 within TOLERANCES.psd of 1,
+    else a LeakageError names the cutoff.  The comparison itself judges by the
+    pair's tolerances.  The master equation is integrated from psi0 by
+    lindblad_evolve in at most steps substeps.  Weyl-transform errors are
+    probed at num_weyl random arguments with |z| <= 1 drawn from the given
+    seed.
     """
     alpha = _coherent_amplitude(state)
     rep = build(state.n, cutoff)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        rho0 = coherent_density(rep, alpha)
-    leak = leakage_check(rep, rho0)
+        psi0 = coherent_vector(rep, alpha)
+    leak = leakage_check(rep, psi0)
     if not leak.passed:
         raise LeakageError(f"initial state leaks {leak.value:.2e} > {leak.bound:g} at cutoff "
                            f"{cutoff}; increase the cutoff or shrink the state")
+    kept = np.vdot(psi0, psi0).real
+    if abs(kept - 1.0) > TOLERANCES.psd:
+        raise LeakageError(f"initial state keeps mass {kept:.12g} of 1 at cutoff {cutoff}, "
+                           f"outside {TOLERANCES.psd:g}; increase the cutoff or shrink the state")
     spec = decompose(pair.K, pair.C, pair.tolerances)
-    rho_t = lindblad_evolve(rep, rho0, spec, t, steps)
+    rho_t = lindblad_evolve(rep, psi0, spec, t, steps)
     leak_t = max(leak.value, top_level_population(rep, rho_t))
 
     l_num, m_num, S_num = state_moments(rep, rho_t)

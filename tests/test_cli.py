@@ -282,6 +282,29 @@ def test_verify_oracle_with_overflowing_step_count_exits_1_naming_times_and_step
     assert "Traceback" not in err
 
 
+def test_verify_oracle_refuses_an_underflowing_coherent_vector_naming_the_cutoff(tmp_path,
+                                                                                capsys):
+    # at |alpha| ~ 42 the truncated coherent vector is zero and leaks nothing
+    scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
+                "state": {"n": 1, "l": [0.0], "m": [60.0], "S": 0.5 * np.eye(2)},
+                "times": [0.5], "cutoff": 8}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "keeps mass 0 of 1 at cutoff 8" in err
+    assert "density matrix trace" not in err
+
+
+def test_sample_field_refuses_a_levy_atom_too_heavy_for_poisson_by_name(tmp_path, capsys):
+    scenario = {"command": "sample-field",
+                "law": {"kind": "levy", "H": [[[2.0, 0.0]]], "u": [[1e10, 0.0]]},
+                "count": 10, "seed": 1}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: atom at 2 has mass 1e+20")
+
+
 def test_verify_oracle_dimension_cap(tmp_path):
     for n, cutoff in [(1, 5000), (2, 33)]:
         out = tmp_path / f"n{n}"

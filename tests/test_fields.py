@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quasifree.fields import (
+    POISSON_MASS_MAX,
     SAMPLE_CAP,
     FieldLaw,
     SampleCapError,
@@ -263,6 +264,13 @@ def test_levy_sampling_moments():
     draws = sample(law, 100_000, seed=13)
     assert abs(draws.mean() - 1.0) <= 3.0 / np.sqrt(draws.size)
     assert abs(draws.var() - 1.0) <= 5.0 / np.sqrt(draws.size)
+
+
+def test_levy_sampling_takes_masses_up_to_the_poisson_limit_and_refuses_heavier_by_name():
+    assert sample(LevyLaw(atoms=((1.0, POISSON_MASS_MAX),)), 2, seed=0).min() > 0
+    heavy = LevyLaw(atoms=((0.5, 1.0), (-2.0, np.nextafter(POISSON_MASS_MAX, np.inf))))
+    with pytest.raises(ValueError, match=r"atom at -2 has mass 9\.22e\+18"):
+        sample(heavy, 2, seed=0)
 
 
 def test_levy_empirical_characteristic_function():

@@ -233,6 +233,18 @@ def test_weyl_matrix_is_unitary_on_the_truncated_space():
         assert np.abs(W.conj().T @ W - np.eye(30)).max() <= 1e-13
 
 
+def test_quadrature_eigenbasis_is_computed_once_per_cutoff_on_the_first_probe():
+    fock._quadrature_eigenbasis.cache_clear()
+    reps = [fock.build(1, 9), fock.build(2, 9)]
+    assert fock._quadrature_eigenbasis.cache_info().currsize == 0
+    for rep in reps:
+        fock.weyl_matrix(rep, [0.3j] * rep.n)
+    info = fock._quadrature_eigenbasis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    mu, V = fock._quadrature_eigenbasis(9)
+    assert not mu.flags.writeable and not V.flags.writeable
+
+
 def test_weyl_matrix_warns_on_leakage():
     rep = fock.build(1, 4)
     with pytest.warns(UserWarning):
@@ -326,10 +338,81 @@ def test_lindblad_refuses_more_substeps_than_steps():
 
 def test_lindblad_refuses_a_substep_below_the_resolution_of_t():
     # e^{tL} rho0 is the vacuum, but the first substeps are lost in the
-    # rounding of t = 1e50
+    # rounding of t = 1e50; the step control neither warns nor overflows
     rep, spec, rho0 = stiff_loss()
-    with pytest.raises(RuntimeError, match="cannot advance"):
-        fock.lindblad_evolve(rep, rho0, spec, 1e50, 10**60)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="cannot advance"):
+            fock.lindblad_evolve(rep, rho0, spec, 1e50, 10**60)
+
+
+def count_expm(monkeypatch):
+    """A list that grows by one entry per scipy expm the oracle takes."""
+    calls, expm = [], fock.scipy.linalg.expm
+
+    def counted(A):
+        calls.append(A.shape)
+        return expm(A)
+    monkeypatch.setattr(fock.scipy.linalg, "expm", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_a_benchmark_shaped_job_tests_its_estimate_at_most_twice(monkeypatch, seed):
+    # one mode at cutoff 30 from |alpha| = 1 over t = 0.5, the pair drawn at
+    # scale 0.5: a single substep of 16-28 basis vectors, whose estimate is
+    # tested only once its leading term is within 1e3 of the tolerance
+    gen = rng(seed)
+    pair = random_admissible_pair(gen, 1, couplings=1, coupling_scale=0.5, symp_scale=0.5)
+    rep = fock.build(1, 30)
+    psi0 = fock.coherent_vector(rep, np.exp(2j * np.pi * gen.uniform(size=1)))
+    calls = count_expm(monkeypatch)
+    got = fock.lindblad_evolve(rep, psi0, decompose(pair.K, pair.C), 0.5, 400)
+    assert 1 <= len(calls) <= 2
+    ref = dense_evolution(rep, np.outer(psi0, psi0.conj()), decompose(pair.K, pair.C), 0.5)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def closed_pair_spec():
+    """The one-mode closed generator J diag(1, 0.5), with no coupling."""
+    return decompose(symplectic_form(1) @ np.diag([1.0, 0.5]), np.zeros((2, 2)))
+
+
+def test_closed_dynamics_takes_substeps_from_its_error_estimate(monkeypatch):
+    # doubling the last substep and halving on failure took 1,155
+    # exponentials; the result is compared in test_long_horizons_*
+    rep = fock.build(1, 10)
+    calls = count_expm(monkeypatch)
+    fock.lindblad_evolve(rep, fock.coherent_density(rep, [0.5]), closed_pair_spec(), 100.0, 10**4)
+    assert len(calls) <= 400
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0])
+@pytest.mark.parametrize("kind", ["closed", "pure_loss"])
+def test_long_horizons_match_the_dense_exponential(kind, t):
+    rep = fock.build(1, 10)
+    if kind == "closed":
+        spec, rho0 = closed_pair_spec(), fock.coherent_density(rep, [0.5])
+    else:
+        spec = decompose(*pair_from_coupling([1.0], [0.0]))
+        rho0 = fock.coherent_density(rep, [1 / np.sqrt(2)])
+    got = fock.lindblad_evolve(rep, rho0, spec, t, 10**4)
+    ref = dense_evolution(rep, rho0, spec, t)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_a_state_vector_evolves_as_its_density():
+    gen = rng(44)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    spec = decompose(pair.K, pair.C)
+    rep = fock.build(2, 5)
+    psi = gen.normal(size=rep.dim) + 1j * gen.normal(size=rep.dim)
+    psi /= np.linalg.norm(psi)
+    got = fock.lindblad_evolve(rep, psi, spec, 0.5, 20)
+    ref = fock.lindblad_evolve(rep, np.outer(psi, psi.conj()), spec, 0.5, 20)
+    assert np.abs(got - ref).max() <= 1e-15
+    with pytest.raises(ValueError, match="squared norm"):
+        fock.lindblad_evolve(rep, 1.001 * psi, spec, 0.5, 20)
 
 
 def random_density(gen, dim):
@@ -640,6 +723,24 @@ def test_oracle_refuses_leaky_state():
     with pytest.raises(fock.LeakageError):
         fock.oracle_compare(coherent([3.5]), attenuation_pair(), 0.5,
                             cutoff=12, steps=100)
+
+
+# alpha = 1 at cutoff 11 leaks 1.0e-7 into the top level but loses 1.0e-8
+# past it; at |alpha| ~ 42 the truncated vector underflows to zero
+@pytest.mark.parametrize("alpha, cutoff, kept", [(1.0, 11, "0.99999998"),
+                                                  (60 / np.sqrt(2), 8, "0 ")])
+def test_oracle_refuses_an_initial_state_that_loses_mass_past_the_cutoff(alpha, cutoff, kept):
+    with pytest.raises(fock.LeakageError, match=f"keeps mass {kept}.* at cutoff {cutoff}") as err:
+        fock.oracle_compare(coherent([alpha]), attenuation_pair(), 0.5, cutoff=cutoff, steps=100)
+    assert "density matrix trace" not in str(err.value)
+
+
+def test_oracle_checks_its_initial_state_through_its_vector(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a d x d eigenvalue check of the oracle's own initial state")
+    monkeypatch.setattr(fock, "psd_check", refused)
+    report = fock.oracle_compare(coherent([1.0]), attenuation_pair(), 0.5, cutoff=25, steps=100)
+    assert report.check.passed
 
 
 def test_oracle_refuses_non_coherent_state():
