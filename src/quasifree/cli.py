@@ -35,7 +35,8 @@ exception decides): 0 success; 1 input or validation failure (SchemaError,
 ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
 propagation that overflows (PropagatorOverflowError), any other floating-point
-error inside a command (FloatingPointError), a non-finite report);
+error inside a command (FloatingPointError, re-raised naming the command and
+an input too large for double precision), a non-finite report);
 3 the scenario is unreadable, not JSON or not an object; 4 a size cap
 (DimensionCapError, SampleCapError, ColourCapError).  An exception prints
 one "error:" line and no report.
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -204,15 +206,24 @@ def _kernel(law):
         raise SchemaError(f"bad kernel payload: {exc}") from exc
 
 
+@functools.cache
+def _field_names(cls):
+    """The field names of a dataclass type in declaration order, read once
+    per type; None for any other type, a dataclass's own class among them."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
+
+
 def _json_default(obj):
-    """Encode what the C JSON encoder cannot: arrays, dataclasses, complex, numpy scalars."""
+    """Encode what the C JSON encoder cannot: dataclasses (a report's many
+    Checks come first), arrays, complex, numpy scalars."""
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, np.ndarray) and not np.iscomplexobj(obj):
         return obj.tolist()
     if isinstance(obj, (np.ndarray, complex, np.complexfloating)):
         z = np.asarray(obj)     # [re, im] pairs, nested like the array
         return np.stack([z.real, z.imag], -1).tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.floating):
         return float(obj)
     if isinstance(obj, np.integer):
@@ -466,8 +477,13 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
                           "cutoff", int),
         "tolerances": Tolerances(**overrides),
     }
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
-        results, passed, artifacts = HANDLERS[command](scenario, ctx)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results, passed, artifacts = HANDLERS[command](scenario, ctx)
+    except FloatingPointError as exc:
+        # numpy's text names an operation, not the command or the cause
+        raise FloatingPointError(f"{command}: {exc}; input too large for double "
+                                 f"precision") from exc
     report = {
         "library": {"name": "quasifree", "version": __version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),

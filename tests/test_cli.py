@@ -144,6 +144,18 @@ def test_evolve_overflowing_state_exits_2_without_report(tmp_path, capsys):
     assert "t = 690" in err and "spectral abscissa 0.5" in err
 
 
+def test_an_overflow_inside_a_command_names_the_command_and_exits_2(tmp_path, capsys):
+    # S + S^T overflows in the symmetry check of gaussian.validate
+    scenario = {"command": "validate-state",
+                "state": {"n": 1, "l": [0.0], "m": [0.0], "S": [[1.7e308, 0.0], [0.0, 1.0]]}}
+    code, report = run(tmp_path, scenario)
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert err.startswith("error: validate-state: overflow encountered in add; "
+                          "input too large for double precision")
+
+
 def test_weyl_command(tmp_path):
     scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.0, 0.0]], [[0.3, 0.4]]]}
@@ -676,8 +688,9 @@ def test_json_default_encodes_numpy_complex_and_dataclasses():
                                  "x": 0.25, "k": 7, "b": True,
                                  "d": {"label": "a", "inner": {"values": [[1.0, 2.0],
                                                                           [3.0, 4.0]]}}}
-    with pytest.raises(TypeError):
-        cli._json_default(object())
+    for unencodable in (object(), _Outer):   # a dataclass's own class is no dataclass value
+        with pytest.raises(TypeError):
+            cli._json_default(unencodable)
 
 
 def test_complex_pairs_round_trip():

@@ -10,8 +10,8 @@ from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
-from util import (dense_evolution, dense_generator, kron_ladder, random_admissible_pair, rng,
-                  smeared_ladder)
+from util import (coo_lindblad_operators, dense_evolution, dense_generator, kron_ladder,
+                  random_admissible_pair, rng, smeared_ladder)
 
 
 def attenuation_pair():
@@ -111,6 +111,22 @@ def test_dimension_cap_bounds_the_krylov_basis():
 def test_build_rejects_tiny_cutoff():
     with pytest.raises(ValueError):
         fock.build(1, 1)
+
+
+def test_a_truncation_is_built_once_and_its_tables_are_read_only():
+    rep = fock.build(2, 4)
+    assert fock.build(2, 4) is rep
+    for table in (rep.columns, rep.weights, *rep.products, rep.top_level):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+
+
+def test_a_representation_keeps_its_own_copy_of_the_tables():
+    rep = fock.build(1, 5)
+    columns, weights = rep.columns.copy(), rep.weights.copy()
+    own = fock.FockRep(n=1, cutoff=5, dim=5, columns=columns, weights=weights)
+    columns[0, 0], weights[0, 0] = 4, 7.0
+    assert np.array_equal(own.columns, rep.columns) and np.array_equal(own.weights, rep.weights)
 
 
 # --- vectors ----------------------------------------------------------------
@@ -249,6 +265,25 @@ def test_weyl_matrix_warns_on_leakage():
     rep = fock.build(1, 4)
     with pytest.warns(UserWarning):
         fock.weyl_matrix(rep, [2.0])
+    with pytest.warns(UserWarning, match="|z| = 2 leaks"):
+        fock.weyl_matrix(rep, [[0.0], [2.0], [0.1]])
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
+def test_batched_weyl_matrices_equal_the_single_probes(n, cutoff):
+    rep = fock.build(n, cutoff)
+    gen = rng(27 + n)
+    zs = 0.5 * (gen.normal(size=(4, n)) + 1j * gen.normal(size=(4, n)))
+    zs[0] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        W = fock.weyl_matrix(rep, zs)
+        assert W.shape == (4, rep.dim, rep.dim)
+        for Wz, z in zip(W, zs):
+            assert np.abs(Wz - fock.weyl_matrix(rep, z)).max() <= 1e-15
+    assert fock.weyl_matrix(rep, zs[:0]).shape == (0, rep.dim, rep.dim)
+    with pytest.raises(ValueError, match=f"probes of length {n}"):
+        fock.weyl_matrix(rep, np.zeros((2, n + 1)))
 
 
 # --- master equation --------------------------------------------------------
@@ -361,7 +396,7 @@ def count_expm(monkeypatch):
 def test_a_benchmark_shaped_job_tests_its_estimate_at_most_twice(monkeypatch, seed):
     # one mode at cutoff 30 from |alpha| = 1 over t = 0.5, the pair drawn at
     # scale 0.5: a single substep of 16-28 basis vectors, whose estimate is
-    # tested only once its leading term is within 1e3 of the tolerance
+    # tested only once its leading term is within 10 times the tolerance
     gen = rng(seed)
     pair = random_admissible_pair(gen, 1, couplings=1, coupling_scale=0.5, symp_scale=0.5)
     rep = fock.build(1, 30)
@@ -451,6 +486,23 @@ def test_assembled_operators_equal_the_dense_formula(n, cutoff, kind):
                      (side_by_side, np.hstack([np.zeros((rep.dim, 0)), *Ls]))]:
         assert got.shape == ref.shape and got.has_canonical_format and np.all(got.data != 0)
         assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-14 * np.abs(ref).max(initial=0.0)
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
+def test_cached_patterns_refill_like_a_fresh_coo_assembly(n, cutoff):
+    # one representation serves specs of 0, 1 and 2 couplings and a pure
+    # loss whose a^dag slots are all zero, in turn and back again; each
+    # fill drops its own zeros and leaves the cached patterns as they were
+    gen = rng(40 + 3 * n)
+    specs = [spec_of_kind(gen, n, kind) for kind in ("closed", "dissipative", "coupled")]
+    specs.append(decompose(*pair_from_coupling(np.eye(n)[0], np.zeros(n))))
+    rep = fock.build(n, cutoff)
+    for spec in specs + specs[::-1]:
+        for got, ref in zip(fock._lindblad_operators(rep, spec), coo_lindblad_operators(rep, spec)):
+            assert got.shape == ref.shape and np.all(got.data != 0)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.all(np.abs(got.data - ref.data) <= 3.5e-16 * np.abs(ref.data))
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
@@ -706,6 +758,28 @@ def test_oracle_weyl_error_matches_full_expm_probes(n, cutoff, steps, amplitude,
                                  num_weyl=5, seed=77)
     ref = reference_weyl_error(state, pair, 0.5, cutoff, steps, num_weyl=5, seed=77)
     assert abs(report.weyl_error - ref) <= 1e-14
+
+
+def test_oracle_probes_are_the_draws_of_one_probe_at_a_time(monkeypatch):
+    # the batched draw gives the probes of a loop that draws the real and
+    # imaginary parts of one probe and scales it by its norm when above 1
+    probes, weyl_matrix = [], fock.weyl_matrix
+
+    def recorded(rep, z):
+        probes.append(np.array(z))
+        return weyl_matrix(rep, z)
+    monkeypatch.setattr(fock, "weyl_matrix", recorded)
+    fock.oracle_compare(coherent([0.3]), attenuation_pair(), 0.25, cutoff=12, num_weyl=8,
+                        seed=77)
+    gen = np.random.Generator(np.random.Philox(77))
+    ref, norms = [], []
+    for _ in range(8):
+        z = gen.normal(size=1) + 1j * gen.normal(size=1)
+        norms.append(np.linalg.norm(z))
+        ref.append(z / norms[-1] if norms[-1] > 1.0 else z)
+    assert min(norms) < 1.0 < max(norms)
+    assert len(probes) == 1
+    assert np.array_equal(probes[0].view(np.uint64), np.array(ref).view(np.uint64))
 
 
 def test_oracle_truncation_monotonicity():

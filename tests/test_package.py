@@ -148,7 +148,8 @@ VALUE_OBJECTS = {
     "DilationSpec": lambda: synthesis.decompose(-0.5 * np.eye(2), np.eye(2)),
     "KernelModel": lambda: fields.KernelModel(points=(0, 1), K=np.eye(2)),
     "FieldLaw": lambda: fields.FieldLaw(mean=[0.0, 1.0], covariance=np.eye(2)),
-    "FockRep": lambda: fock.build(1, 3),
+    "FockRep": lambda: fock.FockRep(n=1, cutoff=3, dim=3, columns=fock.build(1, 3).columns,
+                                    weights=fock.build(1, 3).weights),
 }
 
 

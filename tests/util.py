@@ -105,3 +105,34 @@ def dense_evolution(rep, rho, spec, t):
         LdL = L.conj().T @ L
         S += np.kron(L, L.conj()) - 0.5 * (np.kron(LdL, eye) + np.kron(eye, LdL.T))
     return expm_multiply(t * S, np.ravel(rho)).reshape(rep.dim, rep.dim)
+
+
+def coo_lindblad_operators(rep, spec):
+    """fock._lindblad_operators assembled afresh by scipy: the COO triplets
+    of A = sum_kl alpha_kl X_k X_l and of each L_j = sum_k beta_jk X_k in its
+    row block of vstack(A, L_1..L_m) and column block of hstack(L_1..L_m),
+    converted to CSR, duplicates summed and zeros dropped."""
+    import scipy.sparse as sparse
+
+    from quasifree import fock
+
+    d, n = rep.dim, rep.n
+    beta = fock._coupling_coefficients(rep, spec)
+    m = len(beta)
+    alpha = (-1j * fock._hamiltonian_coefficients(rep, spec.hamiltonian_terms)
+             - 0.5 * np.roll(beta.conj(), n, axis=1).T @ beta)
+    columns, weights = rep.products
+    rows = np.arange(d)
+    Lw = beta[:, :, None] * rep.weights
+    block = d * np.arange(m)[:, None, None]
+
+    def csr(groups, shape):
+        groups = [np.broadcast_arrays(*group) for group in groups]
+        values, r, c = (np.concatenate([g[i].ravel() for g in groups]) for i in range(3))
+        out = sparse.coo_array((values, (r, c)), shape=shape).tocsr()   # duplicates summed
+        out.eliminate_zeros()
+        return out
+
+    return (csr([(alpha[..., None] * weights, rows, columns),
+                 (Lw, d + block + rows, rep.columns)], ((m + 1) * d, d)),
+            csr([(Lw, rows, block + rep.columns)], (d, m * d)))
