@@ -21,14 +21,14 @@ not finite exits 2 with no report written.  The scenario's "tolerances"
 (keys those of DEFAULT_TOLERANCES, the dict form of the library's defaults)
 and the --tol override make one symplectic.Tolerances per run, each value a
 finite number > 0.  The pair keeps it and every check judges by it; a
-command passes when every symplectic.Check the library returns passes, and
-its report carries them.  The scalar fields (times, d, i, j, n, steps,
-count, seed, cutoff, intensities) must hold numbers, and the integer ones
-integers; the real array fields (l, m, S, K, C, a Gaussian law's mean and
-covariance) and the [re, im] components of the complex fields must be nested
-lists of numbers, rows of one length.  A null, a bool, a string or a
-fraction such as "count": 2.9 or "n": 1.9 is an input failure naming the
-field.
+command passes when symplectic.decisive of the Checks the library returns
+passes, and the report names that Check "decided_by" (null when nothing
+was judged, as for weyl with no z).  The scalar fields (times, d, i, j, n,
+steps, count, seed, cutoff, intensities) must hold numbers, and the integer
+ones integers; the real array fields (l, m, S, K, C, a Gaussian law's mean
+and covariance) and the [re, im] components of the complex fields must be
+nested lists of numbers, rows of one length.  A null, a bool, a string or a
+fraction such as "count": 2.9 or "n": 1.9 is an input failure naming the field.
 
 Exit codes, one table (EXIT_CODES; the most derived class listed for an
 exception decides): 0 success; 1 input or validation failure (SchemaError,
@@ -60,7 +60,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
-from .symplectic import TOLERANCES, PropagatorOverflowError, Tolerances
+from .symplectic import TOLERANCES, PropagatorOverflowError, Tolerances, decisive
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
@@ -287,13 +287,13 @@ def _check_artifact_names(scenario):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (results, passed, artifacts), the results
-# anything _json_default encodes and passed the conjunction of library Checks
+# command handlers: each returns (results, checks, artifacts), the results
+# anything _json_default encodes and checks the library Checks that judge them
 
 
 def _cmd_validate_state(scenario, ctx):
     diag = gaussian.validate(_payload(scenario, "state"), tol=ctx["tolerances"].psd)
-    return diag, diag.is_valid, {}
+    return diag, [diag.symmetry, diag.psd], {}
 
 
 def _cmd_evolve(scenario, ctx):
@@ -317,8 +317,8 @@ def _cmd_evolve(scenario, ctx):
                    "%r", "\r\n")
         results["csv_columns"] = columns
         artifacts["csv"] = csv_name
-    return results, all(step["psd"].passed and step["symmetry"].passed
-                        for step in trajectory), artifacts
+    checks = [c for step in trajectory for c in (step["symmetry"], step["psd"])]
+    return results, checks, artifacts
 
 
 def _cmd_weyl(scenario, ctx):
@@ -328,14 +328,14 @@ def _cmd_weyl(scenario, ctx):
     for z in zs:
         val = gaussian.weyl_transform(state, z, tol=ctx["tolerances"].psd)
         values.append({"z": z, "value": val, "modulus": gaussian.weyl_modulus(val)})
-    return {"values": values}, all(v["modulus"].passed for v in values), {}
+    return {"values": values}, [v["modulus"] for v in values], {}
 
 
 def _cmd_decompose(scenario, ctx):
     """decompose and dilate: the DilationSpec, judged at the pair's (the scenario's) tolerances."""
     pair = _payload(scenario, "pair", ctx["tolerances"])
     spec = synthesis.decompose(pair.K, pair.C, pair.tolerances)
-    return spec, spec.reconstructs(pair.tolerances).passed, {}
+    return spec, [spec.reconstructs(pair.tolerances)], {}
 
 
 def _cmd_verify_oracle(scenario, ctx):
@@ -352,7 +352,7 @@ def _cmd_verify_oracle(scenario, ctx):
                                    steps=max(1, int(np.ceil(cap))), seed=ctx["seed"])
                for t, cap in zip(times, caps)]
     return ({"comparisons": reports, "tolerance": pair.tolerances.oracle},
-            all(rep.check.passed for rep in reports), {})
+            [rep.check for rep in reports], {})
 
 
 def _cmd_ito_table(scenario, ctx):
@@ -360,7 +360,7 @@ def _cmd_ito_table(scenario, ctx):
     tol = ctx["tolerances"].unitarity
     if kind in ("quadrature", "brownian"):
         d = _number(scenario.get("d", 1), "d", int)
-        check = ito.quadrature_table(d, tol=tol)
+        table = ito.quadrature_table(d, tol=tol)
     elif kind == "poisson":
         i = _number(scenario.get("i", 1), "i", int)
         j = _number(scenario.get("j", i), "j", int)
@@ -368,10 +368,10 @@ def _cmd_ito_table(scenario, ctx):
         if not isinstance(lam, list) or not lam:
             raise SchemaError("intensities must be a non-empty list of numbers")
         lam = [_number(x, "intensities") for x in lam]
-        check = ito.poisson_table(i, j, lam[0], lam[-1], tol=tol)
+        table = ito.poisson_table(i, j, lam[0], lam[-1], tol=tol)
     else:
         raise SchemaError(f"unknown table kind {kind!r}")
-    return {"kind": kind, "ok": check.ok, "text": check.text}, check.ok, {}
+    return {"kind": kind, "check": table.check, "text": table.text}, [table.check], {}
 
 
 def _cmd_unitarity(scenario, ctx):
@@ -386,7 +386,7 @@ def _cmd_unitarity(scenario, ctx):
         X = _complex(scenario["X"], "X", 2)
         theta = ito.flow_generator(dU, X)
         results["flow"] = {f"theta[{a}][{b}]": mat for (a, b), mat in sorted(theta.items())}
-    return results, check.passed, {}
+    return results, [check], {}
 
 
 def _field_law(scenario):
@@ -439,7 +439,7 @@ def _cmd_sample_field(scenario, ctx):
                         "empirical_variance": float(draws.var(ddof=1))})
     results["mean_band"] = band = fields.mean_band(law, draws)
     results["csv_columns"] = columns
-    return results, band.passed, artifacts
+    return results, [band], artifacts
 
 
 HANDLERS = {
@@ -479,11 +479,12 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
     }
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            results, passed, artifacts = HANDLERS[command](scenario, ctx)
+            results, checks, artifacts = HANDLERS[command](scenario, ctx)
     except FloatingPointError as exc:
         # numpy's text names an operation, not the command or the cause
         raise FloatingPointError(f"{command}: {exc}; input too large for double "
                                  f"precision") from exc
+    decided = decisive(checks)
     report = {
         "library": {"name": "quasifree", "version": __version__},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -494,9 +495,10 @@ def run_scenario(scenario: dict, out_dir: str, seed=None, cutoff=None, tol=None)
         "tolerances": ctx["tolerances"],
         "results": results,
         "artifacts": artifacts,
-        "passed": bool(passed),
+        "passed": decided is None or decided.passed,
+        "decided_by": decided,
     }
-    return report, 0 if passed else 2
+    return report, 0 if report["passed"] else 2
 
 
 def _env(name, cast, default=None):

@@ -42,6 +42,9 @@ __all__ = [
 #: most values (count x dimension) that one call of sample() may draw
 SAMPLE_CAP = 10**7
 
+#: levy_law merges eigenvalues of H within MERGE_TOL (1 + max|H|) into one atom
+MERGE_TOL = 1e-9
+
 #: largest Poisson mean numpy's sampler takes, int64 max - 10 sqrt(int64 max)
 POISSON_MASS_MAX = float(np.iinfo(np.int64).max) - 10.0 * float(np.iinfo(np.int64).max) ** 0.5
 
@@ -198,13 +201,13 @@ class LevyLaw:
         return sum(x * x * m for x, m in self.atoms)
 
 
-def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
+def levy_law(H, u) -> LevyLaw:
     """Jump law of the conservation observable built from a Hermitian matrix H
     in the coherent state of amplitude u.
 
     The atoms sit at the eigenvalues of H with masses |<xi_k|u>|^2; close
-    eigenvalues are merged and zero-mass atoms dropped.  u = 0 gives the point
-    mass at zero (constant characteristic function).
+    eigenvalues are merged (MERGE_TOL) and zero-mass atoms dropped.  u = 0
+    gives the point mass at zero (constant characteristic function).
     """
     H = np.asarray(H, dtype=complex)
     if not hermitian_check(H, SYMMETRY_TOL).passed:
@@ -221,7 +224,7 @@ def levy_law(H, u, merge_tol: float = 1e-9) -> LevyLaw:
         if m <= 1e-15:
             continue
         for idx, (x0, m0) in enumerate(atoms):
-            if abs(x - x0) <= merge_tol * scale:
+            if abs(x - x0) <= MERGE_TOL * scale:
                 atoms[idx] = (x0, m0 + m)
                 break
         else:

@@ -5,7 +5,8 @@ explicit operators on the truncated space C^{cutoff} per mode: ladder
 operators, Weyl displacement matrices, coherent vectors, and a Krylov
 integrator for Lindblad master equations.  The representation is exact
 below the top occupation level of each mode; the population of the top
-level ("leakage") is the trust metric for every oracle result.
+level ("leakage") is the trust metric for every oracle result, judged as a
+Check by leakage_check.  Nothing here warns: a leak is refused or reported.
 
 Every operator the oracle needs is a polynomial of degree at most 2 in the
 ladder operators, and each a_j and a_j^dag has at most one nonzero per row.
@@ -46,7 +47,6 @@ Tensor ordering is mode-major: the first mode is the most significant index.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
@@ -81,7 +81,7 @@ __all__ = [
 #: Krylov basis of lindblad_evolve, 31 d^2 complex numbers, to 0.52 GB
 DIM_CAP = 1024
 
-#: top-level population above which a state warns and an oracle comparison is refused
+#: top-level population above which an oracle comparison is refused
 LEAKAGE_BOUND = 1e-6
 
 #: Krylov basis cap (as in Expokit), bound on a substep's error estimate,
@@ -298,12 +298,8 @@ def exponential_vector(rep: FockRep, u) -> np.ndarray:
 
 def coherent_vector(rep: FockRep, alpha) -> np.ndarray:
     """Coherent vector cut at the cutoff and not renormalized: its squared norm is
-    1 less the coherent state's weight past the cutoff.  Warns when leakage is large."""
-    vec = exponential_vector(rep, alpha) * np.exp(-0.5 * np.sum(np.abs(alpha) ** 2))
-    leak = leakage_check(rep, vec)
-    if not leak.passed:
-        warnings.warn(f"coherent vector leaks {leak.value:.2e} into the top level", stacklevel=2)
-    return vec
+    1 less the coherent state's weight past the cutoff; leakage_check judges it."""
+    return exponential_vector(rep, alpha) * np.exp(-0.5 * np.sum(np.abs(alpha) ** 2))
 
 
 def coherent_density(rep: FockRep, alpha) -> np.ndarray:
@@ -334,9 +330,9 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     -i|z_j| Phi (a + a^dag) conj(Phi), so from the cached single-mode
     eigenbasis a + a^dag = V diag(mu) V^T each factor is
     Phi V diag(e^{-i|z_j| mu}) V^T conj(Phi), exact up to rounding; the
-    factors of all probes are one batched product per mode.  Unitary up to
-    truncation effects near the top level; one warning is issued when the
-    displaced vacuum of some probe leaks above the trust threshold.
+    factors of all probes are one batched product per mode.  Unitary on the
+    truncated space; leakage_check of a column W[:, 0], the displaced vacuum,
+    tells how far the truncation reaches.
     """
     z = np.asarray(z, dtype=complex)
     probes = z if z.ndim == 2 else complex_vector(z, rep.n)[None]
@@ -350,13 +346,6 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
         PVD = PV * np.exp(-1j * np.abs(zj)[:, None, None] * mu)
         factors.append(PVD @ PV.conj().swapaxes(1, 2))
     W = reduce(_kron, factors)
-    # the top-level population of each displaced vacuum W e_0
-    leaks = np.sum(np.abs(W[:, rep.top_level, 0]) ** 2, axis=1)
-    leak = Check("leakage", float(leaks.max(initial=0.0)), LEAKAGE_BOUND)
-    if not leak.passed:
-        worst = probes[np.argmax(leaks)]
-        warnings.warn(f"Weyl matrix for |z| = {np.linalg.norm(worst):.3g} leaks "
-                      f"{leak.value:.2e} into the top level", stacklevel=2)
     return W if z.ndim == 2 else W[0]
 
 
@@ -651,9 +640,7 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
     """
     alpha = _coherent_amplitude(state)
     rep = build(state.n, cutoff)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        psi0 = coherent_vector(rep, alpha)
+    psi0 = coherent_vector(rep, alpha)
     leak = leakage_check(rep, psi0)
     if not leak.passed:
         raise LeakageError(f"initial state leaks {leak.value:.2e} > {leak.bound:g} at cutoff "
@@ -677,10 +664,7 @@ def oracle_compare(state: GaussianState, pair: QuasifreePair, t: float,
     draws = np.random.Generator(np.random.Philox(seed)).normal(size=(num_weyl, 2, state.n))
     zs = draws[:, 0] + 1j * draws[:, 1]
     zs /= np.maximum([np.linalg.norm(z) for z in zs], 1.0)[:, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        W = weyl_matrix(rep, zs)
-    numeric = np.einsum("ba,pab->p", rho_t, W)
+    numeric = np.einsum("ba,pab->p", rho_t, weyl_matrix(rep, zs))
     closed = np.array([weyl_transform(ref, z, pair.tolerances.psd) for z in zs])
     weyl_err = np.abs(numeric - closed).max(initial=0.0)
 

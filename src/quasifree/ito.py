@@ -19,8 +19,10 @@ excluded from the summation.  Coefficients may be scalars or square complex
 matrices (system operators), a scalar c beside a matrix meaning c I; no CAS is
 involved, only linearity and contraction.
 
-The rule is written once, in ito_product, and the rest is built on it.  The
-unitary noise equation of Hudson and Parthasarathy is itself a differential,
+The rule is written once, in ito_product, and the rest is built on it.  A
+multiplication table (quadrature_table, poisson_table) is judged by one
+Check, its largest coefficient gap to the expected products.  The unitary
+noise equation of Hudson and Parthasarathy is itself a differential,
 dU = sum G[a][b] dL[a, b] (times U), returned by hp_coefficients; its
 unitarity is read off dU + dU^dag + dU^dag dU and dU + dU^dag + dU dU^dag,
 and the structure maps of its Heisenberg flow off d(U^dag X U), expanded by
@@ -238,16 +240,16 @@ def product_differential(X0, dX: ItoDifferential, Y0, dY: ItoDifferential) -> It
     return left + right + ito_product(dX, dY)
 
 
+def _gap(X: ItoDifferential, Y: ItoDifferential) -> float:
+    """Largest coefficient modulus of X - Y, compared pair by pair without
+    building X - Y; NaN if any coefficient is."""
+    return float(np.max([_coeff_norm(_coeff_add(X.terms.get(key, 0.0), -Y.terms.get(key, 0.0)))
+                         for key in X.terms.keys() | Y.terms.keys()], initial=0.0))
+
+
 def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = 1e-12) -> bool:
-    """Whether every coefficient of X - Y is within tol of zero, compared pair
-    by pair without building X - Y."""
-    return X.d == Y.d and all(
-        _coeff_norm(_coeff_add(X.terms.get(key, 0.0), -Y.terms.get(key, 0.0))) <= tol
-        for key in X.terms.keys() | Y.terms.keys())
-
-
-def _zero(d):
-    return ItoDifferential(d, {})
+    """Whether X and Y have one dimension and every coefficient of X - Y is within tol of 0."""
+    return X.d == Y.d and _gap(X, Y) <= tol
 
 
 def format_differential(X: ItoDifferential, symbols=None) -> str:
@@ -290,7 +292,7 @@ def format_table(labels, entries) -> str:
 
 @dataclass(frozen=True)
 class TableCheck:
-    ok: bool
+    check: Check     # the largest coefficient gap to the expected products, against tol
     labels: tuple
     entries: tuple   # tuple of tuples of ItoDifferential
     text: str
@@ -307,11 +309,11 @@ def _table_check(labels, basis, expected, candidates, tol) -> TableCheck:
     """Multiply every ordered pair of basis differentials, compare each product
     with expected(a, b) and render the table, naming the candidates."""
     entries = tuple(tuple(ito_product(left, right) for right in basis) for left in basis)
-    ok = all(ito_equal(prod, expected(a, b), tol)
-             for a, row in enumerate(entries) for b, prod in enumerate(row))
+    gap = np.max([_gap(prod, expected(a, b))
+                  for a, row in enumerate(entries) for b, prod in enumerate(row)])
     rendered = [[_render_entry(prod, candidates, tol) for prod in row] for row in entries]
-    return TableCheck(ok=ok, labels=tuple(labels), entries=entries,
-                      text=format_table(labels, rendered))
+    return TableCheck(check=Check("ito_table", float(gap), tol), labels=tuple(labels),
+                      entries=entries, text=format_table(labels, rendered))
 
 
 def quadrature_table(d: int, tol: float = 1e-12) -> TableCheck:
@@ -329,8 +331,8 @@ def quadrature_table(d: int, tol: float = 1e-12) -> TableCheck:
     dt = time_differential(d)
     labels = [f"dB{i}" for i in range(1, d + 1)] + ["dt"]
     basis = [quadrature(d, i) for i in range(1, d + 1)] + [dt]
-    return _table_check(labels, basis, lambda a, b: dt if a == b < d else _zero(d),
-                        [("dt", dt), ("0", _zero(d))], tol)
+    return _table_check(labels, basis, lambda a, b: dt if a == b < d else ItoDifferential(d),
+                        [("dt", dt), ("0", ItoDifferential(d))], tol)
 
 
 def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
@@ -346,14 +348,14 @@ def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
     dt = time_differential(d)
     labels = (f"dN{i}", f"dN{j}", "dt") if i != j else (f"dN{i}", "dt")
     basis = [dNi, dNj, dt] if i != j else [dNi, dt]
-    candidates = [(f"dN{i}", dNi), (f"dN{j}", dNj), ("dt", dt), ("0", _zero(d))]
+    candidates = [(f"dN{i}", dNi), (f"dN{j}", dNj), ("dt", dt), ("0", ItoDifferential(d))]
     # dN_i dN_j = delta_ij dN_j, and every product with dt vanishes
     return _table_check(labels, basis,
-                        lambda a, b: basis[b] if a == b < len(basis) - 1 else _zero(d),
+                        lambda a, b: basis[b] if a == b < len(basis) - 1 else ItoDifferential(d),
                         candidates, tol)
 
 
-def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
+def hp_coefficients(S, L, H) -> ItoDifferential:
     """Noise-equation differential dU = sum G[a][b] dL[a, b] (times U on the
     right) from standard data (S, L, H).
 
@@ -366,10 +368,11 @@ def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
         G[0][j] = - sum_k L_k^dag S[k][j]
         G[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
 
-    which satisfy both unitarity conditions by construction.
+    which satisfy both unitarity conditions by construction.  H must be
+    Hermitian and S unitary, each within SYMMETRY_TOL.
     """
     H = np.asarray(H, dtype=complex)
-    if not hermitian_check(H, tol).passed:
+    if not hermitian_check(H, SYMMETRY_TOL).passed:
         raise ValueError("H must be Hermitian")
     dim = H.shape[0]
     L = [np.asarray(Lk, dtype=complex) for Lk in L]
@@ -385,7 +388,7 @@ def hp_coefficients(S, L, H, tol: float = SYMMETRY_TOL) -> ItoDifferential:
     else:
         if S.shape != (d * dim, d * dim):
             raise ValueError(f"S must be {d * dim} x {d * dim}, got {S.shape}")
-        if np.abs(S @ S.conj().T - np.eye(d * dim)).max() > tol:
+        if np.abs(S @ S.conj().T - np.eye(d * dim)).max() > SYMMETRY_TOL:
             raise ValueError("S must be unitary")
         Sblk = [[S[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] for b in range(d)]
                 for a in range(d)]
@@ -409,8 +412,7 @@ def unitarity_residual(dU: ItoDifferential) -> float:
     dU_dag = adjoint(dU)
     drift = dU + dU_dag
     squares = (drift + ito_product(dU_dag, dU), drift + ito_product(dU, dU_dag))
-    return float(np.max([_coeff_norm(c) for dV in squares for c in dV.terms.values()],
-                        initial=0.0))
+    return float(np.max([_gap(dV, ItoDifferential(dU.d)) for dV in squares]))
 
 
 def unitarity_check(dU: ItoDifferential, tol: float = TOLERANCES.unitarity) -> Check:

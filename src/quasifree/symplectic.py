@@ -22,11 +22,12 @@ read off the norms of those powers and often far below ||M||_1; r = h / h0
 stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
 that overflows raises :class:`PropagatorOverflowError`.
 
-The package's shared pieces live here too: the one verdict type
-(:class:`Check`), the one tolerance set (:class:`Tolerances`, with the
-defaults in TOLERANCES), the one Hermitian test and PSD rule, the input checks
-of a complex vector (:func:`complex_vector`) and of a pair (:func:`pair_arrays`),
-and the read-only copies that make pairs and states immutable (:func:`read_only`).
+The package's shared pieces live here too: the one verdict type (:class:`Check`)
+and the rule that picks the deciding one (:func:`decisive`), the one tolerance
+set (:class:`Tolerances`, defaults in TOLERANCES), the one Hermitian test and
+PSD rule, the input checks of a complex vector (:func:`complex_vector`) and of
+a pair (:func:`pair_arrays`), and the read-only copies that make pairs and
+states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import scipy.linalg
 
 __all__ = [
     "Check",
+    "decisive",
     "Tolerances",
     "TOLERANCES",
     "symplectic_form",
@@ -73,6 +75,12 @@ class Check:
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.value <= self.bound))
+
+
+def decisive(checks) -> Check | None:
+    """The Check deciding a conjunction: a failing one if any fails, else the one
+    nearest its bound (largest value / bound); None for no checks."""
+    return max(checks, key=lambda c: (not c.passed, c.value / c.bound), default=None)
 
 
 @dataclasses.dataclass(frozen=True)

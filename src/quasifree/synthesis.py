@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .semigroup import noise_matrix
-from .symplectic import TOLERANCES, Check, Tolerances, _form_times, hermitian_eigh, psd_verdict
+from .symplectic import (TOLERANCES, Check, Tolerances, _form_times, decisive, hermitian_eigh,
+                         psd_verdict)
 
 __all__ = [
     "LindbladTerm",
@@ -155,15 +156,14 @@ class DilationSpec:
         return len(self.lindblad_terms)
 
     def reconstructs(self, tolerances: Tolerances = TOLERANCES) -> Check:
-        """The reconstruction rule as the Check that decides it: of the
-        "reconstruction" (K and C) and "symplectic" checks, a failing one if
-        any fails, else the one nearer its bound."""
+        """The reconstruction rule as the Check that decides it: the decisive
+        one of the "reconstruction" (K and C) and "symplectic" checks."""
         res = self.residuals
         scale = 1.0 + max(np.abs(self.K).max(initial=0.0), np.abs(self.C).max(initial=0.0))
-        checks = (Check("reconstruction", float(np.max([res.k_residual, res.c_residual])),
-                        tolerances.reconstruction * scale),
-                  Check("symplectic", res.symplectic_residual, tolerances.symplectic * scale))
-        return max(checks, key=lambda c: (not c.passed, c.value / c.bound))
+        return decisive((Check("reconstruction", float(np.max([res.k_residual, res.c_residual])),
+                               tolerances.reconstruction * scale),
+                         Check("symplectic", res.symplectic_residual,
+                               tolerances.symplectic * scale)))
 
 
 def _phase_fixed(cols):

@@ -193,13 +193,13 @@ def test_06_weyl_algebra_on_truncated_fock():
 def test_07_ito_engine():
     tables_ok = True
     for d in (1, 2, 3):
-        tables_ok = tables_ok and quadrature_table(d).ok
+        tables_ok = tables_ok and quadrature_table(d).check.passed
         dt = time_differential(d)
         intensity = {i: 0.5 + 0.25 * i for i in range(1, d + 1)}
         for i in range(1, d + 1):
             for j in range(1, d + 1):
                 tables_ok = tables_ok and poisson_table(i, j, intensity[i],
-                                                        intensity[j]).ok
+                                                        intensity[j]).check.passed
                 prod = ito_product(quadrature(d, i), quadrature(d, j))
                 expected = dt if i == j else ito_product(dt, dt)  # zero for i != j
                 tables_ok = tables_ok and ito_equal(prod, expected)

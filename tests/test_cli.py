@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from quasifree import cli, fields, fock, ito
 from quasifree.gaussian import coherent
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import TOLERANCES, PropagatorOverflowError, symplectic_form
+from quasifree.synthesis import decompose
+from quasifree.symplectic import (TOLERANCES, Check, PropagatorOverflowError, decisive,
+                                  symplectic_form)
 
 from util import random_admissible_pair, random_unitary, random_valid_state, rng
 
@@ -67,6 +69,7 @@ def test_validate_state_invalid_exits_2(tmp_path):
     psd = report["results"]["psd"]
     assert psd["name"] == "psd" and psd["passed"] is False
     assert abs(psd["value"] - 0.5) < 1e-9
+    assert report["decided_by"] == psd
 
 
 def test_evolve_writes_trajectory_csv(tmp_path):
@@ -256,6 +259,61 @@ def test_report_keeps_the_keys_the_benchmark_check_reads(tmp_path, command):
         assert leaves and all(isinstance(leaf, (int, float, list)) for leaf in leaves), path
 
 
+#: one scenario per command, each judged by at least one Check
+_JUDGED = {
+    "validate-state": {"state": coherent([0.5])},
+    "evolve": {"pair": attenuation_pair_dict(), "state": coherent([0.5]),
+               "times": [0.0, 0.1, 2.0]},
+    "weyl": {"state": coherent([0.5]), "z": [[[0.3, 0.4]], [[2.0, 0.0]]]},
+    "decompose": {"pair": attenuation_pair_dict()},
+    "dilate": {"pair": attenuation_pair_dict()},
+    "verify-oracle": {"pair": attenuation_pair_dict(), "state": coherent([0.5]),
+                      "times": [0.1, 0.3], "cutoff": 12, "steps": 100},
+    "ito-table": {"table": "poisson", "i": 1, "j": 2},
+    "unitarity": {"H": [[[1.0, 0.0]]]},
+    "sample-field": {"law": {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]},
+                     "count": 50},
+}
+
+
+def _checks_in(value):
+    """Every encoded Check in a decoded report value, depth first."""
+    if isinstance(value, dict) and set(value) == {"name", "value", "bound", "passed"}:
+        check = Check(value["name"], value["value"], value["bound"])
+        assert check.passed is value["passed"]
+        return [check]
+    children = value.values() if isinstance(value, dict) else value
+    return [c for v in children for c in _checks_in(v)] if isinstance(value, (dict, list)) else []
+
+
+def test_every_command_is_judged_by_a_scenario():
+    assert set(_JUDGED) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_JUDGED))
+def test_decided_by_is_the_decisive_check_of_the_results(tmp_path, command):
+    code, report = run(tmp_path, {"command": command, **_JUDGED[command]})
+    assert list(report)[-2:] == ["passed", "decided_by"]
+    checks = _checks_in(report["results"])
+    if command in ("decompose", "dilate"):
+        # the spec carries its residuals; its rule is DilationSpec.reconstructs
+        assert checks == []
+        pair = _JUDGED[command]["pair"]
+        checks = [decompose(np.array(pair["K"]), np.array(pair["C"])).reconstructs()]
+    decided = decisive(checks)
+    assert report["decided_by"] == dataclasses.asdict(decided)
+    assert (code, report["passed"]) == (0, decided.passed) == (0, True)
+
+
+@pytest.mark.parametrize("scenario", [
+    {"command": "weyl", "state": coherent([0.5]), "z": []},
+    {"command": "evolve", "pair": attenuation_pair_dict(), "state": coherent([0.5]), "times": []},
+], ids=["weyl", "evolve"])
+def test_a_command_that_judges_nothing_passes_decided_by_null(tmp_path, scenario):
+    code, report = run(tmp_path, scenario)
+    assert (code, report["passed"], report["decided_by"]) == (0, True, None)
+
+
 def test_verify_oracle_command(tmp_path):
     scenario = {"command": "verify-oracle", "pair": attenuation_pair_dict(),
                 "state": coherent([1.0]),
@@ -350,7 +408,8 @@ def test_ito_table_tolerance_reaches_the_check(tmp_path, monkeypatch, table):
 def test_ito_table_command(tmp_path):
     code, report = run(tmp_path, {"command": "ito-table", "table": "quadrature", "d": 2})
     assert code == 0
-    assert report["results"]["ok"] is True
+    assert report["results"]["check"]["name"] == "ito_table"
+    assert report["results"]["check"]["passed"] is True
     assert "dB1" in report["results"]["text"]
 
     code, report = run(tmp_path, {"command": "ito-table", "table": "poisson",
@@ -906,7 +965,7 @@ def test_law_missing_field_exits_1(tmp_path, capsys, law):
 
 def test_non_finite_result_exits_2_without_report(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli.HANDLERS, "validate-state",
-                        lambda scenario, ctx: ({"value": float("nan")}, True, {}))
+                        lambda scenario, ctx: ({"value": float("nan")}, [], {}))
     code, report = run(tmp_path, {"command": "validate-state"})
     assert code == 2 and report is None
     assert capsys.readouterr().err.startswith("error: ")

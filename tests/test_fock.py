@@ -231,10 +231,7 @@ def test_weyl_matrix_matches_full_expm(n, cutoff):
     for _ in range(3):
         z = 0.8 * (gen.normal(size=n) + 1j * gen.normal(size=n)) / np.sqrt(n)
         full = expm(smeared_ladder(rep, -z, z))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            W = fock.weyl_matrix(rep, z)
-        assert np.abs(W - full).max() <= bound
+        assert np.abs(fock.weyl_matrix(rep, z) - full).max() <= bound
 
 
 def test_weyl_matrix_is_unitary_on_the_truncated_space():
@@ -242,10 +239,7 @@ def test_weyl_matrix_is_unitary_on_the_truncated_space():
     rep = fock.build(1, 30)
     gen = rng(29)
     for _ in range(5):
-        z = gen.normal(size=1) + 1j * gen.normal(size=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            W = fock.weyl_matrix(rep, z)
+        W = fock.weyl_matrix(rep, gen.normal(size=1) + 1j * gen.normal(size=1))
         assert np.abs(W.conj().T @ W - np.eye(30)).max() <= 1e-13
 
 
@@ -261,12 +255,16 @@ def test_quadrature_eigenbasis_is_computed_once_per_cutoff_on_the_first_probe():
     assert not mu.flags.writeable and not V.flags.writeable
 
 
-def test_weyl_matrix_warns_on_leakage():
+def test_weyl_matrix_leaks_without_warning_and_leakage_check_judges_it():
+    # |z| = 2 at cutoff 4: the displaced vacuum W e_0 leaks far above the bound
     rep = fock.build(1, 4)
-    with pytest.warns(UserWarning):
-        fock.weyl_matrix(rep, [2.0])
-    with pytest.warns(UserWarning, match="|z| = 2 leaks"):
-        fock.weyl_matrix(rep, [[0.0], [2.0], [0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        W = fock.weyl_matrix(rep, [2.0])
+        batch = fock.weyl_matrix(rep, [[0.0], [2.0], [0.1]])
+    leak = fock.leakage_check(rep, W[:, 0])
+    assert leak.passed is False and leak.value > 100 * fock.LEAKAGE_BOUND
+    assert [fock.leakage_check(rep, Wz[:, 0]).passed for Wz in batch] == [True, False, True]
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5)])
@@ -275,12 +273,10 @@ def test_batched_weyl_matrices_equal_the_single_probes(n, cutoff):
     gen = rng(27 + n)
     zs = 0.5 * (gen.normal(size=(4, n)) + 1j * gen.normal(size=(4, n)))
     zs[0] = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        W = fock.weyl_matrix(rep, zs)
-        assert W.shape == (4, rep.dim, rep.dim)
-        for Wz, z in zip(W, zs):
-            assert np.abs(Wz - fock.weyl_matrix(rep, z)).max() <= 1e-15
+    W = fock.weyl_matrix(rep, zs)
+    assert W.shape == (4, rep.dim, rep.dim)
+    for Wz, z in zip(W, zs):
+        assert np.abs(Wz - fock.weyl_matrix(rep, z)).max() <= 1e-15
     assert fock.weyl_matrix(rep, zs[:0]).shape == (0, rep.dim, rep.dim)
     with pytest.raises(ValueError, match=f"probes of length {n}"):
         fock.weyl_matrix(rep, np.zeros((2, n + 1)))
@@ -733,9 +729,7 @@ def reference_weyl_error(state, pair, t, cutoff, steps, num_weyl, seed):
     """oracle_compare's Weyl probes at the same Philox draws, with each probe
     the scipy exponential of the full n-mode generator."""
     rep = fock.build(state.n, cutoff)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho0 = fock.coherent_density(rep, (state.m + 1j * state.l) / np.sqrt(2))
+    rho0 = fock.coherent_density(rep, (state.m + 1j * state.l) / np.sqrt(2))
     rho_t = fock.lindblad_evolve(rep, rho0, decompose(pair.K, pair.C), t, steps)
     ref = evolve_state(state, pair, t)
     gen = np.random.Generator(np.random.Philox(seed))
@@ -815,6 +809,19 @@ def test_oracle_checks_its_initial_state_through_its_vector(monkeypatch):
     monkeypatch.setattr(fock, "psd_check", refused)
     report = fock.oracle_compare(coherent([1.0]), attenuation_pair(), 0.5, cutoff=25, steps=100)
     assert report.check.passed
+
+
+def test_oracle_reads_each_leakage_once(monkeypatch):
+    # one top-level population for psi0 (its refusal) and one for rho_t
+    calls, population = [], fock.top_level_population
+
+    def counted(rep, state):
+        calls.append(np.ndim(state))
+        return population(rep, state)
+    monkeypatch.setattr(fock, "top_level_population", counted)
+    for t in (0.25, 0.5):
+        fock.oracle_compare(coherent([0.5]), attenuation_pair(), t, cutoff=12, steps=100)
+    assert calls == [1, 2, 1, 2]
 
 
 def test_oracle_refuses_non_coherent_state():

@@ -154,7 +154,7 @@ def test_an_array_multiplies_a_differential_from_either_side():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_quadrature_table(d):
     check = quadrature_table(d)
-    assert check.ok
+    assert check.check.passed
     # diagonal entries are dt, everything else vanishes
     dt = time_differential(d)
     for i in range(d):
@@ -175,7 +175,7 @@ def test_quadrature_table_text_layout():
 
 def test_poisson_table_same_colour():
     check = poisson_table(1, 1, 0.7, 0.7)
-    assert check.ok
+    assert check.check.passed
     dN = poisson_process(1, 1, 0.7)
     assert ito_equal(check.entries[0][0], dN)
     assert ito_equal(check.entries[0][1], zero(1))
@@ -185,11 +185,20 @@ def test_poisson_table_same_colour():
 
 def test_poisson_table_different_colours():
     check = poisson_table(1, 2, 0.5, 1.5)
-    assert check.ok
+    assert check.check.passed
     assert ito_equal(check.entries[0][1], zero(2))
     assert ito_equal(check.entries[1][0], zero(2))
     assert ito_equal(check.entries[0][0], poisson_process(2, 1, 0.5))
     assert ito_equal(check.entries[1][1], poisson_process(2, 2, 1.5))
+
+
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)])
+def test_a_nan_coefficient_is_unequal_wherever_it_sits(where):
+    # the gap is a NaN-propagating max: Python's max keeps a NaN only when it
+    # comes first, and the order of the coefficients is that of a set
+    X = ItoDifferential(1, {(0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.5, where: float("nan")})
+    assert not ito_equal(X, zero(1), tol=1.0)
+    assert not ito_equal(zero(1), X, tol=1.0)
 
 
 def test_poisson_process_requires_positive_intensity():

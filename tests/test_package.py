@@ -104,6 +104,7 @@ VERDICTS = {
     "synthesis.DilationSpec.reconstructs": lambda mp: _nan_spec().reconstructs(),
     "ito.unitarity_check": lambda mp: ito.unitarity_check(
         ito.ItoDifferential(1, {(0, 0): 1.0, (1, 1): NAN})),
+    "ito.poisson_table.check": lambda mp: ito.poisson_table(1, 1, NAN, NAN).check,
     "fock.oracle_compare.check": _oracle_check,
     "fock.leakage_check": lambda mp: fock.leakage_check(fock.build(1, 3), np.full(3, NAN)),
     "fields.mean_band": lambda mp: fields.mean_band(

@@ -21,7 +21,7 @@ from quasifree.semigroup import (
     weyl_action,
 )
 from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gram_integral,
-                                  propagator, real_embed, symplectic_form)
+                                  propagator, psd_verdict, real_embed, symplectic_form)
 from quasifree.synthesis import decompose, pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state, smeared_ladder
@@ -170,6 +170,42 @@ def test_evolution_preserves_validity():
         st = random_valid_state(gen, 2)
         for t in (0.1, 1.0, 10.0):
             assert validate(evolve_state(st, pair, t)).is_valid
+
+
+def cp_matrix(pair, t, noise_scale=1.0):
+    """B_t + i(J - E_t^T J E_t), with E_t = e^{tK}: 2 S_t + iJ is
+    E_t^T (2S + iJ) E_t plus this matrix, so the predual at t maps every
+    state to a state, and is completely positive, exactly when it is PSD."""
+    E, B = pair.propagator(t)
+    J = symplectic_form(pair.n)
+    return noise_scale * B + 1j * (J - E.T @ J @ E)
+
+
+def _cp_pairs():
+    """Random admissible pairs at n = 1, 2, 4, 16, then pure loss and an
+    amplifier, each with noise rank 1."""
+    gen = rng(47)
+    pairs = [random_admissible_pair(gen, n, couplings=n) for n in (1, 2, 4, 16) for _ in range(4)]
+    return pairs + [QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2)),
+                    QuasifreePair(n=1, K=0.5 * np.eye(2), C=np.eye(2))]
+
+
+def test_the_evolved_pair_is_completely_positive_at_every_time():
+    # Heinosaari, Holevo and Wolf 2010: (E_t, B_t) is a Gaussian channel
+    for pair in _cp_pairs():
+        for t in (0.1, 1.0, 5.0, 20.0):
+            check = psd_verdict(np.linalg.eigvalsh(cp_matrix(pair, t)), pair.tolerances.psd)
+            assert check.passed, (pair.n, t, check)
+
+
+def test_pure_loss_with_half_its_noise_is_not_completely_positive():
+    # the negative control: (1 - e^{-1})(I/2 + iJ) has min eigenvalue
+    # -(1 - e^{-1})/2 at t = 1
+    loss = QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
+    check = psd_verdict(np.linalg.eigvalsh(cp_matrix(loss, 1.0, noise_scale=0.5)))
+    assert check.passed is False
+    assert check.value == pytest.approx((1 - np.exp(-1)) / 2, rel=1e-12)
+    assert psd_verdict(np.linalg.eigvalsh(cp_matrix(loss, 1.0))).passed
 
 
 def test_duality_of_state_and_weyl_actions():

@@ -17,6 +17,7 @@ from quasifree.synthesis import HamiltonianTerm, decompose
 from quasifree.symplectic import (
     Check,
     PropagatorOverflowError,
+    decisive,
     expm,
     gram_integral,
     hermitian_eigh,
@@ -412,6 +413,20 @@ def test_psd_verdict_is_the_rule_of_psd_check():
     assert psd_verdict([1.0, -1.9e-9]).passed
     assert psd_verdict([1.0, -1.9e-9]).value == 1.9e-9
     assert psd_verdict([1.0, float("nan")]).passed is False
+
+
+def test_decisive_names_a_failing_check_else_the_nearest_bound():
+    near, far = Check("near", 0.9, 1.0), Check("far", 1e-3, 10.0)
+    fails, nan = Check("fails", 3.0, 2.0), Check("nan", float("nan"), 1e9)
+    assert decisive([]) is None
+    assert decisive(iter([far])) is far
+    # among passing checks the largest value / bound wins, whatever the order
+    assert decisive([far, near]) is decisive([near, far]) is near
+    assert decisive([near, Check("negative", -5.0, 1.0)]) is near
+    # any failing check wins over every passing one, a NaN value among them
+    assert decisive([near, fails, far]) is fails
+    assert decisive([far, nan, near]) is nan
+    assert decisive([near, nan, fails]).passed is False
 
 
 # every site of the shared Hermitian test: (its tolerance, a Hermitian matrix
