@@ -365,9 +365,10 @@ def _cmd_ito_table(scenario, ctx):
         i = _number(scenario.get("i", 1), "i", int)
         j = _number(scenario.get("j", i), "j", int)
         lam = scenario.get("intensities", [1.0, 1.0])
-        if not isinstance(lam, list) or not lam:
-            raise SchemaError("intensities must be a non-empty list of numbers")
-        lam = [_number(x, "intensities") for x in lam]
+        lam = [_number(x, "intensities") for x in lam] if isinstance(lam, list) else []
+        if not 1 <= len(lam) <= 2 or (i == j and lam[0] != lam[-1]):
+            raise SchemaError(f"'intensities' must hold numbers, one per colour i = {i}, "
+                              f"j = {j}, got {scenario['intensities']!r}")
         table = ito.poisson_table(i, j, lam[0], lam[-1], tol=tol)
     else:
         raise SchemaError(f"unknown table kind {kind!r}")

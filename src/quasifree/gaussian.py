@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, hermitian_check,
-                         psd_check, read_only, real_embed, symplectic_form)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, decisive,
+                         hermitian_check, psd_check, read_only, real_embed, symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -99,6 +99,16 @@ def validate(state: GaussianState, tol: float = TOLERANCES.psd) -> StateDiagnost
                            psd=psd_check(S + S.T + 1j * symplectic_form(state.n), tol))
 
 
+def _refuse_invalid(state: GaussianState, tol: float) -> None:
+    """The one refusal of an invalid state: a ValueError naming the check that
+    decides the state's cached diagnostic at tol, when that check fails."""
+    diag = state.diagnostic(tol)
+    check = decisive([diag.symmetry, diag.psd])
+    if not check.passed:
+        raise ValueError(f"invalid Gaussian state: {check.name} check fails, "
+                         f"{check.value:.3e} > {check.bound:.3e}")
+
+
 def vacuum(n: int) -> GaussianState:
     """The n-mode vacuum: zero means, covariance I/2."""
     return GaussianState(n=n, l=np.zeros(n), m=np.zeros(n), S=0.5 * np.eye(2 * n))
@@ -121,10 +131,7 @@ def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd) -> comp
     real embedding of z.  Invalid states are rejected; the magnitude never
     exceeds 1 for a valid state.
     """
-    diag = state.diagnostic(tol)
-    if not diag.is_valid:
-        raise ValueError(f"invalid Gaussian state: min eig {diag.min_eigenvalue:.3e}, "
-                         f"symmetry defect {diag.symmetry.value:.3e}")
+    _refuse_invalid(state, tol)
     xi = real_embed(complex_vector(z, state.n))
     x, y = xi[:state.n], xi[state.n:]
     phase = -1j * math.sqrt(2) * (state.l @ x - state.m @ y)

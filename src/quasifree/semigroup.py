@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import GaussianState
-from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow,
+from .gaussian import GaussianState, _refuse_invalid
+from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow_guard,
                          complex_vector, pair_arrays, psd_verdict, read_only, real_embed,
                          real_extract)
 
@@ -145,8 +145,7 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     with np.errstate(over="ignore", invalid="ignore"):
         xi_out = E @ xi
         damping = 0.5 * xi @ B @ xi
-    if not (np.isfinite(xi_out).all() and np.isfinite(damping)):
-        raise _overflow(pair.K, t)
+    _overflow_guard(pair.K, t, xi_out, damping)
     return WeylActionResult(z_out=real_extract(xi_out), damping_exponent=float(damping))
 
 
@@ -158,16 +157,13 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
     time t raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
-    diag = state.diagnostic(pair.tolerances.psd)
-    if not diag.is_valid:
-        raise ValueError(f"invalid input state: min eig {diag.min_eigenvalue:.3e}")
+    _refuse_invalid(state, pair.tolerances.psd)
     E, B = pair.propagator(t)
     with np.errstate(over="ignore", invalid="ignore"):
         w = E.T @ np.concatenate([state.l, -state.m])
         S_t = E.T @ state.S @ E + 0.5 * B
         S_t = (S_t + S_t.T) / 2.0
-    if not (np.isfinite(w).all() and np.isfinite(S_t).all()):
-        raise _overflow(pair.K, t)
+    _overflow_guard(pair.K, t, w, S_t)
     return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:], S=S_t)
 
 

@@ -226,10 +226,13 @@ class PropagatorOverflowError(ArithmeticError):
     far by time t.  The message states t and the spectral abscissa of K."""
 
 
-def _overflow(K, t: float) -> PropagatorOverflowError:
-    alpha = float(np.linalg.eigvals(K).real.max())
-    return PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
-                                   f"abscissa {alpha:.6g}")
+def _overflow_guard(K, t: float, *results) -> None:
+    """Raise PropagatorOverflowError, naming t and the spectral abscissa of K,
+    unless every array or number in results is finite."""
+    if not all(np.isfinite(a).all() for a in results):
+        alpha = float(np.linalg.eigvals(K).real.max())
+        raise PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
+                                      f"abscissa {alpha:.6g}")
 
 
 #: Taylor coefficients 1/i!, i = 0..25, of T_25; the largest h eta at which the
@@ -318,8 +321,7 @@ class Propagator:
         if not 0.0 <= t < np.inf:
             raise ValueError(f"time must be finite and nonnegative, got {t}")
         K, norm = self.K, self.norm
-        if norm == math.inf:
-            raise _overflow(K, t)
+        _overflow_guard(K, t, norm)
         k = 0
         if t * norm > _THETA_25:
             # log2 of each factor, as t * eta may exceed the float range
@@ -331,8 +333,7 @@ class Propagator:
                 B = B + E.T @ B @ E
                 E = E @ E
             B = (B + B.T) / 2.0
-        if not (np.isfinite(E).all() and np.isfinite(B).all()):
-            raise _overflow(K, t)
+        _overflow_guard(K, t, E, B)
         return E, B
 
 

@@ -159,6 +159,22 @@ def test_an_overflow_inside_a_command_names_the_command_and_exits_2(tmp_path, ca
                           "input too large for double precision")
 
 
+@pytest.mark.parametrize("name, S", [("hermitian", [[1.0, 0.2], [0.0, 1.0]]),
+                                     ("psd", [[0.25, 0.0], [0.0, 0.25]])],
+                         ids=["hermitian", "psd"])
+@pytest.mark.parametrize("command", [{"command": "evolve", "pair": attenuation_pair_dict(),
+                                      "times": [1.0]},
+                                     {"command": "weyl", "z": [[[0.3, 0.4]]]}],
+                         ids=["evolve", "weyl"])
+def test_an_invalid_input_state_exits_1_naming_the_failing_check(tmp_path, capsys,
+                                                                name, S, command):
+    state = {"n": 1, "l": [0.0], "m": [0.0], "S": S}
+    code, report = run(tmp_path, {**command, "state": state})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith(f"error: invalid Gaussian state: {name} "
+                                              f"check fails, ")
+
+
 def test_weyl_command(tmp_path):
     scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.0, 0.0]], [[0.3, 0.4]]]}
@@ -1117,6 +1133,10 @@ _GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
     ({"command": "ito-table", "table": "poisson", "i": 1, "j": [1]}, "'j'"),
     ({"command": "ito-table", "table": "poisson", "intensities": [1.0, None, 2.0]},
      "'intensities'"),
+    ({"command": "ito-table", "table": "poisson", "i": 1, "j": 2,
+      "intensities": [1.0, 5.0, 2.0]}, "'intensities'"),
+    ({"command": "ito-table", "table": "poisson", "i": 1, "j": 1,
+      "intensities": [1.0, 7.0]}, "'intensities'"),
     ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": None}, "'count'"),
     ({"command": "sample-field", "law": _GAUSSIAN_LAW, "count": 10, "seed": None}, "'seed'"),
     ({"command": "validate-state", "state": coherent([0.5]),
@@ -1131,9 +1151,9 @@ _GAUSSIAN_LAW = {"kind": "gaussian", "mean": [0.0], "covariance": [[1.0]]}
       "state": {"n": 1, "l": ["0.0"], "m": [0.0], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "'l'"),
     ({"command": "validate-state",
       "state": {"n": 1, "l": [0.0], "m": [True], "S": [[0.5, 0.0], [0.0, 0.5]]}}, "'m'"),
-], ids=["times-null", "oracle-times-string", "steps", "d", "i", "j", "intensities", "count",
-        "seed", "cutoff-bool", "pair-n-bool", "pair-K-null", "state-l-string",
-        "state-m-bool"])
+], ids=["times-null", "oracle-times-string", "steps", "d", "i", "j", "intensities",
+        "three-intensities", "two-intensities-one-colour", "count", "seed", "cutoff-bool",
+        "pair-n-bool", "pair-K-null", "state-l-string", "state-m-bool"])
 def test_null_or_non_number_in_a_scalar_field_exits_1_naming_it(tmp_path, capsys,
                                                                 scenario, field):
     code, report = run(tmp_path, scenario)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from quasifree import fock
+from quasifree import fock, ito
 from quasifree.ito import (
     ItoDifferential,
     adjoint,
@@ -190,6 +190,52 @@ def test_poisson_table_different_colours():
     assert ito_equal(check.entries[1][0], zero(2))
     assert ito_equal(check.entries[0][0], poisson_process(2, 1, 0.5))
     assert ito_equal(check.entries[1][1], poisson_process(2, 2, 1.5))
+
+
+#: the exact text of three tables, kept byte for byte by the one comparison
+#: per entry
+TABLE_TEXTS = {
+    (quadrature_table, (3,)): ("     dB1  dB2  dB3  dt\n"
+                               "----------------------\n"
+                               "dB1   dt    0    0   0\n"
+                               "dB2    0   dt    0   0\n"
+                               "dB3    0    0   dt   0\n"
+                               " dt    0    0    0   0"),
+    (poisson_table, (1, 2, 0.5, 1.5)): ("     dN1  dN2  dt\n"
+                                        "-----------------\n"
+                                        "dN1  dN1    0   0\n"
+                                        "dN2    0  dN2   0\n"
+                                        " dt    0    0   0"),
+    (poisson_table, (1, 1, 0.5, 0.5)): ("     dN1  dt\n"
+                                        "------------\n"
+                                        "dN1  dN1   0\n"
+                                        " dt    0   0"),
+}
+
+
+@pytest.mark.parametrize("table, args", list(TABLE_TEXTS),
+                         ids=["quadrature-3", "poisson-1-2", "poisson-1-1"])
+def test_a_table_compares_each_entry_once_and_names_it_by_that_comparison(monkeypatch,
+                                                                         table, args):
+    calls = []
+    gap = ito._gap
+    monkeypatch.setattr(ito, "_gap", lambda X, Y: calls.append(1) or gap(X, Y))
+    result = table(*args)
+    assert len(calls) == len(result.labels) ** 2
+    assert result.check.passed
+    assert result.text == TABLE_TEXTS[table, args]
+
+
+def test_a_table_beyond_its_tolerance_fails_and_writes_its_entries_as_formulas():
+    # the diagonal products miss dN_i by a rounding gap of 1.1e-16
+    result = poisson_table(1, 2, 0.3, 0.7, tol=1e-300)
+    assert result.check.passed is False
+    assert result.check.value == pytest.approx(1.1102230246251565e-16)
+    rows = result.text.splitlines()[2:]
+    assert rows[0].split()[:2] == ["dN1", "0.3"] and rows[0].split()[-2:] == ["0", "0"]
+    assert "0.3 dt + 0.547723 dL[0,1] + 0.547723 dL[1,0] + dL[1,1]" in rows[0]
+    assert rows[1].split()[:2] == ["dN2", "0"] and rows[1].split()[-1] == "0"
+    assert "0.7 dt + 0.83666 dL[0,2] + 0.83666 dL[2,0] + dL[2,2]" in rows[1]
 
 
 @pytest.mark.parametrize("where", [(0, 1), (1, 0), (1, 1)])

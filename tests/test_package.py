@@ -132,6 +132,8 @@ def test_the_default_tolerances_are_defined_once():
     assert list(cli.DEFAULT_TOLERANCES) == ["psd", "oracle", "unitarity", "rank",
                                             "reconstruction", "symplectic"]
     assert _float_literals(Path(cli.__file__)) == {1e-3, 1.0}
+    # ito's tolerance defaults read TOLERANCES.unitarity
+    assert 1e-12 not in _float_literals(Path(ito.__file__))
 
 
 def _attenuation():

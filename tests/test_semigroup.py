@@ -208,13 +208,15 @@ def test_pure_loss_with_half_its_noise_is_not_completely_positive():
     assert psd_verdict(np.linalg.eigvalsh(cp_matrix(loss, 1.0))).passed
 
 
-def test_duality_of_state_and_weyl_actions():
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_duality_of_state_and_weyl_actions(n):
     gen = rng(44)
     for _ in range(10):
-        pair = random_admissible_pair(gen, 1, couplings=2)
-        st = random_valid_state(gen, 1)
+        pair = random_admissible_pair(gen, n, couplings=2)
+        st = random_valid_state(gen, n)
         t = gen.uniform(0.0, 2.0)
-        z = gen.normal(size=1) + 1j * gen.normal(size=1)
+        # |z| ~ 1 at every n, so that neither side is negligibly small
+        z = (gen.normal(size=n) + 1j * gen.normal(size=n)) / np.sqrt(n)
         lhs = weyl_transform(evolve_state(st, pair, t), z)
         act = weyl_action(pair, t, z)
         rhs = weyl_transform(st, act.z_out) * np.exp(-act.damping_exponent)
@@ -228,6 +230,21 @@ def test_evolve_state_rejects_invalid_inputs():
         evolve_state(bad, attenuation_pair(), 1.0)
     with pytest.raises(ValueError):
         evolve_state(vacuum(1), attenuation_pair(), -1.0)
+
+
+#: invalid states and the check that refuses each: S not symmetric (defect
+#: 0.2), and S = I/4, whose 2S + iJ has min eigenvalue -1/2
+INVALID_STATES = {"hermitian": [[1.0, 0.2], [0.0, 1.0]], "psd": 0.25 * np.eye(2)}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_STATES))
+@pytest.mark.parametrize("use", [lambda st: evolve_state(st, attenuation_pair(), 1.0),
+                                 lambda st: weyl_transform(st, [0.3])],
+                         ids=["evolve_state", "weyl_transform"])
+def test_an_invalid_state_is_refused_naming_the_failing_check(name, use):
+    bad = GaussianState(n=1, l=[0.0], m=[0.0], S=INVALID_STATES[name])
+    with pytest.raises(ValueError, match=f"^invalid Gaussian state: {name} check fails, "):
+        use(bad)
 
 
 def test_evolved_state_overflow_is_named_without_warnings():
