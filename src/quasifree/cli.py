@@ -60,7 +60,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, fields, fock, gaussian, ito, semigroup, synthesis
-from .symplectic import TOLERANCES, PropagatorOverflowError, Tolerances, decisive
+from .symplectic import TOLERANCES, PropagatorOverflowError, Tolerances, complex_vector, decisive
 
 __all__ = ["main", "run_scenario", "SchemaError", "EXIT_CODES"]
 
@@ -300,12 +300,11 @@ def _cmd_evolve(scenario, ctx):
     pair = _payload(scenario, "pair", ctx["tolerances"])
     state = _payload(scenario, "state")
     times = [_number(t, "times") for t in _typed(scenario, "times", list)]
-    trajectory, rows = [], []
-    for t in times:
-        out = semigroup.evolve_state(state, pair, t)
-        diag = gaussian.validate(out, tol=pair.tolerances.psd)
-        trajectory.append({"t": t, "state": out, "symmetry": diag.symmetry, "psd": diag.psd})
-        rows.append(np.concatenate(([t], out.l, out.m, out.S.ravel())))
+    states = semigroup.evolve_states(state, pair, times)
+    diags = gaussian.validate_many(states, tol=pair.tolerances.psd)
+    trajectory = [{"t": t, "state": out, "symmetry": diag.symmetry, "psd": diag.psd}
+                  for t, out, diag in zip(times, states, diags)]
+    rows = [np.concatenate(([t], out.l, out.m, out.S.ravel())) for t, out in zip(times, states)]
     artifacts = {}
     results = {"trajectory": trajectory}
     csv_name = scenario.get("csv")
@@ -324,10 +323,9 @@ def _cmd_evolve(scenario, ctx):
 def _cmd_weyl(scenario, ctx):
     state = _payload(scenario, "state")
     zs = [_complex(z, "z") for z in _typed(scenario, "z", list)]
-    values = []
-    for z in zs:
-        val = gaussian.weyl_transform(state, z, tol=ctx["tolerances"].psd)
-        values.append({"z": z, "value": val, "modulus": gaussian.weyl_modulus(val)})
+    stack = np.array([complex_vector(z, state.n) for z in zs]).reshape(len(zs), state.n)
+    values = [{"z": z, "value": val, "modulus": gaussian.weyl_modulus(val)} for z, val
+              in zip(zs, gaussian.weyl_transform(state, stack, tol=ctx["tolerances"].psd).tolist())]
     return {"values": values}, [v["modulus"] for v in values], {}
 
 

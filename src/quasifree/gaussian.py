@@ -10,7 +10,10 @@ States are immutable: the constructor keeps read-only copies of l, m and S,
 so a write to the caller's arrays or to the state's own raises or has no
 effect.  That lets a state cache its verdict: :meth:`GaussianState.diagnostic`
 runs :func:`validate` once per tolerance, and the library's own checks
-(state evolution, Weyl transforms) go through it.
+(state evolution, Weyl transforms) go through it.  Many states are judged
+in one pass by :func:`validate_many` (one stacked defect and one stacked
+``eigvalsh``), of which :func:`validate` is the one-state case, and
+:func:`weyl_transform` takes one z or a stack of them.
 
 Normalization conventions, pinned once and verified against the oracle:
 q = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)), W(z) = expm(a^dag(z) - a(z)).
@@ -26,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, decisive,
-                         hermitian_check, psd_check, read_only, real_embed, symplectic_form)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _hermitian_rule, _psd_check_rule,
+                         complex_vector, decisive, read_only, symplectic_form)
 
 __all__ = [
     "GaussianState",
     "StateDiagnostic",
     "validate",
+    "validate_many",
     "vacuum",
     "coherent",
     "weyl_transform",
@@ -93,10 +97,30 @@ class StateDiagnostic:
 
 
 def validate(state: GaussianState, tol: float = TOLERANCES.psd) -> StateDiagnostic:
-    """Check the two state invariants: S symmetric and 2S + iJ >= 0."""
-    S = state.S
-    return StateDiagnostic(symmetry=hermitian_check(S, SYMMETRY_TOL),
-                           psd=psd_check(S + S.T + 1j * symplectic_form(state.n), tol))
+    """Check the two state invariants, S symmetric and 2S + iJ >= 0, by the
+    rule of :func:`validate_many` on the one covariance."""
+    symmetry, symmetry_bound, psd, psd_bound = _rules(state.S, state.n, tol)
+    return StateDiagnostic(symmetry=Check("hermitian", float(symmetry), float(symmetry_bound)),
+                           psd=Check("psd", float(psd), float(psd_bound)))
+
+
+def validate_many(states, tol: float = TOLERANCES.psd) -> list[StateDiagnostic]:
+    """:func:`validate` of each state, all of one mode count: every symmetry
+    verdict from one stacked defect and every PSD verdict from one stacked
+    ``eigvalsh``."""
+    if not states:
+        return []
+    rules = _rules(np.array([state.S for state in states]), states[0].n, tol)
+    return [StateDiagnostic(symmetry=Check("hermitian", symmetry, symmetry_bound),
+                            psd=Check("psd", psd, psd_bound))
+            for symmetry, symmetry_bound, psd, psd_bound in zip(*(a.tolist() for a in rules))]
+
+
+def _rules(S, n: int, tol: float):
+    """(symmetry defect, its bound, PSD value, its bound) of the covariance S,
+    or of each in a stack S, of n modes."""
+    H = S + S.swapaxes(-1, -2) + 1j * symplectic_form(n)
+    return (*_hermitian_rule(S, SYMMETRY_TOL), *_psd_check_rule(H, tol))
 
 
 def _refuse_invalid(state: GaussianState, tol: float) -> None:
@@ -124,18 +148,27 @@ def coherent(alpha) -> GaussianState:
                          S=0.5 * np.eye(2 * n))
 
 
-def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd) -> complex:
+def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd):
     """Expectation of the Weyl operator W(z) in the state.
 
     Returns exp{-i sqrt(2) (l.x - m.y) - (x, y) S (x, y)^T} with (x, y) the
-    real embedding of z.  Invalid states are rejected; the magnitude never
+    real embedding of z: a complex number for one vector z, and an array of
+    p values for a p x n stack of vectors, each bitwise its value alone.
+    Invalid states are rejected, before z is read; the magnitude never
     exceeds 1 for a valid state.
     """
     _refuse_invalid(state, tol)
-    xi = real_embed(complex_vector(z, state.n))
-    x, y = xi[:state.n], xi[state.n:]
-    phase = -1j * math.sqrt(2) * (state.l @ x - state.m @ y)
-    return complex(np.exp(phase - xi @ state.S @ xi))
+    z = np.asarray(z, dtype=complex)
+    zs = z if z.ndim == 2 else complex_vector(z, state.n)[None]
+    if zs.shape[1] != state.n:
+        raise ValueError(f"expected a stack of length-{state.n} vectors, got shape {zs.shape}")
+    # each dot product and quadratic form as a stack of 1 x k products, so
+    # that each row takes the same BLAS calls as a single vector
+    xi = np.concatenate([zs.real, zs.imag], axis=1)[:, None, :]
+    x, y = xi[..., :state.n], xi[..., state.n:]
+    phase = -1j * math.sqrt(2) * (x @ state.l[:, None] - y @ state.m[:, None])
+    values = np.exp(phase - xi @ state.S @ xi.swapaxes(1, 2))[:, 0, 0]
+    return values if z.ndim == 2 else complex(values[0])
 
 
 def weyl_modulus(value) -> Check:

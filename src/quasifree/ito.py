@@ -31,6 +31,7 @@ product_differential.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,8 +336,14 @@ def poisson_table(i: int, j: int, intensity_i: float, intensity_j: float,
     """Verify dN_i dN_j = delta_ij dN_j and render the Poisson/time table.
 
     The compound processes N are expanded into fundamental differentials, so
-    the check exercises the full contraction rule rather than a lookup.
+    the check exercises the full contraction rule rather than a lookup.  For
+    i = j both intensities are those of the one colour, so they must be equal
+    (or both NaN); else ValueError.
     """
+    if i == j and intensity_i != intensity_j and not (math.isnan(intensity_i)
+                                                      and math.isnan(intensity_j)):
+        raise ValueError(f"colour {i} has one intensity, got {intensity_i!r} and "
+                         f"{intensity_j!r}")
     d = max(i, j)
     dNi = poisson_process(d, i, intensity_i)
     dNj = poisson_process(d, j, intensity_j)

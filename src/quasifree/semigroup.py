@@ -18,13 +18,16 @@ under, and its input states, its decomposition and the oracle are judged by
 it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
 memoizes it.  On the first memo miss the pair prepares one
 :class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
-1-norm of the Van Loan block and computes its even powers; every miss after
-that is one :meth:`Propagator.at <quasifree.symplectic.Propagator.at>` of the
-prepared propagator.  :meth:`QuasifreePair.propagator` keeps the
-PROPAGATOR_MEMO most recently used times and returns read-only arrays,
-bitwise equal to :func:`quasifree.symplectic.propagator`.  Input states are
-checked through the state's own cached
-:meth:`~quasifree.gaussian.GaussianState.diagnostic`.
+1-norm of the Van Loan block and computes its even powers.
+:meth:`QuasifreePair.propagator` keeps the PROPAGATOR_MEMO most recently used
+times and returns read-only arrays, bitwise equal to
+:func:`quasifree.symplectic.propagator`.  A grid of times
+(:func:`evolve_states`) evaluates its distinct times in one
+:meth:`Propagator.at_many <quasifree.symplectic.Propagator.at_many>` and
+stores each in the memo, so a Weyl action or a state evolution at a grid
+time that is still held is a hit.  Input states are checked through the
+state's own cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`, once
+per grid.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "admissible",
     "weyl_action",
     "evolve_state",
+    "evolve_states",
     "generator_action",
 ]
 
@@ -74,27 +78,59 @@ PROPAGATOR_MEMO = 32
 
 
 def _propagator_memo(K, C):
-    """t -> read-only (e^{tK}, B_t), keeping the PROPAGATOR_MEMO most recently
-    used times; the Propagator is prepared on the first miss."""
-    prepared = None
+    """(at, grid).  at: t -> read-only (e^{tK}, B_t), keeping the
+    PROPAGATOR_MEMO most recently used times.  grid: times -> (entries,
+    error), the memo's (E, B) at each of times before the first that
+    Propagator.at_many refuses, and that refusal (or None); the distinct
+    times are evaluated in one Propagator.at_many and go into the memo as
+    each would alone, and an entry the memo already holds is kept, bitwise
+    what the grid computed.  The Propagator is prepared on first use.  No
+    closure refers back to the pair, so a pair is freed by reference count."""
+    prepared = []
+    from_grid = {}          # a grid's results, on their way into the memo
 
-    def at(t):
-        nonlocal prepared
-        if prepared is None:
-            prepared = Propagator(K, C)
-        E, B = prepared.at(t)
-        E.flags.writeable = False
-        B.flags.writeable = False
-        return E, B
+    def propagator():
+        if not prepared:
+            prepared.append(Propagator(K, C))
+        return prepared[0]
 
-    return functools.lru_cache(PROPAGATOR_MEMO)(at)
+    def evaluate(t):
+        entry = from_grid.pop(t, None)
+        if entry is None:
+            E, B = propagator().at(t)
+            E.flags.writeable = B.flags.writeable = False
+            entry = E, B
+        return entry
+
+    at = functools.lru_cache(PROPAGATOR_MEMO)(evaluate)
+
+    def grid(times):
+        distinct = list(dict.fromkeys(times))
+        E, B, error = propagator()._prefix(distinct)
+        E.flags.writeable = B.flags.writeable = False
+        stop = times.index(distinct[len(E)]) if error is not None else len(times)
+        from_grid.update(zip(distinct, zip(E, B)))
+        try:
+            return [at(t) for t in times[:stop]], error
+        finally:
+            from_grid.clear()
+
+    return at, grid
 
 
 @dataclass(frozen=True, eq=False)
 class QuasifreePair:
     """Admissible generating pair over read-only copies of K and C; finiteness
     and the inequality are checked on construction, at tolerances.psd, which
-    also sets min_noise_eigenvalue.  Compared and hashed by identity."""
+    also sets min_noise_eigenvalue.  Compared and hashed by identity.
+
+    Its memo of (e^{tK}, B_t) keeps the PROPAGATOR_MEMO most recently used
+    times.  A grid of times (:func:`evolve_states`) evaluates its distinct
+    times in one Propagator.at_many, without looking them up first, and each
+    goes into the memo as a single time's evaluation would; an entry the
+    memo already holds is kept, and it is bitwise the grid's.  So a later
+    single time on the grid hits, and a single-time lookup stays one
+    ``functools.lru_cache`` call."""
 
     n: int
     K: np.ndarray
@@ -114,7 +150,9 @@ class QuasifreePair:
             raise ValueError(f"pair is not admissible: noise matrix has "
                              f"min eigenvalue {-check.value:.3e}")
         object.__setattr__(self, "min_noise_eigenvalue", -check.value)
-        object.__setattr__(self, "_propagators", _propagator_memo(K, C))
+        at, grid = _propagator_memo(K, C)
+        object.__setattr__(self, "_propagator_at", at)
+        object.__setattr__(self, "_propagator_grid", grid)
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays,
@@ -125,7 +163,7 @@ class QuasifreePair:
         """``symplectic.propagator(K, C, t)`` as read-only arrays, evaluated
         once per t from the pair's prepared Propagator while t stays among the
         PROPAGATOR_MEMO most recently used."""
-        return self._propagators(float(t))
+        return self._propagator_at(float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,26 +183,59 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     with np.errstate(over="ignore", invalid="ignore"):
         xi_out = E @ xi
         damping = 0.5 * xi @ B @ xi
-    _overflow_guard(pair.K, t, xi_out, damping)
+    _overflow_guard(pair.K, [t], xi_out, damping)
     return WeylActionResult(z_out=real_extract(xi_out), damping_exponent=float(damping))
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
-    """Predual action on Gaussian states, the input checked at the pair's PSD
-    tolerance.  An admitted pair's noise matrix may reach -eps, eps its PSD
-    bound, so an evolved state can miss that bound by about eps / gamma,
-    gamma the decay rate.  A propagator or evolved moments that overflow by
-    time t raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
+    """The state at time t, by the rule of :func:`evolve_states` at the one
+    time t."""
+    _refuse_input(state, pair)
+    E, B = pair.propagator(t)
+    w, S_t = _moments(state, E, B)
+    _overflow_guard(pair.K, [t], w, S_t)
+    return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:], S=S_t)
+
+
+def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[GaussianState]:
+    """Predual action on Gaussian states at each of times, the input checked
+    once, at the pair's PSD tolerance, before any time is read.  The
+    propagators come from one Propagator.at_many, which fills the pair's
+    memo, and every S_t = E^T S E + B/2 from stacked products.
+    An admitted pair's noise matrix may reach -eps, eps its PSD bound, so an
+    evolved state can miss that bound by about eps / gamma, gamma the decay
+    rate.  The first time in the order of times that is not in [0, inf)
+    raises ValueError, and the first at which the propagator or the evolved
+    moments overflow raises :class:`~quasifree.symplectic.PropagatorOverflowError`;
+    of the two, the earlier time is refused."""
+    _refuse_input(state, pair)
+    times = [float(t) for t in times]
+    found, error = pair._propagator_grid(times)
+    n = state.n
+    EB = np.array(found).reshape(-1, 2, 2 * n, 2 * n)
+    w, S_t = _moments(state, EB[:, 0], EB[:, 1])
+    _overflow_guard(pair.K, times[:len(found)], w, S_t)
+    if error is not None:
+        raise error
+    return [GaussianState(n=n, l=w_t[:n], m=-w_t[n:], S=S) for w_t, S in zip(w, S_t)]
+
+
+def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
+    """Refuse a state of another mode count than the pair's, or an invalid one."""
     if state.n != pair.n:
         raise ValueError(f"state has {state.n} modes but pair has {pair.n}")
     _refuse_invalid(state, pair.tolerances.psd)
-    E, B = pair.propagator(t)
+
+
+def _moments(state: GaussianState, E, B):
+    """(w, S_t): the evolved means w = E^T (l, -m) and covariance
+    S_t = E^T S E + B/2, symmetrized, for one (E, B) or a stack of them;
+    they may overflow."""
+    E_T = E.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = E.T @ np.concatenate([state.l, -state.m])
-        S_t = E.T @ state.S @ E + 0.5 * B
-        S_t = (S_t + S_t.T) / 2.0
-    _overflow_guard(pair.K, t, w, S_t)
-    return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:], S=S_t)
+        w = E_T @ np.concatenate([state.l, -state.m])
+        S_t = E_T @ state.S @ E + 0.5 * B
+        return w, (S_t + S_t.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

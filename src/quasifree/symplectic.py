@@ -6,10 +6,11 @@ the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  It is prepared
 once per pair (the checks on K and C, the 1-norm of the block, and its even
-powers) and then evaluated at each t (:meth:`Propagator.at`: the scaling,
-the exponential and the squaring); :func:`propagator` prepares and evaluates
-once.  Everything here is dense numpy; the matrices in play are at most a few
-hundred rows.
+powers) and then evaluated on a grid of times in one pass
+(:meth:`Propagator.at_many`: the scaling, the exponential and the squaring,
+stacked over the times; :meth:`Propagator.at` is its one-time case);
+:func:`propagator` prepares and evaluates once.  Everything here is dense
+numpy; the matrices in play are at most a few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
 M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled and squared (Al-Mohy and
@@ -20,18 +21,22 @@ j = 0..12, prepared once per pair at h0 = _THETA_25 / ||M||_1.  Each
 t = 2^k h takes k from h eta <= _THETA_25, with eta (:attr:`Propagator.eta`)
 read off the norms of those powers and often far below ||M||_1; r = h / h0
 stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
-that overflows raises :class:`PropagatorOverflowError`.
+that overflows raises :class:`PropagatorOverflowError`, naming the first
+time of a grid, in its own order, at which it does.
 
 The package's shared pieces live here too: the one verdict type (:class:`Check`)
 and the rule that picks the deciding one (:func:`decisive`), the one tolerance
 set (:class:`Tolerances`, defaults in TOLERANCES), the one Hermitian test and
-PSD rule, the input checks of a complex vector (:func:`complex_vector`) and of
-a pair (:func:`pair_arrays`), and the read-only copies that make pairs and
-states immutable (:func:`read_only`).
+PSD rule (each written once over the last axes of an array, so that one
+matrix and a stack of them, as in the batch validation of states, take the
+same arithmetic), the input checks of a complex vector
+(:func:`complex_vector`) and of a pair (:func:`pair_arrays`), and the
+read-only copies that make pairs and states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -170,15 +175,27 @@ def pair_arrays(K, C) -> tuple[np.ndarray, np.ndarray]:
     return K, C
 
 
+def _square(A) -> np.ndarray:
+    """A as an array, refused unless it is a square matrix."""
+    A = np.asarray(A)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    return A
+
+
 def hermitian_check(A, tol: float) -> Check:
     """The Hermitian test: the absolute defect max|A - A^dag| against the bound
     tol * (1 + max|A|).  A NaN defect fails; a matrix that is not square is
     refused."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return Check("hermitian", float(np.abs(A - A.conj().T).max(initial=0.0)),
-                 tol * (1.0 + float(np.abs(A).max(initial=0.0))))
+    defect, bound = _hermitian_rule(_square(A), tol)
+    return Check("hermitian", float(defect), float(bound))
+
+
+def _hermitian_rule(A, tol: float):
+    """(defect, bound) of :func:`hermitian_check` over the last two axes of A:
+    numbers for a matrix, arrays for a stack of them."""
+    defect = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return defect, tol * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
 
 
 def hermitian_eigh(H):
@@ -195,21 +212,35 @@ def psd_check(H, tol: float = TOLERANCES.psd) -> Check:
     """Decide positive semidefiniteness of a Hermitian matrix by the rule of
     :func:`psd_verdict` on its eigenvalues.  Inputs whose Hermitian defect
     exceeds the same relative tolerance are rejected."""
-    H = np.asarray(H)
+    value, bound = _psd_check_rule(_square(H), tol)
+    return Check("psd", float(value), float(bound))
+
+
+def _psd_check_rule(H, tol: float):
+    """(value, bound) of :func:`psd_check` over the last two axes of H, from
+    one stacked ``eigvalsh``; the first matrix that fails the Hermitian test
+    is refused."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    hermitian = hermitian_check(H, max(tol, 1e-12))
-    if not hermitian.passed:
-        raise ValueError(f"matrix is not Hermitian: defect {hermitian.value:.3e}")
-    return psd_verdict(np.linalg.eigvalsh((H + H.conj().T) / 2.0), tol)
+    defects, bounds = _hermitian_rule(H, max(tol, 1e-12))
+    passed = defects <= bounds          # a NaN defect fails
+    if not passed.all():
+        defect = np.ravel(defects)[np.argmin(np.ravel(passed))]
+        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    return _psd_rule(np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2.0), tol)
 
 
 def psd_verdict(w, tol: float = TOLERANCES.psd) -> Check:
     """The PSD rule on the eigenvalues w of a Hermitian matrix, in any order:
     the value -min(w) against the bound tol * (1 + max|w|), so the matrix
     passes when min(w) >= -tol * (1 + ||H||)."""
-    w = np.asarray(w, dtype=float)
-    return Check("psd", -float(w.min()), tol * (1.0 + float(np.abs(w).max())))
+    value, bound = _psd_rule(np.asarray(w, dtype=float).reshape(-1), tol)
+    return Check("psd", float(value), float(bound))
+
+
+def _psd_rule(w, tol: float):
+    """(value, bound) of :func:`psd_verdict` over the last axis of w."""
+    return -w.min(axis=-1), tol * (1.0 + np.abs(w).max(axis=-1))
 
 
 def expm(A) -> np.ndarray:
@@ -226,39 +257,65 @@ class PropagatorOverflowError(ArithmeticError):
     far by time t.  The message states t and the spectral abscissa of K."""
 
 
-def _overflow_guard(K, t: float, *results) -> None:
-    """Raise PropagatorOverflowError, naming t and the spectral abscissa of K,
-    unless every array or number in results is finite."""
-    if not all(np.isfinite(a).all() for a in results):
-        alpha = float(np.linalg.eigvals(K).real.max())
-        raise PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
-                                      f"abscissa {alpha:.6g}")
+def _overflow_error(K, t: float) -> PropagatorOverflowError:
+    """The refusal of time t, naming the spectral abscissa of K."""
+    alpha = float(np.linalg.eigvals(K).real.max())
+    return PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
+                                   f"abscissa {alpha:.6g}")
 
 
-#: Taylor coefficients 1/i!, i = 0..25, of T_25; the largest h eta at which the
-#: backward error of T_25, the series of log(e^{-x} T_25(x)) past x^25, stays
-#: within u = 2^-53 (Al-Mohy and Higham); the largest r = h / h0, so that r^25
-#: times a prepared power stays far inside the float range
+def _finite_prefix(times, *results) -> int:
+    """The number of leading times at which every result is finite; each
+    result holds one array or number per time along its first axis."""
+    if all(np.isfinite(a).all() for a in results):
+        return len(times)
+    finite = np.ones(len(times), dtype=bool)
+    for a in results:
+        finite &= np.isfinite(a).reshape(len(times), -1).all(axis=1)
+    return int(finite.argmin())
+
+
+def _overflow_guard(K, times, *results) -> None:
+    """Raise PropagatorOverflowError naming the first of times at which a
+    result (stacked as in :func:`_finite_prefix`) is not finite."""
+    stop = _finite_prefix(times, *results)
+    if stop < len(times):
+        raise _overflow_error(K, times[stop])
+
+
+#: the exponents i = 0..25 and Taylor coefficients 1/i! of T_25; the largest
+#: h eta at which the backward error of T_25, the series of
+#: log(e^{-x} T_25(x)) past x^25, stays within u = 2^-53 (Al-Mohy and
+#: Higham); the largest r = h / h0, so that r^25 times a prepared power stays
+#: far inside the float range
+_EXPONENTS = np.arange(26.0)
 _TAYLOR25 = 1.0 / np.array([math.factorial(i) for i in range(26)], dtype=float)
 _THETA_25 = 2.4285825244428264
 _MAX_RATIO = 2.0 ** 16
 
 
-def _taylor25_blocks(powers, K0, C0, r: float):
-    """(E, B): the bottom-right block E of the degree-25 Taylor polynomial T of
-    exp(hM), M = [[-K^T, C], [0, K]], and B = E^T G with G its top-right
-    block, from four 2n x 2n products and no inverse.
+def _taylor25_blocks(powers, K0, C0, r):
+    """(E, B), stacked one per ratio in r: the bottom-right block E of the
+    degree-25 Taylor polynomial T of exp(hM), M = [[-K^T, C], [0, K]], and
+    B = E^T G with G its top-right block, from four stacked 2n x 2n products
+    and no inverse.
 
     powers[j] holds the B and X blocks of M0^2j, M0 = h0 M, j = 0..12;
     K0 = h0 K, C0 = h0 C and r = h / h0.  T = V + M0 W with
-    V = sum_j r^2j M0^2j / (2j)! and W = sum_j r^(2j+1) M0^2j / (2j+1)!, both
-    from one product of the 2 x 13 coefficient rows with powers, so
+    V = sum_j r^2j M0^2j / (2j)! and W = sum_j r^(2j+1) M0^2j / (2j+1)!, all
+    from one product of the 2T x 13 coefficient rows with powers, so
     E = V_B + K0 W_B and G = V_X + C0 W_B - K0^T W_X.
     """
-    c = (_TAYLOR25 * r ** np.arange(26.0)).reshape(13, 2).T
-    (V_B, V_X), (W_B, W_X) = (c @ powers.reshape(13, -1)).reshape(2, 2, *K0.shape)
+    r = np.asarray(r, dtype=float)
+    # the 2T x 13 rows (even, odd coefficients per ratio) as the transpose of
+    # a C-ordered 13 x 2T table, so that each time's rows reach BLAS in the
+    # layout they have for that time alone
+    c = (_TAYLOR25 * r[:, None] ** _EXPONENTS).reshape(len(r), 13, 2)
+    c = c.transpose(1, 0, 2).reshape(13, -1).T
+    X = (c @ powers.reshape(13, -1)).reshape(len(r), 2, 2, *K0.shape)
+    V_B, V_X, W_B, W_X = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
     E = V_B + K0 @ W_B
-    return E, E.T @ (V_X + C0 @ W_B - K0.T @ W_X)
+    return E, E.swapaxes(1, 2) @ (V_X + C0 @ W_B - K0.T @ W_X)
 
 
 class Propagator:
@@ -309,31 +366,78 @@ class Propagator:
         return max(eta, self.norm / _MAX_RATIO)
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{tK}, B_t) as fresh arrays.
+        """(e^{tK}, B_t): :meth:`at_many` at the one time t."""
+        E, B = self.at_many([t])
+        return E[0], B[0]
+
+    def at_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """(e^{tK}, B_t) at each t in ts, stacked as fresh T x 2n x 2n arrays,
+        each time's pair bitwise what :meth:`at` gives at that time alone.
 
         exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
-        :func:`_taylor25_blocks` at h = t / 2^k and squared up k times
-        (B <- B + E^T B E, E <- E E); e^{-tK^T} is never formed, so dissipative
-        K stays finite at any t.  k = 0 while t ||M||_1 <= _THETA_25, and else
-        is the smallest k with h eta <= _THETA_25 (:attr:`eta`, on first use).
-        Raises PropagatorOverflowError when e^{tK} or B_t is not finite.
+        :func:`_taylor25_blocks` at h = t / 2^k for every time at once and
+        squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never
+        formed, so dissipative K stays finite at any t.  k = 0 while
+        t ||M||_1 <= _THETA_25, and else is the smallest k with
+        h eta <= _THETA_25 (:attr:`eta`, on first use).  The times are taken
+        in the order of k, so each squaring updates, in place, the stacked
+        tail of the times whose k is not yet spent.  A time outside [0, inf) raises
+        ValueError, and one at which e^{tK} or B_t is not finite raises
+        PropagatorOverflowError; the first such time in the order of ts is
+        the one refused.
         """
-        if not 0.0 <= t < np.inf:
-            raise ValueError(f"time must be finite and nonnegative, got {t}")
-        K, norm = self.K, self.norm
-        _overflow_guard(K, t, norm)
-        k = 0
-        if t * norm > _THETA_25:
-            # log2 of each factor, as t * eta may exceed the float range
-            k = max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25)))
-        h = math.ldexp(t, -k)
+        E, B, error = self._prefix(list(ts))
+        if error is not None:
+            raise error
+        return E, B
+
+    def _prefix(self, ts):
+        """(E, B, error): :meth:`at_many` at the times of ts before the first
+        one it refuses, and that refusal (None when it refuses none)."""
+        count, valid = len(ts), 0
+        while valid < count and 0.0 <= ts[valid] < math.inf:
+            valid += 1
+        if valid and math.isfinite(self.norm):
+            E, B = self._evaluate(ts[:valid])
+            stop = _finite_prefix(ts[:valid], E, B)
+        else:   # nothing to evaluate, or an infinite ||M||_1: every time overflows
+            E = B = np.empty((0, *self.K.shape))
+            stop = 0
+        if stop < valid:
+            error = _overflow_error(self.K, ts[stop])
+        elif valid < count:
+            error = ValueError(f"time must be finite and nonnegative, got {ts[valid]}")
+        else:
+            error = None
+        if stop < len(E):
+            E, B = E[:stop], B[:stop]
+        return E, B, error
+
+    def _evaluate(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """The stacked (E, B) at times in [0, inf) under a finite ||M||_1,
+        which may hold non-finite entries."""
+        norm = self.norm
+        # log2 of each factor, as t * eta may exceed the float range
+        ks = [0 if t * norm <= _THETA_25 else
+              max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25))) for t in ts]
+        order = None
+        if ks != sorted(ks):
+            order = sorted(range(len(ts)), key=ks.__getitem__)
+            ts, ks = [ts[i] for i in order], [ks[i] for i in order]
+        ratios = [math.ldexp(t, -k) * (norm / _THETA_25) for t, k in zip(ts, ks)]
         with np.errstate(over="ignore", invalid="ignore"):
-            E, B = _taylor25_blocks(self._powers, self._K0, self._C0, h * (norm / _THETA_25))
-            for _ in range(k):
-                B = B + E.T @ B @ E
-                E = E @ E
-            B = (B + B.T) / 2.0
-        _overflow_guard(K, t, E, B)
+            E, B = _taylor25_blocks(self._powers, self._K0, self._C0, ratios)
+            first, E_k, B_k = 0, E, B       # the tail of times with k > step
+            for step in range(ks[-1] if ks else 0):
+                if ks[first] <= step:
+                    first = bisect.bisect_right(ks, step)
+                    E_k, B_k = E[first:], B[first:]
+                B_k += E_k.swapaxes(1, 2) @ B_k @ E_k
+                E_k[...] = E_k @ E_k
+            B = (B + B.swapaxes(1, 2)) / 2.0
+        if order is not None:
+            inverse = np.argsort(order)
+            E, B = E[inverse], B[inverse]
         return E, B
 
 

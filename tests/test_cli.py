@@ -175,6 +175,47 @@ def test_an_invalid_input_state_exits_1_naming_the_failing_check(tmp_path, capsy
                                               f"check fails, ")
 
 
+@pytest.mark.parametrize("command", [{"command": "evolve", "pair": attenuation_pair_dict(),
+                                      "times": []},
+                                     {"command": "weyl", "z": []}],
+                         ids=["evolve", "weyl"])
+def test_an_invalid_state_with_nothing_to_evaluate_exits_1_naming_the_failing_check(
+        tmp_path, capsys, command):
+    state = {"n": 1, "l": [0.0], "m": [0.0], "S": [[0.25, 0.0], [0.0, 0.25]]}
+    code, report = run(tmp_path, {**command, "state": state})
+    assert code == 1 and report is None
+    assert capsys.readouterr().err.startswith("error: invalid Gaussian state: psd check fails, ")
+
+
+def test_evolve_and_weyl_make_one_batched_call_per_scenario(tmp_path, monkeypatch):
+    from quasifree import gaussian, semigroup
+    calls = []
+
+    def count(module, name, size):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls.append((name, size(*args)))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    count(semigroup, "evolve_states", lambda state, pair, times: len(times))
+    count(semigroup, "evolve_state", lambda state, pair, t: 1)
+    count(gaussian, "validate", lambda state, tol=None: 1)
+    count(gaussian, "validate_many", lambda states, tol=None: len(states))
+    count(gaussian, "weyl_transform", lambda state, z, tol=None: len(z))
+    state = coherent([0.3 + 0.1j])
+    code, _ = run(tmp_path, {"command": "evolve", "pair": attenuation_pair_dict(),
+                             "state": state, "times": [0.0, 0.5, 0.25, 2.0], "csv": "e.csv"})
+    # the input state is validated alone, and the evolved states in one batch
+    assert code == 0
+    assert calls == [("evolve_states", 4), ("validate", 1), ("validate_many", 4)]
+    calls.clear()
+    code, _ = run(tmp_path, {"command": "weyl", "state": state,
+                             "z": [[[0.3, 0.4]], [[0.0, 0.0]], [[-1.0, 2.0]]]})
+    assert code == 0 and calls == [("weyl_transform", 3), ("validate", 1)]
+
+
 def test_weyl_command(tmp_path):
     scenario = {"command": "weyl", "state": coherent([0.5]),
                 "z": [[[0.0, 0.0]], [[0.3, 0.4]]]}

@@ -824,6 +824,18 @@ def test_oracle_reads_each_leakage_once(monkeypatch):
     assert calls == [1, 2, 1, 2]
 
 
+def test_oracle_takes_its_closed_form_weyl_values_in_one_call(monkeypatch):
+    calls, transform = [], fock.weyl_transform
+
+    def counted(state, z, tol):
+        calls.append(np.shape(z))
+        return transform(state, z, tol)
+    monkeypatch.setattr(fock, "weyl_transform", counted)
+    report = fock.oracle_compare(coherent([0.5]), attenuation_pair(), 0.25, cutoff=12,
+                                 steps=100, num_weyl=5)
+    assert calls == [(5, 1)] and report.check.passed
+
+
 def test_oracle_refuses_non_coherent_state():
     from quasifree.gaussian import GaussianState
     squeezed = GaussianState(n=1, l=[0.0], m=[0.0], S=np.diag([1.0, 0.25]))
@@ -843,3 +855,15 @@ def test_write_moment_csv(tmp_path):
     assert lines[0] == "t,l1,m1,S11,S12,S21,S22"
     assert len(lines) == 3
     assert [float(x) for x in lines[2].split(",")] == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("n, cutoff", [(1, 8), (2, 4)])
+def test_top_level_population_of_a_density_is_the_trace_of_its_top_block(n, cutoff):
+    rep = fock.build(n, cutoff)
+    gen = np.random.default_rng(90 + n)
+    A = gen.normal(size=(rep.dim, rep.dim)) + 1j * gen.normal(size=(rep.dim, rep.dim))
+    rho = A @ A.conj().T
+    rho /= np.trace(rho).real
+    top = rep.top_level
+    block = float(np.real(np.trace(rho[np.ix_(top, top)])))
+    assert fock.top_level_population(rep, rho) == block > 0.0

@@ -10,6 +10,7 @@ from quasifree.gaussian import (
     coherent,
     vacuum,
     validate,
+    validate_many,
     weyl_transform,
 )
 from quasifree.semigroup import QuasifreePair, evolve_state
@@ -217,3 +218,47 @@ def test_evolution_and_weyl_transforms_validate_the_input_once(validate_calls):
         evolve_state(st, pair, t)
         weyl_transform(st, [0.3j])
     assert validate_calls == [(st, TOLERANCES.psd)]
+
+
+# --- batches -------------------------------------------------------------------
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+def test_a_stack_of_weyl_arguments_gives_each_value_bitwise(n):
+    gen = rng(300 + n)
+    zs = gen.normal(size=(16, n)) + 1j * gen.normal(size=(16, n))
+    zs[0], zs[1], zs[2] = 0.0, 1j * zs[1].imag, zs[2].real     # signed zeros
+    for st in (random_valid_state(gen, n), vacuum(n)):
+        values = weyl_transform(st, zs)
+        assert values.shape == (16,) and values.dtype == complex
+        for z, value in zip(zs, values):
+            single = weyl_transform(st, z)
+            assert type(single) is complex and _same_bits(value, single)
+    assert weyl_transform(vacuum(n), np.empty((0, n))).shape == (0,)
+
+
+def test_a_stack_of_weyl_arguments_is_refused_by_its_length_and_state_first():
+    with pytest.raises(ValueError, match="^expected a stack of length-2 vectors, got shape"):
+        weyl_transform(vacuum(2), np.zeros((3, 1)))
+    bad = GaussianState(n=1, l=[0.0], m=[0.0], S=0.25 * np.eye(2))
+    with pytest.raises(ValueError, match="^invalid Gaussian state: psd check fails, "):
+        weyl_transform(bad, np.empty((0, 1)))
+
+
+def test_validate_many_is_validate_of_each_state():
+    gen = rng(310)
+    states = [random_valid_state(gen, 3) for _ in range(4)]
+    S = states[0].S.copy()
+    S[0, 1] += 1e-3                                                # asymmetric
+    states += [GaussianState(n=3, l=np.zeros(3), m=np.zeros(3), S=S),
+               GaussianState(n=3, l=np.zeros(3), m=np.zeros(3), S=0.3 * np.eye(6)),  # not PSD
+               vacuum(3)]
+    for tol in (TOLERANCES.psd, 1e-3):
+        diags = validate_many(states, tol)
+        assert diags == [validate(st, tol) for st in states]
+        assert [d.is_valid for d in diags] == [True] * 4 + [False, False, True]
+    assert validate_many([]) == []

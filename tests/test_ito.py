@@ -173,6 +173,14 @@ def test_quadrature_table_text_layout():
     assert text.count("dt") >= 3  # header, column label, two diagonal entries
 
 
+def test_poisson_table_refuses_two_intensities_for_one_colour():
+    with pytest.raises(ValueError, match=r"^colour 1 has one intensity, got 1\.0 and 7\.0$"):
+        poisson_table(1, 1, 1.0, 7.0)
+    with pytest.raises(ValueError, match="^colour 2 has one intensity, got nan and 0.5$"):
+        poisson_table(2, 2, float("nan"), 0.5)
+    assert poisson_table(1, 2, 1.0, 7.0).check.passed       # two colours, two intensities
+
+
 def test_poisson_table_same_colour():
     check = poisson_table(1, 1, 0.7, 0.7)
     assert check.check.passed

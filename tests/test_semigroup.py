@@ -10,13 +10,15 @@ import pytest
 import scipy.linalg
 
 from quasifree import cli, fock, symplectic
-from quasifree.gaussian import GaussianState, coherent, vacuum, validate, weyl_transform
+from quasifree.gaussian import (GaussianState, coherent, vacuum, validate, validate_many,
+                                weyl_transform)
 from quasifree import semigroup
 from quasifree.semigroup import (
     PROPAGATOR_MEMO,
     QuasifreePair,
     admissible,
     evolve_state,
+    evolve_states,
     generator_action,
     weyl_action,
 )
@@ -351,17 +353,79 @@ def test_evolve_and_weyl_action_repeat_bitwise():
             assert same_bits(image.damping_exponent, repeat.damping_exponent)
 
 
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_evolve_states_is_bitwise_the_loop_of_evolve_state(n):
+    gen = rng(80 + n)
+    pair = random_admissible_pair(gen, n, couplings=max(1, n // 4))
+    state = random_valid_state(gen, n)
+    times = [0.0, 2.5, 0.3, 0.3, 7.0, 0.0, 1e-3]
+    batch = evolve_states(state, pair, times)
+    assert len(batch) == len(times)
+    fresh = QuasifreePair(n=n, K=pair.K, C=pair.C)
+    for t, out in zip(times, batch):
+        one = evolve_state(state, fresh, t)
+        assert all(same_bits(getattr(one, k), getattr(out, k)) for k in "lmS")
+    diags = validate_many(batch, pair.tolerances.psd)
+    assert diags == [validate(out, pair.tolerances.psd) for out in batch]
+    assert evolve_states(state, pair, []) == []
+
+
+def _failure(call):
+    """(class, message) of the exception call raises, or None."""
+    try:
+        call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# K = I/2: e^{tK} and B_t are finite up to t ~ 1420, but the moments of the
+# loud state (S = 1e10 I) overflow from t ~ 660 on
+_FAILING_GRIDS = {
+    "moments": [1.0, 690.0, 2.0],
+    "propagator": [1.0, 1500.0],
+    "moments-before-propagator": [690.0, 1500.0],
+    "propagator-before-moments": [1500.0, 690.0],
+    "negative": [1.0, -0.5, 690.0],
+    "moments-before-negative": [690.0, -0.5],
+    "nan": [float("nan"), 1.0],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_FAILING_GRIDS))
+def test_evolve_states_refuses_the_first_failing_time_as_the_loop_does(grid):
+    times = _FAILING_GRIDS[grid]
+    loud = GaussianState(n=1, l=[0.0], m=[0.0], S=1e10 * np.eye(2))
+
+    def fresh():
+        return QuasifreePair(n=1, K=0.5 * np.eye(2), C=np.eye(2))
+
+    loop = _failure(lambda: [evolve_state(loud, pair, t) for pair in [fresh()] for t in times])
+    assert loop is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _failure(lambda: evolve_states(loud, fresh(), times)) == loop
+
+
+def test_evolve_states_refuses_an_invalid_state_before_any_time():
+    bad = GaussianState(n=1, l=[0.0], m=[0.0], S=0.25 * np.eye(2))
+    for times in ([], [-1.0], [1.0]):
+        with pytest.raises(ValueError, match="^invalid Gaussian state: psd check fails, "):
+            evolve_states(bad, attenuation_pair(), times)
+
+
 @pytest.fixture
 def propagator_calls(monkeypatch):
-    """The times at which the memo reaches the per-time evaluation Propagator.at."""
+    """The times at which the memo reaches the evaluation under Propagator.at
+    and Propagator.at_many."""
     calls = []
-    at = Propagator.at
+    prefix = Propagator._prefix
 
-    def counted(self, t):
-        calls.append(t)
-        return at(self, t)
+    def counted(self, ts):
+        calls.extend(ts)
+        return prefix(self, ts)
 
-    monkeypatch.setattr(Propagator, "at", counted)
+    monkeypatch.setattr(Propagator, "_prefix", counted)
     return calls
 
 
@@ -387,6 +451,38 @@ def test_each_distinct_time_is_propagated_once(propagator_calls):
         evolve_state(state, pair, t)
         weyl_action(pair, t, [0.2])
     assert propagator_calls == [0.1, 0.5]
+
+
+def test_a_grid_fills_the_memo_that_single_times_then_hit(propagator_calls):
+    gen = rng(73)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    state = random_valid_state(gen, 2)
+    times = [0.5, 0.1, 0.5, 2.0]
+    evolve_states(state, pair, times)
+    assert propagator_calls == [0.5, 0.1, 2.0]      # one evaluation, each time once
+    for t in times:
+        evolve_state(state, pair, t)
+        weyl_action(pair, t, [0.2, 0.1j])
+    assert propagator_calls == [0.5, 0.1, 2.0]      # every single time hit
+    evolve_states(state, pair, [0.1, 3.0, 2.0])     # a grid evaluates all its times
+    assert propagator_calls == [0.5, 0.1, 2.0, 0.1, 3.0, 2.0]
+    weyl_action(pair, 3.0, [0.2, 0.1j])
+    assert propagator_calls == [0.5, 0.1, 2.0, 0.1, 3.0, 2.0]
+
+
+def test_a_used_pair_is_freed_by_reference_count_alone():
+    # a reference cycle through the memo would keep every pair, its prepared
+    # powers and its propagators alive until the cyclic collector ran
+    pair = random_admissible_pair(rng(77), 2, couplings=2)
+    evolve_states(random_valid_state(rng(78), 2), pair, [0.1, 0.4])
+    weyl_action(pair, 0.7, [0.2, 0.1j])
+    held = weakref.ref(pair)
+    gc.disable()
+    try:
+        del pair
+        assert held() is None
+    finally:
+        gc.enable()
 
 
 def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):

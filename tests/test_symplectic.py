@@ -399,6 +399,80 @@ def test_growing_dynamics_overflow_by_name_without_warnings(m, t, shown):
     assert issubclass(PropagatorOverflowError, ArithmeticError)
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _loss_pair(n=2, rate=1.5):
+    return -0.5 * rate * np.eye(2 * n), rate * np.eye(2 * n)
+
+
+_CHANNEL_TIMES = list(np.geomspace(0.1, 5.0, 8))
+_GRIDS = {
+    "zero-repeated-unsorted": (2, [0.0, 0.7, 3.0, 0.7, 0.0, 0.2, 40.0, 0.05]),
+    "channel-n1": (1, _CHANNEL_TIMES),
+    "channel-n2": (2, _CHANNEL_TIMES),
+    "channel-n8": (8, _CHANNEL_TIMES),
+    "channel-n32": (32, _CHANNEL_TIMES),
+    "long-loss": (None, [2e3, 1e4]),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+def test_at_many_is_bitwise_at_at_each_time(grid):
+    n, times = _GRIDS[grid]
+    if n is None:
+        K, C = _loss_pair()
+    else:
+        pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
+        K, C = pair.K, pair.C
+    prepared = symplectic.Propagator(K, C)
+    E, B = prepared.at_many(times)
+    assert E.shape == B.shape == (len(times), *K.shape)
+    for t, E_t, B_t in zip(times, E, B):
+        E_ref, B_ref = symplectic.Propagator(K, C).at(t)
+        assert _same_bits(E_t, E_ref) and _same_bits(B_t, B_ref)
+    if n is None:   # the long times take 10 and 12 squarings
+        shift = math.log2(prepared.eta / symplectic._THETA_25)
+        assert [math.ceil(math.log2(t) + shift) for t in times] == [10, 12]
+
+
+def _failure(call):
+    """(class, message) of the exception call raises, or None."""
+    try:
+        call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+# the amplifier e^{tK} = e^{t/2} I overflows from t ~ 1420 on
+_FAILING_GRIDS = {
+    "overflow": [0.5, 1500.0, 2.0],
+    "negative": [0.5, -1.0, 2.0],
+    "nan": [0.5, float("nan")],
+    "inf": [float("inf"), 0.5],
+    "overflow-before-negative": [2000.0, -1.0],
+    "negative-before-overflow": [0.0, -2.0, 2000.0],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_FAILING_GRIDS))
+def test_a_grid_refuses_its_first_failing_time_as_a_loop_over_it_does(grid):
+    times = _FAILING_GRIDS[grid]
+    K, C = 0.5 * np.eye(2), np.eye(2)
+    loop = _failure(lambda: [symplectic.Propagator(K, C).at(t) for t in times])
+    assert loop is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _failure(lambda: symplectic.Propagator(K, C).at_many(times)) == loop
+
+
+def test_an_empty_grid_gives_empty_stacks():
+    E, B = symplectic.Propagator(*_loss_pair()).at_many([])
+    assert E.shape == B.shape == (0, 4, 4)
+
+
 def test_psd_verdict_is_the_rule_of_psd_check():
     gen = rng(32)
     for shift in (-1e-7, -1e-10, 0.0, 1e-3):
