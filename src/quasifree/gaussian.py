@@ -6,13 +6,13 @@ observables (p_1..p_n, -q_1..-q_n), subject to 2S + iJ >= 0.  No density
 matrix is ever stored at this layer; the truncated-Fock oracle provides the
 matrix-level counterpart.
 
-States are immutable: the constructor keeps read-only copies of l, m and S,
-so a write to the caller's arrays or to the state's own raises or has no
-effect.  That lets a state cache its verdict: :meth:`GaussianState.diagnostic`
-runs :func:`validate` once per tolerance, and the library's own checks
-(state evolution, Weyl transforms) go through it.  Many states are judged
-in one pass by :func:`validate_many` (one stacked defect and one stacked
-``eigvalsh``), of which :func:`validate` is the one-state case, and
+States are immutable, each fact proven once where the arrays enter: the
+constructor keeps read-only finite copies of l, m and S, and an evolved state
+the write-protected arrays that evolution has just proven finite.  So a write
+raises or has no effect, and a state caches its verdict: :meth:`diagnostic`
+runs :func:`validate` once per tolerance, and the library's own checks (state
+evolution, Weyl transforms) go through it.  :func:`validate_many` judges many
+states in one pass (one stacked defect and one stacked ``eigvalsh``), and
 :func:`weyl_transform` takes one z or a stack of them.
 
 Normalization conventions, pinned once and verified against the oracle:
@@ -67,6 +67,13 @@ class GaussianState:
                              f"got {self.S.shape}")
         if not all(np.isfinite(a).all() for a in (self.l, self.m, self.S)):
             raise ValueError("means and covariance must be finite")
+
+    @classmethod
+    def _proven(cls, n: int, l, m, S) -> GaussianState:
+        """The state over arrays evolution has proven finite and write-protected."""
+        state = object.__new__(cls)
+        state.__dict__.update(n=n, l=l, m=m, S=S, _diagnostics={})
+        return state
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays
@@ -127,8 +134,8 @@ def _refuse_invalid(state: GaussianState, tol: float) -> None:
     """The one refusal of an invalid state: a ValueError naming the check that
     decides the state's cached diagnostic at tol, when that check fails."""
     diag = state.diagnostic(tol)
-    check = decisive([diag.symmetry, diag.psd])
-    if not check.passed:
+    if not diag.is_valid:
+        check = decisive([diag.symmetry, diag.psd])
         raise ValueError(f"invalid Gaussian state: {check.name} check fails, "
                          f"{check.value:.3e} > {check.bound:.3e}")
 

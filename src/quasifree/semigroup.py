@@ -11,23 +11,23 @@ damped Weyl operator, and dually maps Gaussian states to Gaussian states:
 Both directions are implemented and linked by the duality identity
 Tr(rho_t W(z)) = Tr(rho W(z_out)) exp(-damping), which the tests exercise.
 
-Pairs are immutable: the constructor checks that K and C are finite and
-that the pair is admissible, on read-only copies of K and C, so no later write
-can slip past the check.  A pair keeps the tolerance set it was admitted
+Each fact is proven once, where the value enters.  Pairs are immutable: the
+constructor checks that K and C are finite and that the pair is admissible,
+on read-only copies of K and C, so no later write can slip past the check
+and no later layer repeats it.  A pair keeps the tolerance set it was admitted
 under, and its input states, its decomposition and the oracle are judged by
 it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
 memoizes it.  On the first memo miss the pair prepares one
-:class:`quasifree.symplectic.Propagator`, which checks K and C, takes the
-1-norm of the Van Loan block and computes its even powers.
+:class:`quasifree.symplectic.Propagator` with no second check of K and C.
 :meth:`QuasifreePair.propagator` keeps the PROPAGATOR_MEMO most recently used
 times and returns read-only arrays, bitwise equal to
 :func:`quasifree.symplectic.propagator`.  A grid of times
-(:func:`evolve_states`) evaluates its distinct times in one
-:meth:`Propagator.at_many <quasifree.symplectic.Propagator.at_many>` and
+(:func:`evolve_states`) evaluates its distinct times in one pass of the
+kernel behind :meth:`~quasifree.symplectic.Propagator.at_many` and
 stores each in the memo, so a Weyl action or a state evolution at a grid
 time that is still held is a hit.  Input states are checked through the
 state's own cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`, once
-per grid.
+per grid; an evolved state keeps, uncopied, the moments the guard proved finite.
 """
 
 from __future__ import annotations
@@ -82,32 +82,35 @@ def _propagator_memo(K, C):
     PROPAGATOR_MEMO most recently used times.  grid: times -> (entries,
     error), the memo's (E, B) at each of times before the first that
     Propagator.at_many refuses, and that refusal (or None); the distinct
-    times are evaluated in one Propagator.at_many and go into the memo as
-    each would alone, and an entry the memo already holds is kept, bitwise
-    what the grid computed.  The Propagator is prepared on first use.  No
+    times are evaluated in one pass and go into the memo as each would alone,
+    and an entry the memo already holds is kept, bitwise what the grid
+    computed.  Both enter the one kernel, Propagator._prefix, directly.  No
     closure refers back to the pair, so a pair is freed by reference count."""
     prepared = []
     from_grid = {}          # a grid's results, on their way into the memo
 
-    def propagator():
-        if not prepared:
-            prepared.append(Propagator(K, C))
-        return prepared[0]
+    def evaluate_many(ts):
+        if not prepared:    # K and C passed pair_arrays when the pair was admitted
+            prepared.append(Propagator.__new__(Propagator))
+            prepared[0]._prepare(K, C)
+        E, B, error = prepared[0]._prefix(ts)
+        E.flags.writeable = B.flags.writeable = False
+        return E, B, error
 
     def evaluate(t):
         entry = from_grid.pop(t, None)
         if entry is None:
-            E, B = propagator().at(t)
-            E.flags.writeable = B.flags.writeable = False
-            entry = E, B
+            E, B, error = evaluate_many([t])
+            if error is not None:
+                raise error
+            entry = E[0], B[0]
         return entry
 
     at = functools.lru_cache(PROPAGATOR_MEMO)(evaluate)
 
     def grid(times):
         distinct = list(dict.fromkeys(times))
-        E, B, error = propagator()._prefix(distinct)
-        E.flags.writeable = B.flags.writeable = False
+        E, B, error = evaluate_many(distinct)
         stop = times.index(distinct[len(E)]) if error is not None else len(times)
         from_grid.update(zip(distinct, zip(E, B)))
         try:
@@ -124,13 +127,8 @@ class QuasifreePair:
     and the inequality are checked on construction, at tolerances.psd, which
     also sets min_noise_eigenvalue.  Compared and hashed by identity.
 
-    Its memo of (e^{tK}, B_t) keeps the PROPAGATOR_MEMO most recently used
-    times.  A grid of times (:func:`evolve_states`) evaluates its distinct
-    times in one Propagator.at_many, without looking them up first, and each
-    goes into the memo as a single time's evaluation would; an entry the
-    memo already holds is kept, and it is bitwise the grid's.  So a later
-    single time on the grid hits, and a single-time lookup stays one
-    ``functools.lru_cache`` call."""
+    Its memo of (e^{tK}, B_t) is _propagator_memo's: a grid's times go in as
+    single times would, and a single-time lookup is one lru_cache call."""
 
     n: int
     K: np.ndarray
@@ -194,7 +192,7 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
     E, B = pair.propagator(t)
     w, S_t = _moments(state, E, B)
     _overflow_guard(pair.K, [t], w, S_t)
-    return GaussianState(n=state.n, l=w[:state.n], m=-w[state.n:], S=S_t)
+    return GaussianState._proven(state.n, w[:state.n], read_only(-w[state.n:]), S_t)
 
 
 def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[GaussianState]:
@@ -217,7 +215,7 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     _overflow_guard(pair.K, times[:len(found)], w, S_t)
     if error is not None:
         raise error
-    return [GaussianState(n=n, l=w_t[:n], m=-w_t[n:], S=S) for w_t, S in zip(w, S_t)]
+    return [GaussianState._proven(n, *lmS) for lmS in zip(w[:, :n], read_only(-w[:, n:]), S_t)]
 
 
 def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
@@ -230,12 +228,14 @@ def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
 def _moments(state: GaussianState, E, B):
     """(w, S_t): the evolved means w = E^T (l, -m) and covariance
     S_t = E^T S E + B/2, symmetrized, for one (E, B) or a stack of them;
-    they may overflow."""
+    they may overflow, and are write-protected for the states to keep."""
     E_T = E.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         w = E_T @ np.concatenate([state.l, -state.m])
         S_t = E_T @ state.S @ E + 0.5 * B
-        return w, (S_t + S_t.swapaxes(-1, -2)) / 2.0
+        S_t = (S_t + S_t.swapaxes(-1, -2)) / 2.0
+    w.flags.writeable = S_t.flags.writeable = False
+    return w, S_t
 
 
 @dataclass(frozen=True, eq=False)

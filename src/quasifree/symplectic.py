@@ -267,7 +267,7 @@ def _overflow_error(K, t: float) -> PropagatorOverflowError:
 def _finite_prefix(times, *results) -> int:
     """The number of leading times at which every result is finite; each
     result holds one array or number per time along its first axis."""
-    if all(np.isfinite(a).all() for a in results):
+    if all(np.logical_and.reduce(np.isfinite(a), axis=None) for a in results):
         return len(times)
     finite = np.ones(len(times), dtype=bool)
     for a in results:
@@ -331,7 +331,10 @@ class Propagator:
     """
 
     def __init__(self, K, C):
-        K, C = pair_arrays(K, C)
+        self._prepare(*pair_arrays(K, C))
+
+    def _prepare(self, K, C) -> None:
+        """__init__ past pair_arrays: an admitted pair's memo calls it directly."""
         self.K = K
         m = K.shape[0]
         abs_K = np.abs(K)

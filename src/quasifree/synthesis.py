@@ -11,7 +11,8 @@ the symmetric part of JK, and a residual generator K' in sp(2n).  Together
 these reproduce the semigroup generator exactly; the tests check this against
 the truncated-Fock oracle.  The data is that of the Hudson-Parthasarathy
 equation dU = {sum_j (L_j dA_j^dag - L_j^dag dA_j) - (iH + (1/2) sum_j
-L_j^dag L_j) dt} U with the standard sign of H, as in quasifree.ito.
+L_j^dag L_j) dt} U with the standard sign of H, as in quasifree.ito.  It
+checks its pair once and sums the couplings' pairs once, for K' and residuals.
 
 K(u,v) is defined by the generator-matching relation (the complex form of K
 must send z to (conj(lam(z)) v - lam(z) u)/2 with lam(z) = <u|z> + <z|v>), and
@@ -24,7 +25,7 @@ covered by an explicit regression test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -134,10 +135,11 @@ class DilationSpec:
     The noisy evolution it describes couples the system to one bath channel
     per Lindblad term; with no terms it degenerates to a closed evolution
     generated by the quadratic Hamiltonian alone.  The residuals of its
-    reconstruction identities are computed once, on construction, and judged
-    by one rule, reconstructs(): relative to s = 1 + max(|K|, |C|), the K and
-    C residuals must be at most tolerances.reconstruction * s and the
-    symplectic residual at most tolerances.symplectic * s.
+    reconstruction identities are computed once, on construction (from the
+    private _coupling_sums decompose() passes, or else from its terms), and
+    judged by one rule, reconstructs(): relative to s = 1 + max(|K|, |C|),
+    the K and C residuals must be at most tolerances.reconstruction * s and
+    the symplectic residual at most tolerances.symplectic * s.
     """
 
     n: int
@@ -147,9 +149,10 @@ class DilationSpec:
     K: np.ndarray
     C: np.ndarray
     residuals: ReconstructionResiduals = field(init=False)
+    _coupling_sums: InitVar[tuple | None] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "residuals", reconstruction_residuals(self))
+    def __post_init__(self, _coupling_sums):
+        object.__setattr__(self, "residuals", reconstruction_residuals(self, _coupling_sums))
 
     @property
     def noise_dimension(self) -> int:
@@ -168,9 +171,10 @@ class DilationSpec:
 
 def _phase_fixed(cols):
     """cols, each column turned by conj(c)/|c| (a sign for real columns) so its
-    first component c above 1e-12 times its norm is real positive; every column
-    is a nonzero multiple of a unit eigenvector here, so each has such a c."""
-    above = np.abs(cols) > 1e-12 * np.linalg.norm(cols, axis=0)
+    first component c above 1e-12 times its norm (np.linalg.norm's arithmetic
+    without its fixed cost) is real positive; every column is a nonzero
+    multiple of a unit eigenvector here, so each has such a c."""
+    above = np.abs(cols) > 1e-12 * np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
     lead = cols[above.argmax(axis=0), np.arange(cols.shape[1])]
     return cols * (np.conj(lead) / np.abs(lead))
 
@@ -189,7 +193,7 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
     whole-array: one mask keeps eigenpairs and one _phase_fixed call fixes the
     phase of every kept column.  Raises RuntimeError for a spec that fails
     DilationSpec.reconstructs() at the same tolerances; its k_residual is 0 by
-    construction, as reconstruction_residuals() takes the same sum.
+    construction, as the spec's residuals take the same sums.
     """
     K = np.asarray(K, dtype=float)
     C = np.asarray(C, dtype=float)
@@ -205,7 +209,8 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
     stacked = _phase_fixed(evecs[:, keep] * np.sqrt(evals[keep])).T
     terms = [LindbladTerm(b=col[:n], c=col[n:]) for col in stacked]
 
-    K_prime = K - _coupling_sum(terms, n)[0]
+    sums = _coupling_sum(terms, n)
+    K_prime = K - sums[0]
 
     JK = _form_times(K)
     N = (JK + JK.T) / 2.0
@@ -220,7 +225,7 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
 
     spec = DilationSpec(n=n, lindblad_terms=tuple(terms),
                         hamiltonian_terms=tuple(hterms),
-                        K_prime=K_prime, K=K, C=C)
+                        K_prime=K_prime, K=K, C=C, _coupling_sums=sums)
     check = spec.reconstructs(tolerances)
     if not check.passed:
         raise RuntimeError(f"decomposition failed to reconstruct the pair: {check}")
@@ -240,11 +245,11 @@ def _coupling_sum(terms, n: int):
                               np.reshape([t.v for t in terms], (-1, n)).T)
 
 
-def reconstruction_residuals(spec: DilationSpec) -> ReconstructionResiduals:
+def reconstruction_residuals(spec: DilationSpec, _sums=None) -> ReconstructionResiduals:
     """Max-norm residuals of the three reconstruction identities, the term
-    sums from one stacked pair_from_coupling call.  k_residual is 0 by
-    construction for a spec made by decompose(); it measures hand-built ones."""
-    K_sum, C_sum = _coupling_sum(spec.lindblad_terms, spec.n)
+    sums from one stacked pair_from_coupling call or the private _sums given.
+    k_residual is 0 by construction for decompose()'s specs; it measures others."""
+    K_sum, C_sum = _coupling_sum(spec.lindblad_terms, spec.n) if _sums is None else _sums
     JK = _form_times(spec.K_prime)
     dK = np.abs(spec.K - K_sum - spec.K_prime).max(initial=0.0)
     dC = np.abs(spec.C - C_sum).max(initial=0.0)

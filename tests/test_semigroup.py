@@ -210,7 +210,7 @@ def test_pure_loss_with_half_its_noise_is_not_completely_positive():
     assert psd_verdict(np.linalg.eigvalsh(cp_matrix(loss, 1.0))).passed
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
 def test_duality_of_state_and_weyl_actions(n):
     gen = rng(44)
     for _ in range(10):
@@ -335,6 +335,88 @@ def test_memoized_propagator_is_read_only_and_bitwise_the_kernel():
                 E[0, 0] = 1.0
             again = pair.propagator(t)
             assert again[0] is E and again[1] is B
+
+
+def refuses_writes_down_its_bases(a):
+    """a and every array behind it through .base refuse an element write."""
+    while isinstance(a, np.ndarray):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+        a = a.base
+    return True
+
+
+@pytest.mark.parametrize("how", ["evolve_state", "evolve_states"])
+def test_an_evolved_state_and_every_base_behind_it_refuse_writes(how):
+    gen = rng(73)
+    pair = random_admissible_pair(gen, 3, couplings=2)
+    state = random_valid_state(gen, 3)
+    times = [0.0, 0.4, 2.0, 0.4]
+    evolved = ([evolve_state(state, pair, t) for t in times] if how == "evolve_state"
+               else evolve_states(state, pair, times))
+    for t, st in zip(times, evolved):
+        assert all(refuses_writes_down_its_bases(getattr(st, k)) for k in "lmS")
+        assert all(refuses_writes_down_its_bases(a) for a in pair.propagator(t))
+        assert st.l.shape == st.m.shape == (3,) and st.S.shape == (6, 6)
+        assert st.diagnostic().is_valid
+    # the stacked arrays behind a grid's states stay as they were
+    again = evolve_states(state, pair, times)
+    for st, twin in zip(evolved, again):
+        assert all(same_bits(getattr(st, k), getattr(twin, k)) for k in "lmS")
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_of_an_evolved_state_are_rebuilt_by_the_constructor(monkeypatch, clone):
+    gen = rng(74)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    st = evolve_states(random_valid_state(gen, 2), pair, [0.5, 1.5])[1]
+    built = []
+    constructor_checks = GaussianState.__post_init__
+
+    def counted(self):
+        built.append(self)
+        constructor_checks(self)
+
+    monkeypatch.setattr(GaussianState, "__post_init__", counted)
+    twin = clone(st)
+    assert built == [twin]
+    for k in "lmS":
+        a, b = getattr(st, k), getattr(twin, k)
+        assert same_bits(a, b) and b.base is None and not b.flags.writeable
+    assert twin.diagnostic() == st.diagnostic()
+
+
+def test_a_pairs_first_memo_miss_checks_no_array_again(monkeypatch):
+    pair = random_admissible_pair(rng(75), 2, couplings=2)
+    state = random_valid_state(rng(76), 2)
+    calls = []
+    original = symplectic.pair_arrays
+
+    def counted(K, C):
+        calls.append(K.shape)
+        return original(K, C)
+
+    for module in (symplectic, semigroup):
+        monkeypatch.setattr(module, "pair_arrays", counted)
+    E, B = pair.propagator(0.3)
+    evolve_state(state, pair, 0.7)
+    evolve_states(state, pair, [0.1, 0.9])
+    weyl_action(pair, 1.1, [0.2, 0.3j])
+    assert calls == []
+    E_ref, B_ref = propagator(pair.K, pair.C, 0.3)     # the public entry checks its input
+    assert calls == [(4, 4)]
+    assert same_bits(E, E_ref) and same_bits(B, B_ref)
+
+
+def test_public_entries_keep_their_refusals():
+    with pytest.raises(ValueError, match="^means and covariance must be finite$"):
+        GaussianState(n=1, l=[np.nan], m=[0.0], S=0.5 * np.eye(2))
+    with pytest.raises(ValueError, match="^K and C must be finite$"):
+        Propagator(np.array([[np.inf, 0.0], [0.0, -1.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="^C must be symmetric$"):
+        decompose(-0.5 * np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]))
 
 
 def test_evolve_and_weyl_action_repeat_bitwise():
@@ -489,9 +571,9 @@ def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):
     prepared = []
 
     class Counted(Propagator):
-        def __init__(self, K, C):
+        def _prepare(self, K, C):
             prepared.append(K.shape)
-            super().__init__(K, C)
+            super()._prepare(K, C)
 
     monkeypatch.setattr(semigroup, "Propagator", Counted)
     pair = random_admissible_pair(rng(74), 12, couplings=2)
