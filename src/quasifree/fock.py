@@ -24,15 +24,14 @@ Krylov projection: Arnoldi on Hermitian matrices (real Gram-Schmidt
 coefficients, at most 30 basis vectors) and the exponential of the small
 augmented Hessenberg matrix, whose last entry is the error estimate
 (Saad 1992; Sidje 1998, Expokit's expv).  A substep pays only for what its
-estimate needs: the exponential is taken only once the estimate's leading
-term, computed in logs, is within 10 times the tolerance; the next substep's
-length follows from the last estimate, and a full basis that fails shrinks
-the substep by the same rule; Gram-Schmidt is repeated only when the first
-pass cancels most of the vector (Daniel, Gragg, Kaufman and Stewart 1976).
-The trace drift is checked once per substep, and the basis costs 31 d^2
-complex numbers.  The Lindbladian is applied as two stacked sparse
-products; see lindblad_evolve.  scipy.sparse is imported only where
-operators are assembled, so code that never assembles one does not load it.
+estimate needs (lindblad_evolve); Gram-Schmidt is repeated only when the
+first pass cancels most of the vector (Daniel, Gragg, Kaufman and Stewart
+1976).  The Lindbladian is two calls of scipy's CSR kernel, csr_matvecs,
+the one csr_array @ x runs, on the operators' own arrays, adding into
+buffers allocated once per integration in csr_array's summation order;
+the indices are checked once per representation (FockRep, _Pattern.of),
+not per operator.  scipy.sparse is imported only where operators are
+assembled, so code that never assembles one does not load it.
 
 Weyl matrices need no matrix exponential.  The single-mode generator
 z a^dag - conj(z) a is -i|z| times the truncated a + a^dag conjugated by the
@@ -48,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 import scipy.linalg
@@ -170,11 +169,11 @@ class FockRep:
 
 
 def _frozen(array) -> np.ndarray:
-    """A read-only copy of array, laid out in memory as array is: the layout
-    of the product tables sets the summation order of state_moments."""
+    """A copy of array laid out as array is (the product tables' layout sets
+    state_moments' summation order), as a view of a write-protected base."""
     array = np.array(array, order="K")
     array.flags.writeable = False
-    return array
+    return array.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,13 +204,10 @@ class _Pattern:
                    _frozen(indptr.astype(np.int32)), _frozen(positions.ravel()))
 
     def fill(self, values):
-        """The CSR array whose entries are the sums of the slot values, one
-        per slot in the order of positions, with zeros dropped.  One
-        bincount each for the real and imaginary parts; scipy.sparse is
-        imported here, so code that never assembles an operator does not
-        load it."""
-        import scipy.sparse as sparse
-
+        """(data, indices, indptr), the canonical CSR arrays of the operator
+        whose entries are the sums of the slot values, one per slot in the
+        order of positions, with zeros dropped.  One bincount each for the
+        real and imaginary parts; no index is checked again, as of proved them."""
         values = np.ravel(values)
         nnz = len(self.indices)
         data = np.empty(nnz, dtype=complex)
@@ -220,8 +216,7 @@ class _Pattern:
         keep = data != 0
         kept = np.zeros(nnz + 1, dtype=np.int32)
         np.cumsum(keep, out=kept[1:])
-        return sparse.csr_array((data[keep], self.indices[keep], kept[self.indptr]),
-                                shape=self.shape)
+        return data[keep], self.indices[keep], kept[self.indptr]
 
 
 @lru_cache(maxsize=8)
@@ -261,7 +256,9 @@ def _dense(rep: FockRep, coefficients) -> np.ndarray:
         pattern, weights = rep.lindblad_patterns(0)[0], rep.products[1]
     else:
         pattern, weights = rep.lindblad_patterns(1)[1], rep.weights
-    return pattern.fill(coefficients[..., None] * weights).toarray()
+    import scipy.sparse as sparse
+    return sparse.csr_array(pattern.fill(coefficients[..., None] * weights),
+                            shape=pattern.shape).toarray()
 
 
 def top_level_population(rep: FockRep, state) -> float:
@@ -409,23 +406,30 @@ def _lindblad_operators(rep: FockRep, spec: DilationSpec):
     """The operators of lindblad_evolve, assembled from the index tables.
 
     Returns stacked = vstack(A, L_1, ..., L_m), (m+1)d x d, and side_by_side
-    = hstack(L_1, ..., L_m), d x md, as canonical CSR arrays with no stored
-    zeros, with A = -iH - (1/2) sum_j L_j^dag L_j.  Each L_j = sum_k beta_jk
-    X_k, and A = sum_kl alpha_kl X_k X_l with the 2n x 2n alpha from the
+    = hstack(L_1, ..., L_m), d x md, with A = -iH - (1/2) sum_j L_j^dag L_j,
+    each as scipy's CSR kernel csr_matvecs, the one csr_array @ x runs, bound
+    to its shape, d columns and its canonical CSR arrays with no stored
+    zeros, indptr, indices and data (.args[3:]): op(x, out) adds op @ x into
+    out, both flat.  scipy.sparse is imported here, so code that never
+    assembles an operator does not load it.  Each L_j = sum_k beta_jk X_k,
+    and A = sum_kl alpha_kl X_k X_l with the 2n x 2n alpha from the
     Hamiltonian terms and the couplings.  The sparsity patterns depend only
     on the representation and m, and are computed once
     (FockRep.lindblad_patterns); each call fills them with the slot values
     alpha_kl weights[k, l, r] and beta_jk weights[k, r], summing the slots
     that share an entry.  The cost is O(n^2 d) and no d x d array is formed.
     """
+    from scipy.sparse._sparsetools import csr_matvecs
+
     beta = _coupling_coefficients(rep, spec)
     # A = sum_kl alpha_kl X_k X_l, since L_j^dag = sum_k conj(beta_j)[k -+ n] X_k
     alpha = (-1j * _hamiltonian_coefficients(rep, spec.hamiltonian_terms)
              - 0.5 * np.roll(beta.conj(), rep.n, axis=1).T @ beta)
     stacked, side_by_side = rep.lindblad_patterns(len(beta))
     Lw = (beta[:, :, None] * rep.weights).ravel()    # slot (j, k, r) of L_j
-    return (stacked.fill(np.concatenate([(alpha[..., None] * rep.products[1]).ravel(), Lw])),
-            side_by_side.fill(Lw))
+    slots = np.concatenate([(alpha[..., None] * rep.products[1]).ravel(), Lw])
+    return (partial(csr_matvecs, *stacked.shape, rep.dim, *stacked.fill(slots)[::-1]),
+            partial(csr_matvecs, *side_by_side.shape, rep.dim, *side_by_side.fill(Lw)[::-1]))
 
 
 def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int) -> np.ndarray:
@@ -463,13 +467,12 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
     point (the time left above 2^53 times the substep), or when the trace
     drifts.
 
-    L y for Hermitian y is two sparse products: with A = -iH - (1/2) sum_j
-    L_j^dag L_j and M = A y it is M + M^dag + sum_j L_j (L_j y)^dag, so
-    G = vstack(A, L_1, ..., L_m) @ y and then hstack(L_1, ..., L_m) applied
-    to the blockwise conjugate transpose of the rows of G below the first d.
-    Both operators are filled into the representation's cached patterns in
-    O(n^2 d) (_lindblad_operators); no dense d x d operator and no d^2 x d^2
-    superoperator is formed.  Memory is the basis, 31 d^2 complex numbers.
+    L y for Hermitian y is M + M^dag + sum_j L_j (L_j y)^dag, M = A y, A =
+    -iH - (1/2) sum_j L_j^dag L_j: two calls of scipy's CSR kernel on the
+    operators of _lindblad_operators, whose indices are checked once per
+    representation, into buffers allocated once per call, in csr_array @'s
+    summation order (_lindbladian).  Memory is the basis, 31 d^2 complex
+    numbers, and the buffers, 2(m+1) d^2.
     """
     if not 0.0 <= t < np.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
@@ -481,18 +484,8 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
         rho = np.outer(rho0, rho0.conj())
     else:
         rho = 0.5 * (rho0 + rho0.conj().T)
+    apply = _lindbladian(rep, spec)
     d = rep.dim
-    stacked, side_by_side = _lindblad_operators(rep, spec)
-    m = len(spec.lindblad_terms)
-    # B[0] = M^dag and B[j] = (L_j y)^dag, one transposing pass per product
-    B = np.empty((m + 1, d, d), dtype=complex)
-    jumps = B[1:].reshape(m * d, d)
-
-    def apply(y, out):
-        G = stacked @ y
-        np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
-        np.add(side_by_side @ jumps, G[:d], out=out)
-        out += B[0]
 
     def estimate(tau, k):
         """(beta exp(tau Hbar) e_1, its estimate |u[k]|), inf for a u not finite."""
@@ -523,17 +516,17 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
             c = Vr[:k] @ w          # classical Gram-Schmidt
             w -= c @ Vr[:k]
             H[:k, j] = c
-            H[k, j] = math.sqrt(w @ w)
-            if H[k, j] < scale / math.sqrt(2):
+            h = math.sqrt(w @ w)
+            if h < scale / math.sqrt(2):
                 c = Vr[:k] @ w      # cancellation: reorthogonalize once
                 w -= c @ Vr[:k]
                 H[:k, j] += c
-                H[k, j] = math.sqrt(w @ w)
-            if H[k, j] <= np.finfo(float).eps * scale:
-                H[k, j] = 0.0       # breakdown: L V_k lies in the span
-                break
-            w /= H[k, j]
-            log_lead += math.log(H[k, j] / k)
+                h = math.sqrt(w @ w)
+            if h <= math.ulp(1.0) * scale:
+                break               # breakdown: L V_k lies in the span, H[k, j] = 0
+            H[k, j] = h
+            w /= h
+            log_lead += math.log(h / k)
             if k % _KRYLOV_CHECK == 0 and log_lead + k * math.log(tau) <= _LOG_TEST_GATE:
                 u, err = estimate(tau, k)
                 if err <= _KRYLOV_TOL:
@@ -555,6 +548,29 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
             raise RuntimeError(f"trace drift {drift:.3e} after {done} substeps")
         tau *= min(2.0, _step_factor(err, k))
     return rho
+
+
+def _lindbladian(rep: FockRep, spec: DilationSpec):
+    """apply(y, out): L y into out, for C-contiguous d x d y, Hermitian, and
+    out.  Zeroed G takes stacked @ y; zeroed out takes side_by_side @ the
+    conjugate transposes of G's blocks below the first, then G[:d], then M^dag."""
+    stacked, side_by_side = _lindblad_operators(rep, spec)
+    d, m = rep.dim, len(spec.lindblad_terms)
+    # G = stacked @ y; B[0] = M^dag and B[j] = (L_j y)^dag, one transposing pass
+    G = np.empty(((m + 1) * d, d), dtype=complex)
+    B = np.empty((m + 1, d, d), dtype=complex)
+    jumps = B[1:].ravel()
+
+    def apply(y, out):
+        G.fill(0.0)
+        stacked(y.ravel(), G.ravel())
+        np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
+        out.fill(0.0)
+        side_by_side(jumps, out.ravel())
+        out += G[:d]
+        out += B[0]
+
+    return apply
 
 
 def _step_factor(err: float, k: int) -> float:

@@ -58,12 +58,17 @@ __all__ = [
 
 def noise_matrix(K, C) -> np.ndarray:
     """D = C + i(K^T J + J K), exactly Hermitian; K and C pass pair_arrays, K of even order."""
+    return _noise_parts(K, C)[3]
+
+
+def _noise_parts(K, C):
+    """(K, C, JK, D): K and C by pair_arrays, K of even order, and J K and D."""
     K, C = pair_arrays(K, C)
     if K.shape[0] % 2 != 0:
         raise ValueError(f"K must be of even order, got {K.shape}")
     JK = _form_times(K)
     D = C + 1j * (JK - JK.T)  # K^T J + J K, as J^T = -J
-    return (D + D.conj().T) / 2.0
+    return K, C, JK, (D + D.conj().T) / 2.0
 
 
 def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
@@ -228,14 +233,14 @@ def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
 def _moments(state: GaussianState, E, B):
     """(w, S_t): the evolved means w = E^T (l, -m) and covariance
     S_t = E^T S E + B/2, symmetrized, for one (E, B) or a stack of them;
-    they may overflow, and are write-protected for the states to keep."""
+    they may overflow, and are views of write-protected bases the states keep."""
     E_T = E.swapaxes(-1, -2)
     with np.errstate(over="ignore", invalid="ignore"):
         w = E_T @ np.concatenate([state.l, -state.m])
         S_t = E_T @ state.S @ E + 0.5 * B
         S_t = (S_t + S_t.swapaxes(-1, -2)) / 2.0
     w.flags.writeable = S_t.flags.writeable = False
-    return w, S_t
+    return w.view(), S_t.view()
 
 
 @dataclass(frozen=True, eq=False)

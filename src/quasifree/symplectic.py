@@ -147,11 +147,11 @@ def real_extract(xi) -> np.ndarray:
 
 
 def read_only(a) -> np.ndarray:
-    """A float copy of a that cannot be written in place; a later write to a
-    itself leaves the copy unchanged."""
+    """A float copy of a that cannot be written in place nor made writeable
+    (a view of a write-protected base); a later write to a leaves it as is."""
     a = np.array(a, dtype=float)
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 def complex_vector(z, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .semigroup import noise_matrix
+from .semigroup import _noise_parts, noise_matrix
 from .symplectic import (TOLERANCES, Check, Tolerances, _form_times, decisive, hermitian_eigh,
                          psd_verdict)
 
@@ -135,11 +135,11 @@ class DilationSpec:
     The noisy evolution it describes couples the system to one bath channel
     per Lindblad term; with no terms it degenerates to a closed evolution
     generated by the quadratic Hamiltonian alone.  The residuals of its
-    reconstruction identities are computed once, on construction (from the
-    private _coupling_sums decompose() passes, or else from its terms), and
-    judged by one rule, reconstructs(): relative to s = 1 + max(|K|, |C|),
-    the K and C residuals must be at most tolerances.reconstruction * s and
-    the symplectic residual at most tolerances.symplectic * s.
+    reconstruction identities (from the private _coupling_sums decompose()
+    passes, or else from its terms) and s = 1 + max(|K|, |C|) are computed
+    once, on construction, and judged by one rule, reconstructs(): the K and
+    C residuals must be at most tolerances.reconstruction * s and the
+    symplectic residual at most tolerances.symplectic * s.
     """
 
     n: int
@@ -153,6 +153,8 @@ class DilationSpec:
 
     def __post_init__(self, _coupling_sums):
         object.__setattr__(self, "residuals", reconstruction_residuals(self, _coupling_sums))
+        object.__setattr__(self, "_scale", 1.0 + max(np.abs(self.K).max(initial=0.0),
+                                                     np.abs(self.C).max(initial=0.0)))
 
     @property
     def noise_dimension(self) -> int:
@@ -161,8 +163,7 @@ class DilationSpec:
     def reconstructs(self, tolerances: Tolerances = TOLERANCES) -> Check:
         """The reconstruction rule as the Check that decides it: the decisive
         one of the "reconstruction" (K and C) and "symplectic" checks."""
-        res = self.residuals
-        scale = 1.0 + max(np.abs(self.K).max(initial=0.0), np.abs(self.C).max(initial=0.0))
+        res, scale = self.residuals, self._scale
         return decisive((Check("reconstruction", float(np.max([res.k_residual, res.c_residual])),
                                tolerances.reconstruction * scale),
                          Check("symplectic", res.symplectic_residual,
@@ -183,21 +184,20 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
     """Split an admissible pair into Lindblad, Hamiltonian and symplectic data,
     judged by one tolerance set (a pair's own, where there is a pair).
 
-    Steps: eigendecompose the noise matrix D once, refuse the pair if its
+    Steps: check K and C once and form JK once, for both the noise matrix
+    D and N = sym(JK); eigendecompose D once, refuse the pair if its
     eigenvalues fail the PSD rule of admissible() at tolerances.psd, and keep
     those above tolerances.rank relative to the largest; scale eigenvectors by
     sqrt(eigenvalue) and read off the couplings; subtract their summed drift,
     one stacked pair_from_coupling call, to expose the residual K' in sp(2n);
-    diagonalize the symmetric part of JK, each eigenpair (nu, x) giving a
-    Hamiltonian term of strength lam = -nu.  Both eigendecompositions are read
-    whole-array: one mask keeps eigenpairs and one _phase_fixed call fixes the
-    phase of every kept column.  Raises RuntimeError for a spec that fails
+    diagonalize N, each eigenpair (nu, x) giving a Hamiltonian term of
+    strength lam = -nu.  Both eigendecompositions are read whole-array: one
+    mask keeps eigenpairs and one _phase_fixed call fixes the phase of every
+    kept column.  Raises RuntimeError for a spec that fails
     DilationSpec.reconstructs() at the same tolerances; its k_residual is 0 by
     construction, as the spec's residuals take the same sums.
     """
-    K = np.asarray(K, dtype=float)
-    C = np.asarray(C, dtype=float)
-    D = noise_matrix(K, C)
+    K, C, JK, D = _noise_parts(K, C)
     evals, evecs = hermitian_eigh(D)
     if not psd_verdict(evals, tolerances.psd).passed:
         raise ValueError(f"pair is not admissible: noise matrix has "
@@ -212,7 +212,6 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
     sums = _coupling_sum(terms, n)
     K_prime = K - sums[0]
 
-    JK = _form_times(K)
     N = (JK + JK.T) / 2.0
     nvals, nvecs = hermitian_eigh(N)
     nfloor = 1e-13 * (1.0 + np.abs(N).max(initial=0.0))

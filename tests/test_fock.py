@@ -10,8 +10,8 @@ from quasifree.semigroup import QuasifreePair, evolve_state
 from quasifree.symplectic import expm, symplectic_form
 from quasifree.synthesis import DilationSpec, decompose, pair_from_coupling
 
-from util import (coo_lindblad_operators, dense_evolution, dense_generator, kron_ladder,
-                  random_admissible_pair, rng, smeared_ladder)
+from util import (coo_lindblad_operators, csr_lindbladian, dense_evolution, dense_generator,
+                  kron_ladder, lindblad_operators, random_admissible_pair, rng, smeared_ladder)
 
 
 def attenuation_pair():
@@ -119,6 +119,8 @@ def test_a_truncation_is_built_once_and_its_tables_are_read_only():
     for table in (rep.columns, rep.weights, *rep.products, rep.top_level):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 1
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            table.flags.writeable = True
 
 
 def test_a_representation_keeps_its_own_copy_of_the_tables():
@@ -475,7 +477,7 @@ def test_assembled_operators_equal_the_dense_formula(n, cutoff, kind):
     gen = rng(40 + 3 * n)
     spec = spec_of_kind(gen, n, kind)
     rep = fock.build(n, cutoff)
-    stacked, side_by_side = fock._lindblad_operators(rep, spec)
+    stacked, side_by_side = lindblad_operators(rep, spec)
     H, Ls = dense_generator(rep, spec)
     A = -1j * H - 0.5 * sum((L.conj().T @ L for L in Ls), np.zeros_like(H))
     for got, ref in [(stacked, np.vstack([A, *Ls])),
@@ -494,11 +496,47 @@ def test_cached_patterns_refill_like_a_fresh_coo_assembly(n, cutoff):
     specs.append(decompose(*pair_from_coupling(np.eye(n)[0], np.zeros(n))))
     rep = fock.build(n, cutoff)
     for spec in specs + specs[::-1]:
-        for got, ref in zip(fock._lindblad_operators(rep, spec), coo_lindblad_operators(rep, spec)):
+        for got, ref in zip(lindblad_operators(rep, spec), coo_lindblad_operators(rep, spec)):
             assert got.shape == ref.shape and np.all(got.data != 0)
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.indptr, ref.indptr)
             assert np.all(np.abs(got.data - ref.data) <= 3.5e-16 * np.abs(ref.data))
+
+
+@pytest.mark.parametrize("kind", ["coupled", "closed", "dissipative"])
+@pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
+def test_the_kernel_lindbladian_is_bitwise_the_csr_array_formula(n, cutoff, kind):
+    # two calls of scipy's private CSR kernel into reused buffers round as
+    # csr_array @ and the conjugate-transpose pass do; a change in that
+    # kernel fails here
+    gen = rng(40 + 3 * n)
+    spec = spec_of_kind(gen, n, kind)
+    rep = fock.build(n, cutoff)
+    apply, reference = fock._lindbladian(rep, spec), csr_lindbladian(rep, spec)
+    got, want = np.full((2, rep.dim, rep.dim), np.nan, dtype=complex)
+    for _ in range(3):
+        y = random_density(gen, rep.dim)
+        apply(y, got)
+        reference(y, want)
+        assert got.tobytes() == want.tobytes()
+
+
+# (n, cutoff, amplitude, t, steps) of the two benchmark job shapes
+BENCHMARK_JOBS = [(1, 30, 1.0, 0.5, 400), (2, 8, 0.3, 0.25, 200)]
+
+
+@pytest.mark.parametrize("n, cutoff, amplitude, t, steps", BENCHMARK_JOBS)
+def test_lindblad_evolve_is_bitwise_the_csr_array_path(monkeypatch, n, cutoff, amplitude, t,
+                                                       steps):
+    gen = rng(90 + n)
+    pair = random_admissible_pair(gen, n, couplings=n, coupling_scale=0.5 / n)
+    spec = decompose(pair.K, pair.C)
+    rep = fock.build(n, cutoff)
+    psi0 = fock.coherent_vector(rep, amplitude * np.exp(2j * np.pi * gen.uniform(size=n)))
+    got = fock.lindblad_evolve(rep, psi0, spec, t, steps)
+    monkeypatch.setattr(fock, "_lindbladian", csr_lindbladian)
+    want = fock.lindblad_evolve(rep, psi0, spec, t, steps)
+    assert np.isfinite(got).all() and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n, cutoff", [(1, 12), (2, 5), (3, 3)])
@@ -538,7 +576,7 @@ def test_the_oracle_does_not_depend_on_the_order_of_the_basis(kind):
     rep = fock.build(2, 5)
     perm = gen.permutation(rep.dim)
     shuf = shuffled(rep, perm)
-    for got, ref in zip(fock._lindblad_operators(shuf, spec), fock._lindblad_operators(rep, spec)):
+    for got, ref in zip(lindblad_operators(shuf, spec), lindblad_operators(rep, spec)):
         ref = conjugated_blocks(ref, perm, rep.dim)
         assert got.shape == ref.shape and got.has_canonical_format and np.all(got.data != 0)
         assert np.abs(got.toarray() - ref).max(initial=0.0) <= 1e-15 * np.abs(ref).max(initial=0.0)

@@ -366,6 +366,22 @@ def test_an_evolved_state_and_every_base_behind_it_refuse_writes(how):
         assert all(same_bits(getattr(st, k), getattr(twin, k)) for k in "lmS")
 
 
+def test_no_writeable_flag_of_a_state_or_pair_can_be_set_again():
+    # write protection holds against a flipped flag, so a state's cached
+    # diagnostic cannot go stale: constructed, evolved, copied, and a pair
+    gen = rng(77)
+    pair = random_admissible_pair(gen, 2, couplings=2)
+    state = random_valid_state(gen, 2)
+    states = [state, copy.deepcopy(state), evolve_state(state, pair, 0.4),
+              *evolve_states(state, pair, [0.4, 1.5])]
+    arrays = [pair.K, pair.C, *(getattr(st, k) for st in states for k in "lmS")]
+    for a in arrays:
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            a.flags.writeable = True
+        assert not a.flags.writeable
+    assert all(st.diagnostic().is_valid for st in states)
+
+
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
                          ids=["deepcopy", "pickle"])
 def test_copies_of_an_evolved_state_are_rebuilt_by_the_constructor(monkeypatch, clone):
@@ -384,7 +400,7 @@ def test_copies_of_an_evolved_state_are_rebuilt_by_the_constructor(monkeypatch, 
     assert built == [twin]
     for k in "lmS":
         a, b = getattr(st, k), getattr(twin, k)
-        assert same_bits(a, b) and b.base is None and not b.flags.writeable
+        assert same_bits(a, b) and not np.shares_memory(a, b) and not b.flags.writeable
     assert twin.diagnostic() == st.diagnostic()
 
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from quasifree import cli, fock, ito, synthesis
+from quasifree import cli, fock, ito, semigroup, symplectic, synthesis
 from quasifree.semigroup import QuasifreePair, admissible, generator_action
 from quasifree.symplectic import (TOLERANCES, Tolerances, hermitian_eigh, psd_check, real_embed,
                                   symplectic_form)
@@ -286,6 +286,26 @@ def test_reconstruction_rule_is_relative_to_the_pair_scale():
     assert not spec.reconstructs(Tolerances(reconstruction=0.5 * kc / scale)).passed
     assert not spec.reconstructs(
         Tolerances(symplectic=0.5 * res.symplectic_residual / scale)).passed
+
+
+def test_decompose_forms_each_product_with_j_once(monkeypatch):
+    # J K once for the noise matrix and N = sym(JK) both, J K' once for the
+    # symplectic residual; the rule's scale is the one the spec computed
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return symplectic._form_times(A)
+
+    pair = random_admissible_pair(rng(59), 2, couplings=2)
+    for module in (semigroup, synthesis):
+        monkeypatch.setattr(module, "_form_times", counted)
+    spec = decompose(pair.K, pair.C)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], pair.K) and calls[1] is spec.K_prime
+    scale = 1.0 + max(np.abs(spec.K).max(), np.abs(spec.C).max())
+    check = spec.reconstructs()
+    assert check.bound == getattr(TOLERANCES, check.name) * scale
 
 
 def test_decompose_builds_each_coupling_pair_once(monkeypatch, tmp_path):

@@ -136,3 +136,37 @@ def coo_lindblad_operators(rep, spec):
     return (csr([(alpha[..., None] * weights, rows, columns),
                  (Lw, d + block + rows, rep.columns)], ((m + 1) * d, d)),
             csr([(Lw, rows, block + rep.columns)], (d, m * d)))
+
+
+def lindblad_operators(rep, spec):
+    """fock._lindblad_operators as scipy csr_arrays over their own arrays,
+    so that scipy's format checks and dense conversions apply to them: each
+    operator is csr_matvecs bound to (rows, columns, d, indptr, indices, data)."""
+    import scipy.sparse as sparse
+
+    from quasifree import fock
+
+    operators = []
+    for op in fock._lindblad_operators(rep, spec):
+        rows, columns, _, indptr, indices, data = op.args
+        operators.append(sparse.csr_array((data, indices, indptr), shape=(rows, columns)))
+    return tuple(operators)
+
+
+def csr_lindbladian(rep, spec):
+    """fock._lindbladian by csr_array @ and one conjugate-transpose pass:
+    apply(y, out) writes (sum_j L_j (L_j y)^dag + M) + M^dag into out, with
+    M = A y the first d rows of G = vstack(A, L_1..L_m) @ y; the reference
+    the CSR kernel path must match bit for bit."""
+    stacked, side_by_side = lindblad_operators(rep, spec)
+    d, m = rep.dim, len(spec.lindblad_terms)
+    B = np.empty((m + 1, d, d), dtype=complex)
+    jumps = B[1:].reshape(m * d, d)
+
+    def apply(y, out):
+        G = stacked @ y
+        np.conjugate(G.reshape(m + 1, d, d).transpose(0, 2, 1), out=B)
+        np.add(side_by_side @ jumps, G[:d], out=out)
+        out += B[0]
+
+    return apply
