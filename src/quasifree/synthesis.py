@@ -31,7 +31,7 @@ import numpy as np
 
 from .semigroup import _noise_parts, noise_matrix
 from .symplectic import (TOLERANCES, Check, Tolerances, _form_times, decisive, hermitian_eigh,
-                         psd_verdict)
+                         psd_verdict, read_only)
 
 __all__ = [
     "LindbladTerm",
@@ -134,10 +134,11 @@ class DilationSpec:
 
     The noisy evolution it describes couples the system to one bath channel
     per Lindblad term; with no terms it degenerates to a closed evolution
-    generated by the quadratic Hamiltonian alone.  The residuals of its
-    reconstruction identities (from the private _coupling_sums decompose()
-    passes, or else from its terms) and s = 1 + max(|K|, |C|) are computed
-    once, on construction, and judged by one rule, reconstructs(): the K and
+    generated by the quadratic Hamiltonian alone.  It keeps read-only copies
+    of K', K and C, so no write can stale what is computed once, on
+    construction: the residuals of its reconstruction identities (from the
+    private _coupling_sums decompose() passes, or else from its terms) and
+    s = 1 + max(|K|, |C|), judged by one rule, reconstructs(): the K and
     C residuals must be at most tolerances.reconstruction * s and the
     symplectic residual at most tolerances.symplectic * s.
     """
@@ -152,6 +153,8 @@ class DilationSpec:
     _coupling_sums: InitVar[tuple | None] = None
 
     def __post_init__(self, _coupling_sums):
+        for name in ("K_prime", "K", "C"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
         object.__setattr__(self, "residuals", reconstruction_residuals(self, _coupling_sums))
         object.__setattr__(self, "_scale", 1.0 + max(np.abs(self.K).max(initial=0.0),
                                                      np.abs(self.C).max(initial=0.0)))

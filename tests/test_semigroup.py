@@ -562,10 +562,41 @@ def test_a_grid_fills_the_memo_that_single_times_then_hit(propagator_calls):
         evolve_state(state, pair, t)
         weyl_action(pair, t, [0.2, 0.1j])
     assert propagator_calls == [0.5, 0.1, 2.0]      # every single time hit
-    evolve_states(state, pair, [0.1, 3.0, 2.0])     # a grid evaluates all its times
-    assert propagator_calls == [0.5, 0.1, 2.0, 0.1, 3.0, 2.0]
+    evolve_states(state, pair, [0.1, 3.0, 2.0])     # held grid times make no call
+    assert propagator_calls == [0.5, 0.1, 2.0, 3.0]
     weyl_action(pair, 3.0, [0.2, 0.1j])
-    assert propagator_calls == [0.5, 0.1, 2.0, 0.1, 3.0, 2.0]
+    assert propagator_calls == [0.5, 0.1, 2.0, 3.0]
+
+
+def test_an_empty_grid_prepares_nothing(monkeypatch, propagator_calls):
+    prepared, prepare = [], Propagator._prepare
+    monkeypatch.setattr(Propagator, "_prepare",
+                        lambda self, K, C: prepared.append(K.shape) or prepare(self, K, C))
+    pair = random_admissible_pair(rng(79), 2, couplings=2)
+    assert evolve_states(random_valid_state(rng(80), 2), pair, []) == []
+    assert prepared == [] and propagator_calls == []
+
+
+def test_a_long_grid_keeps_its_last_times_each_in_its_own_buffer(propagator_calls):
+    # a multi-time evaluation stores copies: a held entry must not keep the
+    # grid's whole stack alive
+    n = 2
+    pair, other = (random_admissible_pair(rng(81), n, couplings=2) for _ in range(2))
+    state = random_valid_state(rng(82), n)
+    times = [0.01 * k for k in range(4 * PROPAGATOR_MEMO)]
+    states = evolve_states(state, pair, times)
+    assert propagator_calls == times                # one evaluation of every time
+    assert [s.S.tobytes() for s in states] == [evolve_state(state, other, t).S.tobytes()
+                                               for t in times]
+    del propagator_calls[:]
+    held, error = pair._propagators(times[-PROPAGATOR_MEMO:])
+    assert propagator_calls == [] and error is None
+    for array in (a for entry in held for a in entry):
+        while array.base is not None:
+            array = array.base
+        assert array.shape == (2 * n, 2 * n)
+    pair.propagator(times[-PROPAGATOR_MEMO - 1])    # dropped: computed again
+    assert propagator_calls == [times[-PROPAGATOR_MEMO - 1]]
 
 
 def test_a_used_pair_is_freed_by_reference_count_alone():

@@ -288,6 +288,23 @@ def test_reconstruction_rule_is_relative_to_the_pair_scale():
         Tolerances(symplectic=0.5 * res.symplectic_residual / scale)).passed
 
 
+def test_a_spec_keeps_its_own_read_only_copies_of_the_pair():
+    # the residuals are computed once, so a write to the arrays behind them
+    # would leave a stale verdict
+    K, C = pair_from_coupling([1.0], [0.3])
+    spec = decompose(K, C)
+    kept = spec.K.copy(), spec.C.copy(), spec.K_prime.copy()
+    K[0, 0] = 50.0
+    C[1, 1] = 50.0
+    assert all(np.array_equal(a, b) for a, b in zip((spec.K, spec.C, spec.K_prime), kept))
+    assert reconstruction_residuals(spec) == spec.residuals
+    for array in (spec.K, spec.C, spec.K_prime):
+        with pytest.raises(ValueError):
+            array[0, 0] = 50.0
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
 def test_decompose_forms_each_product_with_j_once(monkeypatch):
     # J K once for the noise matrix and N = sym(JK) both, J K' once for the
     # symplectic residual; the rule's scale is the one the spec computed
