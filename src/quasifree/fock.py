@@ -54,7 +54,7 @@ import scipy.linalg
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import TOLERANCES, Check, complex_vector, psd_check
+from .symplectic import TOLERANCES, Check, _finite_entries, complex_vector, psd_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -332,7 +332,7 @@ def weyl_matrix(rep: FockRep, z) -> np.ndarray:
     tells how far the truncation reaches.
     """
     z = np.asarray(z, dtype=complex)
-    probes = z if z.ndim == 2 else complex_vector(z, rep.n)[None]
+    probes = _finite_entries(z) if z.ndim == 2 else complex_vector(z, rep.n)[None]
     if probes.shape[1] != rep.n:
         raise ValueError(f"expected probes of length {rep.n}, got shape {z.shape}")
     mu, V = _quadrature_eigenbasis(rep.cutoff)
@@ -364,7 +364,7 @@ def validate_density(rho, tol: float = TOLERANCES.psd) -> None:
     rho = np.asarray(rho)
     if rho.ndim == 1:
         trace = np.vdot(rho, rho).real
-        if abs(trace - 1.0) > tol:
+        if not abs(trace - 1.0) <= tol:     # a NaN trace fails
             raise ValueError(f"state vector squared norm {trace:.12g} != 1")
         return
     psd = psd_check(rho, tol)
@@ -533,7 +533,9 @@ def lindblad_evolve(rep: FockRep, rho0, spec: DilationSpec, t: float, steps: int
                     break
         if err > _KRYLOV_TOL:       # a full basis, or a breakdown
             u, err = estimate(tau, k)
-        while err > _KRYLOV_TOL:
+        # a basis that is not finite reads err = inf at every tau, so the
+        # shrinking stops once tau no longer advances the time left
+        while err > _KRYLOV_TOL and left - tau != left:
             tau *= min(max(_step_factor(err, k), 0.05), 0.5)
             u, err = estimate(tau, k)
         if left - tau == left:

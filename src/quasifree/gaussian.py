@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _hermitian_rule, _psd_check_rule,
-                         complex_vector, decisive, read_only, symplectic_form)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _finite_entries, _hermitian_rule,
+                         _psd_check_rule, complex_vector, decisive, read_only, symplectic_form)
 
 __all__ = [
     "GaussianState",
@@ -161,12 +161,12 @@ def weyl_transform(state: GaussianState, z, tol: float = TOLERANCES.psd):
     Returns exp{-i sqrt(2) (l.x - m.y) - (x, y) S (x, y)^T} with (x, y) the
     real embedding of z: a complex number for one vector z, and an array of
     p values for a p x n stack of vectors, each bitwise its value alone.
-    Invalid states are rejected, before z is read; the magnitude never
-    exceeds 1 for a valid state.
+    Invalid states are rejected, before z is read, and so is a z with an
+    entry that is not finite; the magnitude never exceeds 1 for a valid state.
     """
     _refuse_invalid(state, tol)
     z = np.asarray(z, dtype=complex)
-    zs = z if z.ndim == 2 else complex_vector(z, state.n)[None]
+    zs = _finite_entries(z) if z.ndim == 2 else complex_vector(z, state.n)[None]
     if zs.shape[1] != state.n:
         raise ValueError(f"expected a stack of length-{state.n} vectors, got shape {zs.shape}")
     # each dot product and quadratic form as a stack of 1 x k products, so

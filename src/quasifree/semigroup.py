@@ -17,14 +17,12 @@ on read-only copies of K and C, so no later write can slip past the check
 and no later layer repeats it.  A pair keeps the tolerance set it was admitted
 under, and its input states, its decomposition and the oracle are judged by
 it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
-memoizes it behind one lookup of a list of times, which
-:meth:`QuasifreePair.propagator` calls with one time and :func:`evolve_states`
-with its grid.  The lookup keeps the PROPAGATOR_MEMO most recently used
-times as read-only arrays, bitwise :func:`quasifree.symplectic.propagator`,
-and sends the distinct times it lacks to the kernel of
-:meth:`~quasifree.symplectic.Propagator.at_many` in one call; the first call
-prepares the pair's one :class:`~quasifree.symplectic.Propagator`, with no
-second check of K and C.  Input states are checked through their own
+holds one :class:`~quasifree.symplectic.Propagator`, made before the
+admissibility test so that its check of K and C is the pair's only one.
+:meth:`QuasifreePair.propagator` looks up one time in its bounded memo and
+:func:`evolve_states` its grid, as read-only arrays bitwise
+:func:`quasifree.symplectic.propagator`; the first miss prepares it, and an
+empty grid prepares nothing.  Input states are checked through their own
 cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`, once per grid;
 an evolved state keeps, uncopied, the moments the guard proved finite.
 """
@@ -41,7 +39,6 @@ from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times,
                          real_extract)
 
 __all__ = [
-    "PROPAGATOR_MEMO",
     "QuasifreePair",
     "WeylActionResult",
     "GeneratorCoefficients",
@@ -64,9 +61,14 @@ def _noise_parts(K, C):
     K, C = pair_arrays(K, C)
     if K.shape[0] % 2 != 0:
         raise ValueError(f"K must be of even order, got {K.shape}")
+    return (K, C, *_noise(K, C))
+
+
+def _noise(K, C):
+    """(J K, D) of checked K and C, K of even order."""
     JK = _form_times(K)
     D = C + 1j * (JK - JK.T)  # K^T J + J K, as J^T = -J
-    return K, C, JK, (D + D.conj().T) / 2.0
+    return JK, (D + D.conj().T) / 2.0
 
 
 def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
@@ -76,58 +78,13 @@ def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
     return psd_verdict(np.linalg.eigvalsh(noise_matrix(K, C)), tol)
 
 
-#: propagators (e^{tK}, B_t) a pair keeps, the least recently used dropped first
-PROPAGATOR_MEMO = 32
-
-
-def _propagator_memo(K, C):
-    """lookup: times -> (entries, error), the read-only (e^{tK}, B_t) at each
-    of times before the first that Propagator._prefix refuses, and that
-    refusal (or None).  One insertion-ordered dict keeps them: a hit is popped
-    and re-inserted, the distinct times it does not hold go to the kernel in
-    one call, which alone prepares the Propagator, and past PROPAGATOR_MEMO
-    the oldest are dropped once the entries are collected.  An entry of a
-    multi-time call is a copy, so no held entry keeps a stack alive.  No
-    closure refers back to the pair, so a pair is freed by reference count."""
-    memo = {}
-    prepared = []
-
-    def evaluate(ts):
-        if not prepared:    # K and C passed pair_arrays when the pair was admitted
-            prepared.append(Propagator.__new__(Propagator))
-            prepared[0]._prepare(K, C)
-        E, B, error = prepared[0]._prefix(ts)
-        if len(ts) == 1:
-            E.flags.writeable = B.flags.writeable = False
-        else:
-            E, B = map(read_only, E), map(read_only, B)
-        memo.update(zip(ts, zip(E, B)))
-        return error
-
-    def lookup(times):
-        entries, error = [], None
-        for t in times:
-            entry = memo.pop(t, None)
-            if entry is None:
-                error = evaluate([s for s in dict.fromkeys(times) if s not in memo])
-                entry = memo.pop(t, None)
-                if entry is None:
-                    break
-            memo[t] = entry
-            entries.append(entry)
-        while len(memo) > PROPAGATOR_MEMO:
-            del memo[next(iter(memo))]
-        return entries, error
-
-    return lookup
-
-
 @dataclass(frozen=True, eq=False)
 class QuasifreePair:
     """Admissible generating pair over read-only copies of K and C; finiteness
     and the inequality are checked on construction, at tolerances.psd, which
     also sets min_noise_eigenvalue.  Compared and hashed by identity.  Its
-    one memo of (e^{tK}, B_t) is _propagator_memo's lookup."""
+    (e^{tK}, B_t) come from its one symplectic.Propagator, which checks K and
+    C for the pair and memoizes them."""
 
     n: int
     K: np.ndarray
@@ -142,12 +99,14 @@ class QuasifreePair:
         object.__setattr__(self, "C", C)
         if K.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"K must be {2 * self.n} x {2 * self.n}, got {K.shape}")
-        check = admissible(K, C, self.tolerances.psd)
+        propagator = Propagator(K, C)   # pair_arrays: the pair's one check of K and C
+        D = _noise(propagator.K, propagator.C)[1]
+        check = psd_verdict(np.linalg.eigvalsh(D), self.tolerances.psd)
         if not check.passed:
             raise ValueError(f"pair is not admissible: noise matrix has "
                              f"min eigenvalue {-check.value:.3e}")
         object.__setattr__(self, "min_noise_eigenvalue", -check.value)
-        object.__setattr__(self, "_propagators", _propagator_memo(K, C))
+        object.__setattr__(self, "_propagator", propagator)
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays,
@@ -155,10 +114,10 @@ class QuasifreePair:
         return type(self), (self.n, self.K, self.C, self.tolerances)
 
     def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``symplectic.propagator(K, C, t)`` as read-only arrays, evaluated
-        once per t from the pair's prepared Propagator while t stays among the
-        PROPAGATOR_MEMO most recently used."""
-        entries, error = self._propagators([float(t)])
+        """``symplectic.propagator(K, C, t)``, evaluated once per t by the
+        pair's Propagator while t stays among its PROPAGATOR_MEMO most
+        recently used."""
+        entries, error = self._propagator.lookup([float(t)])
         if error is not None:
             raise error
         return entries[0]
@@ -209,7 +168,7 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     of the two, the earlier time is refused."""
     _refuse_input(state, pair)
     times = [float(t) for t in times]
-    found, error = pair._propagators(times)
+    found, error = pair._propagator.lookup(times)
     n = state.n
     EB = np.array(found).reshape(-1, 2, 2 * n, 2 * n)
     w, S_t = _moments(state, EB[:, 0], EB[:, 1])

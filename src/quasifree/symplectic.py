@@ -4,13 +4,14 @@ A complex displacement z in C^n is identified with the stacked real vector
 (Re z, Im z) in R^2n.  The canonical symplectic form carries the -I block in
 the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
-time: e^{tK} and B_t from one block exponential, squared up.  It is prepared
-once per pair (the checks on K and C, the 1-norm of the block, and its even
-powers) and then evaluated on a grid of times in one pass
-(:meth:`Propagator.at_many`: the scaling, the exponential and the squaring,
-stacked over the times; :meth:`Propagator.at` is its one-time case);
-:func:`propagator` prepares and evaluates once.  Everything here is dense
-numpy; the matrices in play are at most a few hundred rows.
+time: e^{tK} and B_t from one block exponential, squared up.  It checks K
+and C once, prepares on its first miss (the 1-norm of the block and its even
+powers), and keeps the PROPAGATOR_MEMO most recently used times behind one
+:meth:`Propagator.lookup` of a list of times, which evaluates the times it
+lacks in one pass (the scaling, the exponential and the squaring, stacked
+over the times).  A :class:`~quasifree.semigroup.QuasifreePair` holds one;
+:func:`propagator` makes one and looks up a single time.  Everything here is
+dense numpy; the matrices in play are at most a few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
 M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled and squared (Al-Mohy and
@@ -63,6 +64,7 @@ __all__ = [
     "hermitian_eigh",
     "expm",
     "PropagatorOverflowError",
+    "PROPAGATOR_MEMO",
     "Propagator",
     "propagator",
     "gram_integral",
@@ -155,10 +157,17 @@ def read_only(a) -> np.ndarray:
 
 
 def complex_vector(z, n: int) -> np.ndarray:
-    """z as a flat complex vector, refused unless it has length n."""
+    """z as a flat complex vector, refused unless it has length n and finite entries."""
     z = np.asarray(z, dtype=complex).ravel()
     if z.size != n:
         raise ValueError(f"expected a length-{n} vector, got {z.size}")
+    return _finite_entries(z)
+
+
+def _finite_entries(z) -> np.ndarray:
+    """z, refused unless every entry is finite."""
+    if not np.isfinite(z).all():
+        raise ValueError("vector entries must be finite")
     return z
 
 
@@ -246,10 +255,7 @@ def _psd_rule(w, tol: float):
 def expm(A) -> np.ndarray:
     """Matrix exponential (scaling-and-squaring Pade, via scipy).  The library
     no longer calls it; the tests keep it as a reference."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    return scipy.linalg.expm(A)
+    return scipy.linalg.expm(_square(A))
 
 
 class PropagatorOverflowError(ArithmeticError):
@@ -282,6 +288,9 @@ def _overflow_guard(K, times, *results) -> None:
     if stop < len(times):
         raise _overflow_error(K, times[stop])
 
+
+#: the times (e^{tK}, B_t) a Propagator keeps, the least recently used dropped first
+PROPAGATOR_MEMO = 32
 
 #: the exponents i = 0..25 and Taylor coefficients 1/i! of T_25; the largest
 #: h eta at which the backward error of T_25, the series of
@@ -319,29 +328,31 @@ def _taylor25_blocks(powers, K0, C0, r):
 
 
 class Propagator:
-    """(e^{tK}, B_t) of one pair (K, C) at any t, with B_t = integral_0^t
-    e^{sK^T} C e^{sK} ds.
+    """(e^{tK}, B_t) of one pair (K, C), with B_t = integral_0^t
+    e^{sK^T} C e^{sK} ds, behind one bounded memo of times (:meth:`lookup`).
 
-    The constructor does the work that does not depend on t, once: it checks
-    that K and C are equal square finite matrices and that C is symmetric,
-    takes the 1-norm of M = [[-K^T, C], [0, K]] off K and C, and stacks the
-    blocks of the 13 powers (h0 M)^2j, j = 0..12, at h0 = _THETA_25 / ||M||_1,
-    from 15 block products in 5 stacked rounds.  :meth:`at` does the rest
-    for one t, from 4 block products and no inverse.
+    The constructor checks that K and C are equal square finite matrices and
+    that C is symmetric.  The first miss does the work that does not depend
+    on t, once (:meth:`_prepare`): the 1-norm of M = [[-K^T, C], [0, K]] and
+    the blocks of the 13 powers (h0 M)^2j, j = 0..12, at
+    h0 = _THETA_25 / ||M||_1, from 15 block products in 5 stacked rounds.
+    Each time then takes 4 block products and no inverse (:meth:`_evaluate`).
     """
 
     def __init__(self, K, C):
-        self._prepare(*pair_arrays(K, C))
+        self.K, self.C = pair_arrays(K, C)
+        self._memo = {}
+        self._powers = None
 
-    def _prepare(self, K, C) -> None:
-        """__init__ past pair_arrays: an admitted pair's memo calls it directly."""
-        self.K = K
+    def _prepare(self) -> None:
+        """The t-independent work, on the first miss."""
+        K, C = self.K, self.C
         m = K.shape[0]
         abs_K = np.abs(K)
         self.norm = float(np.maximum(abs_K.sum(axis=1),
                                      (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
         # h0 M, dividing first: h0 = _THETA_25 / ||M||_1 overflows at a subnormal norm
-        norm = self.norm or 1.0  # K = C = 0 at ||M||_1 = 0; at inf, at() refuses any t
+        norm = self.norm or 1.0  # K = C = 0 at ||M||_1 = 0; at inf, every t is refused
         self._K0 = K0 = K / norm * _THETA_25
         self._C0 = C0 = C / norm * _THETA_25
         powers = np.zeros((13, 2, m, m))
@@ -368,35 +379,41 @@ class Propagator:
         eta = alpha * (self.norm / alpha) ** (1.0 / 27.0) if alpha else 0.0
         return max(eta, self.norm / _MAX_RATIO)
 
-    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{tK}, B_t): :meth:`at_many` at the one time t."""
-        E, B = self.at_many([t])
-        return E[0], B[0]
+    def lookup(self, times):
+        """(entries, error): the read-only (e^{tK}, B_t) at each of times
+        before the first one refused, and that refusal (None when none is).
 
-    def at_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """(e^{tK}, B_t) at each t in ts, stacked as fresh T x 2n x 2n arrays,
-        each time's pair bitwise what :meth:`at` gives at that time alone.
-
-        exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
-        :func:`_taylor25_blocks` at h = t / 2^k for every time at once and
-        squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never
-        formed, so dissipative K stays finite at any t.  k = 0 while
-        t ||M||_1 <= _THETA_25, and else is the smallest k with
-        h eta <= _THETA_25 (:attr:`eta`, on first use).  The times are taken
-        in the order of k, so each squaring updates, in place, the stacked
-        tail of the times whose k is not yet spent.  A time outside [0, inf) raises
-        ValueError, and one at which e^{tK} or B_t is not finite raises
-        PropagatorOverflowError; the first such time in the order of ts is
-        the one refused.
+        One insertion-ordered dict keeps the PROPAGATOR_MEMO most recently
+        used times: a hit is popped and re-inserted, the distinct times it
+        does not hold go to :meth:`_store` in one call, and past
+        PROPAGATOR_MEMO the oldest are dropped once the entries are
+        collected.  A time outside [0, inf) is refused with ValueError, and
+        one at which e^{tK} or B_t is not finite with
+        PropagatorOverflowError; the first such time in the order of times
+        is the one refused.
         """
-        E, B, error = self._prefix(list(ts))
-        if error is not None:
-            raise error
-        return E, B
+        memo = self._memo
+        entries, error = [], None
+        for t in times:
+            entry = memo.pop(t, None)
+            if entry is None:
+                error = self._store([s for s in dict.fromkeys(times) if s not in memo])
+                entry = memo.pop(t, None)
+                if entry is None:
+                    break
+            memo[t] = entry
+            entries.append(entry)
+        while len(memo) > PROPAGATOR_MEMO:
+            del memo[next(iter(memo))]
+        return entries, error
 
-    def _prefix(self, ts):
-        """(E, B, error): :meth:`at_many` at the times of ts before the first
-        one it refuses, and that refusal (None when it refuses none)."""
+    def _store(self, ts):
+        """Evaluate ts into the memo up to the first time refused, and return
+        that refusal (or None).  One time is kept as a write-protected
+        1-stack, and each of several times as its own read-only copy, so no
+        held entry keeps a grid's stack alive."""
+        if self._powers is None:
+            self._prepare()
         count, valid = len(ts), 0
         while valid < count and 0.0 <= ts[valid] < math.inf:
             valid += 1
@@ -406,19 +423,31 @@ class Propagator:
         else:   # nothing to evaluate, or an infinite ||M||_1: every time overflows
             E = B = np.empty((0, *self.K.shape))
             stop = 0
-        if stop < valid:
-            error = _overflow_error(self.K, ts[stop])
-        elif valid < count:
-            error = ValueError(f"time must be finite and nonnegative, got {ts[valid]}")
+        if count == 1:
+            E.flags.writeable = B.flags.writeable = False
         else:
-            error = None
-        if stop < len(E):
-            E, B = E[:stop], B[:stop]
-        return E, B, error
+            E, B = map(read_only, E[:stop]), map(read_only, B[:stop])
+        self._memo.update(zip(ts[:stop], zip(E, B)))
+        if stop < valid:
+            return _overflow_error(self.K, ts[stop])
+        if valid < count:
+            return ValueError(f"time must be finite and nonnegative, got {ts[valid]}")
+        return None
 
     def _evaluate(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The stacked (E, B) at times in [0, inf) under a finite ||M||_1,
-        which may hold non-finite entries."""
+        which may hold non-finite entries; each time's pair is bitwise the
+        one it gets alone.
+
+        exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
+        :func:`_taylor25_blocks` at h = t / 2^k for every time at once and
+        squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never
+        formed, so dissipative K stays finite at any t.  k = 0 while
+        t ||M||_1 <= _THETA_25, and else is the smallest k with
+        h eta <= _THETA_25 (:attr:`eta`, on first use).  The times are taken
+        in the order of k, so each squaring updates, in place, the stacked
+        tail of the times whose k is not yet spent.
+        """
         norm = self.norm
         # log2 of each factor, as t * eta may exceed the float range
         ks = [0 if t * norm <= _THETA_25 else
@@ -445,10 +474,13 @@ class Propagator:
 
 
 def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds:
-    ``Propagator(K, C).at(t)``, the pair prepared and evaluated once.  B_t is
-    symmetric, and PSD whenever C is."""
-    return Propagator(K, C).at(t)
+    """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds, as
+    read-only arrays: one :meth:`Propagator.lookup` of t, its refusal
+    raised.  B_t is symmetric, and PSD whenever C is."""
+    entries, error = Propagator(K, C).lookup([t])
+    if error is not None:
+        raise error
+    return entries[0]
 
 
 def gram_integral(K, C, t: float) -> np.ndarray:

@@ -379,6 +379,41 @@ def test_lindblad_refuses_a_substep_below_the_resolution_of_t():
             fock.lindblad_evolve(rep, rho0, spec, 1e50, 10**60)
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_lindblad_refuses_a_non_finite_state_vector(entry):
+    rep = fock.build(1, 4)
+    psi = vacuum(rep)
+    psi[0] = entry
+    spec = decompose(*pair_from_coupling([1.0], [0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^state vector squared norm nan != 1$"):
+            fock.lindblad_evolve(rep, psi, spec, 0.5, 10)
+
+
+def test_a_non_finite_krylov_basis_ends_in_the_substep_refusal(monkeypatch):
+    # every estimate on a basis holding a NaN reads inf: the step control
+    # shrinks the substep until it cannot advance the time left, and refuses
+    kernel = fock._lindbladian
+
+    def poisoned(rep, spec):
+        apply = kernel(rep, spec)
+
+        def nan_apply(y, out):
+            apply(y, out)
+            out[0, 0] = np.nan
+
+        return nan_apply
+
+    monkeypatch.setattr(fock, "_lindbladian", poisoned)
+    rep = fock.build(1, 4)
+    spec = decompose(*pair_from_coupling([1.0], [0.2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="cannot advance the time left"):
+            fock.lindblad_evolve(rep, vacuum(rep), spec, 0.5, 10)
+
+
 def count_expm(monkeypatch):
     """A list that grows by one entry per scipy expm the oracle takes."""
     calls, expm = [], fock.scipy.linalg.expm

@@ -14,7 +14,6 @@ from quasifree.gaussian import (GaussianState, coherent, vacuum, validate, valid
                                 weyl_transform)
 from quasifree import semigroup
 from quasifree.semigroup import (
-    PROPAGATOR_MEMO,
     QuasifreePair,
     admissible,
     evolve_state,
@@ -22,8 +21,9 @@ from quasifree.semigroup import (
     generator_action,
     weyl_action,
 )
-from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gram_integral,
-                                  propagator, psd_verdict, real_embed, symplectic_form)
+from quasifree.symplectic import (PROPAGATOR_MEMO, Propagator, PropagatorOverflowError, expm,
+                                  gram_integral, propagator, psd_verdict, real_embed,
+                                  symplectic_form)
 from quasifree.synthesis import decompose, pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state, smeared_ladder
@@ -405,7 +405,7 @@ def test_copies_of_an_evolved_state_are_rebuilt_by_the_constructor(monkeypatch, 
 
 
 def test_a_pairs_first_memo_miss_checks_no_array_again(monkeypatch):
-    pair = random_admissible_pair(rng(75), 2, couplings=2)
+    admitted = random_admissible_pair(rng(75), 2, couplings=2)
     state = random_valid_state(rng(76), 2)
     calls = []
     original = symplectic.pair_arrays
@@ -416,6 +416,9 @@ def test_a_pairs_first_memo_miss_checks_no_array_again(monkeypatch):
 
     for module in (symplectic, semigroup):
         monkeypatch.setattr(module, "pair_arrays", counted)
+    pair = QuasifreePair(n=2, K=admitted.K, C=admitted.C)
+    assert calls == [(4, 4)]                # constructing a pair checks K and C once
+    del calls[:]
     E, B = pair.propagator(0.3)
     evolve_state(state, pair, 0.7)
     evolve_states(state, pair, [0.1, 0.9])
@@ -514,16 +517,15 @@ def test_evolve_states_refuses_an_invalid_state_before_any_time():
 
 @pytest.fixture
 def propagator_calls(monkeypatch):
-    """The times at which the memo reaches the evaluation under Propagator.at
-    and Propagator.at_many."""
+    """The times at which a Propagator's memo reaches the evaluation."""
     calls = []
-    prefix = Propagator._prefix
+    store = Propagator._store
 
     def counted(self, ts):
         calls.extend(ts)
-        return prefix(self, ts)
+        return store(self, ts)
 
-    monkeypatch.setattr(Propagator, "_prefix", counted)
+    monkeypatch.setattr(Propagator, "_store", counted)
     return calls
 
 
@@ -571,7 +573,7 @@ def test_a_grid_fills_the_memo_that_single_times_then_hit(propagator_calls):
 def test_an_empty_grid_prepares_nothing(monkeypatch, propagator_calls):
     prepared, prepare = [], Propagator._prepare
     monkeypatch.setattr(Propagator, "_prepare",
-                        lambda self, K, C: prepared.append(K.shape) or prepare(self, K, C))
+                        lambda self: prepared.append(self.K.shape) or prepare(self))
     pair = random_admissible_pair(rng(79), 2, couplings=2)
     assert evolve_states(random_valid_state(rng(80), 2), pair, []) == []
     assert prepared == [] and propagator_calls == []
@@ -589,7 +591,7 @@ def test_a_long_grid_keeps_its_last_times_each_in_its_own_buffer(propagator_call
     assert [s.S.tobytes() for s in states] == [evolve_state(state, other, t).S.tobytes()
                                                for t in times]
     del propagator_calls[:]
-    held, error = pair._propagators(times[-PROPAGATOR_MEMO:])
+    held, error = pair._propagator.lookup(times[-PROPAGATOR_MEMO:])
     assert propagator_calls == [] and error is None
     for array in (a for entry in held for a in entry):
         while array.base is not None:
@@ -618,9 +620,9 @@ def test_a_pair_prepares_its_propagator_once_and_only_when_needed(monkeypatch):
     prepared = []
 
     class Counted(Propagator):
-        def _prepare(self, K, C):
-            prepared.append(K.shape)
-            super()._prepare(K, C)
+        def _prepare(self):
+            prepared.append(self.K.shape)
+            super()._prepare()
 
     monkeypatch.setattr(semigroup, "Propagator", Counted)
     pair = random_admissible_pair(rng(74), 12, couplings=2)

@@ -220,6 +220,7 @@ def test_propagator_matches_the_full_block_reference(n):
 def test_prepared_powers_are_the_even_powers_of_the_scaled_block(n):
     pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
     prepared = symplectic.Propagator(pair.K, pair.C)
+    prepared.lookup([1.0])                  # the first miss prepares
     m = 2 * n
     M = (symplectic._THETA_25 / prepared.norm) * np.block(
         [[-pair.K.T, pair.C], [np.zeros((m, m)), pair.K]])
@@ -427,14 +428,22 @@ def test_at_many_is_bitwise_at_at_each_time(grid):
         pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
         K, C = pair.K, pair.C
     prepared = symplectic.Propagator(K, C)
-    E, B = prepared.at_many(times)
-    assert E.shape == B.shape == (len(times), *K.shape)
-    for t, E_t, B_t in zip(times, E, B):
-        E_ref, B_ref = symplectic.Propagator(K, C).at(t)
+    entries, error = prepared.lookup(times)
+    assert error is None and len(entries) == len(times)
+    for t, (E_t, B_t) in zip(times, entries):
+        E_ref, B_ref = propagator(K, C, t)
         assert _same_bits(E_t, E_ref) and _same_bits(B_t, B_ref)
     if n is None:   # the long times take 10 and 12 squarings
         shift = math.log2(prepared.eta / symplectic._THETA_25)
         assert [math.ceil(math.log2(t) + shift) for t in times] == [10, 12]
+
+
+def _grid(K, C, times):
+    """The (E, B) of one lookup of times by a new Propagator, its refusal raised."""
+    entries, error = symplectic.Propagator(K, C).lookup(times)
+    if error is not None:
+        raise error
+    return entries
 
 
 def _failure(call):
@@ -461,16 +470,15 @@ _FAILING_GRIDS = {
 def test_a_grid_refuses_its_first_failing_time_as_a_loop_over_it_does(grid):
     times = _FAILING_GRIDS[grid]
     K, C = 0.5 * np.eye(2), np.eye(2)
-    loop = _failure(lambda: [symplectic.Propagator(K, C).at(t) for t in times])
+    loop = _failure(lambda: [propagator(K, C, t) for t in times])
     assert loop is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _failure(lambda: symplectic.Propagator(K, C).at_many(times)) == loop
+        assert _failure(lambda: _grid(K, C, times)) == loop
 
 
 def test_an_empty_grid_gives_empty_stacks():
-    E, B = symplectic.Propagator(*_loss_pair()).at_many([])
-    assert E.shape == B.shape == (0, 4, 4)
+    assert symplectic.Propagator(*_loss_pair()).lookup([]) == ([], None)
 
 
 def test_psd_verdict_is_the_rule_of_psd_check():
@@ -562,3 +570,22 @@ def test_vector_sites_refuse_a_wrong_length_with_one_message(site):
     call(np.array([0.01, 0.02j]))
     with pytest.raises(ValueError, match="^expected a length-2 vector, got 3$"):
         call(np.array([0.01, 0.02j, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("site", sorted(set(VECTOR_SITES) - {"fock.lindblad_matrices"}))
+def test_vector_sites_refuse_a_non_finite_entry_with_one_message(site, entry):
+    # fock.lindblad_matrices reads only the length of its z above
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            VECTOR_SITES[site](np.array([0.01, entry]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf)])
+@pytest.mark.parametrize("site", ["fock.weyl_matrix", "gaussian.weyl_transform"])
+def test_stacked_vector_sites_refuse_a_non_finite_entry_with_one_message(site, entry):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^vector entries must be finite$"):
+            VECTOR_SITES[site](np.array([[0.1, 0.3], [0.01, entry]]))
