@@ -24,19 +24,21 @@ admissibility test so that its check of K and C is the pair's only one.
 :func:`quasifree.symplectic.propagator`; the first miss prepares it, and an
 empty grid prepares nothing.  Input states are checked through their own
 cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`, once per grid;
-an evolved state keeps, uncopied, the moments the guard proved finite.
+an evolved state keeps, uncopied, the moments proven finite.  One time
+(:func:`evolve_state`, :func:`weyl_action`) tests its few results directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gaussian import GaussianState, _refuse_invalid
-from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow_guard,
-                         complex_vector, pair_arrays, psd_verdict, read_only, real_embed,
-                         real_extract)
+from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow_error,
+                         _overflow_guard, complex_vector, pair_arrays, psd_verdict, read_only,
+                         real_embed, real_extract)
 
 __all__ = [
     "QuasifreePair",
@@ -134,24 +136,28 @@ class WeylActionResult:
 def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     """Image of the Weyl operator under the semigroup at time t >= 0.  A
     propagator that overflows by time t, or an image or damping exponent that
-    does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`."""
+    does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`; the
+    image and the exponent are each tested once, where they are made."""
     xi = real_embed(complex_vector(z, pair.n))
     E, B = pair.propagator(t)
     with np.errstate(over="ignore", invalid="ignore"):
         xi_out = E @ xi
-        damping = 0.5 * xi @ B @ xi
-    _overflow_guard(pair.K, [t], xi_out, damping)
-    return WeylActionResult(z_out=real_extract(xi_out), damping_exponent=float(damping))
+        damping = float(0.5 * xi @ B @ xi)
+    if not (np.isfinite(xi_out).all() and math.isfinite(damping)):
+        raise _overflow_error(pair.K, t)
+    z_out = xi_out[:pair.n] + 1j * xi_out[pair.n:]
+    return WeylActionResult(z_out=z_out, damping_exponent=damping)
 
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """The state at time t, by the rule of :func:`evolve_states` at the one
-    time t, in a body of its own: through evolve_states a channel-like op
-    costs ~3% more."""
+    time t, in a body of its own: one memo lookup of t, its two moments
+    tested once each, and no stack of one time."""
     _refuse_input(state, pair)
     E, B = pair.propagator(t)
     w, S_t = _moments(state, E, B)
-    _overflow_guard(pair.K, [t], w, S_t)
+    if not (np.isfinite(w).all() and np.isfinite(S_t).all()):
+        raise _overflow_error(pair.K, t)
     return GaussianState._proven(state.n, w[:state.n], read_only(-w[state.n:]), S_t)
 
 

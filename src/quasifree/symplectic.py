@@ -7,11 +7,11 @@ multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  It checks K
 and C once, prepares on its first miss (the 1-norm of the block and its even
 powers), and keeps the PROPAGATOR_MEMO most recently used times behind one
-:meth:`Propagator.lookup` of a list of times, which evaluates the times it
-lacks in one pass (the scaling, the exponential and the squaring, stacked
-over the times).  A :class:`~quasifree.semigroup.QuasifreePair` holds one;
-:func:`propagator` makes one and looks up a single time.  Everything here is
-dense numpy; the matrices in play are at most a few hundred rows.
+:meth:`Propagator.lookup` of a list of times.  One missing time takes a
+straight path on two matrices; several take one pass stacked over the times,
+with bitwise the same result per time.  A :class:`~quasifree.semigroup.QuasifreePair`
+holds one; :func:`propagator` makes one and looks up a single time.  Everything
+here is dense numpy; the matrices in play are at most a few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
 M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled and squared (Al-Mohy and
@@ -304,10 +304,10 @@ _MAX_RATIO = 2.0 ** 16
 
 
 def _taylor25_blocks(powers, K0, C0, r):
-    """(E, B), stacked one per ratio in r: the bottom-right block E of the
-    degree-25 Taylor polynomial T of exp(hM), M = [[-K^T, C], [0, K]], and
-    B = E^T G with G its top-right block, from four stacked 2n x 2n products
-    and no inverse.
+    """(E, B): the bottom-right block E of the degree-25 Taylor polynomial T
+    of exp(hM), M = [[-K^T, C], [0, K]], and B = E^T G with G its top-right
+    block, from four 2n x 2n products and no inverse; two matrices for a
+    number r, and two stacks, one matrix per ratio, for a sequence.
 
     powers[j] holds the B and X blocks of M0^2j, M0 = h0 M, j = 0..12;
     K0 = h0 K, C0 = h0 C and r = h / h0.  T = V + M0 W with
@@ -319,12 +319,12 @@ def _taylor25_blocks(powers, K0, C0, r):
     # the 2T x 13 rows (even, odd coefficients per ratio) as the transpose of
     # a C-ordered 13 x 2T table, so that each time's rows reach BLAS in the
     # layout they have for that time alone
-    c = (_TAYLOR25 * r[:, None] ** _EXPONENTS).reshape(len(r), 13, 2)
+    c = (_TAYLOR25 * r[..., None] ** _EXPONENTS).reshape(-1, 13, 2)
     c = c.transpose(1, 0, 2).reshape(13, -1).T
-    X = (c @ powers.reshape(13, -1)).reshape(len(r), 2, 2, *K0.shape)
-    V_B, V_X, W_B, W_X = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+    X = (c @ powers.reshape(13, -1)).reshape(*r.shape, 2, 2, *K0.shape)
+    V_B, V_X, W_B, W_X = (X[..., i, j, :, :] for i in (0, 1) for j in (0, 1))
     E = V_B + K0 @ W_B
-    return E, E.swapaxes(1, 2) @ (V_X + C0 @ W_B - K0.T @ W_X)
+    return E, E.swapaxes(-1, -2) @ (V_X + C0 @ W_B - K0.T @ W_X)
 
 
 class Propagator:
@@ -336,7 +336,8 @@ class Propagator:
     on t, once (:meth:`_prepare`): the 1-norm of M = [[-K^T, C], [0, K]] and
     the blocks of the 13 powers (h0 M)^2j, j = 0..12, at
     h0 = _THETA_25 / ||M||_1, from 15 block products in 5 stacked rounds.
-    Each time then takes 4 block products and no inverse (:meth:`_evaluate`).
+    Each time then takes 4 block products and no inverse: one missing time
+    on two matrices (:meth:`_evaluate_one`), several stacked (:meth:`_evaluate`).
     """
 
     def __init__(self, K, C):
@@ -390,14 +391,18 @@ class Propagator:
         collected.  A time outside [0, inf) is refused with ValueError, and
         one at which e^{tK} or B_t is not finite with
         PropagatorOverflowError; the first such time in the order of times
-        is the one refused.
+        is the one refused, and a miss after a refusal is that time, so it
+        ends the lookup with nothing evaluated twice.
         """
         memo = self._memo
         entries, error = [], None
         for t in times:
             entry = memo.pop(t, None)
             if entry is None:
-                error = self._store([s for s in dict.fromkeys(times) if s not in memo])
+                if error is not None:
+                    break
+                error = self._store([t] if len(times) == 1 else
+                                    [s for s in dict.fromkeys(times) if s not in memo])
                 entry = memo.pop(t, None)
                 if entry is None:
                     break
@@ -409,30 +414,51 @@ class Propagator:
 
     def _store(self, ts):
         """Evaluate ts into the memo up to the first time refused, and return
-        that refusal (or None).  One time is kept as a write-protected
-        1-stack, and each of several times as its own read-only copy, so no
-        held entry keeps a grid's stack alive."""
+        that refusal (or None).  One time takes the straight path of
+        :meth:`_evaluate_one` and is kept as two write-protected matrices;
+        several take the stacked :meth:`_evaluate`, each kept as its own
+        read-only copy, so no held entry keeps a grid's stack alive."""
         if self._powers is None:
             self._prepare()
-        count, valid = len(ts), 0
+        count, valid, stop = len(ts), 0, 0
         while valid < count and 0.0 <= ts[valid] < math.inf:
             valid += 1
-        if valid and math.isfinite(self.norm):
-            E, B = self._evaluate(ts[:valid])
-            stop = _finite_prefix(ts[:valid], E, B)
-        else:   # nothing to evaluate, or an infinite ||M||_1: every time overflows
-            E = B = np.empty((0, *self.K.shape))
-            stop = 0
-        if count == 1:
-            E.flags.writeable = B.flags.writeable = False
-        else:
-            E, B = map(read_only, E[:stop]), map(read_only, B[:stop])
-        self._memo.update(zip(ts[:stop], zip(E, B)))
+        if valid and math.isfinite(self.norm):  # at an infinite ||M||_1, every time overflows
+            if count == 1:
+                E, B = self._evaluate_one(ts[0])
+                if np.isfinite(E).all() and np.isfinite(B).all():
+                    E.flags.writeable = B.flags.writeable = False
+                    self._memo[ts[0]] = E.view(), B.view()
+                    return None
+            else:
+                E, B = self._evaluate(ts[:valid])
+                stop = _finite_prefix(ts[:valid], E, B)
+                self._memo.update(zip(ts[:stop], zip(map(read_only, E[:stop]),
+                                                     map(read_only, B[:stop]))))
         if stop < valid:
             return _overflow_error(self.K, ts[stop])
         if valid < count:
             return ValueError(f"time must be finite and nonnegative, got {ts[valid]}")
         return None
+
+    def _squarings(self, t) -> int:
+        """The squaring count k of t >= 0 under a finite ||M||_1: 0 while t ||M||_1
+        <= _THETA_25, else the least k with h eta <= _THETA_25, h = t / 2^k."""
+        # log2 of each factor, as t * eta may exceed the float range
+        return (0 if t * self.norm <= _THETA_25 else
+                max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25))))
+
+    def _evaluate_one(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """(E, B) at one time by the rule of :meth:`_evaluate` on two fresh matrices,
+        with no stack, sort or bisection; they may hold non-finite entries."""
+        k = self._squarings(t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            E, B = _taylor25_blocks(self._powers, self._K0, self._C0,
+                                    math.ldexp(t, -k) * (self.norm / _THETA_25))
+            for _ in range(k):
+                B += E.T @ B @ E
+                E = E @ E
+            return E, (B + B.T) / 2.0
 
     def _evaluate(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The stacked (E, B) at times in [0, inf) under a finite ||M||_1,
@@ -441,17 +467,14 @@ class Propagator:
 
         exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
         :func:`_taylor25_blocks` at h = t / 2^k for every time at once and
-        squared up k times (B <- B + E^T B E, E <- E E); e^{-tK^T} is never
-        formed, so dissipative K stays finite at any t.  k = 0 while
-        t ||M||_1 <= _THETA_25, and else is the smallest k with
-        h eta <= _THETA_25 (:attr:`eta`, on first use).  The times are taken
-        in the order of k, so each squaring updates, in place, the stacked
-        tail of the times whose k is not yet spent.
+        squared up k times (:meth:`_squarings`; B <- B + E^T B E,
+        E <- E E); e^{-tK^T} is never formed, so dissipative K stays finite
+        at any t.  The times are taken in the order of k, so each squaring
+        updates, in place, the stacked tail of the times whose k is not yet
+        spent.
         """
         norm = self.norm
-        # log2 of each factor, as t * eta may exceed the float range
-        ks = [0 if t * norm <= _THETA_25 else
-              max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25))) for t in ts]
+        ks = [self._squarings(t) for t in ts]
         order = None
         if ks != sorted(ks):
             order = sorted(range(len(ts)), key=ks.__getitem__)
@@ -460,7 +483,7 @@ class Propagator:
         with np.errstate(over="ignore", invalid="ignore"):
             E, B = _taylor25_blocks(self._powers, self._K0, self._C0, ratios)
             first, E_k, B_k = 0, E, B       # the tail of times with k > step
-            for step in range(ks[-1] if ks else 0):
+            for step in range(ks[-1]):
                 if ks[first] <= step:
                     first = bisect.bisect_right(ks, step)
                     E_k, B_k = E[first:], B[first:]

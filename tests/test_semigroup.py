@@ -369,12 +369,15 @@ def test_an_evolved_state_and_every_base_behind_it_refuse_writes(how):
 def test_no_writeable_flag_of_a_state_or_pair_can_be_set_again():
     # write protection holds against a flipped flag, so a state's cached
     # diagnostic cannot go stale: constructed, evolved, copied, and a pair
+    # with its propagators at a single-time miss, a hit and a grid's time
     gen = rng(77)
     pair = random_admissible_pair(gen, 2, couplings=2)
     state = random_valid_state(gen, 2)
     states = [state, copy.deepcopy(state), evolve_state(state, pair, 0.4),
-              *evolve_states(state, pair, [0.4, 1.5])]
-    arrays = [pair.K, pair.C, *(getattr(st, k) for st in states for k in "lmS")]
+              *evolve_states(state, pair, [0.4, 1.5, 2.5])]    # 0.4 held, 1.5 and 2.5 stacked
+    propagators = [pair.propagator(0.9), pair.propagator(0.9), pair.propagator(1.5)]
+    arrays = [pair.K, pair.C, *(getattr(st, k) for st in states for k in "lmS"),
+              *(a for entry in propagators for a in entry)]
     for a in arrays:
         with pytest.raises(ValueError, match="WRITEABLE"):
             a.flags.writeable = True
@@ -454,7 +457,7 @@ def test_evolve_and_weyl_action_repeat_bitwise():
             assert same_bits(image.damping_exponent, repeat.damping_exponent)
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("n", [1, 4, 16, 32])
 def test_evolve_states_is_bitwise_the_loop_of_evolve_state(n):
     gen = rng(80 + n)
     pair = random_admissible_pair(gen, n, couplings=max(1, n // 4))
@@ -551,6 +554,14 @@ def test_each_distinct_time_is_propagated_once(propagator_calls):
         evolve_state(state, pair, t)
         weyl_action(pair, t, [0.2])
     assert propagator_calls == [0.1, 0.5]
+
+
+def test_a_refused_time_ends_the_lookup_with_each_time_evaluated_once(propagator_calls):
+    K, C = 0.5 * np.eye(2), np.eye(2)
+    entries, error = Propagator(K, C).lookup([0.5, 1500.0, 2.0])
+    assert propagator_calls == [0.5, 1500.0, 2.0]
+    assert len(entries) == 1 and all(map(same_bits, entries[0], propagator(K, C, 0.5)))
+    assert (type(error), str(error)) == _failure(lambda: propagator(K, C, 1500.0))
 
 
 def test_a_grid_fills_the_memo_that_single_times_then_hit(propagator_calls):
