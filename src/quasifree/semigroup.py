@@ -19,12 +19,14 @@ under, and its input states, its decomposition and the oracle are judged by
 it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
 holds one :class:`~quasifree.symplectic.Propagator`, made before the
 admissibility test so that its check of K and C is the pair's only one.
-:meth:`QuasifreePair.propagator` looks up one time in its bounded memo and
-:func:`evolve_states` its grid, as read-only arrays bitwise
-:func:`quasifree.symplectic.propagator`; the first miss prepares it, and an
-empty grid prepares nothing.  Input states are checked through their own
-cached :meth:`~quasifree.gaussian.GaussianState.diagnostic`, once per grid;
-an evolved state keeps, uncopied, the moments proven finite.  One time
+:meth:`QuasifreePair.propagator` reads one time through its bounded memo,
+which a channel's Weyl probes hit at the times it has just evolved, and
+:func:`evolve_states` one stacked grid that skips it, as nothing reads a
+grid's times again; both are bitwise :func:`quasifree.symplectic.propagator`,
+the first evaluation prepares it, and an empty grid prepares nothing.  Input
+states are checked through their own cached
+:meth:`~quasifree.gaussian.GaussianState.diagnostic`, once per grid; an
+evolved state keeps, uncopied, the moments proven finite.  One time
 (:func:`evolve_state`, :func:`weyl_action`) tests its few results directly.
 """
 
@@ -36,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState, _refuse_invalid
-from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _form_times, _overflow_error,
-                         _overflow_guard, complex_vector, pair_arrays, psd_verdict, read_only,
+from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _finite_prefix, _form_times,
+                         _overflow_error, complex_vector, pair_arrays, psd_verdict, read_only,
                          real_embed, real_extract)
 
 __all__ = [
@@ -86,7 +88,7 @@ class QuasifreePair:
     and the inequality are checked on construction, at tolerances.psd, which
     also sets min_noise_eigenvalue.  Compared and hashed by identity.  Its
     (e^{tK}, B_t) come from its one symplectic.Propagator, which checks K and
-    C for the pair and memoizes them."""
+    C for the pair and memoizes single times, not grids."""
 
     n: int
     K: np.ndarray
@@ -116,13 +118,10 @@ class QuasifreePair:
         return type(self), (self.n, self.K, self.C, self.tolerances)
 
     def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``symplectic.propagator(K, C, t)``, evaluated once per t by the
-        pair's Propagator while t stays among its PROPAGATOR_MEMO most
-        recently used."""
-        entries, error = self._propagator.lookup([float(t)])
-        if error is not None:
-            raise error
-        return entries[0]
+        """``symplectic.propagator(K, C, t)`` by the pair's ``Propagator.at``,
+        evaluated once per t while t stays among its PROPAGATOR_MEMO most
+        recently used single times."""
+        return self._propagator.at(float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +150,7 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """The state at time t, by the rule of :func:`evolve_states` at the one
-    time t, in a body of its own: one memo lookup of t, its two moments
+    time t, in a body of its own: one memo read of t, its two moments
     tested once each, and no stack of one time."""
     _refuse_input(state, pair)
     E, B = pair.propagator(t)
@@ -164,8 +163,8 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
 def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[GaussianState]:
     """Predual action on Gaussian states at each of times, the input checked
     once, at the pair's PSD tolerance, before any time is read.  The
-    propagators come from the pair's memo, in one lookup, and every
-    S_t = E^T S E + B/2 from stacked products.
+    propagators come stacked from one ``Propagator.grid``, which skips the
+    pair's memo, and every S_t = E^T S E + B/2 from stacked products.
     An admitted pair's noise matrix may reach -eps, eps its PSD bound, so an
     evolved state can miss that bound by about eps / gamma, gamma the decay
     rate.  The first time in the order of times that is not in [0, inf)
@@ -174,13 +173,14 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     of the two, the earlier time is refused."""
     _refuse_input(state, pair)
     times = [float(t) for t in times]
-    found, error = pair._propagator.lookup(times)
-    n = state.n
-    EB = np.array(found).reshape(-1, 2, 2 * n, 2 * n)
-    w, S_t = _moments(state, EB[:, 0], EB[:, 1])
-    _overflow_guard(pair.K, times[:len(found)], w, S_t)
+    E, B, error = pair._propagator.grid(times)
+    w, S_t = _moments(state, E, B)
+    stop = _finite_prefix(times[:len(E)], w, S_t)
+    if stop < len(E):
+        raise _overflow_error(pair.K, times[stop])
     if error is not None:
         raise error
+    n = state.n
     return [GaussianState._proven(n, *lmS) for lmS in zip(w[:, :n], read_only(-w[:, n:]), S_t)]
 
 

@@ -5,12 +5,13 @@ A complex displacement z in C^n is identified with the stacked real vector
 the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  It checks K
-and C once, prepares on its first miss (the 1-norm of the block and its even
-powers), and keeps the PROPAGATOR_MEMO most recently used times behind one
-:meth:`Propagator.lookup` of a list of times.  One missing time takes a
-straight path on two matrices; several take one pass stacked over the times,
-with bitwise the same result per time.  A :class:`~quasifree.semigroup.QuasifreePair`
-holds one; :func:`propagator` makes one and looks up a single time.  Everything
+and C once and prepares on its first evaluation (the 1-norm of the block and
+its even powers).  :meth:`Propagator.at` takes one time on two matrices and
+keeps the PROPAGATOR_MEMO most recently used, as the Weyl probes of a channel
+fall at times it has just evolved; :meth:`Propagator.grid` takes one pass
+stacked over its times, bitwise each time's pair, and keeps none, as no
+caller reads a grid's times again.  A :class:`~quasifree.semigroup.QuasifreePair`
+holds one; :func:`propagator` makes one for a single time.  Everything
 here is dense numpy; the matrices in play are at most a few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
@@ -281,14 +282,6 @@ def _finite_prefix(times, *results) -> int:
     return int(finite.argmin())
 
 
-def _overflow_guard(K, times, *results) -> None:
-    """Raise PropagatorOverflowError naming the first of times at which a
-    result (stacked as in :func:`_finite_prefix`) is not finite."""
-    stop = _finite_prefix(times, *results)
-    if stop < len(times):
-        raise _overflow_error(K, times[stop])
-
-
 #: the times (e^{tK}, B_t) a Propagator keeps, the least recently used dropped first
 PROPAGATOR_MEMO = 32
 
@@ -329,15 +322,17 @@ def _taylor25_blocks(powers, K0, C0, r):
 
 class Propagator:
     """(e^{tK}, B_t) of one pair (K, C), with B_t = integral_0^t
-    e^{sK^T} C e^{sK} ds, behind one bounded memo of times (:meth:`lookup`).
+    e^{sK^T} C e^{sK} ds: at one time (:meth:`at`), kept in a bounded memo
+    for the callers that read a time again, or stacked over a grid
+    (:meth:`grid`), kept nowhere.
 
     The constructor checks that K and C are equal square finite matrices and
-    that C is symmetric.  The first miss does the work that does not depend
-    on t, once (:meth:`_prepare`): the 1-norm of M = [[-K^T, C], [0, K]] and
-    the blocks of the 13 powers (h0 M)^2j, j = 0..12, at
+    that C is symmetric.  The first evaluation does the work that does not
+    depend on t, once (:meth:`_prepare`): the 1-norm of M = [[-K^T, C], [0, K]]
+    and the blocks of the 13 powers (h0 M)^2j, j = 0..12, at
     h0 = _THETA_25 / ||M||_1, from 15 block products in 5 stacked rounds.
-    Each time then takes 4 block products and no inverse: one missing time
-    on two matrices (:meth:`_evaluate_one`), several stacked (:meth:`_evaluate`).
+    Each time then takes 4 block products and no inverse: one time on two
+    matrices (:meth:`_evaluate_one`), a grid stacked (:meth:`_evaluate`).
     """
 
     def __init__(self, K, C):
@@ -346,12 +341,13 @@ class Propagator:
         self._powers = None
 
     def _prepare(self) -> None:
-        """The t-independent work, on the first miss."""
+        """The t-independent work, on the first evaluation."""
         K, C = self.K, self.C
         m = K.shape[0]
         abs_K = np.abs(K)
-        self.norm = float(np.maximum(abs_K.sum(axis=1),
-                                     (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
+        with np.errstate(over="ignore"):    # an infinite norm refuses every time
+            self.norm = float(np.maximum(abs_K.sum(axis=1),
+                                         (np.abs(C) + abs_K).sum(axis=0)).max(initial=0.0))
         # h0 M, dividing first: h0 = _THETA_25 / ||M||_1 overflows at a subnormal norm
         norm = self.norm or 1.0  # K = C = 0 at ||M||_1 = 0; at inf, every t is refused
         self._K0 = K0 = K / norm * _THETA_25
@@ -380,66 +376,53 @@ class Propagator:
         eta = alpha * (self.norm / alpha) ** (1.0 / 27.0) if alpha else 0.0
         return max(eta, self.norm / _MAX_RATIO)
 
-    def lookup(self, times):
-        """(entries, error): the read-only (e^{tK}, B_t) at each of times
-        before the first one refused, and that refusal (None when none is).
-
-        One insertion-ordered dict keeps the PROPAGATOR_MEMO most recently
-        used times: a hit is popped and re-inserted, the distinct times it
-        does not hold go to :meth:`_store` in one call, and past
-        PROPAGATOR_MEMO the oldest are dropped once the entries are
-        collected.  A time outside [0, inf) is refused with ValueError, and
-        one at which e^{tK} or B_t is not finite with
-        PropagatorOverflowError; the first such time in the order of times
-        is the one refused, and a miss after a refusal is that time, so it
-        ends the lookup with nothing evaluated twice.
-        """
+    def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only (e^{tK}, B_t) at one time, from a memo of the
+        PROPAGATOR_MEMO most recently used times, the oldest dropped first; a
+        miss takes :meth:`_evaluate_one`.  A time outside [0, inf) raises
+        ValueError before any preparation, and one at which e^{tK} or B_t is
+        not finite PropagatorOverflowError."""
         memo = self._memo
-        entries, error = [], None
-        for t in times:
-            entry = memo.pop(t, None)
-            if entry is None:
-                if error is not None:
-                    break
-                error = self._store([t] if len(times) == 1 else
-                                    [s for s in dict.fromkeys(times) if s not in memo])
-                entry = memo.pop(t, None)
-                if entry is None:
-                    break
-            memo[t] = entry
-            entries.append(entry)
-        while len(memo) > PROPAGATOR_MEMO:
+        entry = memo.pop(t, None)
+        if entry is None:
+            if not 0.0 <= t < math.inf:
+                raise ValueError(f"time must be finite and nonnegative, got {t}")
+            if self._powers is None:
+                self._prepare()
+            if not math.isfinite(self.norm):    # at an infinite ||M||_1, every time overflows
+                raise _overflow_error(self.K, t)
+            E, B = self._evaluate_one(t)
+            if not (np.isfinite(E).all() and np.isfinite(B).all()):
+                raise _overflow_error(self.K, t)
+            E.flags.writeable = B.flags.writeable = False
+            entry = E.view(), B.view()
+        memo[t] = entry
+        if len(memo) > PROPAGATOR_MEMO:
             del memo[next(iter(memo))]
-        return entries, error
+        return entry
 
-    def _store(self, ts):
-        """Evaluate ts into the memo up to the first time refused, and return
-        that refusal (or None).  One time takes the straight path of
-        :meth:`_evaluate_one` and is kept as two write-protected matrices;
-        several take the stacked :meth:`_evaluate`, each kept as its own
-        read-only copy, so no held entry keeps a grid's stack alive."""
-        if self._powers is None:
-            self._prepare()
-        count, valid, stop = len(ts), 0, 0
-        while valid < count and 0.0 <= ts[valid] < math.inf:
+    def grid(self, times):
+        """(E, B, error): the stacked (e^{tK}, B_t) from one :meth:`_evaluate`
+        at the times before the first one refused by the rules of :meth:`at`,
+        and that refusal (or None).  The memo is neither read nor written, as
+        no caller reads a grid's times again; an empty grid prepares nothing."""
+        valid = 0
+        while valid < len(times) and 0.0 <= times[valid] < math.inf:
             valid += 1
-        if valid and math.isfinite(self.norm):  # at an infinite ||M||_1, every time overflows
-            if count == 1:
-                E, B = self._evaluate_one(ts[0])
-                if np.isfinite(E).all() and np.isfinite(B).all():
-                    E.flags.writeable = B.flags.writeable = False
-                    self._memo[ts[0]] = E.view(), B.view()
-                    return None
-            else:
-                E, B = self._evaluate(ts[:valid])
-                stop = _finite_prefix(ts[:valid], E, B)
-                self._memo.update(zip(ts[:stop], zip(map(read_only, E[:stop]),
-                                                     map(read_only, B[:stop]))))
+        E = B = np.empty((0, *self.K.shape))
+        stop = 0
+        if valid:
+            if self._powers is None:
+                self._prepare()
+            if math.isfinite(self.norm):
+                E, B = self._evaluate(times[:valid])
+                stop = _finite_prefix(times[:valid], E, B)
+        error = None
         if stop < valid:
-            return _overflow_error(self.K, ts[stop])
-        if valid < count:
-            return ValueError(f"time must be finite and nonnegative, got {ts[valid]}")
-        return None
+            error = _overflow_error(self.K, times[stop])
+        elif valid < len(times):
+            error = ValueError(f"time must be finite and nonnegative, got {times[valid]}")
+        return E[:stop], B[:stop], error
 
     def _squarings(self, t) -> int:
         """The squaring count k of t >= 0 under a finite ||M||_1: 0 while t ||M||_1
@@ -498,12 +481,9 @@ class Propagator:
 
 def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Pair (e^{tK}, B_t) with B_t = integral_0^t e^{sK^T} C e^{sK} ds, as
-    read-only arrays: one :meth:`Propagator.lookup` of t, its refusal
-    raised.  B_t is symmetric, and PSD whenever C is."""
-    entries, error = Propagator(K, C).lookup([t])
-    if error is not None:
-        raise error
-    return entries[0]
+    read-only arrays: :meth:`Propagator.at` of a new Propagator.  B_t is
+    symmetric, and PSD whenever C is."""
+    return Propagator(K, C).at(t)
 
 
 def gram_integral(K, C, t: float) -> np.ndarray:

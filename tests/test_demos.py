@@ -1,4 +1,4 @@
-"""Every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion with no warning."""
 
 import os
 import subprocess
@@ -16,7 +16,7 @@ def test_demo_exits_0(path, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, "-W", "error", str(path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 

@@ -369,12 +369,12 @@ def test_an_evolved_state_and_every_base_behind_it_refuse_writes(how):
 def test_no_writeable_flag_of_a_state_or_pair_can_be_set_again():
     # write protection holds against a flipped flag, so a state's cached
     # diagnostic cannot go stale: constructed, evolved, copied, and a pair
-    # with its propagators at a single-time miss, a hit and a grid's time
+    # with its propagators at a single-time miss and a hit
     gen = rng(77)
     pair = random_admissible_pair(gen, 2, couplings=2)
     state = random_valid_state(gen, 2)
     states = [state, copy.deepcopy(state), evolve_state(state, pair, 0.4),
-              *evolve_states(state, pair, [0.4, 1.5, 2.5])]    # 0.4 held, 1.5 and 2.5 stacked
+              *evolve_states(state, pair, [0.4, 1.5, 2.5])]
     propagators = [pair.propagator(0.9), pair.propagator(0.9), pair.propagator(1.5)]
     arrays = [pair.K, pair.C, *(getattr(st, k) for st in states for k in "lmS"),
               *(a for entry in propagators for a in entry)]
@@ -520,15 +520,20 @@ def test_evolve_states_refuses_an_invalid_state_before_any_time():
 
 @pytest.fixture
 def propagator_calls(monkeypatch):
-    """The times at which a Propagator's memo reaches the evaluation."""
+    """The times a Propagator evaluates, one time or a grid at a time."""
     calls = []
-    store = Propagator._store
+    one, many = Propagator._evaluate_one, Propagator._evaluate
 
-    def counted(self, ts):
+    def counted_one(self, t):
+        calls.append(t)
+        return one(self, t)
+
+    def counted_many(self, ts):
         calls.extend(ts)
-        return store(self, ts)
+        return many(self, ts)
 
-    monkeypatch.setattr(Propagator, "_store", counted)
+    monkeypatch.setattr(Propagator, "_evaluate_one", counted_one)
+    monkeypatch.setattr(Propagator, "_evaluate", counted_many)
     return calls
 
 
@@ -556,29 +561,30 @@ def test_each_distinct_time_is_propagated_once(propagator_calls):
     assert propagator_calls == [0.1, 0.5]
 
 
-def test_a_refused_time_ends_the_lookup_with_each_time_evaluated_once(propagator_calls):
+def test_a_refused_time_ends_the_grid_with_each_time_evaluated_once(propagator_calls):
     K, C = 0.5 * np.eye(2), np.eye(2)
-    entries, error = Propagator(K, C).lookup([0.5, 1500.0, 2.0])
+    E, B, error = Propagator(K, C).grid([0.5, 1500.0, 2.0])
     assert propagator_calls == [0.5, 1500.0, 2.0]
-    assert len(entries) == 1 and all(map(same_bits, entries[0], propagator(K, C, 0.5)))
+    assert len(E) == len(B) == 1 and all(map(same_bits, (E[0], B[0]), propagator(K, C, 0.5)))
     assert (type(error), str(error)) == _failure(lambda: propagator(K, C, 1500.0))
 
 
-def test_a_grid_fills_the_memo_that_single_times_then_hit(propagator_calls):
+def test_a_grid_leaves_the_memo_as_it_found_it(propagator_calls):
     gen = rng(73)
     pair = random_admissible_pair(gen, 2, couplings=2)
     state = random_valid_state(gen, 2)
+    memo = pair._propagator._memo
+    pair.propagator(0.5)
+    held = [(t, *map(id, entry)) for t, entry in memo.items()]
     times = [0.5, 0.1, 0.5, 2.0]
     evolve_states(state, pair, times)
-    assert propagator_calls == [0.5, 0.1, 2.0]      # one evaluation, each time once
+    assert propagator_calls == [0.5, *times]        # one evaluation of every grid time
+    assert [(t, *map(id, entry)) for t, entry in memo.items()] == held
+    del propagator_calls[:]
     for t in times:
         evolve_state(state, pair, t)
         weyl_action(pair, t, [0.2, 0.1j])
-    assert propagator_calls == [0.5, 0.1, 2.0]      # every single time hit
-    evolve_states(state, pair, [0.1, 3.0, 2.0])     # held grid times make no call
-    assert propagator_calls == [0.5, 0.1, 2.0, 3.0]
-    weyl_action(pair, 3.0, [0.2, 0.1j])
-    assert propagator_calls == [0.5, 0.1, 2.0, 3.0]
+    assert propagator_calls == [0.1, 2.0]           # each missing single time once, then hits
 
 
 def test_an_empty_grid_prepares_nothing(monkeypatch, propagator_calls):
@@ -590,26 +596,16 @@ def test_an_empty_grid_prepares_nothing(monkeypatch, propagator_calls):
     assert prepared == [] and propagator_calls == []
 
 
-def test_a_long_grid_keeps_its_last_times_each_in_its_own_buffer(propagator_calls):
-    # a multi-time evaluation stores copies: a held entry must not keep the
-    # grid's whole stack alive
+def test_a_long_grid_is_one_evaluation_held_nowhere(propagator_calls):
     n = 2
     pair, other = (random_admissible_pair(rng(81), n, couplings=2) for _ in range(2))
     state = random_valid_state(rng(82), n)
     times = [0.01 * k for k in range(4 * PROPAGATOR_MEMO)]
     states = evolve_states(state, pair, times)
     assert propagator_calls == times                # one evaluation of every time
+    assert not pair._propagator._memo
     assert [s.S.tobytes() for s in states] == [evolve_state(state, other, t).S.tobytes()
                                                for t in times]
-    del propagator_calls[:]
-    held, error = pair._propagator.lookup(times[-PROPAGATOR_MEMO:])
-    assert propagator_calls == [] and error is None
-    for array in (a for entry in held for a in entry):
-        while array.base is not None:
-            array = array.base
-        assert array.shape == (2 * n, 2 * n)
-    pair.propagator(times[-PROPAGATOR_MEMO - 1])    # dropped: computed again
-    assert propagator_calls == [times[-PROPAGATOR_MEMO - 1]]
 
 
 def test_a_used_pair_is_freed_by_reference_count_alone():

@@ -220,7 +220,7 @@ def test_propagator_matches_the_full_block_reference(n):
 def test_prepared_powers_are_the_even_powers_of_the_scaled_block(n):
     pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
     prepared = symplectic.Propagator(pair.K, pair.C)
-    prepared.lookup([1.0])                  # the first miss prepares
+    prepared.at(1.0)                        # the first miss prepares
     m = 2 * n
     M = (symplectic._THETA_25 / prepared.norm) * np.block(
         [[-pair.K.T, pair.C], [np.zeros((m, m)), pair.K]])
@@ -400,6 +400,19 @@ def test_growing_dynamics_overflow_by_name_without_warnings(m, t, shown):
     assert issubclass(PropagatorOverflowError, ArithmeticError)
 
 
+def test_an_overflowing_block_norm_refuses_every_time_without_warnings():
+    # ||M||_1 = 2e308 is not a double: the first time is refused, no numpy warning
+    K, C = np.full((2, 2), 1e308), np.zeros((2, 2))
+    refusal = re.escape("t = 1: K has spectral abscissa inf")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagatorOverflowError, match=refusal):
+            propagator(K, C, 1.0)
+        E, B, error = symplectic.Propagator(K, C).grid([1.0, 0.5])
+    assert E.shape == B.shape == (0, 2, 2)
+    assert isinstance(error, PropagatorOverflowError) and re.search(refusal, str(error))
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -420,7 +433,7 @@ _GRIDS = {
 
 
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
-def test_at_many_is_bitwise_at_at_each_time(grid):
+def test_a_grid_is_bitwise_at_at_each_time(grid):
     n, times = _GRIDS[grid]
     if n is None:
         K, C = _loss_pair()
@@ -428,10 +441,10 @@ def test_at_many_is_bitwise_at_at_each_time(grid):
         pair = random_admissible_pair(rng(640 + n), n, couplings=max(1, n // 4))
         K, C = pair.K, pair.C
     prepared = symplectic.Propagator(K, C)
-    entries, error = prepared.lookup(times)
-    assert error is None and len(entries) == len(times)
-    for t, (E_t, B_t) in zip(times, entries):
-        E_ref, B_ref = propagator(K, C, t)
+    E, B, error = prepared.grid(times)
+    assert error is None and len(E) == len(B) == len(times)
+    for t, E_t, B_t in zip(times, E, B):
+        E_ref, B_ref = prepared.at(t)
         assert _same_bits(E_t, E_ref) and _same_bits(B_t, B_ref)
     if n is None:   # the long times take 10 and 12 squarings
         shift = math.log2(prepared.eta / symplectic._THETA_25)
@@ -439,11 +452,11 @@ def test_at_many_is_bitwise_at_at_each_time(grid):
 
 
 def _grid(K, C, times):
-    """The (E, B) of one lookup of times by a new Propagator, its refusal raised."""
-    entries, error = symplectic.Propagator(K, C).lookup(times)
+    """The (E, B) of one grid of times by a new Propagator, its refusal raised."""
+    E, B, error = symplectic.Propagator(K, C).grid(times)
     if error is not None:
         raise error
-    return entries
+    return E, B
 
 
 def _failure(call):
@@ -478,7 +491,20 @@ def test_a_grid_refuses_its_first_failing_time_as_a_loop_over_it_does(grid):
 
 
 def test_an_empty_grid_gives_empty_stacks():
-    assert symplectic.Propagator(*_loss_pair()).lookup([]) == ([], None)
+    E, B, error = symplectic.Propagator(*_loss_pair()).grid([])
+    assert E.shape == B.shape == (0, 4, 4) and error is None
+
+
+def test_a_refused_time_prepares_nothing(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(symplectic.Propagator, "_prepare", lambda self: prepared.append(self))
+    refused = symplectic.Propagator(*_loss_pair())
+    for call in (lambda: refused.at(-1.0), lambda: refused.at(float("nan"))):
+        with pytest.raises(ValueError, match="^time must be finite and nonnegative, got "):
+            call()
+    E, B, error = refused.grid([-1.0, 0.5])
+    assert len(E) == len(B) == 0 and isinstance(error, ValueError)
+    assert prepared == []
 
 
 def test_psd_verdict_is_the_rule_of_psd_check():
