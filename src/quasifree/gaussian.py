@@ -12,8 +12,9 @@ the write-protected arrays that evolution has just proven finite.  So a write
 raises or has no effect, and a state caches its verdict: :meth:`diagnostic`
 runs :func:`validate` once per tolerance, and the library's own checks (state
 evolution, Weyl transforms) go through it.  :func:`validate_many` judges many
-states in one pass (one stacked defect and one stacked ``eigvalsh``), and
-:func:`weyl_transform` takes one z or a stack of them.
+states in one pass (one stacked defect, and one stacked ``eigvalsh`` of 2S + iJ
+with no Hermitian test, as S + S^T + iJ is Hermitian bit for bit: x + y = y + x
+and J^T = -J), and :func:`weyl_transform` takes one z or a stack of them.
 
 Normalization conventions, pinned once and verified against the oracle:
 q = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)), W(z) = expm(a^dag(z) - a(z)).
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _finite_entries, _hermitian_rule,
-                         _psd_check_rule, complex_vector, decisive, read_only, symplectic_form)
+                         _i_form, _psd_rule, complex_vector, decisive, read_only)
 
 __all__ = [
     "GaussianState",
@@ -125,9 +126,13 @@ def validate_many(states, tol: float = TOLERANCES.psd) -> list[StateDiagnostic]:
 
 def _rules(S, n: int, tol: float):
     """(symmetry defect, its bound, PSD value, its bound) of the covariance S,
-    or of each in a stack S, of n modes."""
-    H = S + S.swapaxes(-1, -2) + 1j * symplectic_form(n)
-    return (*_hermitian_rule(S, SYMMETRY_TOL), *_psd_check_rule(H, tol))
+    or of each in a stack S, of n modes, with no Hermitian test of 2S + iJ."""
+    if not tol >= 0:
+        raise ValueError("tolerance must be nonnegative")
+    H = S + S.swapaxes(-1, -2) + _i_form(n)
+    if not np.isfinite(H).all():
+        raise ValueError("covariance too large for double precision: 2S + iJ is not finite")
+    return (*_hermitian_rule(S, SYMMETRY_TOL), *_psd_rule(np.linalg.eigvalsh(H), tol))
 
 
 def _refuse_invalid(state: GaussianState, tol: float) -> None:

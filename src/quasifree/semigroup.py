@@ -24,10 +24,10 @@ which a channel's Weyl probes hit at the times it has just evolved, and
 :func:`evolve_states` one stacked grid that skips it, as nothing reads a
 grid's times again; both are bitwise :func:`quasifree.symplectic.propagator`,
 the first evaluation prepares it, and an empty grid prepares nothing.  Input
-states are checked through their own cached
-:meth:`~quasifree.gaussian.GaussianState.diagnostic`, once per grid; an
-evolved state keeps, uncopied, the moments proven finite.  One time
-(:func:`evolve_state`, :func:`weyl_action`) tests its few results directly.
+states are checked through their own cached ``diagnostic``, once per grid (its
+PSD rule takes 2S + iJ, Hermitian bit for bit, with no Hermitian test); an
+evolved state keeps, uncopied, the moments proven finite.  One time enters
+one ``np.errstate`` guard over its memo read and tests each result once.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import GaussianState, _refuse_invalid
-from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _finite_prefix, _form_times,
-                         _overflow_error, complex_vector, pair_arrays, psd_verdict, read_only,
-                         real_embed, real_extract)
+from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _finite, _finite_prefix,
+                         _form_times, _overflow_error, complex_vector, pair_arrays, psd_verdict,
+                         read_only, real_embed, real_extract)
 
 __all__ = [
     "QuasifreePair",
@@ -135,15 +135,15 @@ class WeylActionResult:
 def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     """Image of the Weyl operator under the semigroup at time t >= 0.  A
     propagator that overflows by time t, or an image or damping exponent that
-    does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`; the
-    image and the exponent are each tested once, where they are made."""
+    does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`; one
+    single-time guard covers the memo read and both, each tested once."""
     xi = real_embed(complex_vector(z, pair.n))
-    E, B = pair.propagator(t)
     with np.errstate(over="ignore", invalid="ignore"):
+        E, B = pair._propagator._at(float(t))
         xi_out = E @ xi
         damping = float(0.5 * xi @ B @ xi)
-    if not (np.isfinite(xi_out).all() and math.isfinite(damping)):
-        raise _overflow_error(pair.K, t)
+        if not (_finite(xi_out) and math.isfinite(damping)):
+            raise _overflow_error(pair.K, t)
     z_out = xi_out[:pair.n] + 1j * xi_out[pair.n:]
     return WeylActionResult(z_out=z_out, damping_exponent=damping)
 
@@ -151,12 +151,13 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """The state at time t, by the rule of :func:`evolve_states` at the one
     time t, in a body of its own: one memo read of t, its two moments
-    tested once each, and no stack of one time."""
+    tested once each under one single-time guard, and no stack of one time."""
     _refuse_input(state, pair)
-    E, B = pair.propagator(t)
-    w, S_t = _moments(state, E, B)
-    if not (np.isfinite(w).all() and np.isfinite(S_t).all()):
-        raise _overflow_error(pair.K, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E, B = pair._propagator._at(float(t))
+        w, S_t = _moments(state, E, B)
+        if not (_finite(w) and _finite(S_t)):
+            raise _overflow_error(pair.K, t)
     return GaussianState._proven(state.n, w[:state.n], read_only(-w[state.n:]), S_t)
 
 
@@ -174,7 +175,8 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     _refuse_input(state, pair)
     times = [float(t) for t in times]
     E, B, error = pair._propagator.grid(times)
-    w, S_t = _moments(state, E, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, S_t = _moments(state, E, B)
     stop = _finite_prefix(times[:len(E)], w, S_t)
     if stop < len(E):
         raise _overflow_error(pair.K, times[stop])
@@ -193,13 +195,12 @@ def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
 
 def _moments(state: GaussianState, E, B):
     """(w, S_t): the evolved means w = E^T (l, -m) and covariance
-    S_t = E^T S E + B/2, symmetrized, for one (E, B) or a stack of them;
-    they may overflow, and are views of write-protected bases the states keep."""
+    S_t = E^T S E + B/2, symmetrized, for one (E, B) or a stack of them; they
+    may overflow, under the caller's guard, and are write-protected views."""
     E_T = E.swapaxes(-1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = E_T @ np.concatenate([state.l, -state.m])
-        S_t = E_T @ state.S @ E + 0.5 * B
-        S_t = (S_t + S_t.swapaxes(-1, -2)) / 2.0
+    w = E_T @ np.concatenate([state.l, -state.m])
+    S_t = E_T @ state.S @ E + 0.5 * B
+    S_t = (S_t + S_t.swapaxes(-1, -2)) / 2.0
     w.flags.writeable = S_t.flags.writeable = False
     return w.view(), S_t.view()
 

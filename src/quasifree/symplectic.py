@@ -24,16 +24,18 @@ t = 2^k h takes k from h eta <= _THETA_25, with eta (:attr:`Propagator.eta`)
 read off the norms of those powers and often far below ||M||_1; r = h / h0
 stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
 that overflows raises :class:`PropagatorOverflowError`, naming the first
-time of a grid, in its own order, at which it does.
+time of a grid, in its own order, at which it does.  A single time takes one
+np.errstate guard per call, in :meth:`Propagator.at` or its semigroup caller,
+and one finiteness test per result (:func:`_finite`: its sum, else entrywise).
 
 The package's shared pieces live here too: the one verdict type (:class:`Check`)
 and the rule that picks the deciding one (:func:`decisive`), the one tolerance
 set (:class:`Tolerances`, defaults in TOLERANCES), the one Hermitian test and
 PSD rule (each written once over the last axes of an array, so that one
-matrix and a stack of them, as in the batch validation of states, take the
-same arithmetic), the input checks of a complex vector
-(:func:`complex_vector`) and of a pair (:func:`pair_arrays`), and the
-read-only copies that make pairs and states immutable (:func:`read_only`).
+matrix and a stack of them take the same arithmetic; a state's 2S + iJ,
+Hermitian bit for bit, takes the PSD rule alone), the input checks of a
+complex vector (:func:`complex_vector`) and of a pair (:func:`pair_arrays`),
+and the read-only copies that make pairs and states immutable (:func:`read_only`).
 """
 
 from __future__ import annotations
@@ -125,6 +127,12 @@ def symplectic_form(n: int) -> np.ndarray:
     J[:n, n:] = -np.eye(n)
     J[n:, :n] = np.eye(n)
     return J
+
+
+@functools.lru_cache(maxsize=8)
+def _i_form(n: int) -> np.ndarray:
+    """iJ of n modes, built once per mode count, as a read-only view."""
+    return np.broadcast_to(1j * symplectic_form(n), (2 * n, 2 * n))
 
 
 def _form_times(A) -> np.ndarray:
@@ -222,22 +230,13 @@ def psd_check(H, tol: float = TOLERANCES.psd) -> Check:
     """Decide positive semidefiniteness of a Hermitian matrix by the rule of
     :func:`psd_verdict` on its eigenvalues.  Inputs whose Hermitian defect
     exceeds the same relative tolerance are rejected."""
-    value, bound = _psd_check_rule(_square(H), tol)
-    return Check("psd", float(value), float(bound))
-
-
-def _psd_check_rule(H, tol: float):
-    """(value, bound) of :func:`psd_check` over the last two axes of H, from
-    one stacked ``eigvalsh``; the first matrix that fails the Hermitian test
-    is refused."""
+    H = _square(H)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    defects, bounds = _hermitian_rule(H, max(tol, 1e-12))
-    passed = defects <= bounds          # a NaN defect fails
-    if not passed.all():
-        defect = np.ravel(defects)[np.argmin(np.ravel(passed))]
+    defect, bound = _hermitian_rule(H, max(tol, 1e-12))
+    if not defect <= bound:             # a NaN defect fails
         raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
-    return _psd_rule(np.linalg.eigvalsh((H + H.conj().swapaxes(-1, -2)) / 2.0), tol)
+    return Check("psd", *map(float, _psd_rule(np.linalg.eigvalsh((H + H.conj().T) / 2.0), tol)))
 
 
 def psd_verdict(w, tol: float = TOLERANCES.psd) -> Check:
@@ -269,6 +268,12 @@ def _overflow_error(K, t: float) -> PropagatorOverflowError:
     alpha = float(np.linalg.eigvals(K).real.max())
     return PropagatorOverflowError(f"propagation overflows at t = {t:g}: K has spectral "
                                    f"abscissa {alpha:.6g}")
+
+
+def _finite(a) -> bool:
+    """Whether every entry of the real array a is finite, under the caller's guard
+    (the sum may overflow): a finite sum proves it, else np.isfinite decides."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def _finite_prefix(times, *results) -> int:
@@ -308,13 +313,13 @@ def _taylor25_blocks(powers, K0, C0, r):
     from one product of the 2T x 13 coefficient rows with powers, so
     E = V_B + K0 W_B and G = V_X + C0 W_B - K0^T W_X.
     """
-    r = np.asarray(r, dtype=float)
     # the 2T x 13 rows (even, odd coefficients per ratio) as the transpose of
     # a C-ordered 13 x 2T table, so that each time's rows reach BLAS in the
-    # layout they have for that time alone
-    c = (_TAYLOR25 * r[..., None] ** _EXPONENTS).reshape(-1, 13, 2)
-    c = c.transpose(1, 0, 2).reshape(13, -1).T
-    X = (c @ powers.reshape(13, -1)).reshape(*r.shape, 2, 2, *K0.shape)
+    # layout they have for that time alone, as a number's 2 x 13 rows do
+    c = ((_TAYLOR25 * r ** _EXPONENTS).reshape(13, 2) if isinstance(r, float) else
+         (_TAYLOR25 * np.asarray(r, dtype=float)[:, None] ** _EXPONENTS).reshape(-1, 13, 2)
+         .transpose(1, 0, 2).reshape(13, -1)).T
+    X = (c @ powers.reshape(13, -1)).reshape(*np.shape(r), 2, 2, *K0.shape)
     V_B, V_X, W_B, W_X = (X[..., i, j, :, :] for i in (0, 1) for j in (0, 1))
     E = V_B + K0 @ W_B
     return E, E.swapaxes(-1, -2) @ (V_X + C0 @ W_B - K0.T @ W_X)
@@ -381,7 +386,12 @@ class Propagator:
         PROPAGATOR_MEMO most recently used times, the oldest dropped first; a
         miss takes :meth:`_evaluate_one`.  A time outside [0, inf) raises
         ValueError before any preparation, and one at which e^{tK} or B_t is
-        not finite PropagatorOverflowError."""
+        not finite PropagatorOverflowError, all under one single-time guard."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._at(t)
+
+    def _at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`at` under the caller's single-time guard."""
         memo = self._memo
         entry = memo.pop(t, None)
         if entry is None:
@@ -392,7 +402,7 @@ class Propagator:
             if not math.isfinite(self.norm):    # at an infinite ||M||_1, every time overflows
                 raise _overflow_error(self.K, t)
             E, B = self._evaluate_one(t)
-            if not (np.isfinite(E).all() and np.isfinite(B).all()):
+            if not (_finite(E) and _finite(B)):
                 raise _overflow_error(self.K, t)
             E.flags.writeable = B.flags.writeable = False
             entry = E.view(), B.view()
@@ -433,15 +443,14 @@ class Propagator:
 
     def _evaluate_one(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(E, B) at one time by the rule of :meth:`_evaluate` on two fresh matrices,
-        with no stack, sort or bisection; they may hold non-finite entries."""
+        with no stack, sort, bisection or guard of its own; they may be non-finite."""
         k = self._squarings(t)
-        with np.errstate(over="ignore", invalid="ignore"):
-            E, B = _taylor25_blocks(self._powers, self._K0, self._C0,
-                                    math.ldexp(t, -k) * (self.norm / _THETA_25))
-            for _ in range(k):
-                B += E.T @ B @ E
-                E = E @ E
-            return E, (B + B.T) / 2.0
+        E, B = _taylor25_blocks(self._powers, self._K0, self._C0,
+                                math.ldexp(t, -k) * (self.norm / _THETA_25))
+        for _ in range(k):
+            B += E.T @ B @ E
+            E = E @ E
+        return E, (B + B.T) / 2.0
 
     def _evaluate(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """The stacked (E, B) at times in [0, inf) under a finite ||M||_1,

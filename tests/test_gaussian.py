@@ -1,5 +1,6 @@
 import copy
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from quasifree.gaussian import (
     weyl_transform,
 )
 from quasifree.semigroup import QuasifreePair, evolve_state
-from quasifree.symplectic import TOLERANCES, expm, symplectic_form
+from quasifree.symplectic import (SYMMETRY_TOL, TOLERANCES, Check, expm, hermitian_check,
+                                  psd_check, symplectic_form)
 
 from util import rng, random_valid_state
 
@@ -262,3 +264,63 @@ def test_validate_many_is_validate_of_each_state():
         assert diags == [validate(st, tol) for st in states]
         assert [d.is_valid for d in diags] == [True] * 4 + [False, False, True]
     assert validate_many([]) == []
+
+
+def _covariances(gen, n):
+    """Random covariances of n modes: valid, not PSD, and not symmetric but
+    within SYMMETRY_TOL, which each pass to the PSD rule as they are."""
+    valid = random_valid_state(gen, n).S
+    G = gen.normal(size=(2 * n, 2 * n))
+    skew = gen.normal(size=(2 * n, 2 * n))
+    skew -= skew.T
+    nudge = 0.4 * SYMMETRY_TOL * (1.0 + np.abs(valid).max()) * skew / np.abs(skew).max()
+    return [valid, (G + G.T) / 4.0, valid + nudge]
+
+
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+def test_two_s_plus_i_j_is_hermitian_exactly_and_validate_keeps_the_checked_rule(n):
+    # the PSD rule of validate takes 2S + iJ as it is: S + S^T + iJ is its own
+    # conjugate transpose entry for entry, so the Hermitian test of psd_check
+    # passes with defect 0 and its symmetrization returns the matrix unchanged
+    gen = rng(400 + n)
+    J = symplectic_form(n)
+    covariances = _covariances(gen, n)
+    assert not np.array_equal(covariances[2], covariances[2].T)
+    assert hermitian_check(covariances[2], SYMMETRY_TOL).passed
+    states = [GaussianState(n=n, l=np.zeros(n), m=np.zeros(n), S=S) for S in covariances]
+    for tol in (TOLERANCES.psd, 1e-3):
+        expected = []
+        for S in covariances:
+            H = S + S.T + 1j * J
+            assert np.array_equal(H, H.conj().T)
+            assert hermitian_check(H, tol).value == 0.0
+            symmetry = hermitian_check(S, SYMMETRY_TOL)
+            expected.append(gaussian.StateDiagnostic(
+                symmetry=Check("hermitian", symmetry.value, symmetry.bound),
+                psd=psd_check(H, tol)))
+        assert [validate(st, tol) for st in states] == expected
+        assert validate_many(states, tol) == expected
+    assert [d.is_valid for d in expected] == [True, False, True]
+
+
+@pytest.mark.parametrize("check", [validate, lambda st: validate_many([vacuum(1), st])],
+                         ids=["validate", "validate_many"])
+def test_an_overflowing_covariance_is_refused_by_name(check):
+    # S + S^T overflows: numpy reports the add, and validate names the cause
+    # rather than a Hermitian defect of nan
+    big = GaussianState(n=1, l=[0.0], m=[0.0], S=np.diag([1.7e308, 1.7e308]))
+    refusal = "^covariance too large for double precision: 2S \\+ iJ is not finite$"
+    with pytest.warns(RuntimeWarning, match="overflow encountered in add"):
+        with pytest.raises(ValueError, match=refusal):
+            check(big)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=refusal):
+            check(big)
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")], ids=["negative", "nan"])
+def test_a_negative_or_nan_tolerance_is_refused_by_name(tol):
+    for check in (lambda st: validate(st, tol), lambda st: validate_many([st], tol)):
+        with pytest.raises(ValueError, match="^tolerance must be nonnegative$"):
+            check(vacuum(2))

@@ -262,6 +262,21 @@ def test_evolved_state_overflow_is_named_without_warnings():
             evolve_state(loud, pair, 690.0)
 
 
+def test_an_evolved_mean_of_minus_inf_beside_finite_entries_is_refused():
+    # a squeezer, e^{tK} = diag(e^t, e^-t): at t = 350 the mean e^t l = -inf
+    # sits beside a finite entry, while E, B and S_t stay finite
+    pair = QuasifreePair(n=1, K=np.diag([1.0, -1.0]), C=np.zeros((2, 2)))
+    state = GaussianState(n=1, l=[-1e160], m=[0.0], S=0.5 * np.eye(2))
+    assert np.isfinite(evolve_state(state, pair, 340.0).l).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evolve in (evolve_state, lambda *args: evolve_states(*args[:2], [args[2]])):
+            with pytest.raises(PropagatorOverflowError,
+                               match="^propagation overflows at t = 350: K has spectral "
+                                     "abscissa 1$"):
+                evolve(state, pair, 350.0)
+
+
 @pytest.mark.parametrize("z", [1e3, 1e160], ids=["damping", "image"])
 def test_weyl_action_overflow_is_named_without_warnings(z):
     # at t = 700, e^{tK} = e^{350} I and B_t ~ e^{700} I are finite; the damping
@@ -274,6 +289,19 @@ def test_weyl_action_overflow_is_named_without_warnings(z):
         with pytest.raises(PropagatorOverflowError,
                            match="t = 700: K has spectral abscissa 0.5"):
             weyl_action(pair, 700.0, [z])
+
+
+def test_one_time_enters_one_error_state_for_its_propagator_moments_and_tests(monkeypatch):
+    pair = random_admissible_pair(rng(90), 2, couplings=2)
+    state = random_valid_state(rng(91), 2)
+    evolve_state(state, pair, 0.1)      # validates the state and prepares the propagator
+    entered, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    evolve_state(state, pair, 0.5)      # a memo miss
+    evolve_state(state, pair, 0.5)      # a hit
+    weyl_action(pair, 0.5, [0.2, 0.1j])
+    weyl_action(pair, 0.9, [0.2, 0.1j])
+    assert entered == [{"over": "ignore", "invalid": "ignore"}] * 4
 
 
 # --- immutability and the propagator memo -----------------------------------

@@ -413,6 +413,35 @@ def test_an_overflowing_block_norm_refuses_every_time_without_warnings():
     assert isinstance(error, PropagatorOverflowError) and re.search(refusal, str(error))
 
 
+def test_a_finite_result_whose_entries_sum_past_the_float_range_is_kept_without_warnings():
+    # e^{tK} = e^t I = 1.5e308 I is finite, though its entries sum to inf
+    t = math.log(1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, B = propagator(np.eye(2), np.zeros((2, 2)), t)
+    with np.errstate(over="ignore"):
+        assert np.isinf(E.sum())
+    assert abs(E[0, 0] / 1.5e308 - 1.0) < 1e-12 and E[0, 1] == E[1, 0] == 0.0
+    assert np.array_equal(B, np.zeros((2, 2)))
+
+
+_FLIP = np.array([[0.0, -1.0], [-1.0, 0.0]])    # e^{tK} = [[cosh t, -sinh t], [-sinh t, cosh t]]
+
+
+@pytest.mark.parametrize("K, t", [(np.eye(2), 710.0),   # e^710 I: inf entries
+                                  (_FLIP, 800.0),       # +inf and -inf entries, a nan sum
+                                  (_FLIP, 1500.0)],     # and B_t = nan from inf - inf
+                         ids=["inf", "plus-and-minus-inf", "nan"])
+def test_a_result_with_a_non_finite_entry_is_refused_as_before(K, t):
+    refusal = f"^propagation overflows at t = {t:g}: K has spectral abscissa 1$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagatorOverflowError, match=refusal):
+            propagator(K, np.zeros((2, 2)), t)
+        E, B, error = symplectic.Propagator(K, np.zeros((2, 2))).grid([0.5, t])
+    assert len(E) == len(B) == 1 and re.search(refusal, str(error))
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
