@@ -54,7 +54,7 @@ import scipy.linalg
 
 from .gaussian import GaussianState, weyl_transform
 from .semigroup import QuasifreePair, evolve_state
-from .symplectic import TOLERANCES, Check, _finite_entries, complex_vector, psd_check
+from .symplectic import TOLERANCES, Check, _finite_entries, _sealed, complex_vector, psd_check
 from .synthesis import DilationSpec, decompose
 
 __all__ = [
@@ -171,9 +171,7 @@ class FockRep:
 def _frozen(array) -> np.ndarray:
     """A copy of array laid out as array is (the product tables' layout sets
     state_moments' summation order), as a view of a write-protected base."""
-    array = np.array(array, order="K")
-    array.flags.writeable = False
-    return array.view()
+    return _sealed(np.array(array, order="K"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,8 +310,7 @@ def _quadrature_eigenbasis(cutoff: int):
     representation, so both arrays are read-only."""
     lower = np.diag(np.sqrt(np.arange(1, cutoff)), 1)
     mu, V = np.linalg.eigh(lower + lower.T)
-    mu.flags.writeable = V.flags.writeable = False
-    return mu, V
+    return _sealed(mu), _sealed(V)
 
 
 def weyl_matrix(rep: FockRep, z) -> np.ndarray:

@@ -249,16 +249,13 @@ def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = TOLERANCES.un
     return X.d == Y.d and _gap(X, Y) <= tol
 
 
-def format_differential(X: ItoDifferential, symbols=None) -> str:
+def format_differential(X: ItoDifferential) -> str:
     """Render a differential as text, e.g. 'dt + 2.0 dL[0,1]'."""
     if not X.terms:
         return "0"
-    names = {(0, 0): "dt"}
-    if symbols:
-        names.update(symbols)
     parts = []
     for key in sorted(X.terms):
-        name = names.get(key, f"dL[{key[0]},{key[1]}]")
+        name = "dt" if key == (0, 0) else f"dL[{key[0]},{key[1]}]"
         coeff = X.terms[key]
         if isinstance(coeff, np.ndarray):
             parts.append(f"<matrix> {name}")
@@ -369,7 +366,7 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
         G[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
 
     which satisfy both unitarity conditions by construction.  H must be
-    Hermitian and S unitary, each within SYMMETRY_TOL.
+    Hermitian and S unitary, each within SYMMETRY_TOL, and S and L finite.
     """
     H = np.asarray(H, dtype=complex)
     if not hermitian_check(H, SYMMETRY_TOL).passed:
@@ -380,6 +377,8 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
     for Lk in L:
         if Lk.shape != (dim, dim):
             raise ValueError("each coupling operator must match the system dimension")
+        if not np.isfinite(Lk).all():
+            raise ValueError("each coupling operator must be finite")
     S = np.asarray(S, dtype=complex)
     if d == 0:
         if S.size and S.shape != (0, 0):
@@ -388,7 +387,9 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
     else:
         if S.shape != (d * dim, d * dim):
             raise ValueError(f"S must be {d * dim} x {d * dim}, got {S.shape}")
-        if np.abs(S @ S.conj().T - np.eye(d * dim)).max() > SYMMETRY_TOL:
+        if not np.isfinite(S).all():
+            raise ValueError("S must be finite")
+        if not np.abs(S @ S.conj().T - np.eye(d * dim)).max() <= SYMMETRY_TOL:
             raise ValueError("S must be unitary")
         Sblk = [[S[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] for b in range(d)]
                 for a in range(d)]

@@ -39,8 +39,8 @@ import numpy as np
 
 from .gaussian import GaussianState, _refuse_invalid
 from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _finite, _finite_prefix,
-                         _form_times, _overflow_error, complex_vector, pair_arrays, psd_verdict,
-                         read_only, real_embed, real_extract)
+                         _form_times, _overflow_error, _sealed, complex_vector, pair_arrays,
+                         psd_verdict, read_only, real_embed, real_extract)
 
 __all__ = [
     "QuasifreePair",
@@ -82,6 +82,16 @@ def admissible(K, C, tol: float = TOLERANCES.psd) -> Check:
     return psd_verdict(np.linalg.eigvalsh(noise_matrix(K, C)), tol)
 
 
+def _admitted(w, tol: float) -> Check:
+    """The PSD verdict on the eigenvalues w of a pair's noise matrix, in any
+    order; ValueError names the least eigenvalue unless it passes."""
+    check = psd_verdict(w, tol)
+    if not check.passed:
+        raise ValueError(f"pair is not admissible: noise matrix has "
+                         f"min eigenvalue {-check.value:.3e}")
+    return check
+
+
 @dataclass(frozen=True, eq=False)
 class QuasifreePair:
     """Admissible generating pair over read-only copies of K and C; finiteness
@@ -105,10 +115,7 @@ class QuasifreePair:
             raise ValueError(f"K must be {2 * self.n} x {2 * self.n}, got {K.shape}")
         propagator = Propagator(K, C)   # pair_arrays: the pair's one check of K and C
         D = _noise(propagator.K, propagator.C)[1]
-        check = psd_verdict(np.linalg.eigvalsh(D), self.tolerances.psd)
-        if not check.passed:
-            raise ValueError(f"pair is not admissible: noise matrix has "
-                             f"min eigenvalue {-check.value:.3e}")
+        check = _admitted(np.linalg.eigvalsh(D), self.tolerances.psd)
         object.__setattr__(self, "min_noise_eigenvalue", -check.value)
         object.__setattr__(self, "_propagator", propagator)
 
@@ -158,7 +165,7 @@ def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> Gaussia
         w, S_t = _moments(state, E, B)
         if not (_finite(w) and _finite(S_t)):
             raise _overflow_error(pair.K, t)
-    return GaussianState._proven(state.n, w[:state.n], read_only(-w[state.n:]), S_t)
+    return GaussianState._proven(state.n, w[:state.n], _sealed(-w[state.n:]), S_t)
 
 
 def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[GaussianState]:
@@ -183,7 +190,7 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     if error is not None:
         raise error
     n = state.n
-    return [GaussianState._proven(n, *lmS) for lmS in zip(w[:, :n], read_only(-w[:, n:]), S_t)]
+    return [GaussianState._proven(n, *lmS) for lmS in zip(w[:, :n], _sealed(-w[:, n:]), S_t)]
 
 
 def _refuse_input(state: GaussianState, pair: QuasifreePair) -> None:
@@ -201,8 +208,7 @@ def _moments(state: GaussianState, E, B):
     w = E_T @ np.concatenate([state.l, -state.m])
     S_t = E_T @ state.S @ E + 0.5 * B
     S_t = (S_t + S_t.swapaxes(-1, -2)) / 2.0
-    w.flags.writeable = S_t.flags.writeable = False
-    return w.view(), S_t.view()
+    return _sealed(w), _sealed(S_t)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,10 +8,13 @@ time: e^{tK} and B_t from one block exponential, squared up.  It checks K
 and C once and prepares on its first evaluation (the 1-norm of the block and
 its even powers).  :meth:`Propagator.at` takes one time on two matrices and
 keeps the PROPAGATOR_MEMO most recently used, as the Weyl probes of a channel
-fall at times it has just evolved; :meth:`Propagator.grid` takes one pass
-stacked over its times, bitwise each time's pair, and keeps none, as no
-caller reads a grid's times again.  A :class:`~quasifree.semigroup.QuasifreePair`
-holds one; :func:`propagator` makes one for a single time.  Everything
+fall at times it has just evolved; :meth:`Propagator.grid` takes the Taylor
+step of all its times in one stacked pass and squares each time that needs it
+on its own slice by the single-time rule (no ``qfl evolve`` grid of the
+benchmark's ``qfl_sweep`` squares), so each time's pair is bitwise the one
+:meth:`Propagator.at` gives it, and keeps none, as no caller reads a grid's
+times again.  A :class:`~quasifree.semigroup.QuasifreePair` holds one;
+:func:`propagator` makes one for a single time.  Everything
 here is dense numpy; the matrices in play are at most a few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
@@ -20,9 +23,10 @@ Higham 2009, 2011).  M is block upper triangular, so every even power is
 M^2j = [[(K^2j)^T, X_2j], [0, K^2j]], and T_25 follows with no inverse from
 2n x 2n products (:func:`_taylor25_blocks`) with the 13 powers (h0 M)^2j,
 j = 0..12, prepared once per pair at h0 = _THETA_25 / ||M||_1.  Each
-t = 2^k h takes k from h eta <= _THETA_25, with eta (:attr:`Propagator.eta`)
-read off the norms of those powers and often far below ||M||_1; r = h / h0
-stays at most _MAX_RATIO, so no scaled power can overflow.  A propagation
+t = 2^k h takes k from h eta <= _THETA_25 and r = h / h0 by one rule
+(:meth:`Propagator._scaled`), with eta (:attr:`Propagator.eta`) read off the
+norms of those powers and often far below ||M||_1; r stays at most
+_MAX_RATIO, so no scaled power can overflow.  A propagation
 that overflows raises :class:`PropagatorOverflowError`, naming the first
 time of a grid, in its own order, at which it does.  A single time takes one
 np.errstate guard per call, in :meth:`Propagator.at` or its semigroup caller,
@@ -35,12 +39,12 @@ PSD rule (each written once over the last axes of an array, so that one
 matrix and a stack of them take the same arithmetic; a state's 2S + iJ,
 Hermitian bit for bit, takes the PSD rule alone), the input checks of a
 complex vector (:func:`complex_vector`) and of a pair (:func:`pair_arrays`),
-and the read-only copies that make pairs and states immutable (:func:`read_only`).
+and the one sealing rule that makes pairs, states and propagators immutable
+(:func:`_sealed`, and :func:`read_only` for a sealed float copy).
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -157,12 +161,16 @@ def real_extract(xi) -> np.ndarray:
     return xi[:n] + 1j * xi[n:]
 
 
-def read_only(a) -> np.ndarray:
-    """A float copy of a that cannot be written in place nor made writeable
-    (a view of a write-protected base); a later write to a leaves it as is."""
-    a = np.array(a, dtype=float)
+def _sealed(a) -> np.ndarray:
+    """The array a, write-protected, as a view of it: the view cannot be
+    written in place nor made writeable, as its base is not."""
     a.flags.writeable = False
     return a.view()
+
+
+def read_only(a) -> np.ndarray:
+    """A float copy of a, sealed (:func:`_sealed`); a later write to a leaves it as is."""
+    return _sealed(np.array(a, dtype=float))
 
 
 def complex_vector(z, n: int) -> np.ndarray:
@@ -404,8 +412,7 @@ class Propagator:
             E, B = self._evaluate_one(t)
             if not (_finite(E) and _finite(B)):
                 raise _overflow_error(self.K, t)
-            E.flags.writeable = B.flags.writeable = False
-            entry = E.view(), B.view()
+            entry = _sealed(E), _sealed(B)
         memo[t] = entry
         if len(memo) > PROPAGATOR_MEMO:
             del memo[next(iter(memo))]
@@ -434,22 +441,20 @@ class Propagator:
             error = ValueError(f"time must be finite and nonnegative, got {times[valid]}")
         return E[:stop], B[:stop], error
 
-    def _squarings(self, t) -> int:
-        """The squaring count k of t >= 0 under a finite ||M||_1: 0 while t ||M||_1
-        <= _THETA_25, else the least k with h eta <= _THETA_25, h = t / 2^k."""
+    def _scaled(self, t) -> tuple[int, float]:
+        """(k, r) of t >= 0 under a finite ||M||_1: the squaring count k, 0 while
+        t ||M||_1 <= _THETA_25, else the least k with h eta <= _THETA_25, and the
+        Taylor ratio r = h / h0 of h = t / 2^k."""
         # log2 of each factor, as t * eta may exceed the float range
-        return (0 if t * self.norm <= _THETA_25 else
-                max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25))))
+        k = (0 if t * self.norm <= _THETA_25 else
+             max(0, math.ceil(math.log2(t) + math.log2(self.eta / _THETA_25))))
+        return k, math.ldexp(t, -k) * (self.norm / _THETA_25)
 
     def _evaluate_one(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(E, B) at one time by the rule of :meth:`_evaluate` on two fresh matrices,
-        with no stack, sort, bisection or guard of its own; they may be non-finite."""
-        k = self._squarings(t)
-        E, B = _taylor25_blocks(self._powers, self._K0, self._C0,
-                                math.ldexp(t, -k) * (self.norm / _THETA_25))
-        for _ in range(k):
-            B += E.T @ B @ E
-            E = E @ E
+        with no stack or guard of its own; they may be non-finite."""
+        k, r = self._scaled(t)
+        E, B = _squared(*_taylor25_blocks(self._powers, self._K0, self._C0, r), k)
         return E, (B + B.T) / 2.0
 
     def _evaluate(self, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -458,34 +463,29 @@ class Propagator:
         one it gets alone.
 
         exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
-        :func:`_taylor25_blocks` at h = t / 2^k for every time at once and
-        squared up k times (:meth:`_squarings`; B <- B + E^T B E,
-        E <- E E); e^{-tK^T} is never formed, so dissipative K stays finite
-        at any t.  The times are taken in the order of k, so each squaring
-        updates, in place, the stacked tail of the times whose k is not yet
-        spent.
+        :func:`_taylor25_blocks` at h = t / 2^k for every time at once
+        (:meth:`_scaled`); a time with k > 0 is then squared up on its own
+        slice (:func:`_squared`), as none of the 1,280 ``qfl evolve`` times of
+        ``qfl_sweep`` seeds 1-40 squares.  e^{-tK^T} is never formed, so
+        dissipative K stays finite at any t.
         """
-        norm = self.norm
-        ks = [self._squarings(t) for t in ts]
-        order = None
-        if ks != sorted(ks):
-            order = sorted(range(len(ts)), key=ks.__getitem__)
-            ts, ks = [ts[i] for i in order], [ks[i] for i in order]
-        ratios = [math.ldexp(t, -k) * (norm / _THETA_25) for t, k in zip(ts, ks)]
+        scaled = [self._scaled(t) for t in ts]
         with np.errstate(over="ignore", invalid="ignore"):
-            E, B = _taylor25_blocks(self._powers, self._K0, self._C0, ratios)
-            first, E_k, B_k = 0, E, B       # the tail of times with k > step
-            for step in range(ks[-1]):
-                if ks[first] <= step:
-                    first = bisect.bisect_right(ks, step)
-                    E_k, B_k = E[first:], B[first:]
-                B_k += E_k.swapaxes(1, 2) @ B_k @ E_k
-                E_k[...] = E_k @ E_k
+            E, B = _taylor25_blocks(self._powers, self._K0, self._C0, [r for _, r in scaled])
+            for i, (k, _) in enumerate(scaled):
+                if k:
+                    E[i], B[i] = _squared(E[i], B[i], k)
             B = (B + B.swapaxes(1, 2)) / 2.0
-        if order is not None:
-            inverse = np.argsort(order)
-            E, B = E[inverse], B[inverse]
         return E, B
+
+
+def _squared(E, B, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(E, B) at t = 2^k h from (E, B) at h, by k squarings of exp(h M):
+    B <- B + E^T B E, E <- E E."""
+    for _ in range(k):
+        B = B + E.T @ B @ E
+        E = E @ E
+    return E, B
 
 
 def propagator(K, C, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -29,9 +29,9 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .semigroup import _noise_parts, noise_matrix
+from .semigroup import _admitted, _noise_parts, noise_matrix
 from .symplectic import (TOLERANCES, Check, Tolerances, _form_times, decisive, hermitian_eigh,
-                         psd_verdict, read_only)
+                         read_only)
 
 __all__ = [
     "LindbladTerm",
@@ -202,9 +202,7 @@ def decompose(K, C, tolerances: Tolerances = TOLERANCES) -> DilationSpec:
     """
     K, C, JK, D = _noise_parts(K, C)
     evals, evecs = hermitian_eigh(D)
-    if not psd_verdict(evals, tolerances.psd).passed:
-        raise ValueError(f"pair is not admissible: noise matrix has "
-                         f"min eigenvalue {evals[-1]:.3e}")
+    _admitted(evals, tolerances.psd)
     n = K.shape[0] // 2
     # the absolute floor keeps machine-zero matrices from acquiring rank
     floor = 1e-13 * (1.0 + np.abs(D).max(initial=0.0))

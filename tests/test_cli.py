@@ -79,7 +79,8 @@ def test_evolve_writes_trajectory_csv(tmp_path):
                 "times": times, "csv": "traj.csv"}
     code, report = run(tmp_path, scenario)
     assert code == 0
-    rows = list(csv.DictReader(open(tmp_path / "traj.csv")))
+    with open(tmp_path / "traj.csv") as handle:
+        rows = list(csv.DictReader(handle))
     assert len(rows) == len(times)
     pair = QuasifreePair(n=1, K=-0.5 * np.eye(2), C=np.eye(2))
     for row, t in zip(rows, times):

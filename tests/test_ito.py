@@ -374,6 +374,17 @@ def test_hp_coefficients_rejects_non_unitary_scattering():
         hp_coefficients(2.0 * np.eye(2, dtype=complex), [np.zeros((2, 2))], np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("S, L, refusal", [
+    (np.full((2, 2), np.nan), [np.eye(2)], "S must be finite"),
+    (np.diag([np.inf, 1.0]), [np.eye(2)], "S must be finite"),
+    (np.eye(2), [np.full((2, 2), np.nan)], "each coupling operator must be finite"),
+    (np.eye(4), [np.eye(2), np.diag([1.0, -np.inf])], "each coupling operator must be finite"),
+], ids=["nan-S", "inf-S", "nan-L", "inf-second-L"])
+def test_hp_coefficients_refuses_non_finite_scattering_and_couplings_by_name(S, L, refusal):
+    with pytest.raises(ValueError, match=f"^{refusal}$"):
+        hp_coefficients(S, L, np.zeros((2, 2)))
+
+
 def test_hp_coefficients_rejects_non_hermitian_energy():
     with pytest.raises(ValueError):
         hp_coefficients(np.zeros((0, 0)), [], np.array([[0.0, 1.0], [0.0, 0.0]]))

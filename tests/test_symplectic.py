@@ -458,6 +458,7 @@ _GRIDS = {
     "channel-n8": (8, _CHANNEL_TIMES),
     "channel-n32": (32, _CHANNEL_TIMES),
     "long-loss": (None, [2e3, 1e4]),
+    "long-loss-repeated-unsorted": (None, [1e4, 0.1, 2e3, 1e4]),
 }
 
 
@@ -475,9 +476,11 @@ def test_a_grid_is_bitwise_at_at_each_time(grid):
     for t, E_t, B_t in zip(times, E, B):
         E_ref, B_ref = prepared.at(t)
         assert _same_bits(E_t, E_ref) and _same_bits(B_t, B_ref)
-    if n is None:   # the long times take 10 and 12 squarings
+    if n is None:   # the long times take 10 and 12 squarings, 0.1 none
         shift = math.log2(prepared.eta / symplectic._THETA_25)
-        assert [math.ceil(math.log2(t) + shift) for t in times] == [10, 12]
+        squarings = {0.1: 0, 2e3: 10, 1e4: 12}
+        assert ([max(0, math.ceil(math.log2(t) + shift)) for t in times]
+                == [squarings[t] for t in times])
 
 
 def _grid(K, C, times):
