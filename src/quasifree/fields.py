@@ -73,6 +73,8 @@ class KernelModel:
             raise ValueError("kernel needs at least one point")
         if K.shape != (N, N):
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
+        if not np.isfinite(K).all():
+            raise ValueError("kernel must be finite")
         if not hermitian_check(K, 1e-12).passed:
             raise ValueError("kernel must be Hermitian")
         _kernel_eigh(K)
@@ -210,6 +212,8 @@ def levy_law(H, u) -> LevyLaw:
     gives the point mass at zero (constant characteristic function).
     """
     H = np.asarray(H, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite")
     if not hermitian_check(H, SYMMETRY_TOL).passed:
         raise ValueError("H must be Hermitian")
     scale = 1.0 + np.abs(H).max(initial=0.0)

@@ -50,7 +50,6 @@ __all__ = [
     "ito_product",
     "adjoint",
     "product_differential",
-    "ito_equal",
     "quadrature_table",
     "COLOUR_CAP",
     "ColourCapError",
@@ -244,11 +243,6 @@ def _gap(X: ItoDifferential, Y: ItoDifferential) -> float:
                          for key in X.terms.keys() | Y.terms.keys()], initial=0.0))
 
 
-def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = TOLERANCES.unitarity) -> bool:
-    """Whether X and Y have one dimension and every coefficient of X - Y is within tol of 0."""
-    return X.d == Y.d and _gap(X, Y) <= tol
-
-
 def format_differential(X: ItoDifferential) -> str:
     """Render a differential as text, e.g. 'dt + 2.0 dL[0,1]'."""
     if not X.terms:
@@ -366,9 +360,11 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
         G[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
 
     which satisfy both unitarity conditions by construction.  H must be
-    Hermitian and S unitary, each within SYMMETRY_TOL, and S and L finite.
+    Hermitian and S unitary, each within SYMMETRY_TOL, and S, L and H finite.
     """
     H = np.asarray(H, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite")
     if not hermitian_check(H, SYMMETRY_TOL).passed:
         raise ValueError("H must be Hermitian")
     dim = H.shape[0]
@@ -389,7 +385,10 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
             raise ValueError(f"S must be {d * dim} x {d * dim}, got {S.shape}")
         if not np.isfinite(S).all():
             raise ValueError("S must be finite")
-        if not np.abs(S @ S.conj().T - np.eye(d * dim)).max() <= SYMMETRY_TOL:
+        # no unitary matrix has an entry above 1 in modulus: an S with one
+        # above 2 is refused before the product S S^dag, which may overflow
+        if (np.abs(S).max() > 2.0
+                or not np.abs(S @ S.conj().T - np.eye(d * dim)).max() <= SYMMETRY_TOL):
             raise ValueError("S must be unitary")
         Sblk = [[S[a * dim:(a + 1) * dim, b * dim:(b + 1) * dim] for b in range(d)]
                 for a in range(d)]

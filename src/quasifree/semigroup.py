@@ -19,19 +19,22 @@ under, and its input states, its decomposition and the oracle are judged by
 it.  Both directions need the same (e^{tK}, B_t) at a given t, and each pair
 holds one :class:`~quasifree.symplectic.Propagator`, made before the
 admissibility test so that its check of K and C is the pair's only one.
-:meth:`QuasifreePair.propagator` reads one time through its bounded memo,
-which a channel's Weyl probes hit at the times it has just evolved, and
-:func:`evolve_states` one stacked grid that skips it, as nothing reads a
-grid's times again; both are bitwise :func:`quasifree.symplectic.propagator`,
-the first evaluation prepares it, and an empty grid prepares nothing.  Input
-states are checked through their own cached ``diagnostic``, once per grid (its
-PSD rule takes 2S + iJ, Hermitian bit for bit, with no Hermitian test); an
-evolved state keeps, uncopied, the moments proven finite.  One time enters
-one ``np.errstate`` guard over its memo read and tests each result once.
+The propagator keeps nothing between calls; the pair keeps the
+PROPAGATOR_MEMO most recently used single times in one ``functools.lru_cache``
+over the propagator's single-time evaluation, which a channel's Weyl probes
+hit at the times it has just evolved.  :func:`evolve_states` takes one
+stacked grid that skips it, as nothing reads a grid's times again; both are
+bitwise :func:`quasifree.symplectic.propagator`, the first evaluation
+prepares it, and an empty grid prepares nothing.  Input states are checked
+through their own cached ``diagnostic``, once per grid (its PSD rule takes
+2S + iJ, Hermitian bit for bit, with no Hermitian test); an evolved state
+keeps, uncopied, the moments proven finite.  One time enters one
+``np.errstate`` guard over its cache read and tests each result once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -43,6 +46,7 @@ from .symplectic import (TOLERANCES, Check, Propagator, Tolerances, _finite, _fi
                          psd_verdict, read_only, real_embed, real_extract)
 
 __all__ = [
+    "PROPAGATOR_MEMO",
     "QuasifreePair",
     "WeylActionResult",
     "GeneratorCoefficients",
@@ -53,6 +57,9 @@ __all__ = [
     "evolve_states",
     "generator_action",
 ]
+
+#: the single times (e^{tK}, B_t) a pair keeps, the least recently used dropped first
+PROPAGATOR_MEMO = 32
 
 
 def noise_matrix(K, C) -> np.ndarray:
@@ -98,7 +105,8 @@ class QuasifreePair:
     and the inequality are checked on construction, at tolerances.psd, which
     also sets min_noise_eigenvalue.  Compared and hashed by identity.  Its
     (e^{tK}, B_t) come from its one symplectic.Propagator, which checks K and
-    C for the pair and memoizes single times, not grids."""
+    C for the pair; the pair caches the single times it reads (``_at``, an
+    lru_cache of PROPAGATOR_MEMO times over ``Propagator._at``), not grids."""
 
     n: int
     K: np.ndarray
@@ -118,17 +126,20 @@ class QuasifreePair:
         check = _admitted(np.linalg.eigvalsh(D), self.tolerances.psd)
         object.__setattr__(self, "min_noise_eigenvalue", -check.value)
         object.__setattr__(self, "_propagator", propagator)
+        # the propagator's bound method, not the pair's: no reference cycle
+        object.__setattr__(self, "_at", functools.lru_cache(PROPAGATOR_MEMO)(propagator._at))
 
     def __reduce__(self):
         # copies and pickles are rebuilt by the constructor: read-only arrays,
-        # the admissibility check and an empty memo of their own
+        # the admissibility check and an empty cache of their own
         return type(self), (self.n, self.K, self.C, self.tolerances)
 
     def propagator(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """``symplectic.propagator(K, C, t)`` by the pair's ``Propagator.at``,
-        evaluated once per t while t stays among its PROPAGATOR_MEMO most
-        recently used single times."""
-        return self._propagator.at(float(t))
+        """``symplectic.propagator(K, C, t)``, evaluated once per t while t
+        stays among the pair's PROPAGATOR_MEMO most recently used single
+        times, under one single-time guard; a refused time is never kept."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._at(float(t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +154,10 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
     """Image of the Weyl operator under the semigroup at time t >= 0.  A
     propagator that overflows by time t, or an image or damping exponent that
     does, raise :class:`~quasifree.symplectic.PropagatorOverflowError`; one
-    single-time guard covers the memo read and both, each tested once."""
+    single-time guard covers the cache read and both, each tested once."""
     xi = real_embed(complex_vector(z, pair.n))
     with np.errstate(over="ignore", invalid="ignore"):
-        E, B = pair._propagator._at(float(t))
+        E, B = pair._at(float(t))
         xi_out = E @ xi
         damping = float(0.5 * xi @ B @ xi)
         if not (_finite(xi_out) and math.isfinite(damping)):
@@ -157,11 +168,11 @@ def weyl_action(pair: QuasifreePair, t: float, z) -> WeylActionResult:
 
 def evolve_state(state: GaussianState, pair: QuasifreePair, t: float) -> GaussianState:
     """The state at time t, by the rule of :func:`evolve_states` at the one
-    time t, in a body of its own: one memo read of t, its two moments
+    time t, in a body of its own: one cache read of t, its two moments
     tested once each under one single-time guard, and no stack of one time."""
     _refuse_input(state, pair)
     with np.errstate(over="ignore", invalid="ignore"):
-        E, B = pair._propagator._at(float(t))
+        E, B = pair._at(float(t))
         w, S_t = _moments(state, E, B)
         if not (_finite(w) and _finite(S_t)):
             raise _overflow_error(pair.K, t)
@@ -172,7 +183,7 @@ def evolve_states(state: GaussianState, pair: QuasifreePair, times) -> list[Gaus
     """Predual action on Gaussian states at each of times, the input checked
     once, at the pair's PSD tolerance, before any time is read.  The
     propagators come stacked from one ``Propagator.grid``, which skips the
-    pair's memo, and every S_t = E^T S E + B/2 from stacked products.
+    pair's cache, and every S_t = E^T S E + B/2 from stacked products.
     An admitted pair's noise matrix may reach -eps, eps its PSD bound, so an
     evolved state can miss that bound by about eps / gamma, gamma the decay
     rate.  The first time in the order of times that is not in [0, inf)

@@ -5,17 +5,16 @@ A complex displacement z in C^n is identified with the stacked real vector
 the upper-right corner, so that multiplication by i on C^n corresponds to
 multiplication by J on R^2n.  :class:`Propagator` alone propagates a pair in
 time: e^{tK} and B_t from one block exponential, squared up.  It checks K
-and C once and prepares on its first evaluation (the 1-norm of the block and
-its even powers).  :meth:`Propagator.at` takes one time on two matrices and
-keeps the PROPAGATOR_MEMO most recently used, as the Weyl probes of a channel
-fall at times it has just evolved; :meth:`Propagator.grid` takes the Taylor
-step of all its times in one stacked pass and squares each time that needs it
-on its own slice by the single-time rule (no ``qfl evolve`` grid of the
-benchmark's ``qfl_sweep`` squares), so each time's pair is bitwise the one
-:meth:`Propagator.at` gives it, and keeps none, as no caller reads a grid's
-times again.  A :class:`~quasifree.semigroup.QuasifreePair` holds one;
-:func:`propagator` makes one for a single time.  Everything
-here is dense numpy; the matrices in play are at most a few hundred rows.
+and C once, prepares on its first evaluation (the 1-norm of the block and
+its even powers) and keeps nothing else between calls.
+:meth:`Propagator.at` evaluates one time on two matrices;
+:meth:`Propagator.grid` takes the Taylor step of all its times in one
+stacked pass and squares each time that needs it on its own slice by the
+single-time rule, so each time's pair is bitwise the one :meth:`Propagator.at`
+gives it.  A :class:`~quasifree.semigroup.QuasifreePair` holds one, and keeps
+its own cache of single times; :func:`propagator` makes one for a single
+time.  Everything here is dense numpy; the matrices in play are at most a
+few hundred rows.
 
 The block exponential is the degree-25 Taylor polynomial T_25 of
 M = [[-K^T, C], [0, K]] (Van Loan 1978), scaled and squared (Al-Mohy and
@@ -71,7 +70,6 @@ __all__ = [
     "hermitian_eigh",
     "expm",
     "PropagatorOverflowError",
-    "PROPAGATOR_MEMO",
     "Propagator",
     "propagator",
     "gram_integral",
@@ -295,9 +293,6 @@ def _finite_prefix(times, *results) -> int:
     return int(finite.argmin())
 
 
-#: the times (e^{tK}, B_t) a Propagator keeps, the least recently used dropped first
-PROPAGATOR_MEMO = 32
-
 #: the exponents i = 0..25 and Taylor coefficients 1/i! of T_25; the largest
 #: h eta at which the backward error of T_25, the series of
 #: log(e^{-x} T_25(x)) past x^25, stays within u = 2^-53 (Al-Mohy and
@@ -335,9 +330,8 @@ def _taylor25_blocks(powers, K0, C0, r):
 
 class Propagator:
     """(e^{tK}, B_t) of one pair (K, C), with B_t = integral_0^t
-    e^{sK^T} C e^{sK} ds: at one time (:meth:`at`), kept in a bounded memo
-    for the callers that read a time again, or stacked over a grid
-    (:meth:`grid`), kept nowhere.
+    e^{sK^T} C e^{sK} ds: at one time (:meth:`at`) or stacked over a grid
+    (:meth:`grid`), each evaluated on every call and kept nowhere.
 
     The constructor checks that K and C are equal square finite matrices and
     that C is symmetric.  The first evaluation does the work that does not
@@ -350,8 +344,14 @@ class Propagator:
 
     def __init__(self, K, C):
         self.K, self.C = pair_arrays(K, C)
-        self._memo = {}
         self._powers = None
+
+    def _ready(self) -> bool:
+        """Whether a time can be evaluated: prepared, on the first call, and
+        under a finite ||M||_1, as at an infinite one every time overflows."""
+        if self._powers is None:
+            self._prepare()
+        return math.isfinite(self.norm)
 
     def _prepare(self) -> None:
         """The t-independent work, on the first evaluation."""
@@ -390,50 +390,35 @@ class Propagator:
         return max(eta, self.norm / _MAX_RATIO)
 
     def at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only (e^{tK}, B_t) at one time, from a memo of the
-        PROPAGATOR_MEMO most recently used times, the oldest dropped first; a
-        miss takes :meth:`_evaluate_one`.  A time outside [0, inf) raises
-        ValueError before any preparation, and one at which e^{tK} or B_t is
-        not finite PropagatorOverflowError, all under one single-time guard."""
+        """The read-only (e^{tK}, B_t) at one time, from one
+        :meth:`_evaluate_one`.  A time outside [0, inf) raises ValueError
+        before any preparation, and one at which e^{tK} or B_t is not finite
+        PropagatorOverflowError, all under one single-time guard."""
         with np.errstate(over="ignore", invalid="ignore"):
             return self._at(t)
 
     def _at(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`at` under the caller's single-time guard."""
-        memo = self._memo
-        entry = memo.pop(t, None)
-        if entry is None:
-            if not 0.0 <= t < math.inf:
-                raise ValueError(f"time must be finite and nonnegative, got {t}")
-            if self._powers is None:
-                self._prepare()
-            if not math.isfinite(self.norm):    # at an infinite ||M||_1, every time overflows
-                raise _overflow_error(self.K, t)
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
+        if self._ready():
             E, B = self._evaluate_one(t)
-            if not (_finite(E) and _finite(B)):
-                raise _overflow_error(self.K, t)
-            entry = _sealed(E), _sealed(B)
-        memo[t] = entry
-        if len(memo) > PROPAGATOR_MEMO:
-            del memo[next(iter(memo))]
-        return entry
+            if _finite(E) and _finite(B):
+                return _sealed(E), _sealed(B)
+        raise _overflow_error(self.K, t)
 
     def grid(self, times):
         """(E, B, error): the stacked (e^{tK}, B_t) from one :meth:`_evaluate`
         at the times before the first one refused by the rules of :meth:`at`,
-        and that refusal (or None).  The memo is neither read nor written, as
-        no caller reads a grid's times again; an empty grid prepares nothing."""
+        and that refusal (or None); an empty grid prepares nothing."""
         valid = 0
         while valid < len(times) and 0.0 <= times[valid] < math.inf:
             valid += 1
         E = B = np.empty((0, *self.K.shape))
         stop = 0
-        if valid:
-            if self._powers is None:
-                self._prepare()
-            if math.isfinite(self.norm):
-                E, B = self._evaluate(times[:valid])
-                stop = _finite_prefix(times[:valid], E, B)
+        if valid and self._ready():
+            E, B = self._evaluate(times[:valid])
+            stop = _finite_prefix(times[:valid], E, B)
         error = None
         if stop < valid:
             error = _overflow_error(self.K, times[stop])
@@ -465,9 +450,8 @@ class Propagator:
         exp(h M) holds e^{hK} and e^{-hK^T} B_h (Van Loan 1978), taken by
         :func:`_taylor25_blocks` at h = t / 2^k for every time at once
         (:meth:`_scaled`); a time with k > 0 is then squared up on its own
-        slice (:func:`_squared`), as none of the 1,280 ``qfl evolve`` times of
-        ``qfl_sweep`` seeds 1-40 squares.  e^{-tK^T} is never formed, so
-        dissipative K stays finite at any t.
+        slice (:func:`_squared`).  e^{-tK^T} is never formed, so dissipative
+        K stays finite at any t.
         """
         scaled = [self._scaled(t) for t in ts]
         with np.errstate(over="ignore", invalid="ignore"):

@@ -37,25 +37,11 @@ __all__ = [
     "LindbladTerm",
     "HamiltonianTerm",
     "DilationSpec",
-    "coupling_form",
     "pair_from_coupling",
     "noise_matrix",
     "decompose",
     "reconstruction_residuals",
 ]
-
-
-def coupling_form(u, v, z) -> complex:
-    """Scalar form lam(z) = <u|z> + <z|v> attached to the coupling (u, v).
-
-    Real-linear but not complex-linear in z whenever both u and v are nonzero.
-    """
-    u = np.asarray(u, dtype=complex).ravel()
-    v = np.asarray(v, dtype=complex).ravel()
-    z = np.asarray(z, dtype=complex).ravel()
-    if not (u.size == v.size == z.size):
-        raise ValueError(f"length mismatch: {u.size}, {v.size}, {z.size}")
-    return complex(np.vdot(u, z) + np.vdot(z, v))
 
 
 def pair_from_coupling(u, v):

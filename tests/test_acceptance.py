@@ -17,7 +17,6 @@ from quasifree.gaussian import coherent, validate
 from quasifree.ito import (
     flow_generator,
     hp_coefficients,
-    ito_equal,
     ito_product,
     poisson_process,
     poisson_table,
@@ -37,6 +36,7 @@ from quasifree.synthesis import (
 
 from util import (
     dense_generator,
+    ito_equal,
     random_admissible_pair,
     random_complex,
     random_unitary,

@@ -498,6 +498,15 @@ def test_unitarity_command(tmp_path):
     assert np.abs(flat).max() < 1e-10
 
 
+def test_unitarity_refuses_a_huge_scattering_matrix_with_exit_1(tmp_path, capsys):
+    # an entry of modulus 1e200 is refused by name before S S^dag can overflow
+    scenario = {"command": "unitarity", "S": [[[1e200, 0.0]]], "L": [[[[0.0, 0.0]]]],
+                "H": [[[0.0, 0.0]]]}
+    code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == "error: S must be unitary\n"
+
+
 def test_sample_field_gaussian_csv(tmp_path):
     scenario = {"command": "sample-field",
                 "law": {"kind": "gaussian", "mean": [1.0, -1.0],

@@ -52,6 +52,12 @@ def test_kernel_model_rejects_non_hermitian():
         KernelModel(points=(0, 1), K=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_kernel_model_refuses_a_non_finite_kernel_by_name(bad):
+    with pytest.raises(ValueError, match="^kernel must be finite$"):
+        KernelModel(points=(0, 1), K=np.diag([bad, 1.0]))
+
+
 def test_gns_factor_accepts_every_kernel_the_model_accepts():
     # min eigenvalue -5e-10: inside the PSD rule, clipped to zero by the factor
     K = np.ones((2, 2)) - 5e-10 * np.eye(2)
@@ -189,6 +195,12 @@ def test_levy_law_two_atoms():
 def test_levy_law_rejects_non_hermitian():
     with pytest.raises(ValueError):
         levy_law(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_levy_law_refuses_a_non_finite_matrix_by_name(bad):
+    with pytest.raises(ValueError, match="^H must be finite$"):
+        levy_law(np.diag([bad, 0.0]), np.array([1.0, 1.0]))
 
 
 def test_levy_law_refuses_overflowing_masses_by_name():

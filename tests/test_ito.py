@@ -13,7 +13,6 @@ from quasifree.ito import (
     flow_generator,
     format_differential,
     hp_coefficients,
-    ito_equal,
     ito_product,
     poisson_process,
     poisson_table,
@@ -28,7 +27,7 @@ from quasifree.ito import (
 from quasifree.semigroup import generator_action, QuasifreePair
 from quasifree.synthesis import pair_from_coupling
 
-from util import rng, random_unitary
+from util import ito_equal, rng, random_unitary
 
 
 def zero(d):
@@ -383,6 +382,18 @@ def test_hp_coefficients_rejects_non_unitary_scattering():
 def test_hp_coefficients_refuses_non_finite_scattering_and_couplings_by_name(S, L, refusal):
     with pytest.raises(ValueError, match=f"^{refusal}$"):
         hp_coefficients(S, L, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_hp_coefficients_refuses_a_non_finite_energy_by_name(bad):
+    with pytest.raises(ValueError, match="^H must be finite$"):
+        hp_coefficients(np.eye(2), [np.eye(2)], np.diag([bad, 0.0]))
+
+
+def test_hp_coefficients_refuses_a_huge_scattering_as_not_unitary_before_its_product():
+    # S S^dag would overflow; no unitary matrix has an entry above 1 in modulus
+    with pytest.raises(ValueError, match="^S must be unitary$"):
+        hp_coefficients(1e200 * np.eye(2), [np.eye(2)], np.zeros((2, 2)))
 
 
 def test_hp_coefficients_rejects_non_hermitian_energy():

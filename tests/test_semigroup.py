@@ -14,6 +14,7 @@ from quasifree.gaussian import (GaussianState, coherent, vacuum, validate, valid
                                 weyl_transform)
 from quasifree import semigroup
 from quasifree.semigroup import (
+    PROPAGATOR_MEMO,
     QuasifreePair,
     admissible,
     evolve_state,
@@ -21,9 +22,8 @@ from quasifree.semigroup import (
     generator_action,
     weyl_action,
 )
-from quasifree.symplectic import (PROPAGATOR_MEMO, Propagator, PropagatorOverflowError, expm,
-                                  gram_integral, propagator, psd_verdict, real_embed,
-                                  symplectic_form)
+from quasifree.symplectic import (Propagator, PropagatorOverflowError, expm, gram_integral,
+                                  propagator, psd_verdict, real_embed, symplectic_form)
 from quasifree.synthesis import decompose, pair_from_coupling
 
 from util import rng, random_admissible_pair, random_valid_state, smeared_ladder
@@ -589,6 +589,15 @@ def test_each_distinct_time_is_propagated_once(propagator_calls):
     assert propagator_calls == [0.1, 0.5]
 
 
+def test_a_propagator_evaluates_every_call_and_keeps_nothing(propagator_calls):
+    P = Propagator(-0.5 * np.eye(2), np.eye(2))
+    first, again = P.at(0.5), P.at(0.5)
+    assert propagator_calls == [0.5, 0.5]
+    for a, b in zip(first, again):
+        assert same_bits(a, b) and not np.shares_memory(a, b)
+        assert not a.flags.writeable and not b.flags.writeable
+
+
 def test_a_refused_time_ends_the_grid_with_each_time_evaluated_once(propagator_calls):
     K, C = 0.5 * np.eye(2), np.eye(2)
     E, B, error = Propagator(K, C).grid([0.5, 1500.0, 2.0])
@@ -601,13 +610,12 @@ def test_a_grid_leaves_the_memo_as_it_found_it(propagator_calls):
     gen = rng(73)
     pair = random_admissible_pair(gen, 2, couplings=2)
     state = random_valid_state(gen, 2)
-    memo = pair._propagator._memo
     pair.propagator(0.5)
-    held = [(t, *map(id, entry)) for t, entry in memo.items()]
+    held = pair._at.cache_info()
     times = [0.5, 0.1, 0.5, 2.0]
     evolve_states(state, pair, times)
     assert propagator_calls == [0.5, *times]        # one evaluation of every grid time
-    assert [(t, *map(id, entry)) for t, entry in memo.items()] == held
+    assert pair._at.cache_info() == held            # neither read nor written
     del propagator_calls[:]
     for t in times:
         evolve_state(state, pair, t)
@@ -631,7 +639,7 @@ def test_a_long_grid_is_one_evaluation_held_nowhere(propagator_calls):
     times = [0.01 * k for k in range(4 * PROPAGATOR_MEMO)]
     states = evolve_states(state, pair, times)
     assert propagator_calls == times                # one evaluation of every time
-    assert not pair._propagator._memo
+    assert pair._at.cache_info().currsize == 0
     assert [s.S.tobytes() for s in states] == [evolve_state(state, other, t).S.tobytes()
                                                for t in times]
 

@@ -11,15 +11,14 @@ from quasifree.symplectic import (TOLERANCES, Tolerances, hermitian_eigh, psd_ch
 from quasifree.synthesis import (
     HamiltonianTerm,
     LindbladTerm,
-    coupling_form,
     decompose,
     noise_matrix,
     pair_from_coupling,
     reconstruction_residuals,
 )
 
-from util import (dense_generator, kron_ladder, rng, random_admissible_pair, random_complex,
-                  random_symplectic_generator, smeared_ladder)
+from util import (coupling_form, dense_generator, kron_ladder, rng, random_admissible_pair,
+                  random_complex, random_symplectic_generator, smeared_ladder)
 
 
 def from_pairs(data):

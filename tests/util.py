@@ -1,13 +1,35 @@
-"""Shared random draws for the test suite (all explicitly seeded), and a
-dense Fock-space reference built from Kronecker products alone."""
+"""Shared random draws for the test suite (all explicitly seeded), a dense
+Fock-space reference built from Kronecker products alone, and two reference
+forms only the tests call: ito_equal and coupling_form."""
 
 from functools import reduce
 
 import numpy as np
 
+from quasifree.ito import ItoDifferential, _gap
 from quasifree.semigroup import QuasifreePair
-from quasifree.symplectic import symplectic_form
+from quasifree.symplectic import TOLERANCES, symplectic_form
 from quasifree.synthesis import pair_from_coupling
+
+
+def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = TOLERANCES.unitarity) -> bool:
+    """Whether X and Y have one dimension and every coefficient of X - Y is
+    within tol of 0, by the gap the Ito tables are judged by."""
+    return X.d == Y.d and _gap(X, Y) <= tol
+
+
+def coupling_form(u, v, z) -> complex:
+    """Scalar form lam(z) = <u|z> + <z|v> attached to the coupling (u, v),
+    the reference pair_from_coupling is tested against.
+
+    Real-linear but not complex-linear in z whenever both u and v are nonzero.
+    """
+    u = np.asarray(u, dtype=complex).ravel()
+    v = np.asarray(v, dtype=complex).ravel()
+    z = np.asarray(z, dtype=complex).ravel()
+    if not (u.size == v.size == z.size):
+        raise ValueError(f"length mismatch: {u.size}, {v.size}, {z.size}")
+    return complex(np.vdot(u, z) + np.vdot(z, v))
 
 
 def rng(seed):
