@@ -36,7 +36,10 @@ ValueError, TypeError, LeakageError, an OSError while writing output); 2 a
 numerical check failed (the scenario's own check, another RuntimeError, a
 propagation that overflows (PropagatorOverflowError), any other floating-point
 error inside a command (FloatingPointError, re-raised naming the command and
-an input too large for double precision), a non-finite report);
+an input too large for double precision), a non-finite report).  A finite
+input too large for the library's own check of it (a matrix whose A - A^dag,
+a covariance whose S + S^T, a coupling whose L^dag L overflows) is refused by
+name and exits 1;
 3 the scenario is unreadable, not JSON or not an object; 4 a size cap
 (DimensionCapError, SampleCapError, ColourCapError).  An exception prints
 one "error:" line and no report.

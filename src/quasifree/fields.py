@@ -14,7 +14,9 @@ Three constructions are covered, all at finite size:
 
 Sampling uses an explicitly seeded counter-based generator (Philox) so
 every draw is reproducible bit-for-bit; a covariance is judged by the one PSD
-rule, symplectic.psd_verdict, so its bound scales with the covariance.
+rule, symplectic.psd_verdict, so its bound scales with the covariance.  A
+kernel, a law's mean and covariance and a Levy H are refused unless finite and
+(the matrices) Hermitian by symplectic's two input rules, each by name.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, complex_vector, hermitian_check,
-                         hermitian_eigh, psd_verdict)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _finite_input, _hermitian_input,
+                         complex_vector, hermitian_eigh, psd_verdict)
 
 __all__ = [
     "KernelModel",
@@ -73,10 +75,8 @@ class KernelModel:
             raise ValueError("kernel needs at least one point")
         if K.shape != (N, N):
             raise ValueError(f"kernel must be {N} x {N}, got {K.shape}")
-        if not np.isfinite(K).all():
-            raise ValueError("kernel must be finite")
-        if not hermitian_check(K, 1e-12).passed:
-            raise ValueError("kernel must be Hermitian")
+        _finite_input("kernel", K)
+        _hermitian_input(K, "kernel", 1e-12)
         _kernel_eigh(K)
         scale = 1.0 + np.abs(K).max(initial=0.0)
         for g in self.group:
@@ -137,13 +137,11 @@ class FieldLaw:
         cov = np.asarray(self.covariance, dtype=float)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-        for name, values in (("mean", mean), ("covariance", cov)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"law {name} must be finite")
+        _finite_input("law mean", mean)
+        _finite_input("law covariance", cov)
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"covariance must be {mean.size} x {mean.size}")
-        if not hermitian_check(cov, SYMMETRY_TOL).passed:
-            raise ValueError("covariance must be symmetric")
+        _hermitian_input(cov, "covariance", SYMMETRY_TOL)
 
 
 def coherent_gaussian_field(u0, us, family: str = "p") -> FieldLaw:
@@ -212,10 +210,8 @@ def levy_law(H, u) -> LevyLaw:
     gives the point mass at zero (constant characteristic function).
     """
     H = np.asarray(H, dtype=complex)
-    if not np.isfinite(H).all():
-        raise ValueError("H must be finite")
-    if not hermitian_check(H, SYMMETRY_TOL).passed:
-        raise ValueError("H must be Hermitian")
+    _finite_input("H", H)
+    _hermitian_input(H, "H", SYMMETRY_TOL)
     scale = 1.0 + np.abs(H).max(initial=0.0)
     u = complex_vector(u, H.shape[0])
     w, V = hermitian_eigh((H + H.conj().T) / 2.0)

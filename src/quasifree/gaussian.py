@@ -7,14 +7,16 @@ matrix is ever stored at this layer; the truncated-Fock oracle provides the
 matrix-level counterpart.
 
 States are immutable, each fact proven once where the arrays enter: the
-constructor keeps read-only finite copies of l, m and S, and an evolved state
+constructor keeps read-only copies of l, m and S, refused unless finite by
+symplectic's one finiteness rule, and an evolved state
 the write-protected arrays that evolution has just proven finite.  So a write
 raises or has no effect, and a state caches its verdict: :meth:`diagnostic`
 runs :func:`validate` once per tolerance, and the library's own checks (state
 evolution, Weyl transforms) go through it.  :func:`validate_many` judges many
 states in one pass (one stacked defect, and one stacked ``eigvalsh`` of 2S + iJ
 with no Hermitian test, as S + S^T + iJ is Hermitian bit for bit: x + y = y + x
-and J^T = -J), and :func:`weyl_transform` takes one z or a stack of them.
+and J^T = -J; an S + S^T past the float range is refused by name, with no
+warning), and :func:`weyl_transform` takes one z or a stack of them.
 
 Normalization conventions, pinned once and verified against the oracle:
 q = (a + a^dag)/sqrt(2), p = (a - a^dag)/(i sqrt(2)), W(z) = expm(a^dag(z) - a(z)).
@@ -30,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _finite_entries, _hermitian_rule,
-                         _i_form, _psd_rule, complex_vector, decisive, read_only)
+from .symplectic import (SYMMETRY_TOL, TOLERANCES, Check, _finite_entries, _finite_input,
+                         _hermitian_rule, _i_form, _psd_rule, complex_vector, decisive, read_only)
 
 __all__ = [
     "GaussianState",
@@ -66,8 +68,7 @@ class GaussianState:
         if self.S.shape != (2 * self.n, 2 * self.n):
             raise ValueError(f"covariance must be {2 * self.n} x {2 * self.n}, "
                              f"got {self.S.shape}")
-        if not all(np.isfinite(a).all() for a in (self.l, self.m, self.S)):
-            raise ValueError("means and covariance must be finite")
+        _finite_input("means and covariance", self.l, self.m, self.S)
 
     @classmethod
     def _proven(cls, n: int, l, m, S) -> GaussianState:
@@ -129,7 +130,8 @@ def _rules(S, n: int, tol: float):
     or of each in a stack S, of n modes, with no Hermitian test of 2S + iJ."""
     if not tol >= 0:
         raise ValueError("tolerance must be nonnegative")
-    H = S + S.swapaxes(-1, -2) + _i_form(n)
+    with np.errstate(over="ignore"):    # an S + S^T past the float range is refused
+        H = S + S.swapaxes(-1, -2) + _i_form(n)
     if not np.isfinite(H).all():
         raise ValueError("covariance too large for double precision: 2S + iJ is not finite")
     return (*_hermitian_rule(S, SYMMETRY_TOL), *_psd_rule(np.linalg.eigvalsh(H), tol))

@@ -23,7 +23,9 @@ The rule is written once, in ito_product, and the rest is built on it.  A
 multiplication table compares each product once with its expected value: the
 gap names the entry, and the largest gap is the table's Check.  The unitary
 noise equation of Hudson and Parthasarathy is itself a differential,
-dU = sum G[a][b] dL[a, b] (times U), returned by hp_coefficients; its
+dU = sum G[a][b] dL[a, b] (times U), returned by hp_coefficients, which
+refuses H, L and S unless finite, H unless Hermitian (by symplectic's two input
+rules) and couplings whose products overflow, each by name; its
 unitarity is read off dU + dU^dag + dU^dag dU and dU + dU^dag + dU dU^dag,
 and the structure maps of its Heisenberg flow off d(U^dag X U), expanded by
 product_differential.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import SYMMETRY_TOL, TOLERANCES, Check, hermitian_check
+from .symplectic import SYMMETRY_TOL, TOLERANCES, Check, _finite_input, _hermitian_input
 
 __all__ = [
     "ItoDifferential",
@@ -360,21 +362,19 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
         G[0][0] = -(iH + (1/2) sum_k L_k^dag L_k)
 
     which satisfy both unitarity conditions by construction.  H must be
-    Hermitian and S unitary, each within SYMMETRY_TOL, and S, L and H finite.
+    Hermitian and S unitary, each within SYMMETRY_TOL, S, L and H finite, and
+    G[0][0] finite.
     """
     H = np.asarray(H, dtype=complex)
-    if not np.isfinite(H).all():
-        raise ValueError("H must be finite")
-    if not hermitian_check(H, SYMMETRY_TOL).passed:
-        raise ValueError("H must be Hermitian")
+    _finite_input("H", H)
+    _hermitian_input(H, "H", SYMMETRY_TOL)
     dim = H.shape[0]
     L = [np.asarray(Lk, dtype=complex) for Lk in L]
     d = len(L)
     for Lk in L:
         if Lk.shape != (dim, dim):
             raise ValueError("each coupling operator must match the system dimension")
-        if not np.isfinite(Lk).all():
-            raise ValueError("each coupling operator must be finite")
+        _finite_input("each coupling operator", Lk)
     S = np.asarray(S, dtype=complex)
     if d == 0:
         if S.size and S.shape != (0, 0):
@@ -383,8 +383,7 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
     else:
         if S.shape != (d * dim, d * dim):
             raise ValueError(f"S must be {d * dim} x {d * dim}, got {S.shape}")
-        if not np.isfinite(S).all():
-            raise ValueError("S must be finite")
+        _finite_input("S", S)
         # no unitary matrix has an entry above 1 in modulus: an S with one
         # above 2 is refused before the product S S^dag, which may overflow
         if (np.abs(S).max() > 2.0
@@ -394,7 +393,13 @@ def hp_coefficients(S, L, H) -> ItoDifferential:
                 for a in range(d)]
 
     eye = np.eye(dim, dtype=complex)
-    G = {(0, 0): -(1j * H + 0.5 * sum((Lk.conj().T @ Lk for Lk in L), np.zeros_like(eye)))}
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        G = {(0, 0): -(1j * H + 0.5 * sum((Lk.conj().T @ Lk for Lk in L), np.zeros_like(eye)))}
+    # a finite L_k^dag L_k bounds |L_k| by the square root of the float range,
+    # so the products L_k^dag S below stay finite, as S is unitary
+    if not np.isfinite(G[(0, 0)]).all():
+        raise ValueError("coupling operators too large for double precision: "
+                         "the dt coefficient -(iH + sum_k L_k^dag L_k / 2) is not finite")
     for j in range(1, d + 1):
         G[(0, j)] = -sum((L[k].conj().T @ Sblk[k][j - 1] for k in range(d)),
                          np.zeros_like(eye))

@@ -36,10 +36,15 @@ and the rule that picks the deciding one (:func:`decisive`), the one tolerance
 set (:class:`Tolerances`, defaults in TOLERANCES), the one Hermitian test and
 PSD rule (each written once over the last axes of an array, so that one
 matrix and a stack of them take the same arithmetic; a state's 2S + iJ,
-Hermitian bit for bit, takes the PSD rule alone), the input checks of a
-complex vector (:func:`complex_vector`) and of a pair (:func:`pair_arrays`),
-and the one sealing rule that makes pairs, states and propagators immutable
-(:func:`_sealed`, and :func:`read_only` for a sealed float copy).
+Hermitian bit for bit, takes the PSD rule alone; a matrix past half the float
+range is judged halved, so the Hermitian defect cannot overflow), the two
+refusals of arrays from outside, each the only place its fact is checked
+(:func:`_finite_input`, "must be finite", and :func:`_hermitian_input`, "must
+be symmetric" or "Hermitian"), which every module calls on its input
+matrices, the input checks of a complex vector (:func:`complex_vector`) and of
+a pair (:func:`pair_arrays`), and the one sealing rule that makes pairs,
+states and propagators immutable (:func:`_sealed`, and :func:`read_only` for a
+sealed float copy).
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ __all__ = [
     "read_only",
     "complex_vector",
     "pair_arrays",
-    "hermitian_check",
     "psd_check",
     "psd_verdict",
     "hermitian_eigh",
@@ -181,9 +185,27 @@ def complex_vector(z, n: int) -> np.ndarray:
 
 def _finite_entries(z) -> np.ndarray:
     """z, refused unless every entry is finite."""
-    if not np.isfinite(z).all():
-        raise ValueError("vector entries must be finite")
+    _finite_input("vector entries", z)
     return z
+
+
+def _finite_input(name: str, *arrays) -> None:
+    """The one finiteness refusal of input arrays: ValueError "{name} must be
+    finite" unless every entry of every array is."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def _hermitian_input(A, name: str, tol: float) -> np.ndarray:
+    """A as an array, refused unless it is a square matrix that passes the
+    Hermitian rule at tol: ValueError "{name} must be symmetric" for a real A,
+    "{name} must be Hermitian" for a complex one.  A NaN defect fails."""
+    A = _square(A)
+    defect, bound = _hermitian_rule(A, tol)
+    if not defect <= bound:
+        raise ValueError(f"{name} must be {'Hermitian' if np.iscomplexobj(A) else 'symmetric'}")
+    return A
 
 
 def pair_arrays(K, C) -> tuple[np.ndarray, np.ndarray]:
@@ -192,10 +214,8 @@ def pair_arrays(K, C) -> tuple[np.ndarray, np.ndarray]:
     C = np.asarray(C, dtype=float)
     if K.shape != C.shape or K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"K and C must be equal square matrices, got {K.shape} and {C.shape}")
-    if not (np.isfinite(K).all() and np.isfinite(C).all()):
-        raise ValueError("K and C must be finite")
-    if not hermitian_check(C, SYMMETRY_TOL).passed:
-        raise ValueError("C must be symmetric")
+    _finite_input("K and C", K, C)
+    _hermitian_input(C, "C", SYMMETRY_TOL)
     return K, C
 
 
@@ -207,19 +227,21 @@ def _square(A) -> np.ndarray:
     return A
 
 
-def hermitian_check(A, tol: float) -> Check:
-    """The Hermitian test: the absolute defect max|A - A^dag| against the bound
-    tol * (1 + max|A|).  A NaN defect fails; a matrix that is not square is
-    refused."""
-    defect, bound = _hermitian_rule(_square(A), tol)
-    return Check("hermitian", float(defect), float(bound))
+#: half the float range, past which the Hermitian rule halves a matrix
+_HALF_MAX = sys.float_info.max / 2.0
 
 
 def _hermitian_rule(A, tol: float):
-    """(defect, bound) of :func:`hermitian_check` over the last two axes of A:
-    numbers for a matrix, arrays for a stack of them."""
+    """The one Hermitian test, (defect, bound), over the last two axes of A:
+    the absolute defect max|A - A^dag| against tol * (1 + max|A|), numbers for
+    a matrix and arrays for a stack of them.  A matrix with an entry above
+    _HALF_MAX is judged halved, so that neither overflows on finite entries."""
+    size = np.abs(A).max(axis=(-2, -1), initial=0.0)
+    halve = size > _HALF_MAX        # a bool, or one per matrix of a stack
+    if halve.any() if halve.ndim else halve:
+        return _hermitian_rule(A * np.where(halve, 0.5, 1.0)[..., None, None], tol)
     defect = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
-    return defect, tol * (1.0 + np.abs(A).max(axis=(-2, -1), initial=0.0))
+    return defect, tol * (1.0 + size)
 
 
 def hermitian_eigh(H):
@@ -234,14 +256,13 @@ def hermitian_eigh(H):
 
 def psd_check(H, tol: float = TOLERANCES.psd) -> Check:
     """Decide positive semidefiniteness of a Hermitian matrix by the rule of
-    :func:`psd_verdict` on its eigenvalues.  Inputs whose Hermitian defect
-    exceeds the same relative tolerance are rejected."""
-    H = _square(H)
+    :func:`psd_verdict` on its eigenvalues.  A matrix that is not finite, or
+    whose Hermitian defect exceeds the same relative tolerance, is refused by
+    the input rules, by the name "matrix"."""
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    defect, bound = _hermitian_rule(H, max(tol, 1e-12))
-    if not defect <= bound:             # a NaN defect fails
-        raise ValueError(f"matrix is not Hermitian: defect {defect:.3e}")
+    _finite_input("matrix", H)
+    H = _hermitian_input(H, "matrix", max(tol, 1e-12))
     return Check("psd", *map(float, _psd_rule(np.linalg.eigvalsh((H + H.conj().T) / 2.0), tol)))
 
 

@@ -149,15 +149,54 @@ def test_evolve_overflowing_state_exits_2_without_report(tmp_path, capsys):
 
 
 def test_an_overflow_inside_a_command_names_the_command_and_exits_2(tmp_path, capsys):
-    # S + S^T overflows in the symmetry check of gaussian.validate
-    scenario = {"command": "validate-state",
-                "state": {"n": 1, "l": [0.0], "m": [0.0], "S": [[1.7e308, 0.0], [0.0, 1.0]]}}
+    # J K - (J K)^T overflows in the noise matrix of a finite pair
+    scenario = {"command": "decompose",
+                "pair": {**attenuation_pair_dict(), "K": [[1.7e308, 0.0], [0.0, 1.7e308]]}}
     code, report = run(tmp_path, scenario)
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert err.count("error:") == 1
-    assert err.startswith("error: validate-state: overflow encountered in add; "
+    assert err.startswith("error: decompose: overflow encountered in subtract; "
                           "input too large for double precision")
+
+
+_BIG = 1.7e308
+_ANTISYMMETRIC = [[0.0, _BIG], [-_BIG, 0.0]]
+_C_ANTISYMMETRIC = [[[0.0, 0.0], [_BIG, 0.0]], [[-_BIG, 0.0], [0.0, 0.0]]]
+_C_EYE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+_U = [[1.0, 0.0], [0.0, 0.0]]
+
+
+#: finite inputs past the float range of their own arithmetic, and the one
+#: error line each exits 1 with
+@pytest.mark.parametrize("scenario, line", [
+    ({"command": "decompose", "pair": {**attenuation_pair_dict(), "C": _ANTISYMMETRIC}},
+     "bad pair payload: C must be symmetric"),
+    ({"command": "unitarity", "H": _C_ANTISYMMETRIC}, "H must be Hermitian"),
+    ({"command": "unitarity", "H": _C_EYE, "S": _C_EYE,
+      "L": [[[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e200, 0.0]]]]},
+     "coupling operators too large for double precision: the dt coefficient "
+     "-(iH + sum_k L_k^dag L_k / 2) is not finite"),
+    ({"command": "sample-field", "law": {"kind": "levy", "H": _C_ANTISYMMETRIC, "u": _U}},
+     "H must be Hermitian"),
+    ({"command": "sample-field",
+      "law": {"kind": "kernel", "kernel": {"points": [0, 1], "K": _ANTISYMMETRIC}, "z": _U}},
+     "bad kernel payload: kernel must be Hermitian"),
+    ({"command": "sample-field",
+      "law": {"kind": "gaussian", "mean": [0.0, 0.0], "covariance": _ANTISYMMETRIC}},
+     "covariance must be symmetric"),
+    ({"command": "validate-state",
+      "state": {"n": 1, "l": [0.0], "m": [0.0], "S": [[1e308, 0.0], [0.0, 1e308]]}},
+     "covariance too large for double precision: 2S + iJ is not finite"),
+], ids=["decompose-C", "unitarity-H", "unitarity-L", "levy-H", "kernel-K", "gaussian-covariance",
+        "validate-state-S"])
+def test_an_input_too_large_for_its_arithmetic_exits_1_naming_it(tmp_path, capsys, scenario,
+                                                                line):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = run(tmp_path, scenario)
+    assert code == 1 and report is None
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 @pytest.mark.parametrize("name, S", [("hermitian", [[1.0, 0.2], [0.0, 1.0]]),
@@ -1303,12 +1342,14 @@ def test_number_refuses_what_is_not_a_number(value, shown, cast):
 
 # --- fuzz ---------------------------------------------------------------------
 # schema-shaped scenarios for every command, with entries anywhere in the float
-# range, the scalars of admissible pairs and the times also moderate, scenario
-# tolerances and the three override flags
+# range, matrix entries also at finite extremes whose sums and products
+# overflow, the scalars of admissible pairs and the times also moderate,
+# scenario tolerances and the three override flags
 
 _NUM = st.floats(allow_nan=False, allow_infinity=False)
 _SCALAR = st.one_of(st.floats(-2.0, 2.0), _NUM)
 _TOL = st.one_of(st.floats(1e-15, 1.0), _NUM)
+_ENTRY = st.one_of(_NUM, st.sampled_from([1.7e308, -1.7e308, 1e200, -1e200]))
 
 
 def _vec(size, num=_NUM):
@@ -1316,7 +1357,7 @@ def _vec(size, num=_NUM):
 
 
 def _mat(size):
-    return st.lists(_vec(size), min_size=size, max_size=size)
+    return st.lists(_vec(size, _ENTRY), min_size=size, max_size=size)
 
 
 def _cvec(size, num=_NUM):
@@ -1324,7 +1365,7 @@ def _cvec(size, num=_NUM):
 
 
 def _cmat(size):
-    return st.lists(_cvec(size), min_size=size, max_size=size)
+    return st.lists(_cvec(size, _ENTRY), min_size=size, max_size=size)
 
 
 def _diagonal(values):

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,21 @@ def test_hp_coefficients_refuses_a_huge_scattering_as_not_unitary_before_its_pro
     # S S^dag would overflow; no unitary matrix has an entry above 1 in modulus
     with pytest.raises(ValueError, match="^S must be unitary$"):
         hp_coefficients(1e200 * np.eye(2), [np.eye(2)], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("L", [1e200 * np.eye(2), np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]),
+                               np.array([[1e160, 1e160j], [0.0, 0.0]])],
+                         ids=["1e200-I", "antisymmetric-1.7e308", "complex-1e160"])
+def test_hp_coefficients_refuses_a_coupling_too_large_for_its_products_by_name(L):
+    # L^dag L overflows; refused before the dt coefficient is returned as nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^coupling operators too large for double "
+                                             "precision: the dt coefficient"):
+            hp_coefficients(np.eye(2), [L], np.zeros((2, 2)))
+    # at 1e150 the products are finite, and so is every coefficient
+    dU = hp_coefficients(np.eye(2), [1e150 * np.eye(2)], np.zeros((2, 2)))
+    assert all(np.isfinite(G).all() for G in dU.terms.values())
 
 
 def test_hp_coefficients_rejects_non_hermitian_energy():

@@ -1,12 +1,14 @@
 """The public surface: every exported name, and every name the benchmark's
-tracer wraps, exists; every verdict is a Check and the default tolerances are
-defined once; the value classes that hold arrays compare and hash; scipy.sparse
+tracer wraps, exists; every verdict is a Check, the default tolerances are
+defined once, and so is each refusal of an input array as not finite or not
+Hermitian; the value classes that hold arrays compare and hash; scipy.sparse
 loads on the first operator assembly only; the suite's BLAS pin reaches numpy."""
 
 import ast
 import dataclasses
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +95,6 @@ def _oracle_check(monkeypatch):
 #: every rule that returns a verdict, fed a NaN value: the value itself, or a
 #: NaN eigenvalue, residual or moment where the inputs must be finite
 VERDICTS = {
-    "symplectic.hermitian_check": lambda mp: symplectic.hermitian_check([[NAN]], 1.0),
     "symplectic.psd_verdict": lambda mp: symplectic.psd_verdict([1.0, NAN]),
     "symplectic.psd_check": lambda mp: (_nan_eigvalsh(mp), symplectic.psd_check(np.eye(2)))[1],
     "semigroup.admissible": lambda mp: (_nan_eigvalsh(mp),
@@ -134,6 +135,34 @@ def test_the_default_tolerances_are_defined_once():
     assert _float_literals(Path(cli.__file__)) == {1e-3, 1.0}
     # ito's tolerance defaults read TOLERANCES.unitarity
     assert 1e-12 not in _float_literals(Path(ito.__file__))
+
+
+#: a refusal that an array is not finite, Hermitian or symmetric, in the
+#: source of a raise; "time must be finite" and "must be a finite number"
+#: refuse a number, not an array
+_ARRAY_REFUSAL = re.compile(r"(?<!time )must be (\{\(?')?(finite|Hermitian|symmetric)\b")
+
+
+def _array_refusals():
+    """(module, function) of every raise whose message refuses an array as
+    not finite, Hermitian or symmetric."""
+    found = set()
+    for path in SOURCES:
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, ast.FunctionDef):
+                found.update((path.stem, func.name) for node in ast.walk(func)
+                             if isinstance(node, ast.Raise) and node.exc is not None
+                             and _ARRAY_REFUSAL.search(ast.unparse(node.exc)))
+    return found
+
+
+def test_input_arrays_are_refused_as_not_finite_or_hermitian_by_one_rule_each():
+    # every other site calls these two; refusals of derived values, such as
+    # 2S + iJ, the Levy masses or a noise equation's coefficients, say "not
+    # finite" or "too large" instead
+    assert _array_refusals() == {("symplectic", "_finite_input"),
+                                 ("symplectic", "_hermitian_input")}
+    assert not hasattr(symplectic, "hermitian_check")
 
 
 def _attenuation():

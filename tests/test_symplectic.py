@@ -647,3 +647,77 @@ def test_stacked_vector_sites_refuse_a_non_finite_entry_with_one_message(site, e
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^vector entries must be finite$"):
             VECTOR_SITES[site](np.array([[0.1, 0.3], [0.01, entry]]))
+
+
+# every site that refuses a matrix (or a vector) from outside, with the
+# refusal of each of three inputs: a NaN entry, an infinite one, and finite
+# antisymmetric entries of +-1.7e308, where A - A^dag would overflow (None:
+# accepted); the finite and Hermitian facts are each refused by one rule
+_BIG = 1.7e308
+INPUT_SITES = {
+    "symplectic.pair_arrays.K": (lambda A: symplectic.pair_arrays(A, np.eye(2)),
+                                 "K and C must be finite", None),
+    "symplectic.pair_arrays.C": (lambda A: symplectic.pair_arrays(np.zeros((2, 2)), A),
+                                 "K and C must be finite", "C must be symmetric"),
+    "symplectic.complex_vector": (lambda A: symplectic.complex_vector(A[0], 2),
+                                  "vector entries must be finite", None),
+    "symplectic.psd_check": (psd_check, "matrix must be finite", "matrix must be symmetric"),
+    "gaussian.GaussianState": (lambda A: validate(GaussianState(1, [0.0], [0.0], A)),
+                               "means and covariance must be finite", None),
+    "fields.KernelModel": (lambda A: KernelModel((0, 1), A),
+                           "kernel must be finite", "kernel must be Hermitian"),
+    "fields.FieldLaw.mean": (lambda A: FieldLaw(A[0], np.eye(2)),
+                             "law mean must be finite", None),
+    "fields.FieldLaw.covariance": (lambda A: FieldLaw(np.zeros(2), A),
+                                   "law covariance must be finite",
+                                   "covariance must be symmetric"),
+    "fields.levy_law": (lambda A: levy_law(A, [1.0, 0.0]),
+                        "H must be finite", "H must be Hermitian"),
+    "ito.hp_coefficients.H": (lambda A: hp_coefficients(np.zeros((0, 0)), [], A),
+                              "H must be finite", "H must be Hermitian"),
+    "ito.hp_coefficients.L": (lambda A: hp_coefficients(np.eye(2), [A], np.eye(2)),
+                              "each coupling operator must be finite",
+                              "coupling operators too large for double precision: the dt "
+                              "coefficient -(iH + sum_k L_k^dag L_k / 2) is not finite"),
+    "ito.hp_coefficients.S": (lambda A: hp_coefficients(A, [np.zeros((2, 2))], np.eye(2)),
+                              "S must be finite", "S must be unitary"),
+}
+
+
+@pytest.mark.parametrize("entry", ["nan", "inf", "antisymmetric 1.7e308"])
+@pytest.mark.parametrize("site", sorted(INPUT_SITES))
+def test_input_sites_refuse_by_name_with_no_warning(site, entry):
+    call, finite, huge = INPUT_SITES[site]
+    A = np.array([[0.0, _BIG], [-_BIG, 0.0]])
+    if entry != "antisymmetric 1.7e308":
+        A = np.eye(2)
+        A[0, 1] = float(entry)
+    refusal = huge if entry == "antisymmetric 1.7e308" else finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refusal is None:
+            call(A)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+                call(A)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_hermitian_rule_judges_a_matrix_past_half_the_float_range(dtype):
+    # halved first, A - A^dag stays finite, and the verdict is the one at full
+    # scale: a defect 10x the relative bound is refused, 0.1x accepted, and an
+    # antisymmetric matrix refused by a finite defect
+    tol = symplectic.SYMMETRY_TOL
+    cases = [(np.array([[1.5, 0.5 + factor * tol * 1.5], [0.5, -1.0]], dtype=dtype), factor < 1)
+             for factor in (10.0, 0.1)]
+    cases.append((np.array([[0.0, 1.5], [-1.5, 0.0]], dtype=dtype), False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A, accepted in cases:
+            for scale in (1.0, 2.0 ** 1023):
+                defect, bound = symplectic._hermitian_rule(A * scale, tol)
+                assert math.isfinite(defect) and bool(defect <= bound) is accepted
+            # in a stack, only the matrix past half the float range is halved
+            defects, bounds = symplectic._hermitian_rule(np.array([A, A * 2.0 ** 1023]), tol)
+            assert (defects[0], bounds[0]) == symplectic._hermitian_rule(A, tol)
+            assert bool(defects[1] <= bounds[1]) is accepted

@@ -1,6 +1,6 @@
 """Shared random draws for the test suite (all explicitly seeded), a dense
-Fock-space reference built from Kronecker products alone, and two reference
-forms only the tests call: ito_equal and coupling_form."""
+Fock-space reference built from Kronecker products alone, and three reference
+forms only the tests call: ito_equal, hermitian_check and coupling_form."""
 
 from functools import reduce
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from quasifree.ito import ItoDifferential, _gap
 from quasifree.semigroup import QuasifreePair
-from quasifree.symplectic import TOLERANCES, symplectic_form
+from quasifree.symplectic import TOLERANCES, Check, _hermitian_rule, symplectic_form
 from quasifree.synthesis import pair_from_coupling
 
 
@@ -16,6 +16,13 @@ def ito_equal(X: ItoDifferential, Y: ItoDifferential, tol: float = TOLERANCES.un
     """Whether X and Y have one dimension and every coefficient of X - Y is
     within tol of 0, by the gap the Ito tables are judged by."""
     return X.d == Y.d and _gap(X, Y) <= tol
+
+
+def hermitian_check(A, tol: float) -> Check:
+    """The library's Hermitian rule on one matrix as a verdict: the defect
+    max|A - A^dag| against the bound tol * (1 + max|A|)."""
+    defect, bound = _hermitian_rule(np.asarray(A), tol)
+    return Check("hermitian", float(defect), float(bound))
 
 
 def coupling_form(u, v, z) -> complex:
